@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet fmt-check fmt bench bench-e2e bench-wal staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all build test lint vet fmt-check fmt bench bench-e2e bench-wal test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
 
 all: build lint fmt-check test
 
@@ -71,6 +71,17 @@ bench-e2e:
 # -benchmem is always on here. See docs/performance.md.
 bench-wal:
 	$(GO) test -bench 'WAL' -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/
+
+# bench/ is its own module (opdaemon/bench), invisible to `make test`
+# and `make lint`: test-bench runs its unit tests, opbench-smoke runs
+# the benchmark of record end to end at a fraction of a second per
+# workload — plumbing and correctness checks only, no numbers. See
+# bench/README.md.
+test-bench:
+	cd bench && $(GO) test ./...
+
+opbench-smoke:
+	bash bench/run.sh -smoke
 
 # Short coverage-guided fuzz runs over the untrusted-input parsers:
 # the cursor values clients control, and the WAL replay path that

@@ -50,7 +50,6 @@ type daemonConfig struct {
 	store           string
 	walDir          string
 	walSync         string
-	walGroupWindow  time.Duration
 	walSegmentBytes int64
 	walMaxSegments  int
 }
@@ -93,8 +92,7 @@ func main() {
 	flag.Float64Var(&cfg.shedThreshold, "shed-threshold", 0, "shed submissions with 429 once queue depth reaches this fraction of capacity (0,1); 0 disables shedding")
 	flag.StringVar(&cfg.store, "store", "memory", "operation store backend: memory (state dies with the process) or wal (persistent write-ahead log under -wal-dir with crash recovery)")
 	flag.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory, required with -store=wal; created if absent")
-	flag.StringVar(&cfg.walSync, "wal-sync", string(engine.WALSyncGroup), "wal fsync policy: always (fsync per mutation), group (one fsync per -wal-group-window batch; submissions wait, transitions are logged asynchronously), or none (never fsync)")
-	flag.DurationVar(&cfg.walGroupWindow, "wal-group-window", 2*time.Millisecond, "how long the wal committer accumulates a batch before its single write+fsync under -wal-sync=group")
+	flag.StringVar(&cfg.walSync, "wal-sync", string(engine.WALSyncGroup), "wal fsync policy: always (fsync per mutation), group (commit as soon as anything is staged; whatever arrives during that fsync shares the next one; submissions wait, transitions are logged asynchronously), or none (never fsync)")
 	flag.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 16<<20, "wal segment rotation size in bytes")
 	flag.IntVar(&cfg.walMaxSegments, "wal-max-segments", 8, "closed wal segments tolerated before snapshot compaction folds them")
 	flag.BoolVar(&cfg.trustClientHdr, "trust-client-header", true, "honour X-Client-Id for fair-queueing attribution; set false for untrusted clients (the header is unauthenticated, so a greedy client could mint fresh scheduler queues per request) to key on remote address only")
@@ -136,7 +134,6 @@ func run(cfg daemonConfig) error {
 		ws, err := engine.OpenWALStore(engine.WALConfig{
 			Dir:          cfg.walDir,
 			Sync:         engine.WALSyncMode(cfg.walSync),
-			GroupWindow:  cfg.walGroupWindow,
 			SegmentBytes: cfg.walSegmentBytes,
 			MaxSegments:  cfg.walMaxSegments,
 			Shards:       cfg.storeShards,

@@ -109,7 +109,7 @@ func TestHealth(t *testing.T) {
 	if got, _ := result["queue_capacity"].(float64); got <= 0 {
 		t.Errorf("health queue_capacity = %v, want positive", result["queue_capacity"])
 	}
-	for _, key := range []string{"queue_depth", "store_len"} {
+	for _, key := range []string{"queue_depth", "store_len", "wal_commit_failures"} {
 		if got, ok := result[key].(float64); !ok || got != 0 {
 			t.Errorf("health %s = %v, want 0 on an idle engine", key, result[key])
 		}

@@ -3,9 +3,10 @@ package api
 // GET /v1/metrics: Engine.Stats rendered in the Prometheus text
 // exposition format (version 0.0.4) so a standard scrape target works
 // against the daemon with no metrics stack of its own — the first
-// slice of the ROADMAP's observability item. Everything here is a
-// gauge over the same snapshot /v1/health serves; counters with
-// process lifetimes (per-kind latency histograms) come later.
+// slice of the ROADMAP's observability item. Everything here reads the
+// same snapshot /v1/health serves: gauges, plus the one lifetime
+// counter the engine keeps so far (WAL commit failures); per-kind
+// latency histograms come later.
 //
 // No client library: the text format is a line protocol simple enough
 // that hand-rendering it is smaller than a dependency, and the daemon
@@ -25,10 +26,11 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 	b.Grow(2048)
 
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, formatMetricValue(v))
+	metric := func(typ, name, help string, v float64) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			name, help, name, typ, name, formatMetricValue(v))
 	}
+	gauge := func(name, help string, v float64) { metric("gauge", name, help, v) }
 
 	gauge("opdaemon_workers", "Configured executor count.", float64(st.Workers))
 	gauge("opdaemon_queue_depth", "Accepted operations no worker has picked up yet.", float64(st.QueueDepth))
@@ -55,6 +57,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 		gauge("opdaemon_wal_segments", "Live WAL segment files.", float64(st.WALSegments))
 		gauge("opdaemon_wal_batch_p50", "Median records per WAL group commit (fsync amortisation factor).", st.WALBatchP50)
 		gauge("opdaemon_wal_fsyncs_per_sec", "Observed WAL fsync rate over the trailing window.", st.FsyncsPerSec)
+		metric("counter", "opdaemon_wal_commit_failures_total", "WAL batches whose write or fsync failed since start; acknowledged state in them may not survive a restart.", float64(st.WALCommitFailures))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -13,6 +13,7 @@ import (
 
 // scrapeMetrics fetches /v1/metrics and parses the exposition into a
 // name{labels} → value map, failing the test on any malformed line.
+// "# TYPE name kind" lines are kept under the key "TYPE name".
 func scrapeMetrics(t *testing.T, s *Server) map[string]string {
 	t.Helper()
 	req := httptest.NewRequest("GET", "/v1/metrics", nil)
@@ -26,6 +27,10 @@ func scrapeMetrics(t *testing.T, s *Server) map[string]string {
 	}
 	vals := make(map[string]string)
 	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			vals["TYPE "+name] = kind
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -71,7 +76,7 @@ func TestMetricsExposition(t *testing.T) {
 	if vals["opdaemon_durable"] != "0" {
 		t.Errorf("opdaemon_durable = %q, want 0 for the memory store", vals["opdaemon_durable"])
 	}
-	for _, name := range []string{"opdaemon_wal_segments", "opdaemon_wal_batch_p50", "opdaemon_wal_fsyncs_per_sec"} {
+	for _, name := range []string{"opdaemon_wal_segments", "opdaemon_wal_batch_p50", "opdaemon_wal_fsyncs_per_sec", "opdaemon_wal_commit_failures_total"} {
 		if _, ok := vals[name]; ok {
 			t.Errorf("exposition has %s despite a non-durable store", name)
 		}
@@ -104,6 +109,18 @@ func TestMetricsDurableGauges(t *testing.T) {
 		if _, ok := vals[name]; !ok {
 			t.Errorf("exposition is missing %s", name)
 		}
+	}
+	// The lifetime counter is present from the first scrape (a healthy
+	// log reads 0) and typed as a counter, so rate() works on it.
+	const failures = "opdaemon_wal_commit_failures_total"
+	if got := vals[failures]; got != "0" {
+		t.Errorf("%s = %q, want 0 on a healthy log", failures, got)
+	}
+	if got := vals["TYPE "+failures]; got != "counter" {
+		t.Errorf("%s has TYPE %q, want counter", failures, got)
+	}
+	if got := vals["TYPE opdaemon_wal_segments"]; got != "gauge" {
+		t.Errorf("opdaemon_wal_segments has TYPE %q, want gauge", got)
 	}
 }
 

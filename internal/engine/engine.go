@@ -327,6 +327,10 @@ type Stats struct {
 	// FsyncsPerSec is the WAL's observed fsync rate over the trailing
 	// window.
 	FsyncsPerSec float64 `json:"fsyncs_per_sec"`
+	// WALCommitFailures is the lifetime count of WAL batches whose
+	// write or fsync failed; non-zero means acknowledged state may not
+	// survive a restart.
+	WALCommitFailures uint64 `json:"wal_commit_failures"`
 }
 
 // durableStore is the optional extension a persistent Store
@@ -361,6 +365,7 @@ func (e *Engine) Stats() Stats {
 		st.WALSegments = ws.Segments
 		st.WALBatchP50 = ws.BatchP50
 		st.FsyncsPerSec = ws.FsyncsPerSec
+		st.WALCommitFailures = ws.CommitFailures
 	}
 	return st
 }

@@ -38,11 +38,13 @@ const (
 	// puts, updates, deletes — wait for its commit ticket. Maximum
 	// durability, one fsync round-trip on every write path.
 	WALSyncAlways WALSyncMode = "always"
-	// WALSyncGroup (the default) accumulates records for the group
-	// window, then writes and fsyncs them as one batch. Admissions
-	// (Put/PutBatch) wait for durability; transitions (Update/Delete)
-	// are logged asynchronously — recovery semantics make the loss
-	// window principled (see docs/persistence.md).
+	// WALSyncGroup (the default) commits the moment anything is staged;
+	// whatever boards while that write+fsync is in flight shares the
+	// next one, so batch size tracks concurrency and disk latency with
+	// no timer. Admissions (Put/PutBatch) wait for durability;
+	// transitions (Update/Delete) are logged asynchronously — recovery
+	// semantics make the loss window principled (see
+	// docs/persistence.md).
 	WALSyncGroup WALSyncMode = "group"
 	// WALSyncNone never fsyncs and nobody waits; durability is
 	// whatever the OS page cache survives. For tests and benchmarks.
@@ -57,14 +59,6 @@ func (m WALSyncMode) Valid() bool {
 	}
 	return false
 }
-
-// walGroupEagerRecords is the staged-record count at which the group
-// committer skips the accumulation window and commits immediately: a
-// batch this size already amortises its fsync well, so the window
-// would only add latency. The window earns its keep at low and
-// moderate concurrency, where it turns a trickle of lone writers into
-// one shared fsync.
-const walGroupEagerRecords = 96
 
 // walGen is one commit generation's ticket: every writer that appended
 // into the generation's batch shares it. done closes after the batch's
@@ -89,6 +83,10 @@ type walBatch struct {
 	// gen is the current generation's ticket, created lazily by the
 	// first writer to board the batch.
 	gen *walGen
+	// last is the most recently detached generation — in flight or
+	// already resolved — so flush can wait out a commit it did not
+	// board.
+	last *walGen
 }
 
 // walStatsCounters aggregates the observability counters the health
@@ -97,6 +95,9 @@ type walStatsCounters struct {
 	// fsyncs feeds the fsyncs-per-second rate; drainMeter already
 	// implements exactly the trailing-window counter needed.
 	fsyncs drainMeter
+	// commitFailures counts batches whose write or fsync failed, over
+	// the store's lifetime.
+	commitFailures atomic.Uint64
 
 	mu sync.Mutex
 	// sizes is a ring of recent commit batch sizes (records per
@@ -149,6 +150,10 @@ type WALStats struct {
 	// FsyncsPerSec is the observed fsync rate over the trailing
 	// window.
 	FsyncsPerSec float64
+	// CommitFailures is the lifetime count of batches whose write or
+	// fsync failed: each one is acknowledged state that may not survive
+	// a restart.
+	CommitFailures uint64
 }
 
 // wal owns the on-disk log: the staging buffer, the committer
@@ -156,10 +161,13 @@ type WALStats struct {
 type wal struct {
 	dir      string
 	mode     WALSyncMode
-	window   time.Duration
 	segBytes int64
 	maxSegs  int
 	clock    func() time.Time
+	// sync is every fsync the log issues, segment files and the
+	// directory alike. Always (*os.File).Sync outside tests, which
+	// substitute it to count fsyncs or hold one open.
+	sync func(*os.File) error
 
 	batch walBatch
 	// kick wakes the committer; capacity 1 so boarding writers can
@@ -218,10 +226,10 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	w := &wal{
 		dir:      cfg.Dir,
 		mode:     cfg.Sync,
-		window:   cfg.GroupWindow,
 		segBytes: cfg.SegmentBytes,
 		maxSegs:  cfg.MaxSegments,
 		clock:    cfg.Clock,
+		sync:     cfg.syncHook,
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		die:      make(chan struct{}),
@@ -235,18 +243,27 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	return w, nil
 }
 
-// start launches the committer; the wal accepts enqueues from this
+// start launches the committer; the wal accepts staged records from this
 // point on.
 func (w *wal) start() {
 	go w.committer()
 }
 
-// openSegment creates segment i and makes it the append target.
-// Committer goroutine (or pre-start setup) only.
+// openSegment creates segment i and makes it the append target. The
+// directory is fsynced before any record can be acknowledged into the
+// new file: without it a power loss could drop the segment's entry and
+// every durable record inside with it. Committer goroutine (or
+// pre-start setup) only.
 func (w *wal) openSegment(i int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, walSegName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: opening segment %d: %w", i, err)
+	}
+	if w.mode != WALSyncNone {
+		if err := w.syncDir(); err != nil {
+			f.Close()
+			return fmt.Errorf("wal: fsync directory for segment %d: %w", i, err)
+		}
 	}
 	w.f = f
 	w.segIndex = i
@@ -257,12 +274,14 @@ func (w *wal) openSegment(i int) error {
 	return nil
 }
 
-// enqueue boards one or more already-framed records (recs counts them)
-// onto the current batch and wakes the committer, returning the
-// generation ticket the caller may wait on. Callers may hold a
-// storeShard lock: enqueue only appends to the staging buffer; all file
-// I/O happens on the committer goroutine.
-func (w *wal) enqueue(frames []byte, recs int) *walGen {
+// stage boards one or more already-framed records (recs counts them)
+// onto the current batch, returning the generation ticket the caller
+// may wait on. Callers may hold a storeShard lock: stage only appends
+// to the staging buffer; all file I/O happens on the committer
+// goroutine. Nothing commits until wake is called — staging and waking
+// are separate so a caller with records for several shards stages them
+// all and wakes once, boarding one generation instead of straddling two.
+func (w *wal) stage(frames []byte, recs int) *walGen {
 	if len(frames) == 0 {
 		return nil
 	}
@@ -275,11 +294,16 @@ func (w *wal) enqueue(frames []byte, recs int) *walGen {
 	b.buf = append(b.buf, frames...)
 	b.n += recs
 	b.mu.Unlock()
+	return g
+}
+
+// wake tells the committer there is work. Never blocks: a kick already
+// pending covers this one too.
+func (w *wal) wake() {
 	select {
 	case w.kick <- struct{}{}:
 	default:
 	}
-	return g
 }
 
 // admitWait parks the caller until its admission record is durable —
@@ -312,30 +336,22 @@ func (w *wal) waitCommit(g *walGen) {
 	<-g.done
 }
 
-// stagedRecords reads the current batch size, for the committer's
-// skip-the-window decision.
-func (w *wal) stagedRecords() int {
-	b := &w.batch
-	b.mu.Lock()
-	n := b.n
-	b.mu.Unlock()
-	return n
-}
-
 // flush forces a commit of everything staged so far and waits for it,
-// returning the commit's write/fsync outcome.
+// returning the commit's write/fsync outcome. With nothing staged it
+// waits on the newest detached generation instead: records the
+// committer took a moment ago are durable only once that fsync lands.
 func (w *wal) flush() error {
 	b := &w.batch
 	b.mu.Lock()
 	g := b.gen
+	if g == nil {
+		g = b.last
+	}
 	b.mu.Unlock()
 	if g == nil {
 		return nil
 	}
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
+	w.wake()
 	<-g.done
 	return g.err
 }
@@ -360,10 +376,11 @@ func (w *wal) abort() {
 }
 
 // committer is the single goroutine that turns staged batches into
-// write+fsync calls. Waking on a kick, it rides out the accumulation
-// window (group mode only) so concurrent writers can board the batch,
-// then commits whatever accumulated: that one fsync resolves every
-// boarded ticket.
+// write+fsync calls, and it is self-clocked: it commits the moment a
+// kick says anything is staged, and whatever boards while that
+// write+fsync is in flight is the next batch, resolved by the next
+// fsync. A lone writer pays one fsync of latency; under load every
+// writer that arrived during the previous fsync shares the next one.
 func (w *wal) committer() {
 	defer close(w.done)
 	for {
@@ -375,37 +392,8 @@ func (w *wal) committer() {
 			return
 		case <-w.kick:
 		}
-		if w.mode == WALSyncGroup && w.window > 0 {
-			w.accumulate()
-		}
 		w.commit()
 		w.maybeCompact()
-	}
-}
-
-// accumulate is the group window: admission latency traded for batch
-// size. The kick that woke the committer fires on the FIRST record
-// staged after the previous commit, so the batch is nearly always tiny
-// at wake time and sleeping the full window blind would tax every
-// cycle with the window even under load heavy enough to fill a batch
-// in a fraction of it. Instead the committer keeps consuming kicks —
-// enqueue sends one per append — and leaves as soon as the batch
-// reaches walGroupEagerRecords, falling back to the window expiry when
-// writers trickle in too slowly to ever fill one. Lone writers still
-// pay the full window; a saturating fleet commits the moment the fsync
-// is worth its price.
-func (w *wal) accumulate() {
-	// Poll in a few slices rather than waking per kick: at tens of
-	// thousands of enqueues per second a kick-driven wait would context
-	// switch the committer on every append, which costs more than the
-	// fsync it is trying to amortise. Four checks per window bound the
-	// early-exit error at a quarter window.
-	const slices = 4
-	for i := 0; i < slices; i++ {
-		if w.stagedRecords() >= walGroupEagerRecords {
-			return
-		}
-		time.Sleep(w.window / slices)
 	}
 }
 
@@ -422,6 +410,7 @@ func (w *wal) commit() {
 	buf, gen, n := b.buf, b.gen, b.n
 	b.buf = w.spare[:0]
 	b.gen = nil
+	b.last = gen
 	b.n = 0
 	b.mu.Unlock()
 
@@ -431,9 +420,10 @@ func (w *wal) commit() {
 	close(gen.done)
 	w.stats.recordBatch(n)
 	if err != nil {
-		// The Store interface has no write-error channel, so this log
-		// line is the operator's signal that durability is degraded;
-		// the in-memory state remains correct until restart.
+		// The Store interface has no write-error channel, so this
+		// counter and log line are the operator's signal that durability
+		// is degraded; the in-memory state remains correct until restart.
+		w.stats.commitFailures.Add(1)
 		log.Printf("engine: wal commit of %d records failed: %v", n, err)
 	}
 }
@@ -446,7 +436,7 @@ func (w *wal) writeAndSync(buf []byte) error {
 	}
 	w.segSize += int64(len(buf))
 	if w.mode != WALSyncNone {
-		if err := w.f.Sync(); err != nil {
+		if err := w.sync(w.f); err != nil {
 			return fmt.Errorf("wal: fsync segment %d: %w", w.segIndex, err)
 		}
 		w.stats.fsyncs.record(w.clock())
@@ -529,7 +519,7 @@ func (w *wal) compact(through int) {
 	defer w.compactWG.Done()
 	defer w.compacting.Store(false)
 	ops := w.snapshotFn()
-	if err := writeWALSnapshot(w.dir, through, ops); err != nil {
+	if err := w.writeSnapshot(through, ops); err != nil {
 		log.Printf("engine: wal snapshot through segment %d failed: %v", through, err)
 		return
 	}
@@ -559,11 +549,11 @@ func (w *wal) compact(through int) {
 	}
 }
 
-// writeWALSnapshot atomically installs a snapshot of ops covering
+// writeSnapshot atomically installs a snapshot of ops covering
 // segments <= through: written to a temp file, fsynced, renamed into
 // place, directory fsynced — the standard crash-safe install sequence.
-func writeWALSnapshot(dir string, through int, ops []*core.Operation) error {
-	tmpPath := filepath.Join(dir, "snap.tmp")
+func (w *wal) writeSnapshot(through int, ops []*core.Operation) error {
+	tmpPath := filepath.Join(w.dir, "snap.tmp")
 	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -588,27 +578,27 @@ func writeWALSnapshot(dir string, through int, ops []*core.Operation) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := w.sync(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, walSnapName(through))); err != nil {
+	if err := os.Rename(tmpPath, filepath.Join(w.dir, walSnapName(through))); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return w.syncDir()
 }
 
-// syncDir fsyncs the directory so entry creations and renames are
+// syncDir fsyncs the log directory so entry creations and renames are
 // themselves durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+func (w *wal) syncDir() error {
+	d, err := os.Open(w.dir)
 	if err != nil {
 		return err
 	}
-	err = d.Sync()
+	err = w.sync(d)
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
@@ -620,10 +610,7 @@ func syncDir(dir string) error {
 // sweep so deleted history stops occupying replay time.
 func (w *wal) requestCompact() {
 	w.compactReq.Store(true)
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
+	w.wake()
 }
 
 // finalize is the clean-shutdown path: commit anything staged, fsync
@@ -633,7 +620,7 @@ func (w *wal) finalize() error {
 	w.commit()
 	var err error
 	if w.f != nil {
-		if serr := w.f.Sync(); serr != nil {
+		if serr := w.sync(w.f); serr != nil {
 			err = serr
 		}
 		if cerr := w.f.Close(); err == nil {
@@ -649,8 +636,9 @@ func (w *wal) snapshotStats() WALStats {
 	segs := len(w.segs)
 	w.segMu.Unlock()
 	return WALStats{
-		Segments:     segs,
-		BatchP50:     w.stats.batchP50(),
-		FsyncsPerSec: w.stats.fsyncs.rate(w.clock()),
+		Segments:       segs,
+		BatchP50:       w.stats.batchP50(),
+		FsyncsPerSec:   w.stats.fsyncs.rate(w.clock()),
+		CommitFailures: w.stats.commitFailures.Load(),
 	}
 }

@@ -184,7 +184,7 @@ func TestWALStoreRecoversCorruptMiddle(t *testing.T) {
 func TestWALStoreFlushBarrier(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Unix(1000, 0)
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncGroup, GroupWindow: time.Millisecond})
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncGroup})
 	s.Put(mkOp("a", t0))
 	if err := s.Update("a", func(op *core.Operation) {
 		op.Status = core.StatusDone

@@ -8,7 +8,7 @@ package engine
 // record mutations in the same per-ID order the memory index publishes
 // them, or replay could resurrect a stale state. Each mutation
 // therefore stages its encoded record into the WAL batch buffer while
-// still holding the shard's write lock — apply and enqueue are atomic
+// still holding the shard's write lock — apply and stage are atomic
 // per record. That nests walBatch.mu inside storeShard.mu (the one
 // sanctioned lock nesting, policed by lockscope), and it is why writers
 // never touch the file themselves: file I/O under a shard lock would
@@ -47,11 +47,6 @@ type WALConfig struct {
 	Dir string
 	// Sync is the fsync policy (default WALSyncGroup).
 	Sync WALSyncMode
-	// GroupWindow is how long the committer accumulates a batch before
-	// committing it under WALSyncGroup (default 2ms). Larger windows
-	// buy bigger batches (fewer fsyncs) at the cost of admission
-	// latency.
-	GroupWindow time.Duration
 	// SegmentBytes rotates the open segment once it exceeds this size
 	// (default 16 MiB).
 	SegmentBytes int64
@@ -63,15 +58,15 @@ type WALConfig struct {
 	Shards int
 	// Clock returns the current time; overridable in tests.
 	Clock func() time.Time
+	// syncHook replaces (*os.File).Sync for every fsync the log
+	// issues. Tests only, like wal.die.
+	syncHook func(*os.File) error
 }
 
 // withDefaults resolves the zero values.
 func (cfg WALConfig) withDefaults() WALConfig {
 	if cfg.Sync == "" {
 		cfg.Sync = WALSyncGroup
-	}
-	if cfg.GroupWindow <= 0 {
-		cfg.GroupWindow = 2 * time.Millisecond
 	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = 16 << 20
@@ -81,6 +76,9 @@ func (cfg WALConfig) withDefaults() WALConfig {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
+	}
+	if cfg.syncHook == nil {
+		cfg.syncHook = (*os.File).Sync
 	}
 	return cfg
 }
@@ -209,16 +207,17 @@ func (s *WALStore) Put(op *core.Operation) {
 	sh.mu.Lock()
 	sh.putLocked(op)
 	delete(s.deltaN[i], op.ID)
-	g := s.wal.enqueue(rec, 1)
+	g := s.wal.stage(rec, 1)
 	sh.mu.Unlock()
+	s.wal.wake()
 	*buf = rec
 	putEncBuf(buf)
 	s.wal.admitWait(g)
 }
 
 // PutBatch inserts or replaces every operation, staging each shard's
-// records inside that shard's critical section and waiting for
-// durability once for the whole batch.
+// records inside that shard's critical section, then waking the
+// committer once and waiting for durability once for the whole batch.
 func (s *WALStore) PutBatch(ops []*core.Operation) {
 	if len(ops) == 1 {
 		s.Put(ops[0])
@@ -257,16 +256,19 @@ func (s *WALStore) PutBatch(ops []*core.Operation) {
 			sh.putLocked(op)
 			delete(s.deltaN[i], op.ID)
 		}
-		if g := s.wal.enqueue(frames, recs); g != nil {
+		if g := s.wal.stage(frames, recs); g != nil {
 			last = g
 		}
 		sh.mu.Unlock()
 		*buf = frames
 	}
 	putEncBuf(buf)
-	// All buckets board the same in-flight generation in practice;
-	// waiting on the newest ticket covers every staged record because
-	// generations commit in order.
+	// One wake after the last bucket: the committer commits the moment
+	// it is woken, so waking per bucket would split this batch over two
+	// generations and make it wait out two fsyncs. Another writer's wake
+	// can still split it; waiting on the newest ticket covers every
+	// staged record regardless, because generations commit in order.
+	s.wal.wake()
 	s.wal.admitWait(last)
 }
 
@@ -359,8 +361,9 @@ func (s *WALStore) Update(id string, fn func(op *core.Operation)) error {
 		} else {
 			delete(deltas, id)
 		}
-		g := s.wal.enqueue(rec, 1)
+		g := s.wal.stage(rec, 1)
 		sh.mu.Unlock()
+		s.wal.wake()
 		*buf = rec
 		putEncBuf(buf)
 		s.wal.transitionWait(g)
@@ -390,8 +393,9 @@ func (s *WALStore) Delete(id string) {
 	delete(sh.ops, id)
 	delete(s.deltaN[i], id)
 	sh.ix.remove(old.CreatedAt, old.ID)
-	g := s.wal.enqueue(rec, 1)
+	g := s.wal.stage(rec, 1)
 	sh.mu.Unlock()
+	s.wal.wake()
 	*buf = rec
 	putEncBuf(buf)
 	s.wal.transitionWait(g)
@@ -462,7 +466,7 @@ func (s *WALStore) SweepTerminalBefore(cutoff time.Time) int {
 				sh.ix.ops[j] = nil // unpin evicted snapshots
 			}
 			sh.ix.ops = kept
-			if g := s.wal.enqueue(frames, recs); g != nil {
+			if g := s.wal.stage(frames, recs); g != nil {
 				last = g
 			}
 		}
@@ -471,7 +475,9 @@ func (s *WALStore) SweepTerminalBefore(cutoff time.Time) int {
 	}
 	putEncBuf(buf)
 	if evicted >= sweepCompactThreshold {
-		s.wal.requestCompact()
+		s.wal.requestCompact() // wakes the committer itself
+	} else {
+		s.wal.wake()
 	}
 	s.wal.transitionWait(last)
 	return evicted
