@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test lint vet fmt-check fmt bench bench-e2e bench-wal test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all build test test-allocs lint vet fmt-check fmt bench bench-e2e bench-wal test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
 
 all: build lint fmt-check test
 
@@ -30,6 +30,13 @@ build:
 # failure log prints the seed for reproduction.
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# The allocation pins (AllocsPerRun tests, the accept→terminal budget in
+# internal/api) skip themselves under the race detector, whose
+# instrumentation allocates — and `make test` is always -race. This is
+# the run in which they actually execute.
+test-allocs:
+	$(GO) test -run 'Alloc|Budget' ./internal/...
 
 # lint is the single aggregate gate: vet for the compiler-adjacent
 # checks, staticcheck for general Go correctness, opdaemonlint for the
@@ -61,9 +68,10 @@ bench:
 
 # End-to-end API benchmarks: router -> engine -> store -> envelope per
 # request. Pair with `make bench` to tell an API-layer regression from
-# a store-layer one. See docs/performance.md.
+# a store-layer one; -benchmem because allocs/op is what the collector
+# is billed for. See docs/performance.md.
 bench-e2e:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/api/
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/api/
 
 # Durability-focused slice of the engine benchmarks: WAL store write
 # paths plus cold recovery, with allocation counts — the codec and
@@ -83,17 +91,22 @@ test-bench:
 opbench-smoke:
 	bash bench/run.sh -smoke
 
-# Short coverage-guided fuzz runs over the untrusted-input parsers:
-# the cursor values clients control, and the WAL replay path that
-# must survive arbitrary on-disk bytes after a crash. One `go test
+# Short coverage-guided fuzz runs over the untrusted-input parsers —
+# the cursor values clients control, the WAL replay path that must
+# survive arbitrary on-disk bytes after a crash — and over the JSON wire
+# codec, held byte for byte to encoding/json. One `go test
 # -fuzz` invocation accepts a single target, hence one line per
 # fuzzer; seed corpora alone also run as normal tests under `make
-# test`.
+# test`. FuzzOperationAppendJSON takes thirteen arguments, and the
+# default minute spent minimising each new input would swallow a
+# ten-second budget whole, hence its -fuzzminimizetime.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzNoticesCursor$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzListQueryCursor$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
 	$(GO) test -fuzz '^FuzzWALCodecBinary$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
+	$(GO) test -fuzz '^FuzzDecodeSubmit$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
+	$(GO) test -fuzz '^FuzzOperationAppendJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run '^Fuzz' ./internal/core/
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \

@@ -9,6 +9,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -273,12 +274,16 @@ func run(cfg daemonConfig) error {
 	return nil
 }
 
+// noopResult is what every noop returns: already JSON, which the engine
+// publishes as it is, and boxed once here rather than on every call.
+var noopResult any = json.RawMessage(`{"ok":true}`)
+
 // registerBuiltins installs the demo operation kinds the daemon ships
 // with; real workloads register their own kinds here as the system
 // grows.
 func registerBuiltins(eng *engine.Engine) {
 	eng.Register("noop", func(context.Context, *core.Operation) (any, error) {
-		return map[string]any{"ok": true}, nil
+		return noopResult, nil
 	})
 	eng.Register("echo", func(_ context.Context, op *core.Operation) (any, error) {
 		return op.Params, nil

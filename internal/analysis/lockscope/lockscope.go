@@ -119,8 +119,9 @@ var jsonCodecNames = map[string]bool{
 	"Marshal": true, "MarshalIndent": true, "Unmarshal": true,
 }
 
-// codecFuncNames are the WAL codec entry points — the engine's frame
-// builders/record encoders and core's operation binary codec. Matched
+// codecFuncNames are the codec entry points — the engine's frame
+// builders/record encoders and core's operation codecs, binary (WAL
+// records) and JSON (the API wire format). Matched
 // by name across the module's own packages (stdlib and vendored code
 // excluded by the json/os checks having their own lists), so the rule
 // survives the codec living in either package.
@@ -133,11 +134,14 @@ var codecFuncNames = map[string]bool{
 	// core.Operation binary codec.
 	"AppendBinary": true, "AppendBinaryDelta": true,
 	"DecodeBinaryOperation": true, "DecodeBinaryDelta": true,
+	// core's append-based JSON wire codec.
+	"AppendJSON": true, "AppendJSONValue": true, "AppendJSONString": true,
+	"DecodeSubmit": true,
 }
 
 // codecPkgNames are the packages whose functions the codec name list
-// applies to: the engine (frame builders), core (operation binary
-// codec), and the analyzer's fixture package. Pinning the packages
+// applies to: the engine (frame builders), core (operation binary and
+// JSON codecs), and the analyzer's fixture package. Pinning the packages
 // keeps stdlib lookalikes — time.Time also has an AppendBinary — from
 // tripping the rule.
 var codecPkgNames = map[string]bool{"engine": true, "core": true, "a": true}

@@ -370,6 +370,30 @@ func encodeRecord(dst []byte, v int) []byte {
 	return encodeOpRecordV2(dst, v)
 }
 
+// AppendJSON mirrors core's wire codec entry point; like the record
+// encoders, its name is what makes calls to it codec calls.
+func AppendJSON(dst []byte, v int) []byte {
+	return append(dst, '0'+byte(v))
+}
+
+// replyUnderShardLock builds a reply body inside the shard critical
+// section: the wire codec is pure CPU too, and readers hold shared
+// immutable snapshots precisely so that it can run after unlock.
+func replyUnderShardLock(sh *storeShard) []byte {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return AppendJSON(nil, sh.ops["x"]) // want `a\.AppendJSON inside the sh\.mu critical section encodes a record under a policed lock`
+}
+
+// replyAfterUnlock is the sanctioned read shape: copy the snapshot out
+// under the lock, encode it after.
+func replyAfterUnlock(sh *storeShard) []byte {
+	sh.mu.RLock()
+	v := sh.ops["x"]
+	sh.mu.RUnlock()
+	return AppendJSON(nil, v)
+}
+
 // encodeThenStage is the sanctioned WAL mutation shape: encode the
 // record into a buffer first, then let the critical section cover only
 // apply + staging of the prepared bytes.

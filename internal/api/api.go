@@ -11,6 +11,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -118,7 +119,9 @@ func (s *Server) clientKey(r *http.Request) string {
 
 // submitRequest is one operation in the body of POST /v1/operations,
 // either the whole body (single submission) or one array element
-// (batch submission).
+// (batch submission). Its tags are the request format: core.DecodeSubmit
+// reads the same shape without reflection, and declines to
+// json.Unmarshal into this type whatever it is not sure about.
 type submitRequest struct {
 	Kind   string         `json:"kind"`
 	Params map[string]any `json:"params"`
@@ -128,62 +131,35 @@ type submitRequest struct {
 	Priority core.Priority `json:"priority"`
 }
 
-func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading request body")
-		return
+// decodeSubmit decodes a submit body into engine items; batch reports
+// whether it was a JSON array. Every error is json.Unmarshal's.
+func decodeSubmit(body []byte) (items []engine.BatchItem, batch bool, err error) {
+	if items, batch, ok := core.DecodeSubmit(body); ok {
+		return items, batch, nil
 	}
+	return decodeSubmitReflect(body)
+}
+
+// decodeSubmitReflect is the reference decoder: the only producer of
+// 400 texts and the only judge of exotic input (escapes, non-ASCII,
+// duplicate, unknown or differently-cased keys, nulls).
+func decodeSubmitReflect(body []byte) (items []engine.BatchItem, batch bool, err error) {
 	if isJSONArray(body) {
-		s.submitBatch(w, r, body)
-		return
+		var reqs []submitRequest
+		if err := json.Unmarshal(body, &reqs); err != nil {
+			return nil, true, err
+		}
+		items = make([]engine.BatchItem, len(reqs))
+		for i, req := range reqs {
+			items[i] = engine.BatchItem(req)
+		}
+		return items, true, nil
 	}
 	var req submitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
-		return
+		return nil, false, err
 	}
-
-	opts := []engine.SubmitOption{engine.AsClient(s.clientKey(r))}
-	if req.Priority != "" {
-		opts = append(opts, engine.AtPriority(req.Priority))
-	}
-	op, err := s.engine.Submit(r.Context(), req.Kind, req.Params, opts...)
-	if err != nil {
-		s.writeEngineError(w, err)
-		return
-	}
-	writeAsync(w, resourcePath(op), op)
-}
-
-// submitBatch handles a POST /v1/operations body that is a JSON array:
-// every element is validated, the batch is enqueued atomically, and
-// the reply carries one async envelope per item (or one error envelope
-// naming every invalid item).
-func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request, body []byte) {
-	var reqs []submitRequest
-	if err := json.Unmarshal(body, &reqs); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
-		return
-	}
-	// Empty and oversized batches are the engine's call (it knows the
-	// queue capacity); both surface as InvalidError → 400.
-	items := make([]engine.BatchItem, len(reqs))
-	for i, req := range reqs {
-		items[i] = engine.BatchItem{Kind: req.Kind, Params: req.Params, Priority: req.Priority}
-	}
-	ops, err := s.engine.SubmitBatch(r.Context(), items, engine.AsClient(s.clientKey(r)))
-	if err != nil {
-		s.writeEngineError(w, err)
-		return
-	}
-	writeBatchAsync(w, ops)
+	return []engine.BatchItem{engine.BatchItem(req)}, false, nil
 }
 
 // isJSONArray reports whether the body's first non-whitespace byte
@@ -199,6 +175,77 @@ func isJSONArray(body []byte) bool {
 		}
 	}
 	return false
+}
+
+// submit handles POST /v1/operations. A body that is a JSON array is a
+// batch: every element is validated, the batch is enqueued atomically,
+// and the reply carries one async envelope per item (or one error
+// envelope naming every invalid item).
+func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	body, err := readBody(r.Body, (*buf)[:0], r.ContentLength)
+	*buf = body // hand a grown buffer back to the pool, not the old one
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+			return
+		}
+		writeError(w, http.StatusBadRequest, "reading request body")
+		return
+	}
+	// Nothing decoded aliases body, so it can go back to the pool when
+	// this returns.
+	items, batch, err := decodeSubmit(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
+		return
+	}
+	client := engine.AsClient(s.clientKey(r))
+	if batch {
+		// Empty and oversized batches are the engine's call (it knows
+		// the queue capacity); both surface as InvalidError → 400.
+		ops, err := s.engine.SubmitBatch(r.Context(), items, client)
+		if err != nil {
+			s.writeEngineError(w, err)
+			return
+		}
+		writeBatchAsync(w, ops)
+		return
+	}
+	req := items[0]
+	op, err := s.engine.Submit(r.Context(), req.Kind, req.Params, client, engine.AtPriority(req.Priority))
+	if err != nil {
+		s.writeEngineError(w, err)
+		return
+	}
+	writeAsync(w, resourcePath(op), op)
+}
+
+// readBody reads r to its end into buf, which it grows as needed — up
+// front when the request announced its length, so the usual body costs
+// one Read and no reallocation.
+func readBody(r io.Reader, buf []byte, contentLength int64) ([]byte, error) {
+	if contentLength > 0 && contentLength <= maxBodyBytes {
+		// One spare byte: a reader that reports EOF only on a further
+		// call still finds room, so the buffer is not grown for it.
+		buf = slices.Grow(buf, int(contentLength)+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 func (s *Server) get(w http.ResponseWriter, r *http.Request) {
@@ -271,10 +318,13 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	writeSync(w, http.StatusOK, ops)
 }
 
-// resourcePath is the poll URL for an operation; it lives here, next
+// operationsPath prefixes an operation's poll URL; it lives here, next
 // to the mux patterns it must stay in sync with.
+const operationsPath = "/v1/operations/"
+
+// resourcePath is the poll URL for an operation.
 func resourcePath(op *core.Operation) string {
-	return "/v1/operations/" + op.ID
+	return operationsPath + op.ID
 }
 
 func methodNotAllowed(allow string) http.HandlerFunc {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"opdaemon/internal/core"
 )
@@ -26,12 +28,39 @@ const (
 	typeError = "error"
 )
 
-// writeJSON marshals the envelope and replies with it plus any extra
-// headers. Headers are only applied after a successful marshal so the
-// fallback error response doesn't carry headers describing the reply
-// that failed (e.g. a Location for an async result).
+// bufferPool holds the byte buffers request bodies are read into and
+// replies are built in. A buffer that grew past maxPooledBuffer (a long
+// list page, a near-limit body) is dropped instead of pinning that much
+// memory per idle pool slot.
+var bufferPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
+
+const maxPooledBuffer = 64 << 10
+
+func getBuffer() *[]byte { return bufferPool.Get().(*[]byte) }
+
+func putBuffer(b *[]byte) {
+	if cap(*b) <= maxPooledBuffer {
+		bufferPool.Put(b)
+	}
+}
+
+// jsonContentType is the Content-Type value of every reply. Assigning
+// the shared slice saves the one-element slice Header.Set allocates per
+// reply; nothing writes through a header's value slice.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON encodes the envelope into a pooled buffer and replies with
+// it, plus any extra headers, in one Write. Headers are only applied
+// after a successful encode so the fallback error response doesn't
+// carry headers describing the reply that failed (e.g. a Location for
+// an async result).
 func writeJSON(w http.ResponseWriter, code int, resp *Response, headers map[string]string) {
-	body, err := json.Marshal(resp)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	body, err := appendEnvelope((*buf)[:0], resp)
 	if err != nil {
 		// A handler produced a result json cannot represent; keep
 		// the envelope contract with a 500 error instead of sending
@@ -41,14 +70,90 @@ func writeJSON(w http.ResponseWriter, code int, resp *Response, headers map[stri
 		writeError(w, http.StatusInternalServerError, "response not serializable")
 		return
 	}
+	*buf = body
 	for k, v := range headers {
 		w.Header().Set(k, v)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	if _, err := w.Write(append(body, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		log.Printf("api: writing response: %v", err)
 	}
+}
+
+// appendEnvelope appends the reply body: byte for byte what
+// json.Marshal(resp) produces, plus the closing newline. The four
+// envelope fields are written by hand and operations go through
+// core's append codec — the replies on the accept→terminal path never
+// touch reflection. Every other result (health, notices, errors) is
+// marshalled on its own and spliced in.
+func appendEnvelope(dst []byte, resp *Response) ([]byte, error) {
+	dst = appendEnvelopeHead(dst, resp.Type, resp.Status, resp.StatusCode)
+	dst = append(dst, `,"result":`...)
+	var err error
+	switch result := resp.Result.(type) {
+	case *core.Operation:
+		if dst, err = result.AppendJSON(dst); err != nil {
+			return nil, err
+		}
+	case []*core.Operation:
+		if result == nil {
+			dst = append(dst, "null"...)
+			break
+		}
+		dst = append(dst, '[')
+		for i, op := range result {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = op.AppendJSON(dst); err != nil {
+				return nil, err
+			}
+		}
+		dst = append(dst, ']')
+	case batchAccepted:
+		dst = append(dst, '[')
+		for i, op := range result {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendEnvelopeHead(dst, typeAsync, http.StatusText(http.StatusAccepted), http.StatusAccepted)
+			dst = append(dst, `,"location":`...)
+			if core.ValidID(op.ID) {
+				// Hex needs no escaping: spare the poll URL's string.
+				dst = append(dst, '"')
+				dst = append(dst, operationsPath...)
+				dst = append(dst, op.ID...)
+				dst = append(dst, '"')
+			} else {
+				dst = core.AppendJSONString(dst, resourcePath(op))
+			}
+			dst = append(dst, `,"result":`...)
+			if dst, err = op.AppendJSON(dst); err != nil {
+				return nil, err
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	default:
+		b, err := json.Marshal(result)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, b...)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendEnvelopeHead opens an envelope object with the three fields
+// every envelope starts with.
+func appendEnvelopeHead(dst []byte, typ, status string, code int) []byte {
+	dst = append(dst, `{"type":`...)
+	dst = core.AppendJSONString(dst, typ)
+	dst = append(dst, `,"status":`...)
+	dst = core.AppendJSONString(dst, status)
+	dst = append(dst, `,"status_code":`...)
+	return strconv.AppendInt(dst, int64(code), 10)
 }
 
 // writeSync replies with a 200-style synchronous result envelope.
@@ -72,36 +177,21 @@ func writeAsync(w http.ResponseWriter, location string, result any) {
 	}, map[string]string{"Location": location})
 }
 
-// batchItemEnvelope mirrors the top-level async envelope for one
-// element of a batch submission. It carries a per-item location
-// because a single Location header cannot point at many operations.
-type batchItemEnvelope struct {
-	Type       string          `json:"type"`
-	Status     string          `json:"status"`
-	StatusCode int             `json:"status_code"`
-	Location   string          `json:"location"`
-	Result     *core.Operation `json:"result"`
-}
+// batchAccepted is the result of an accepted batch: encoded as one
+// async envelope per operation, each mirroring the top-level envelope
+// and carrying its own "location", because a single Location header
+// cannot point at many operations.
+type batchAccepted []*core.Operation
 
 // writeBatchAsync replies 202 Accepted with one async envelope per
 // accepted operation, in batch order. No Location header is set; each
 // item embeds its own poll URL.
 func writeBatchAsync(w http.ResponseWriter, ops []*core.Operation) {
-	items := make([]batchItemEnvelope, len(ops))
-	for i, op := range ops {
-		items[i] = batchItemEnvelope{
-			Type:       typeAsync,
-			Status:     http.StatusText(http.StatusAccepted),
-			StatusCode: http.StatusAccepted,
-			Location:   resourcePath(op),
-			Result:     op,
-		}
-	}
 	writeJSON(w, http.StatusAccepted, &Response{
 		Type:       typeAsync,
 		Status:     http.StatusText(http.StatusAccepted),
 		StatusCode: http.StatusAccepted,
-		Result:     items,
+		Result:     batchAccepted(ops),
 	}, nil)
 }
 

@@ -235,6 +235,7 @@ func (r *binReader) time(what string) time.Time {
 // value JSON cannot represent — the same failure mode the JSON codec
 // has — and leaves dst untouched in that case.
 func (op *Operation) AppendBinary(dst []byte) ([]byte, error) {
+	n0 := len(dst)
 	sb, ok := statusToByte(op.Status)
 	if !ok {
 		return dst, fmt.Errorf("encoding operation %s: unknown status %q", op.ID, op.Status)
@@ -243,16 +244,8 @@ func (op *Operation) AppendBinary(dst []byte) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("encoding operation %s: unknown priority %q", op.ID, op.Priority)
 	}
-	var params []byte
-	if op.Params != nil {
-		var err error
-		params, err = json.Marshal(op.Params)
-		if err != nil {
-			return dst, fmt.Errorf("encoding operation %s params: %w", op.ID, err)
-		}
-	}
 	var flags uint64
-	if params != nil {
+	if op.Params != nil {
 		flags |= binHasParams
 	}
 	if op.Result != nil {
@@ -281,7 +274,10 @@ func (op *Operation) AppendBinary(dst []byte) ([]byte, error) {
 	dst = appendString(dst, op.Kind)
 	dst = append(dst, sb, pb)
 	if flags&binHasParams != 0 {
-		dst = appendBlob(dst, params)
+		var err error
+		if dst, err = appendParamsBlob(dst, op.Params); err != nil {
+			return dst[:n0], fmt.Errorf("encoding operation %s params: %w", op.ID, err)
+		}
 	}
 	if flags&binHasResult != 0 {
 		dst = appendBlob(dst, op.Result)
@@ -304,6 +300,25 @@ func (op *Operation) AppendBinary(dst []byte) ([]byte, error) {
 	if flags&binHasCancelledAt != 0 {
 		dst = appendTime(dst, op.CancelledAt)
 	}
+	return dst, nil
+}
+
+// appendParamsBlob appends params as a length-prefixed JSON blob,
+// encoding in place: the JSON is written where the blob's bytes belong
+// and moved up by the width of its length prefix once that is known, so
+// no intermediate buffer is allocated.
+func appendParamsBlob(dst []byte, params map[string]any) ([]byte, error) {
+	start := len(dst)
+	dst, err := AppendJSONValue(dst, params)
+	if err != nil {
+		return dst, err
+	}
+	n := len(dst) - start
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(n))
+	dst = append(dst, prefix[:w]...)
+	copy(dst[start+w:], dst[start:start+n])
+	copy(dst[start:], prefix[:w])
 	return dst, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -114,6 +115,39 @@ func TestBinaryAppendPreservesPrefix(t *testing.T) {
 	}
 	if _, err := DecodeBinaryOperation(enc[len(prefix):]); err != nil {
 		t.Fatalf("decode after prefix: %v", err)
+	}
+}
+
+// TestBinaryParamsBlobInPlace: the params blob is encoded where it
+// lands and shifted behind its length prefix afterwards. Hold that to
+// the straightforward construction for prefixes of one and two bytes,
+// and check that a failed encode hands the destination back untouched.
+func TestBinaryParamsBlobInPlace(t *testing.T) {
+	for _, params := range []map[string]any{
+		{}, {"n": 123456.0}, {"b": []any{1.5, "x<y", nil}, "a": map[string]any{"k": true}},
+		{"long": strings.Repeat("x", 200)}, {"odd": []int{1, 2, 3}},
+	} {
+		op := &Operation{ID: "id", Kind: "echo", Params: params, Status: StatusQueued, Priority: PriorityLow}
+		enc, err := op.AppendBinary([]byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare := *op
+		bare.Params = nil
+		want, _ := bare.AppendBinary([]byte("prefix"))
+		want[len("prefix")] |= binHasParams
+		want = appendBlob(want, blob)
+		if !bytes.Equal(enc, want) {
+			t.Errorf("params %v:\n got %q\nwant %q", params, enc, want)
+		}
+	}
+	bad := &Operation{ID: "id", Kind: "echo", Params: map[string]any{"c": make(chan int)}, Status: StatusQueued}
+	if enc, err := bad.AppendBinary([]byte("prefix")); err == nil || string(enc) != "prefix" {
+		t.Errorf("unencodable params: got %q, %v; want the untouched prefix and an error", enc, err)
 	}
 }
 

@@ -265,5 +265,9 @@ func NewID() string {
 		// nothing sensible can continue.
 		panic("core: reading random id: " + err.Error())
 	}
-	return hex.EncodeToString(b[:])
+	// Encoding into an array on the stack leaves the string as the only
+	// allocation; hex.EncodeToString makes two.
+	var id [2 * len(b)]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
 }

@@ -26,9 +26,13 @@ import (
 // own context — cancelled when the operation is aborted, its deadline
 // expires, or the engine shuts down — and the operation's published
 // snapshot (immutable and shared; read it, never mutate it), and
-// returns a JSON-serialisable result or an error. Handlers that
-// honour ctx are cancellable; handlers that ignore it run to
-// completion regardless.
+// returns a JSON-serialisable result or an error. A result that is
+// already JSON may be returned as a json.RawMessage: the engine checks
+// it and publishes those very bytes instead of encoding a value again,
+// so the handler must never modify them afterwards (a handler with a
+// constant result can return one shared value). Handlers that honour
+// ctx are cancellable; handlers that ignore it run to completion
+// regardless.
 type Handler func(ctx context.Context, op *core.Operation) (any, error)
 
 // registration is a handler plus its per-kind execution options.
@@ -393,17 +397,10 @@ func (e *Engine) RetryAfter() time.Duration {
 	return d
 }
 
-// BatchItem describes one operation in a batch submission.
-type BatchItem struct {
-	// Kind selects the registered handler.
-	Kind string
-	// Params is the handler's input, passed through verbatim.
-	Params map[string]any
-	// Priority is the item's scheduling class; empty falls back to the
-	// submission-level AtPriority option, then the kind's registered
-	// default, then normal. Non-empty invalid values fail validation.
-	Priority core.Priority
-}
+// BatchItem describes one operation in a batch submission. It is the
+// wire type of the submit body, so the API's decoder builds the
+// engine's input directly.
+type BatchItem = core.SubmitItem
 
 // submitOptions collects the per-submission scheduling attributes.
 type submitOptions struct {
@@ -497,12 +494,20 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	// bad items in one round trip. One read-lock covers the whole
 	// loop — per-item locking would re-serialize submitters on the
 	// engine mutex. The kind's effective deadline and resolved
-	// priority are captured here so the operation record carries the
-	// attributes it was accepted under, even if the kind is
+	// priority go straight into the operation record here, so it
+	// carries the attributes it was accepted under even if the kind is
 	// re-registered before a worker picks it up.
 	var berr *core.BatchError
-	deadlines := make([]time.Duration, len(items))
-	priorities := make([]core.Priority, len(items))
+	ops := make([]*core.Operation, len(items))
+	for i, it := range items {
+		ops[i] = &core.Operation{
+			Kind:     it.Kind,
+			Params:   it.Params,
+			Status:   core.StatusQueued,
+			Priority: core.PriorityNormal,
+			Client:   sub.client,
+		}
+	}
 	e.mu.RLock()
 	for i, it := range items {
 		var err error
@@ -520,21 +525,20 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 				err = fmt.Errorf("%w: %q", core.ErrUnknownKind, it.Kind)
 				break
 			}
-			deadlines[i] = reg.deadline
-			if deadlines[i] <= 0 {
-				deadlines[i] = e.defaultDeadline
+			op := ops[i]
+			op.Deadline = reg.deadline
+			if op.Deadline <= 0 {
+				op.Deadline = e.defaultDeadline
 			}
 			// Priority resolution: item, then submission option, then
 			// kind default, then normal.
 			switch {
 			case it.Priority != "":
-				priorities[i] = it.Priority
+				op.Priority = it.Priority
 			case sub.priority != "":
-				priorities[i] = sub.priority
+				op.Priority = sub.priority
 			case reg.priority != "":
-				priorities[i] = reg.priority
-			default:
-				priorities[i] = core.PriorityNormal
+				op.Priority = reg.priority
 			}
 		}
 		if err != nil {
@@ -549,20 +553,14 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 		return nil, berr
 	}
 
+	// now keeps its monotonic reading for the scheduler's ageing
+	// arithmetic; what is recorded on the operations does not (see
+	// stamp).
 	now := e.clock()
-	ops := make([]*core.Operation, len(items))
-	for i, it := range items {
-		ops[i] = &core.Operation{
-			ID:        core.NewID(),
-			Kind:      it.Kind,
-			Params:    it.Params,
-			Status:    core.StatusQueued,
-			Priority:  priorities[i],
-			Client:    sub.client,
-			Deadline:  deadlines[i],
-			CreatedAt: now,
-			UpdatedAt: now,
-		}
+	born := now.Round(0)
+	for _, op := range ops {
+		op.ID = core.NewID()
+		op.CreatedAt, op.UpdatedAt = born, born
 	}
 
 	// Reserve queue slots before storing, so a queue-full rejection
@@ -619,18 +617,18 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 		}
 		return nil, core.ErrShuttingDown
 	}
+	// Record the birth transitions in the feed so a notices watcher
+	// sees new operations appear, not just settle — and before the
+	// tokens below let a worker at them, or a fast operation's running
+	// notice could precede its queued one. No hub notify: a client
+	// cannot hold a waiter for an ID it has not been handed yet, and
+	// the submit response already carries the queued snapshot.
+	e.notices.appendQueued(ops)
 	for _, op := range ops {
 		e.sched.add(op.ID, sub.client, bandIndex(op.Priority), now)
 		e.tokens <- struct{}{}
 	}
 	e.mu.Unlock()
-	// Record the birth transitions in the feed so a notices watcher
-	// sees new operations appear, not just settle. No hub notify: a
-	// client cannot hold a waiter for an ID it has not been handed yet,
-	// and the submit response already carries the queued snapshot.
-	for _, op := range ops {
-		e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
-	}
 	return ops, nil
 }
 
@@ -670,7 +668,7 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 		case core.StatusQueued:
 			// queued → cancelled is always a legal step, so this cannot
 			// refuse; Transition stamps UpdatedAt and CancelledAt.
-			op.Transition(core.StatusCancelled, e.clock())
+			op.Transition(core.StatusCancelled, e.stamp())
 			op.Error = core.ErrCancelled.Error()
 			cancelled = true
 			kind, at = op.Kind, op.UpdatedAt
@@ -680,7 +678,7 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 			// was asked for, not when it finished. The status stays
 			// running until the handler returns.
 			if op.CancelledAt.IsZero() {
-				op.CancelledAt = e.clock()
+				op.CancelledAt = e.stamp()
 			}
 			running = true
 		}
@@ -689,7 +687,7 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 		return nil, err
 	}
 	if cancelled {
-		// The queued→cancelled step bypasses transition(), so it
+		// The queued→cancelled step bypasses transitioner.do, so it
 		// publishes here. The running branch does not: stamping
 		// CancelledAt is not a status change, and the terminal
 		// transition recorded when the handler unwinds publishes then.
@@ -764,6 +762,7 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 	if err != nil {
 		return 0, 0, fmt.Errorf("listing store for recovery: %w", err)
 	}
+	tr := newTransitioner(e)
 	// List is newest-first; walk backwards so requeueing preserves the
 	// original submission order within each band.
 	const logEvery = 50_000
@@ -780,7 +779,7 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 		op := ops[i]
 		switch op.Status {
 		case core.StatusRunning:
-			if e.transition(op.ID, core.StatusFailed, nil, core.ErrInterrupted) {
+			if tr.do(op.ID, core.StatusFailed, nil, core.ErrInterrupted) {
 				interrupted++
 			}
 		case core.StatusQueued:
@@ -792,20 +791,19 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 			select {
 			case e.slots <- struct{}{}:
 				// Slot reserved, so the token send cannot block — the
-				// same invariant SubmitBatch relies on.
+				// same invariant SubmitBatch relies on. First re-announce
+				// the queued operation in the (empty after restart)
+				// notices feed, mirroring SubmitBatch's birth notice.
+				e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
 				e.sched.add(op.ID, op.Client, bandIndex(op.Priority), e.clock())
 				e.tokens <- struct{}{}
 				e.mu.Unlock()
 				requeued++
-				// Re-announce the queued operation in the (empty after
-				// restart) notices feed, mirroring SubmitBatch's birth
-				// notice.
-				e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
 			default:
 				e.mu.Unlock()
 				// More recovered work than queue capacity; failing the
 				// overflow honestly beats dropping it silently.
-				if e.transition(op.ID, core.StatusFailed, nil, core.ErrInterrupted) {
+				if tr.do(op.ID, core.StatusFailed, nil, core.ErrInterrupted) {
 					interrupted++
 				}
 			}
@@ -848,6 +846,8 @@ func (e *Engine) GC() int {
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	// One call record serves every transition this worker ever makes.
+	tr := newTransitioner(e)
 	// Each token in the channel is backed by exactly one scheduled
 	// operation, so every successful receive corresponds to one
 	// successful take; which operation is decided here, at dispatch
@@ -864,17 +864,17 @@ func (e *Engine) worker() {
 			continue
 		}
 		e.meter.record(now)
-		e.run(id)
+		e.run(tr, id)
 	}
 }
 
-func (e *Engine) run(id string) {
+func (e *Engine) run(tr *transitioner, id string) {
 	op, err := e.store.Get(id)
 	if err != nil {
 		// With a pluggable store Get can fail transiently; dropping
 		// the op here would strand it in "queued" with no trace.
 		log.Printf("engine: loading queued operation %s: %v", id, err)
-		e.fail(id, fmt.Errorf("loading operation: %w", err))
+		tr.do(id, core.StatusFailed, nil, fmt.Errorf("loading operation: %w", err))
 		return
 	}
 	if op.Status.Terminal() {
@@ -884,7 +884,7 @@ func (e *Engine) run(id string) {
 	}
 	reg, ok := e.registration(op.Kind)
 	if !ok {
-		e.fail(id, fmt.Errorf("%w: %q", core.ErrUnknownKind, op.Kind))
+		tr.do(id, core.StatusFailed, nil, fmt.Errorf("%w: %q", core.ErrUnknownKind, op.Kind))
 		return
 	}
 
@@ -905,7 +905,7 @@ func (e *Engine) run(id string) {
 	e.cancels.install(id, cancel)
 	defer e.cancels.retire(id)
 
-	if !e.transition(id, core.StatusRunning, nil, nil) {
+	if !tr.do(id, core.StatusRunning, nil, nil) {
 		// Cancelled between dequeue and start; never run the handler.
 		return
 	}
@@ -915,21 +915,33 @@ func (e *Engine) run(id string) {
 		// record cancelled no matter what error it returned. A
 		// handler that completed successfully despite the cancel
 		// keeps its result instead.
-		e.transition(id, core.StatusCancelled, nil, core.ErrCancelled)
+		tr.do(id, core.StatusCancelled, nil, core.ErrCancelled)
 		return
 	}
 	if err != nil {
-		e.fail(id, err)
+		tr.do(id, core.StatusFailed, nil, err)
 		return
 	}
-	var raw json.RawMessage
-	if result != nil {
-		if raw, err = json.Marshal(result); err != nil {
-			e.fail(id, fmt.Errorf("result not serializable: %w", err))
-			return
-		}
+	raw, err := encodeResult(result)
+	if err != nil {
+		tr.do(id, core.StatusFailed, nil, fmt.Errorf("result not serializable: %w", err))
+		return
 	}
-	e.transition(id, core.StatusDone, raw, nil)
+	tr.do(id, core.StatusDone, raw, nil)
+}
+
+// encodeResult turns a handler's return value into the bytes stored as
+// the operation's Result. A json.RawMessage already in encoding/json's
+// output form is published as it is — no copy, no second encoding;
+// anything else is encoded to exactly what json.Marshal would produce.
+func encodeResult(result any) (json.RawMessage, error) {
+	if result == nil {
+		return nil, nil
+	}
+	if raw, ok := result.(json.RawMessage); ok && core.CanonicalJSON(raw) {
+		return raw, nil
+	}
+	return core.AppendJSONValue(nil, result)
 }
 
 // invoke runs the handler, converting a panic into an error so one
@@ -944,50 +956,84 @@ func (e *Engine) invoke(ctx context.Context, h Handler, op *core.Operation) (res
 	return h(ctx, op)
 }
 
-func (e *Engine) fail(id string, cause error) {
-	e.transition(id, core.StatusFailed, nil, cause)
+// stamp is the time the engine records on an operation: the clock's
+// reading without its monotonic part. The store index orders by these
+// fields while JSON and the WAL publish the wall clock only, so a
+// monotonic reading would make the order before a restart differ from
+// the order after it.
+func (e *Engine) stamp() time.Time {
+	return e.clock().Round(0)
 }
 
-// transition atomically moves the operation to next, refusing illegal
-// lifecycle steps so terminal states are never overwritten. It reports
-// whether the step was applied, so callers can tell a recorded
-// transition from one pre-empted by a concurrent cancel. Every applied
-// transition is published to the watch hub and the notices feed.
-func (e *Engine) transition(id string, next core.Status, result json.RawMessage, cause error) bool {
-	applied := false
-	// Fields the publish needs are captured into locals inside the
-	// callback: Update's contract forbids retaining the clone past the
-	// callback's return.
-	var kind string
-	var at time.Time
-	err := e.store.Update(id, func(op *core.Operation) {
-		// Transition refuses illegal steps and stamps UpdatedAt; it
-		// keeps the request-time CancelledAt stamp Cancel already
-		// recorded, backfilling only if a cancel bypassed Cancel
-		// (shouldn't happen). applied is assigned, not toggled: Update
-		// may invoke fn more than once (optimistic stores retry on
-		// conflict), and only the attempt that publishes may stick.
-		applied = op.Transition(next, e.clock())
-		if !applied {
-			return
-		}
-		if result != nil {
-			op.Result = result
-		}
-		if cause != nil {
-			op.Error = cause.Error()
-		}
-		kind, at = op.Kind, op.UpdatedAt
-	})
+// transitioner makes lifecycle transitions: do atomically moves an
+// operation to its next status, refusing illegal steps so terminal
+// states are never overwritten, and publishes every applied step to the
+// watch hub and the notices feed.
+//
+// It is a reusable call record because a closure handed to Store.Update
+// escapes, and so does every local it captures: written inline, each
+// transition cost four heap objects. The record and its bound apply
+// method are allocated once and reused for every call, which Update's
+// contract allows — fn is never retained past its return. Not safe for
+// concurrent use; each worker owns one.
+type transitioner struct {
+	e     *Engine
+	apply func(op *core.Operation)
+	// Inputs of the call in progress.
+	next   core.Status
+	result json.RawMessage
+	cause  error
+	// Outputs, assigned (never toggled) by the apply attempt that
+	// publishes: Update may invoke fn more than once.
+	applied bool
+	kind    string
+	at      time.Time
+}
+
+func newTransitioner(e *Engine) *transitioner {
+	t := &transitioner{e: e}
+	t.apply = t.applyTo
+	return t
+}
+
+// do reports whether the step was applied, so callers can tell a
+// recorded transition from one pre-empted by a concurrent cancel.
+func (t *transitioner) do(id string, next core.Status, result json.RawMessage, cause error) bool {
+	t.next, t.result, t.cause = next, result, cause
+	t.applied = false
+	err := t.e.store.Update(id, t.apply)
+	t.result, t.cause = nil, nil // do not pin them until the next call
 	if err != nil {
 		// A failed write on a pluggable store would otherwise strand
 		// the op in its previous state with no trace.
 		log.Printf("engine: recording %s transition for %s: %v", next, id, err)
 	}
-	if applied {
-		e.publish(id, kind, next, at)
+	if t.applied {
+		t.e.publish(id, t.kind, next, t.at)
 	}
-	return applied
+	return t.applied
+}
+
+// applyTo is the Update callback. Transition refuses illegal steps and
+// stamps UpdatedAt; it keeps the request-time CancelledAt stamp Cancel
+// already recorded, backfilling only if a cancel bypassed Cancel
+// (shouldn't happen). The fields the publish needs are copied out here:
+// Update's contract forbids retaining the clone past the callback's
+// return.
+func (t *transitioner) applyTo(op *core.Operation) {
+	t.applied = op.Transition(t.next, t.e.stamp())
+	if !t.applied {
+		return
+	}
+	if t.result != nil {
+		//lint:allow opdaemon/opmutate op is Update's private clone; opmutate only recognises the callback when it is a literal at the call
+		op.Result = t.result
+	}
+	if t.cause != nil {
+		//lint:allow opdaemon/opmutate op is Update's private clone; opmutate only recognises the callback when it is a literal at the call
+		op.Error = t.cause.Error()
+	}
+	t.kind, t.at = op.Kind, op.UpdatedAt
 }
 
 // publish fans an applied state change out to the read path: it

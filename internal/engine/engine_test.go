@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -814,4 +816,133 @@ func TestQueueFull(t *testing.T) {
 		t.Errorf("store holds %d ops after overflow, want 2 (no phantom record)", got)
 	}
 	close(release)
+}
+
+// TestStampsCarryNoMonotonicReading: the index orders by CreatedAt
+// while JSON and the WAL publish the wall clock alone, so a timestamp
+// that kept time.Now's monotonic reading could order two near-
+// simultaneous operations one way in this process and the other way
+// after a restart. Every field the engine stamps must be wall-clock
+// only, and a WAL store must list in the same order before and after
+// it is reopened.
+func TestStampsCarryNoMonotonicReading(t *testing.T) {
+	dir := t.TempDir()
+	store := openWAL(t, dir, WALConfig{Sync: WALSyncNone})
+	e := New(Config{Workers: 4, Store: store})
+	e.Register("noop", func(context.Context, *core.Operation) (any, error) { return nil, nil })
+	started := make(chan struct{}, 1)
+	e.Register("block", func(ctx context.Context, _ *core.Operation) (any, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+
+	// Concurrent submitters, so many CreatedAt values are nanoseconds
+	// apart; one cancelled operation, so CancelledAt is stamped too.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				items := []BatchItem{{Kind: "noop"}, {Kind: "noop"}}
+				if _, err := e.SubmitBatch(context.Background(), items); err != nil {
+					t.Errorf("SubmitBatch: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	blocked, err := e.Submit(context.Background(), "block", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := e.Cancel(blocked.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	wg.Wait()
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
+	before := listEngine(t, e, ListQuery{})
+	if len(before) != 4*50*2+1 {
+		t.Fatalf("listed %d operations, want %d", len(before), 4*50*2+1)
+	}
+	for _, op := range before {
+		if !op.Status.Terminal() {
+			t.Fatalf("op %s still %s after Shutdown", op.ID, op.Status)
+		}
+		for name, at := range map[string]time.Time{"CreatedAt": op.CreatedAt, "UpdatedAt": op.UpdatedAt, "CancelledAt": op.CancelledAt} {
+			// Round(0) strips the monotonic reading and nothing else, so
+			// the two differ exactly when there was one.
+			if at != at.Round(0) {
+				t.Errorf("op %s (%s): %s carries a monotonic reading: %v", op.ID, op.Status, name, at)
+			}
+		}
+	}
+	if cancelled, err := e.Get(blocked.ID); err != nil || cancelled.CancelledAt.IsZero() {
+		t.Errorf("cancelled op = %+v, %v; want CancelledAt stamped", cancelled, err)
+	}
+
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	reopened := openWAL(t, dir, WALConfig{Sync: WALSyncNone})
+	defer reopened.Close()
+	after, err := reopened.List(ListQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := listIDs(after), listIDs(before); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("List order changed across reopen\nbefore: %v\n after: %v", want, got)
+	}
+}
+
+// TestResultEncoding: a json.RawMessage result already in canonical form
+// is published as the very bytes the handler returned; anything else —
+// values, and raw JSON that is spaced, unsafe or broken — comes out as
+// json.Marshal would have encoded it, or fails the operation.
+func TestResultEncoding(t *testing.T) {
+	shared := json.RawMessage(`{"ok":true}`)
+	for _, tc := range []struct {
+		name    string
+		result  any
+		want    string // "" means the operation must fail
+		aliased bool
+	}{
+		{"nil", nil, "", false},
+		{"canonical raw", shared, `{"ok":true}`, true},
+		{"spaced raw", json.RawMessage(` { "a" : 1 } `), `{"a":1}`, false},
+		{"html raw", json.RawMessage(`"<b>"`), `"\u003cb\u003e"`, false},
+		{"empty raw", json.RawMessage(nil), `null`, false},
+		{"map", map[string]any{"b": 1.0, "a": "x"}, `{"a":"x","b":1}`, false},
+		{"struct", struct{ N int }{3}, `{"N":3}`, false},
+		{"broken raw", json.RawMessage(`{"a":`), "", false},
+		{"channel", make(chan int), "", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{Workers: 1})
+			defer e.Shutdown(context.Background())
+			e.Register("k", func(context.Context, *core.Operation) (any, error) { return tc.result, nil })
+			op, err := e.Submit(context.Background(), "k", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := waitStatus(t, e, op.ID)
+			if tc.want == "" && tc.result != nil {
+				if final.Status != core.StatusFailed || !strings.Contains(final.Error, "result not serializable") {
+					t.Fatalf("op = %s (%q), want failed as not serializable", final.Status, final.Error)
+				}
+				return
+			}
+			if final.Status != core.StatusDone || string(final.Result) != tc.want {
+				t.Fatalf("op = %s result %q (%s), want done with %q", final.Status, final.Result, final.Error, tc.want)
+			}
+			if aliased := len(final.Result) > 0 && &final.Result[0] == &shared[0]; aliased != tc.aliased {
+				t.Errorf("result shares the handler's bytes: %v, want %v", aliased, tc.aliased)
+			}
+		})
+	}
 }

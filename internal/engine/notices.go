@@ -8,11 +8,14 @@ package engine
 // simply resumes from the oldest retained notice (the feed is a tail,
 // not an archive — the store remains the source of truth).
 //
-// Wakeups use a closed-channel broadcast: every append replaces the
-// ring's current "changed" channel and closes the old one, waking all
-// blocked readers at once. Readers re-fetch the channel BEFORE scanning
-// the ring (subscribe-then-check, same discipline as the watch hub) so
-// an append landing between the scan and the block is never missed.
+// Wakeups use a closed-channel broadcast, made only on demand: a reader
+// about to block asks for the ring's "changed" channel, which creates
+// it, and the next append takes it away and closes it, waking every
+// blocked reader at once. With nobody subscribed — the daemon's normal
+// state — an append touches no channel at all. Readers fetch the
+// channel BEFORE scanning the ring (subscribe-then-check, same
+// discipline as the watch hub) so an append landing between the scan
+// and the block is never missed.
 
 import (
 	"context"
@@ -84,9 +87,11 @@ func (q NoticeQuery) match(n *Notice) bool {
 // no-channel-ops-under-lock contract — the broadcast close happens
 // after unlock.
 type noticeRing struct {
-	mu      sync.Mutex
-	buf     []Notice
-	seq     uint64 // last assigned sequence; 0 before the first notice
+	mu  sync.Mutex
+	buf []Notice
+	seq uint64 // last assigned sequence; 0 before the first notice
+	// changed is the channel the next append closes; nil while no
+	// reader has asked for one since the last append.
 	changed chan struct{}
 }
 
@@ -94,15 +99,11 @@ func newNoticeRing(capacity int) *noticeRing {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &noticeRing{
-		buf:     make([]Notice, capacity),
-		changed: make(chan struct{}),
-	}
+	return &noticeRing{buf: make([]Notice, capacity)}
 }
 
-// append records one transition and wakes every blocked reader.
-func (r *noticeRing) append(opID, kind string, status core.Status, at time.Time) {
-	r.mu.Lock()
+// putLocked records one transition. Callers hold r.mu.
+func (r *noticeRing) putLocked(opID, kind string, status core.Status, at time.Time) {
 	r.seq++
 	r.buf[(r.seq-1)%uint64(len(r.buf))] = Notice{
 		Seq:    r.seq,
@@ -111,19 +112,49 @@ func (r *noticeRing) append(opID, kind string, status core.Status, at time.Time)
 		Status: status,
 		Time:   at,
 	}
-	old := r.changed
-	r.changed = make(chan struct{})
-	r.mu.Unlock()
-	// Broadcast after unlock: a reader woken here immediately rescans
-	// the ring, which needs the lock.
-	close(old)
 }
 
-// waitChan returns the channel closed by the next append. Readers must
-// fetch it before calling since — the subscribe-then-check order that
-// makes the blocked select race-free against concurrent appends.
+// wake closes the channel an append took from the ring, if a reader had
+// subscribed. It runs after unlock: a reader woken here immediately
+// rescans the ring, which needs the lock.
+func wake(subscribed chan struct{}) {
+	if subscribed != nil {
+		close(subscribed)
+	}
+}
+
+// append records one transition and wakes every blocked reader.
+func (r *noticeRing) append(opID, kind string, status core.Status, at time.Time) {
+	r.mu.Lock()
+	r.putLocked(opID, kind, status, at)
+	subscribed := r.changed
+	r.changed = nil
+	r.mu.Unlock()
+	wake(subscribed)
+}
+
+// appendQueued records the birth of every operation of a batch under
+// one lock acquisition, then wakes the readers once.
+func (r *noticeRing) appendQueued(ops []*core.Operation) {
+	r.mu.Lock()
+	for _, op := range ops {
+		r.putLocked(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
+	}
+	subscribed := r.changed
+	r.changed = nil
+	r.mu.Unlock()
+	wake(subscribed)
+}
+
+// waitChan returns the channel closed by the next append, creating it
+// if this is the first reader since the last one. Readers must fetch it
+// before calling since — the subscribe-then-check order that makes the
+// blocked select race-free against concurrent appends.
 func (r *noticeRing) waitChan() <-chan struct{} {
 	r.mu.Lock()
+	if r.changed == nil {
+		r.changed = make(chan struct{})
+	}
 	ch := r.changed
 	r.mu.Unlock()
 	return ch

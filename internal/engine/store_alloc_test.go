@@ -9,6 +9,10 @@ package engine
 
 import (
 	"testing"
+	"time"
+
+	"opdaemon/internal/core"
+	"opdaemon/internal/raceflag"
 )
 
 // allocImpls enumerates the implementations whose allocation profile
@@ -29,7 +33,7 @@ func allocImpls() []struct {
 
 func skipIfRace(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race detector instrumentation allocates; alloc pinning runs in non-race builds")
 	}
 }
@@ -123,5 +127,29 @@ func TestListPagedWalkMatchesUnbounded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNoticeAppendAllocsOnlyForReaders: with nobody subscribed — the
+// daemon's normal state — recording a notice touches no channel and
+// allocates nothing; the broadcast channel exists only between a
+// reader's subscription and the append that wakes it.
+func TestNoticeAppendAllocsOnlyForReaders(t *testing.T) {
+	skipIfRace(t)
+	r := newNoticeRing(64)
+	at := time.Unix(1000, 0)
+	ops := []*core.Operation{{ID: "a", Kind: "k", CreatedAt: at}, {ID: "b", Kind: "k", CreatedAt: at}}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.append("id", "kind", core.StatusRunning, at)
+		r.appendQueued(ops)
+	}); allocs != 0 {
+		t.Errorf("append with no reader allocates %.1f objects, want 0", allocs)
+	}
+	ch := r.waitChan()
+	r.append("id", "kind", core.StatusDone, at)
+	select {
+	case <-ch:
+	default:
+		t.Error("append did not close the channel a reader had fetched")
 	}
 }

@@ -58,7 +58,7 @@ func TestAwaitChangeNoLostWakeups(t *testing.T) {
 		// No synchronization with the goroutine on purpose: some
 		// iterations transition before the subscribe, some after, some
 		// in the gap between subscribe and check.
-		e.transition(id, core.StatusRunning, nil, nil)
+		newTransitioner(e).do(id, core.StatusRunning, nil, nil)
 
 		res := <-done
 		cancel()
@@ -76,7 +76,7 @@ func TestAwaitChangeNoLostWakeups(t *testing.T) {
 
 func TestAwaitChangeWakesOnCancel(t *testing.T) {
 	// Both cancel paths must wake waiters: the queued→cancelled direct
-	// step in Cancel (which bypasses transition()) and the terminal
+	// step in Cancel (which bypasses the transitioner) and the terminal
 	// transition recorded after a running handler honours its context.
 	t.Run("QueuedDirectPath", func(t *testing.T) {
 		e := newWatchEngine(t)
