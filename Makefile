@@ -43,8 +43,14 @@ test-allocs:
 # project's own concurrency and immutability contracts.
 lint: vet staticcheck opdaemonlint
 
+# bench/ is a nested module that compiles against internal/ and that
+# `go vet ./...` never sees; vetting it here (under a second, offline)
+# makes `make all` and `make lint` fail at once when a change to
+# internal/ stops the benchmark of record compiling, instead of as a
+# failed benchmark run later.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # Needs module-proxy network access on first run (the binary is cached
 # afterwards); offline sandboxes should rely on the CI step instead.

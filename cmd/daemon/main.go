@@ -79,7 +79,7 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables — never expose it publicly")
 	flag.IntVar(&cfg.workers, "workers", 8, "concurrent operation workers")
 	flag.IntVar(&cfg.queueDepth, "queue-depth", 1024, "max queued operations")
-	flag.IntVar(&cfg.storeShards, "store-shards", engine.DefaultShardCount(), "operation store shard count, rounded up to a power of two (default scales with GOMAXPROCS; <=1 selects the unsharded single-mutex store)")
+	flag.IntVar(&cfg.storeShards, "store-shards", engine.DefaultShardCount(), "operation store shard count, rounded up to a power of two (default scales with GOMAXPROCS, which <= 0 also selects; 1 is a single mutex)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain operations on shutdown")
 	flag.DurationVar(&cfg.opTTL, "op-ttl", 0, "retention for terminal operations; 0 keeps them forever, >0 starts a janitor that evicts older ones")
 	flag.DurationVar(&cfg.gcInterval, "gc-interval", 0, "how often the janitor sweeps (default op-ttl/2, min 1s); ignored when -op-ttl is 0")
@@ -123,11 +123,7 @@ func run(cfg daemonConfig) error {
 	var walStore *engine.WALStore
 	switch cfg.store {
 	case "memory":
-		if cfg.storeShards <= 1 {
-			store = engine.NewMemStore()
-		} else {
-			store = engine.NewShardedStore(cfg.storeShards)
-		}
+		store = engine.NewShardedStore(cfg.storeShards)
 	case "wal":
 		if cfg.walDir == "" {
 			return fmt.Errorf("-store=wal requires -wal-dir")

@@ -127,9 +127,9 @@ var jsonCodecNames = map[string]bool{
 // survives the codec living in either package.
 var codecFuncNames = map[string]bool{
 	// engine frame builders and record encoders.
-	"appendWALFrame": true, "reserveWALFrame": true, "finishWALFrame": true,
-	"encodeOpRecord": true, "encodeOpRecordV2": true, "encodeDeltaRecordV2": true,
-	"encodeDeleteRecord": true, "appendDeleteRecord": true,
+	"reserveWALFrame": true, "finishWALFrame": true,
+	"encodeOpRecordV2": true, "encodeDeltaRecordV2": true,
+	"encodeUpdateRecord": true, "appendDeleteRecord": true,
 	"decodeWALRecord": true,
 	// core.Operation binary codec.
 	"AppendBinary": true, "AppendBinaryDelta": true,

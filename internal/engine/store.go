@@ -22,8 +22,8 @@ type ListQuery struct {
 }
 
 // Store persists operation state. The engine talks to storage only
-// through this interface so a sharded or durable implementation can
-// replace the in-memory one without touching scheduling code.
+// through this interface, so whether the store behind it keeps a journal
+// (OpenWALStore) or not (NewShardedStore) never reaches scheduling code.
 //
 // Implementations must be safe for concurrent use and must honour the
 // copy-on-write immutability contract: every *core.Operation that
@@ -39,14 +39,15 @@ type ListQuery struct {
 //     applies fn to the private clone, and publishes the clone
 //     atomically. fn must not retain the operation past its return.
 //
-// The conformance suite in store_conformance_test.go holds every
-// implementation to this contract.
+// The conformance suite in store_conformance_test.go holds the store to
+// this contract at every shard count, with and without its journal, and
+// store_model_test.go checks random histories against a plain map.
 type Store interface {
 	// Put inserts or replaces the operation keyed by op.ID, taking
 	// ownership of op.
 	Put(op *core.Operation)
-	// PutBatch inserts or replaces every operation, amortising lock
-	// acquisitions across the batch where the implementation allows.
+	// PutBatch inserts or replaces every operation, taking each shard's
+	// lock once for the batch rather than once per operation.
 	// Ownership of each element transfers as with Put.
 	PutBatch(ops []*core.Operation)
 	// Get returns the published snapshot, or core.ErrNotFound.
@@ -55,16 +56,18 @@ type Store interface {
 	// newest-first order (ties broken by ascending ID). The page costs
 	// O(limit), not O(store size); an unknown cursor yields an empty
 	// page (see ListQuery.Cursor). The error is reserved for fallible
-	// backends; in-memory implementations always return nil.
+	// backends; the in-memory index always returns nil.
 	List(q ListQuery) ([]*core.Operation, error)
 	// Update applies fn to a clone of the stored operation and
 	// atomically publishes the clone, making read-modify-write
 	// transitions atomic. fn must not change the operation's ID.
 	// Returns core.ErrNotFound if the ID is unknown.
 	//
-	// Implementations may be optimistic: fn can be invoked more than
-	// once against successive snapshots before one publish wins (the
-	// WAL store retries on a conflicting concurrent publish). fn must
+	// The protocol is optimistic: fn runs with no lock held, against a
+	// clone of a lock-free snapshot read, and the clone is published
+	// only if nothing else was published for the ID in between;
+	// otherwise the round is retried on the fresh snapshot, so fn can
+	// be invoked more than once before one publish wins. fn must
 	// therefore be effectively pure — derive everything from the clone
 	// it is handed, and ASSIGN any captured variables from that
 	// attempt's state rather than toggling them cumulatively, so the
@@ -76,78 +79,9 @@ type Store interface {
 	// SweepTerminalBefore deletes every operation whose status is
 	// terminal and whose UpdatedAt is before cutoff, returning how
 	// many were removed. Non-terminal operations are never touched.
-	// The janitor calls this on every tick, so implementations scan
+	// The janitor calls this on every tick, so the scan walks the index
 	// in place rather than snapshotting the store.
 	SweepTerminalBefore(cutoff time.Time) int
 	// Len returns the number of stored operations.
 	Len() int
-}
-
-// memStore is the single-lock in-memory Store: one storeShard without
-// the hashing. It is the simplest correct implementation, kept as the
-// conformance reference and the benchmark baseline that shardedStore
-// must beat under contention.
-type memStore struct {
-	shard storeShard
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() Store {
-	return &memStore{shard: storeShard{ops: make(map[string]*core.Operation)}}
-}
-
-func (s *memStore) Put(op *core.Operation) {
-	s.shard.put(op)
-}
-
-func (s *memStore) PutBatch(ops []*core.Operation) {
-	s.shard.mu.Lock()
-	for _, op := range ops {
-		s.shard.putLocked(op)
-	}
-	s.shard.mu.Unlock()
-}
-
-func (s *memStore) Get(id string) (*core.Operation, error) {
-	return s.shard.get(id)
-}
-
-func (s *memStore) List(q ListQuery) ([]*core.Operation, error) {
-	sh := &s.shard
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	hasCursor := q.Cursor != ""
-	var key *core.Operation
-	if hasCursor {
-		var ok bool
-		if key, ok = sh.ops[q.Cursor]; !ok {
-			return []*core.Operation{}, nil
-		}
-	}
-	cursors := []listCursor{{ops: sh.ix.ops, pos: startPosFor(sh, key)}}
-	return collectNewest(cursors, q), nil
-}
-
-// startPosFor adapts storeShard.startPos to an optional cursor key.
-func startPosFor(sh *storeShard, key *core.Operation) int {
-	if key == nil {
-		return sh.startPos(false, time.Time{}, "")
-	}
-	return sh.startPos(true, key.CreatedAt, key.ID)
-}
-
-func (s *memStore) Update(id string, fn func(op *core.Operation)) error {
-	return s.shard.update(id, fn)
-}
-
-func (s *memStore) Delete(id string) {
-	s.shard.delete(id)
-}
-
-func (s *memStore) SweepTerminalBefore(cutoff time.Time) int {
-	return s.shard.sweepTerminalBefore(cutoff)
-}
-
-func (s *memStore) Len() int {
-	return s.shard.len()
 }

@@ -15,9 +15,10 @@ import (
 	"opdaemon/internal/raceflag"
 )
 
-// allocImpls enumerates the implementations whose allocation profile
-// is pinned; the sharded store runs at a fixed multi-shard count so
-// the merge path is exercised even on single-core hosts.
+// allocImpls enumerates the shard counts whose allocation profile is
+// pinned: one shard ("mem": the single-mutex store -store-shards 1
+// runs) and a fixed multi-shard count, so the merge path is exercised
+// even on single-core hosts.
 func allocImpls() []struct {
 	name string
 	mk   func() Store
@@ -26,7 +27,7 @@ func allocImpls() []struct {
 		name string
 		mk   func() Store
 	}{
-		{"mem", NewMemStore},
+		{"mem", func() Store { return NewShardedStore(1) }},
 		{"sharded-8", func() Store { return NewShardedStore(8) }},
 	}
 }

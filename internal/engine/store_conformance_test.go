@@ -1,8 +1,8 @@
 package engine
 
-// Conformance suite for the Store interface. Every implementation —
-// the single-lock memStore and the sharded store at several shard
-// counts — must pass the identical contract: copy-on-write
+// Conformance suite for the Store interface. The store at several shard
+// counts, with and without its journal, must pass the identical
+// contract: copy-on-write
 // immutability of published snapshots, atomic Update under contention,
 // newest-first List ordering with a stable ID tie-break, and cursor
 // pagination that tolerates TTL eviction.
@@ -17,11 +17,12 @@ import (
 	"opdaemon/internal/core"
 )
 
-// storeImpls enumerates every Store implementation under test: the
-// in-memory stores plus the durable WAL store, which must satisfy the
-// identical contract (its read path IS the sharded store; the log is
-// invisible to the interface). The WAL variants get a per-test
-// directory and a Close at cleanup.
+// storeImpls enumerates the configurations under test: the memory-only
+// store at several shard counts plus the journaled one, which must
+// satisfy the identical contract (the log is invisible to the
+// interface). The WAL variants get a per-test directory and a Close at
+// cleanup. "mem" and "sharded-1" are the same one-shard configuration
+// under the two names the suite's published test IDs use for it.
 func storeImpls(t testing.TB) []struct {
 	name string
 	mk   func(t testing.TB) Store
@@ -44,7 +45,7 @@ func storeImpls(t testing.TB) []struct {
 		name string
 		mk   func(t testing.TB) Store
 	}{
-		{"mem", func(testing.TB) Store { return NewMemStore() }},
+		{"mem", func(testing.TB) Store { return NewShardedStore(1) }},
 		{"sharded-1", func(testing.TB) Store { return NewShardedStore(1) }},
 		{"sharded-8", func(testing.TB) Store { return NewShardedStore(8) }},
 		{"sharded-default", func(testing.TB) Store { return NewShardedStore(0) }},
@@ -665,5 +666,66 @@ func TestShardedStoreSpreadsKeys(t *testing.T) {
 		if c < n/len(counts)/4 || c > n/len(counts)*4 {
 			t.Errorf("shard %d holds %d of %d keys — hash is badly skewed (%v)", i, c, n, counts)
 		}
+	}
+}
+
+// TestSweepEvictsOnlyWhatItCollected pins the sweep's second pass, which
+// no black-box history can drive on purpose: between collecting
+// candidates and taking the write lock, one candidate is republished
+// (same ID, new snapshot) and one is deleted. Neither is the sweep's to
+// evict any more; the rest go, from map and index alike, and the
+// tombstones handed back are exactly theirs, in order.
+func TestSweepEvictsOnlyWhatItCollected(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	s := NewShardedStore(1).(*shardedStore)
+	sh := s.shards[0]
+	for i, id := range []string{"a", "b", "c", "d", "e", "live"} {
+		op := mkOp(id, t0.Add(time.Duration(i)*time.Second))
+		if id != "live" {
+			op.Status = core.StatusDone
+		}
+		s.Put(op)
+	}
+	cands := sh.expiredTerminal(nil, t0.Add(time.Hour))
+	if got := listIDs(cands); fmt.Sprint(got) != "[a b c d e]" {
+		t.Fatalf("candidates = %v, want [a b c d e] in index order", got)
+	}
+	var tombs []byte
+	for _, op := range cands {
+		tombs = appendDeleteRecord(tombs, op.ID)
+	}
+
+	again := mkOp("b", t0.Add(time.Second))
+	again.Status = core.StatusDone
+	s.Put(again)
+	s.Delete("d")
+
+	sh.mu.Lock()
+	n, staged := sh.evictLocked(cands, tombs)
+	sh.mu.Unlock()
+	if n != 3 {
+		t.Errorf("evicted %d, want 3 (a, c, e)", n)
+	}
+	if got := listIDs(listAll(t, s)); fmt.Sprint(got) != "[live b]" {
+		t.Errorf("after the sweep List = %v, want [live b]", got)
+	}
+	if got, err := s.Get("b"); err != nil || got != again {
+		t.Errorf("Get(b) = (%p, %v), want the republished snapshot %p", got, err, again)
+	}
+	if s.Len() != 2 {
+		t.Errorf("Len = %d, want 2", s.Len())
+	}
+	var deleted []string
+	if _, err := walReplay(staged, func(typ byte, body []byte) error {
+		if typ != walRecDelete {
+			t.Errorf("staged record type %d, want a tombstone", typ)
+		}
+		deleted = append(deleted, string(body))
+		return nil
+	}); err != nil {
+		t.Fatalf("staged tombstones do not replay: %v", err)
+	}
+	if fmt.Sprint(deleted) != "[a c e]" {
+		t.Errorf("staged tombstones = %v, want [a c e]", deleted)
 	}
 }

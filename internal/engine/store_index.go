@@ -1,10 +1,10 @@
 package engine
 
-// The ordered-index machinery shared by every in-memory Store
-// implementation: a storeShard couples one map of the ID space with an
-// opIndex keeping those operations in listing order, so List pages are
-// produced in O(limit) by walking (and, across shards, merging) index
-// tails instead of cloning and sorting the whole store per request.
+// The store's per-shard state and its ordered index: a storeShard
+// couples one map of the ID space with an opIndex keeping those
+// operations in listing order, so List pages are produced in O(limit) by
+// walking (and, across shards, merging) index tails instead of cloning
+// and sorting the whole store per request.
 
 import (
 	"sort"
@@ -81,25 +81,30 @@ func (ix *opIndex) remove(createdAt time.Time, id string) {
 }
 
 // storeShard is one partition of the ID space: a mutex-guarded map for
-// point lookups plus the opIndex that keeps the partition ordered. The
-// memStore is a single shard; the sharded store is many.
+// point lookups plus the opIndex that keeps the partition ordered. A
+// one-shard store is the single-lock store; -store-shards picks how many
+// there are, never which code runs.
 //
 // Copy-on-write invariant: every *core.Operation reachable from ops or
-// the index is immutable. update clones, mutates the clone, and
-// republishes, so get and list hand out shared pointers with zero
-// copying and readers outlive the lock safely.
+// the index is immutable. Update publishes a mutated clone in place of
+// the old snapshot, so get and list hand out shared pointers with zero
+// copying and readers outlive the lock safely. It is also what makes
+// pointer identity a conflict check: while the map still holds the
+// pointer a writer read earlier, nothing was published for that ID in
+// between.
 type storeShard struct {
 	mu  sync.RWMutex
 	ops map[string]*core.Operation
 	ix  opIndex
+	// deltaN counts each ID's run of consecutive delta records in the
+	// journal (absent: the last record logged was a full snapshot), so
+	// Update can bound the chain replay has to fold. Nil, and only ever
+	// read or deleted from, in a store without a journal.
+	deltaN map[string]uint8
 }
 
-func newStoreShard() *storeShard {
-	return &storeShard{ops: make(map[string]*core.Operation)}
-}
-
-// put installs op (taking ownership — the caller must not mutate it
-// afterwards), replacing any previous operation with the same ID.
+// putLocked installs op (taking ownership — the caller must not mutate
+// it afterwards), replacing any previous operation with the same ID.
 // Callers hold the write lock.
 func (sh *storeShard) putLocked(op *core.Operation) {
 	if old, ok := sh.ops[op.ID]; ok {
@@ -107,12 +112,15 @@ func (sh *storeShard) putLocked(op *core.Operation) {
 	}
 	sh.ops[op.ID] = op
 	sh.ix.insert(op)
+	delete(sh.deltaN, op.ID)
 }
 
-func (sh *storeShard) put(op *core.Operation) {
-	sh.mu.Lock()
-	sh.putLocked(op)
-	sh.mu.Unlock()
+// removeLocked drops the published snapshot old from the map and the
+// index. Callers hold the write lock.
+func (sh *storeShard) removeLocked(old *core.Operation) {
+	delete(sh.ops, old.ID)
+	sh.ix.remove(old.CreatedAt, old.ID)
+	delete(sh.deltaN, old.ID)
 }
 
 // get returns the published snapshot — a shared immutable pointer, no
@@ -127,70 +135,59 @@ func (sh *storeShard) get(id string) (*core.Operation, error) {
 	return op, nil
 }
 
-// update applies fn to a private clone of the stored operation and
-// publishes the clone, all under the shard's write lock — concurrent
-// read-modify-write transitions stay atomic, while snapshots handed
-// out earlier keep their pre-update values forever.
-func (sh *storeShard) update(id string, fn func(op *core.Operation)) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.ops[id]
-	if !ok {
-		return core.ErrNotFound
-	}
-	c := old.Clone()
-	// This is THE sanctioned callback-under-lock: Update's contract is
-	// that fn mutates a private clone atomically with its publication,
-	// and every engine callback is a handful of field writes. Anything
-	// heavier belongs outside the store.
-	//lint:allow opdaemon/lockscope Update's clone-mutation callback is the store's core contract
-	fn(c)
-	sh.ops[id] = c
-	if c.ID == old.ID && c.CreatedAt.Equal(old.CreatedAt) {
-		sh.ix.replace(c)
-	} else {
-		// fn moved the operation's index key (nothing in the engine
-		// does, but the contract doesn't forbid it): reindex under the
-		// new key so ordering stays correct.
-		delete(sh.ops, old.ID)
-		sh.ops[c.ID] = c
-		sh.ix.remove(old.CreatedAt, old.ID)
-		sh.ix.insert(c)
-	}
-	return nil
-}
-
-func (sh *storeShard) delete(id string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.ops[id]
-	if !ok {
-		return
-	}
-	delete(sh.ops, id)
-	sh.ix.remove(old.CreatedAt, old.ID)
-}
-
-// sweepTerminalBefore evicts expired terminal operations in one pass
-// over the index, compacting it in place — no clones, no sorting, and
-// the map deletes ride the same traversal.
-func (sh *storeShard) sweepTerminalBefore(cutoff time.Time) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	kept := sh.ix.ops[:0]
+// expiredTerminal appends to dst, in index order, every terminal
+// operation last updated before cutoff: the sweep's eviction
+// candidates, collected under the read lock alone.
+func (sh *storeShard) expiredTerminal(dst []*core.Operation, cutoff time.Time) []*core.Operation {
+	sh.mu.RLock()
 	for _, op := range sh.ix.ops {
 		if op.Status.Terminal() && op.UpdatedAt.Before(cutoff) {
-			delete(sh.ops, op.ID)
+			dst = append(dst, op)
+		}
+	}
+	sh.mu.RUnlock()
+	return dst
+}
+
+// evictLocked removes every candidate the shard still publishes and
+// returns how many that was. A candidate the map no longer holds by
+// pointer was deleted or republished since it was collected — a
+// different snapshot, not this sweep's to evict — and is left alone.
+// cands must be in index order, as expiredTerminal returns them, and is
+// compacted in place to the evicted ones. tombs holds the candidates'
+// framed tombstones back to back in the same order (empty in a store
+// without a journal) and is compacted in step, so what comes back is
+// exactly what the journal must record. Callers hold the write lock.
+func (sh *storeShard) evictLocked(cands []*core.Operation, tombs []byte) (int, []byte) {
+	gone, staged := cands[:0], tombs[:0]
+	for _, op := range cands {
+		var frame []byte
+		if len(tombs) > 0 {
+			n := walFrameHeader + int(walFrameLen(tombs))
+			frame, tombs = tombs[:n], tombs[n:]
+		}
+		if sh.ops[op.ID] != op {
+			continue
+		}
+		delete(sh.ops, op.ID)
+		delete(sh.deltaN, op.ID)
+		gone = append(gone, op)
+		staged = append(staged, frame...)
+	}
+	// The evicted snapshots are all still in the index, in the order
+	// they were collected, so one lock-step walk drops them.
+	evicted := len(gone)
+	kept := sh.ix.ops[:0]
+	for _, op := range sh.ix.ops {
+		if len(gone) > 0 && op == gone[0] {
+			gone = gone[1:]
 			continue
 		}
 		kept = append(kept, op)
 	}
-	evicted := len(sh.ix.ops) - len(kept)
-	for i := len(kept); i < len(sh.ix.ops); i++ {
-		sh.ix.ops[i] = nil // unpin evicted snapshots
-	}
+	clear(sh.ix.ops[len(kept):]) // unpin evicted snapshots
 	sh.ix.ops = kept
-	return evicted
+	return evicted, staged
 }
 
 func (sh *storeShard) len() int {
@@ -281,14 +278,14 @@ func siftDown(h []listCursor, i int) {
 }
 
 // startPos returns the index position a List walk over sh begins at:
-// the newest entry when no cursor key is given, or the newest entry
-// strictly older than the cursor key. -1 means the shard contributes
-// nothing. Callers hold at least the read lock.
-func (sh *storeShard) startPos(hasCursor bool, createdAt time.Time, id string) int {
-	if !hasCursor {
+// the newest entry when key is nil, or the newest entry strictly older
+// than the cursor operation key. -1 means the shard contributes nothing.
+// Callers hold at least the read lock.
+func (sh *storeShard) startPos(key *core.Operation) int {
+	if key == nil {
 		return len(sh.ix.ops) - 1
 	}
 	// Everything before the key's position sorts strictly older in
 	// newest-first terms.
-	return sh.ix.search(createdAt, id) - 1
+	return sh.ix.search(key.CreatedAt, key.ID) - 1
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"hash/maphash"
+	"log"
 	"runtime"
 	"sort"
 	"sync"
@@ -22,18 +23,39 @@ func DefaultShardCount() int {
 	return nextPowerOfTwo(runtime.GOMAXPROCS(0))
 }
 
-// shardedStore is a Store partitioned into power-of-two shards, each a
-// separately locked map plus an ordered index. Operations are assigned
-// to shards by a maphash of their ID (per-process random seed), so
-// goroutines touching different operations almost always contend on
-// different locks. It implements the same copy-on-write and ordering
-// semantics as memStore; the conformance suite in
-// store_conformance_test.go holds both to the same contract.
+// shardedStore is the Store: power-of-two shards, each a separately
+// locked map plus an ordered index, optionally journaled. Operations are
+// assigned to shards by a maphash of their ID (per-process random seed),
+// so goroutines touching different operations almost always contend on
+// different locks; with one shard it is the single-mutex store.
+//
+// Every mutation follows one protocol, whether or not there is a journal
+// behind it:
+//
+//  1. Encode the record with no lock held, and only when journaled
+//     (lockscope's codec rule machine-enforces the "no lock" half), so a
+//     critical section is a few pointer writes and a memcpy, never a
+//     marshal.
+//  2. Apply to memory and stage the prepared bytes under the shard's
+//     write lock. The journal must record mutations in the same per-ID
+//     order the index publishes them, or replay could resurrect a stale
+//     state; doing both in one critical section is what guarantees it.
+//     That nests walBatch.mu inside storeShard.mu — the one sanctioned
+//     lock nesting, policed by lockscope — and it is why writers never
+//     touch the file themselves: file I/O under a shard lock would stall
+//     every operation on the shard for an fsync.
+//  3. Wake the committer and wait out the sync policy after the unlock.
+//
+// Without a journal steps 1 and 3 vanish: log is nil and every *wal
+// method the store calls is a no-op on a nil receiver.
 type shardedStore struct {
 	shards []*storeShard
 	// mask is len(shards)-1; with a power-of-two shard count,
 	// hash&mask selects a shard without a modulo.
 	mask uint32
+	// log is the journal OpenWALStore attaches; nil for a memory-only
+	// store.
+	log *wal
 }
 
 // maxShardCount bounds the shard count. 2^16 shards is far beyond any
@@ -41,20 +63,30 @@ type shardedStore struct {
 // round-up below integer-overflow territory.
 const maxShardCount = 1 << 16
 
-// NewShardedStore returns an empty Store partitioned across n
-// hash-selected shards. n is rounded up to the next power of two so
-// shard selection is a bit mask; n <= 0 selects DefaultShardCount()
-// and n > 65536 is clamped there. A single-shard store (n == 1) is
-// semantically identical to NewMemStore and useful as a baseline in
-// benchmarks.
+// NewShardedStore returns an empty memory-only Store partitioned across
+// n hash-selected shards. n is rounded up to the next power of two so
+// shard selection is a bit mask; n <= 0 selects DefaultShardCount() and
+// n > 65536 is clamped there. n == 1 is the single-mutex store, useful
+// as the uncontended baseline in benchmarks.
 func NewShardedStore(n int) Store {
+	return newShardedStore(n, nil)
+}
+
+// newShardedStore builds the store over an optional journal; a journaled
+// store also tracks delta-chain lengths per shard.
+func newShardedStore(n int, w *wal) *shardedStore {
 	n = normalizeShardCount(n)
 	s := &shardedStore{
 		shards: make([]*storeShard, n),
 		mask:   uint32(n - 1),
+		log:    w,
 	}
 	for i := range s.shards {
-		s.shards[i] = newStoreShard()
+		sh := &storeShard{ops: make(map[string]*core.Operation)}
+		if w != nil {
+			sh.deltaN = make(map[string]uint8)
+		}
+		s.shards[i] = sh
 	}
 	return s
 }
@@ -87,36 +119,97 @@ func (s *shardedStore) shard(id string) *storeShard {
 	return s.shards[s.shardIndex(id)]
 }
 
-func (s *shardedStore) Put(op *core.Operation) {
-	s.shard(op.ID).put(op)
+// encBuf returns a pooled record buffer when there is a journal to
+// encode for and nil otherwise; putEncBuf takes either back.
+func (s *shardedStore) encBuf() *[]byte {
+	if s.log == nil {
+		return nil
+	}
+	return getEncBuf()
 }
 
+// Put inserts or replaces the operation and waits out the sync policy's
+// admission durability (see WALSyncMode): a batch of one.
+func (s *shardedStore) Put(op *core.Operation) {
+	ops := [1]*core.Operation{op}
+	s.PutBatch(ops[:])
+}
+
+// PutBatch inserts or replaces every operation, taking each shard's
+// lock at most once, then wakes the committer once and waits for
+// durability once for the whole batch.
 func (s *shardedStore) PutBatch(ops []*core.Operation) {
-	// Single-op batches (every Submit routes through here) skip the
-	// bucket table — its O(shard-count) allocation would dominate
-	// the hot path it exists to amortise.
-	if len(ops) == 1 {
-		s.Put(ops[0])
+	if len(ops) == 0 {
 		return
 	}
-	// Group by shard outside any lock, then take each shard's lock at
-	// most once per batch instead of once per operation.
+	buf := s.encBuf()
+	var last *walGen
+	if len(ops) == 1 || len(s.shards) == 1 {
+		// One bucket by construction. Single-op batches (every Submit
+		// routes through here) must skip the bucket table — its
+		// O(shard-count) allocation would dominate the hot path it
+		// exists to amortise.
+		last = s.putBucket(s.shard(ops[0].ID), ops, buf)
+	} else {
+		for i, bucket := range s.bucket(ops) {
+			if len(bucket) == 0 {
+				continue
+			}
+			if g := s.putBucket(s.shards[i], bucket, buf); g != nil {
+				last = g
+			}
+		}
+	}
+	putEncBuf(buf)
+	// One wake after the last bucket: the committer commits the moment
+	// it is woken, so waking per bucket would split this batch over two
+	// generations and make it wait out two fsyncs. Another writer's wake
+	// can still split it; waiting on the newest ticket covers every
+	// staged record regardless, because generations commit in order.
+	s.log.wake()
+	s.log.admitWait(last)
+}
+
+// putBucket publishes ops, all of which hash to sh, in one critical
+// section and returns the ticket of the generation their records
+// boarded. The records are encoded before the lock — they capture the
+// operations as handed over, which ownership transfer makes stable —
+// and staged inside it, keeping log order equal to publish order.
+func (s *shardedStore) putBucket(sh *storeShard, ops []*core.Operation, buf *[]byte) *walGen {
+	var frames []byte
+	recs := 0
+	if buf != nil {
+		frames = (*buf)[:0]
+		for _, op := range ops {
+			next, err := encodeOpRecordV2(frames, op)
+			frames = next // on error the encoder rewound to the frame mark
+			if err != nil {
+				// Memory-only fallback: the mutation still applies but
+				// will not survive a restart.
+				log.Printf("engine: %v; operation is not durable", err)
+				continue
+			}
+			recs++
+		}
+		*buf = frames
+	}
+	sh.mu.Lock()
+	for _, op := range ops {
+		sh.putLocked(op)
+	}
+	g := s.log.stage(frames, recs)
+	sh.mu.Unlock()
+	return g
+}
+
+// bucket groups ops by shard index, outside any lock.
+func (s *shardedStore) bucket(ops []*core.Operation) [][]*core.Operation {
 	buckets := make([][]*core.Operation, len(s.shards))
 	for _, op := range ops {
 		i := s.shardIndex(op.ID)
 		buckets[i] = append(buckets[i], op)
 	}
-	for i, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		sh := s.shards[i]
-		sh.mu.Lock()
-		for _, op := range bucket {
-			sh.putLocked(op)
-		}
-		sh.mu.Unlock()
-	}
+	return buckets
 }
 
 // bulkLoad installs a recovered operation set wholesale: bucket by
@@ -128,13 +221,8 @@ func (s *shardedStore) PutBatch(ops []*core.Operation) {
 // unique (they come from a replay map); intended for a store not yet
 // serving traffic, though it takes the locks anyway.
 func (s *shardedStore) bulkLoad(ops []*core.Operation) {
-	buckets := make([][]*core.Operation, len(s.shards))
-	for _, op := range ops {
-		i := s.shardIndex(op.ID)
-		buckets[i] = append(buckets[i], op)
-	}
 	var wg sync.WaitGroup
-	for i, bucket := range buckets {
+	for i, bucket := range s.bucket(ops) {
 		if len(bucket) == 0 {
 			continue
 		}
@@ -217,7 +305,7 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 		}()
 		cursors := make([]listCursor, len(s.shards))
 		for i, sh := range s.shards {
-			cursors[i] = listCursor{ops: sh.ix.ops, pos: startPosFor(sh, key)}
+			cursors[i] = listCursor{ops: sh.ix.ops, pos: sh.startPos(key)}
 		}
 		return collectNewest(cursors, q), nil
 	}
@@ -225,7 +313,7 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 	cursors := make([]listCursor, len(s.shards))
 	for i, sh := range s.shards {
 		sh.mu.RLock()
-		pos := startPosFor(sh, key)
+		pos := sh.startPos(key)
 		var snap []*core.Operation
 		if pos >= 0 {
 			snap = make([]*core.Operation, pos+1)
@@ -237,23 +325,161 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 	return collectNewest(cursors, q), nil
 }
 
+// walDeltaChainMax bounds how many consecutive delta records one
+// operation may accumulate before the next update logs a full
+// snapshot again, so replay work and torn-tail blast radius per op stay
+// O(1). Engine lifecycles log 2–3 updates per op, so the bound exists
+// for pathological callers, not the steady state.
+const walDeltaChainMax = 16
+
+// Update applies fn to a private clone of a lock-free snapshot read,
+// encodes the result (when journaled) with no lock held, then publishes
+// clone and staged record atomically under the shard's write lock — but
+// only if the shard still maps id to the pointer read at the start.
+// Published snapshots are immutable, so the same pointer proves nothing
+// intervened and the publish is ordered correctly; otherwise the whole
+// read-mutate-encode round retries against the fresh snapshot (so fn may
+// run more than once — see Store.Update's contract). Contention on one
+// ID is engine-rare (a transition race with Cancel), so retries are too.
+//
+// A pure lifecycle transition logs a compact delta record (id + mutable
+// fields); anything that touched immutable-by-convention fields — or a
+// delta chain at its bound — logs a full snapshot. Under WALSyncAlways
+// the caller waits for the fsync; group mode logs transitions
+// asynchronously (see WALSyncMode).
 func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
-	return s.shard(id).update(id, fn)
-}
+	sh := s.shard(id)
+	for {
+		sh.mu.RLock()
+		old, ok := sh.ops[id]
+		chain := sh.deltaN[id]
+		sh.mu.RUnlock()
+		if !ok {
+			return core.ErrNotFound
+		}
 
-func (s *shardedStore) Delete(id string) {
-	s.shard(id).delete(id)
-}
+		c := old.Clone()
+		fn(c)
+		// fn may move the operation's index key (nothing in the engine
+		// does): the publish then reindexes instead of replacing in
+		// place, and is never logged as a delta.
+		sameKey := c.ID == old.ID && c.CreatedAt.Equal(old.CreatedAt)
+		asDelta := false
+		buf := s.encBuf()
+		var rec []byte
+		if buf != nil {
+			asDelta = sameKey && chain+1 < walDeltaChainMax && core.DeltaEligible(old, c)
+			rec = encodeUpdateRecord(*buf, old, c, asDelta)
+			*buf = rec
+		}
 
-func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
-	// One shard lock at a time: the sweep never holds more than one
-	// lock, so concurrent per-operation traffic on other shards is
-	// unaffected. (List holds all shard locks, but only read locks,
-	// acquired in index order — no cycle with this sequential walk.)
-	evicted := 0
-	for _, sh := range s.shards {
-		evicted += sh.sweepTerminalBefore(cutoff)
+		sh.mu.Lock()
+		if sh.ops[id] != old {
+			// A conflicting publish (another update, a delete, a re-put)
+			// landed between snapshot and lock: the clone and record
+			// describe a stale base. Drop both and retry.
+			sh.mu.Unlock()
+			putEncBuf(buf)
+			continue
+		}
+		if sameKey {
+			sh.ops[id] = c
+			sh.ix.replace(c)
+		} else {
+			sh.removeLocked(old)
+			sh.putLocked(c)
+		}
+		if asDelta {
+			sh.deltaN[id] = chain + 1
+		} else {
+			delete(sh.deltaN, id)
+		}
+		g := s.log.stage(rec, 1)
+		sh.mu.Unlock()
+		s.log.wake()
+		putEncBuf(buf)
+		s.log.transitionWait(g)
+		return nil
 	}
+}
+
+// Delete removes the operation and stages its tombstone. The tombstone
+// is encoded up front — wasted work when the operation turns out not to
+// exist, but deletes of absent IDs are not a path worth a codec call
+// inside the lock. Nothing stored means nothing to tombstone: replay of
+// the existing log already yields absence.
+func (s *shardedStore) Delete(id string) {
+	buf := s.encBuf()
+	var rec []byte
+	if buf != nil {
+		rec = appendDeleteRecord(*buf, id)
+		*buf = rec
+	}
+	sh := s.shard(id)
+	var g *walGen
+	sh.mu.Lock()
+	if old, ok := sh.ops[id]; ok {
+		sh.removeLocked(old)
+		g = s.log.stage(rec, 1)
+	}
+	sh.mu.Unlock()
+	putEncBuf(buf)
+	if g != nil {
+		s.log.wake()
+		s.log.transitionWait(g)
+	}
+}
+
+// sweepCompactThreshold is how many evictions one SweepTerminalBefore
+// must produce before the store asks the journal to compact: small
+// steady sweeps ride along until segment-count compaction triggers, mass
+// evictions reclaim replay time promptly.
+const sweepCompactThreshold = 1024
+
+// SweepTerminalBefore evicts expired terminal operations one shard at a
+// time — it never holds more than one lock, so per-operation traffic on
+// other shards is unaffected, and List's all-shard read locks (taken in
+// index order) form no cycle with this sequential walk. Each shard takes
+// two passes so no tombstone is encoded under the lock and a tick that
+// finds nothing expired never takes a write lock: a read-locked pass
+// collects candidates, their tombstones are encoded lock-free (when
+// journaled), and a write-locked pass evicts the candidates still
+// published and stages exactly their frames.
+func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
+	evicted := 0
+	var last *walGen
+	buf := s.encBuf()
+	var cands []*core.Operation
+	for _, sh := range s.shards {
+		cands = sh.expiredTerminal(cands[:0], cutoff)
+		if len(cands) == 0 {
+			continue
+		}
+		var tombs []byte
+		if buf != nil {
+			tombs = (*buf)[:0]
+			for _, op := range cands {
+				tombs = appendDeleteRecord(tombs, op.ID)
+			}
+			*buf = tombs
+		}
+		sh.mu.Lock()
+		n, staged := sh.evictLocked(cands, tombs)
+		if g := s.log.stage(staged, n); g != nil {
+			last = g
+		}
+		sh.mu.Unlock()
+		evicted += n
+	}
+	putEncBuf(buf)
+	if evicted >= sweepCompactThreshold {
+		// A mass eviction: fold the log so the reclaimed history stops
+		// costing replay time. Wakes the committer itself.
+		s.log.requestCompact()
+	} else if last != nil {
+		s.log.wake()
+	}
+	s.log.transitionWait(last)
 	return evicted
 }
 

@@ -1,8 +1,8 @@
 package engine
 
-// The write-ahead log behind WALStore: an append-only sequence of
-// framed records (see walcodec.go) in rotating segment files, made
-// cheap by group commit.
+// The write-ahead log behind a journaled store (OpenWALStore): an
+// append-only sequence of framed records (see walcodec.go) in rotating
+// segment files, made cheap by group commit.
 //
 // The perf-critical shape mirrors the watch hub's detach-then-notify
 // protocol, and lockscope polices it the same way: writers only ever
@@ -210,7 +210,7 @@ type wal struct {
 	compactReq atomic.Bool
 	compactWG  sync.WaitGroup
 	// snapshotFn dumps the full store state for compaction; installed
-	// by WALStore before the committer starts.
+	// by OpenWALStore before the committer starts.
 	snapshotFn func() []*core.Operation
 
 	stats walStatsCounters
@@ -281,8 +281,13 @@ func (w *wal) openSegment(i int) error {
 // goroutine. Nothing commits until wake is called — staging and waking
 // are separate so a caller with records for several shards stages them
 // all and wakes once, boarding one generation instead of straddling two.
+//
+// stage, wake, the two waits and requestCompact are everything a store's
+// mutations call on the log, and each is a no-op on a nil *wal (no
+// ticket is ever issued, so the waits return at their nil check): that
+// is how a store without a journal runs the same mutation code.
 func (w *wal) stage(frames []byte, recs int) *walGen {
-	if len(frames) == 0 {
+	if w == nil || len(frames) == 0 {
 		return nil
 	}
 	b := &w.batch
@@ -300,6 +305,9 @@ func (w *wal) stage(frames []byte, recs int) *walGen {
 // wake tells the committer there is work. Never blocks: a kick already
 // pending covers this one too.
 func (w *wal) wake() {
+	if w == nil {
+		return
+	}
 	select {
 	case w.kick <- struct{}{}:
 	default:
@@ -416,8 +424,8 @@ func (w *wal) commit() {
 
 	err := w.writeAndSync(buf)
 	w.spare = buf[:0]
-	gen.err = err
-	close(gen.done)
+	// Account for the batch before resolving its ticket: a writer that
+	// has just been acknowledged must find its own commit in WALStats.
 	w.stats.recordBatch(n)
 	if err != nil {
 		// The Store interface has no write-error channel, so this
@@ -426,6 +434,8 @@ func (w *wal) commit() {
 		w.stats.commitFailures.Add(1)
 		log.Printf("engine: wal commit of %d records failed: %v", n, err)
 	}
+	gen.err = err
+	close(gen.done)
 }
 
 // writeAndSync appends one batch to the open segment, fsyncing per the
@@ -606,9 +616,12 @@ func (w *wal) syncDir() error {
 }
 
 // requestCompact asks the committer to fold the log into a snapshot at
-// its next convenient point; WALStore calls it after a large terminal
+// its next convenient point; the store calls it after a large terminal
 // sweep so deleted history stops occupying replay time.
 func (w *wal) requestCompact() {
+	if w == nil {
+		return
+	}
 	w.compactReq.Store(true)
 	w.wake()
 }

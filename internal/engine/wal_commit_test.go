@@ -114,7 +114,7 @@ func (p *syncProbe) segSyncs() (started, landed int) {
 
 // lastBatch returns the record count of the most recent commit.
 func lastBatch(s *WALStore) int {
-	c := &s.wal.stats
+	c := &s.log.stats
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sizes[(c.next+len(c.sizes)-1)%len(c.sizes)]
@@ -220,7 +220,7 @@ func TestWALPutBatchOneWake(t *testing.T) {
 	shards := make(map[int]bool)
 	for i := range ops {
 		ops[i] = mkOp(fmt.Sprintf("op-%04d", i), time.Unix(1000+int64(i), 0))
-		shards[s.inner.shardIndex(ops[i].ID)] = true
+		shards[s.shardIndex(ops[i].ID)] = true
 	}
 	if len(shards) < 2 {
 		t.Fatalf("test batch landed on %d shard, need several", len(shards))

@@ -8,9 +8,11 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,56 +128,87 @@ func TestWALStoreRecoversTornTail(t *testing.T) {
 	}
 }
 
-// TestWALStoreRecoversCorruptMiddle flips a byte inside an earlier
-// record: the valid prefix ends there, and recovery must converge on
-// exactly the operations before the flip — deterministic state, not
-// best-effort scavenging.
+// TestWALStoreRecoversCorruptMiddle damages an earlier record: the
+// valid prefix ends there, and recovery must converge on exactly the
+// operations before it — deterministic state, not best-effort
+// scavenging. The damage is either a bit flip (checksum mismatch) or a
+// well-formed frame of a type replay does not know; types 1 and 2, the
+// retired JSON-bodied generation, are exactly that now.
 func TestWALStoreRecoversCorruptMiddle(t *testing.T) {
-	dir := t.TempDir()
-	t0 := time.Unix(1000, 0)
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
-	ops := make([]*core.Operation, 6)
-	offset := 0 // byte offset of each op's frame in segment 0
-	corruptAt := -1
-	const corruptIdx = 3
-	for i := range ops {
-		ops[i] = mkOp(fmt.Sprintf("op-%d", i), t0.Add(time.Duration(i)*time.Second))
-		if i == corruptIdx {
-			corruptAt = offset
-		}
-		rec, err := encodeOpRecordV2(nil, ops[i])
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		offset += len(rec)
-		s.Put(ops[i])
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(frame []byte)
+		wantErr string
+	}{
+		{"bit flip", func(frame []byte) {
+			frame[walFrameHeader+2] ^= 0xFF // payload bit-flip → CRC mismatch
+		}, "checksum mismatch"},
+		{"retired type 1", func(frame []byte) { retypeFrame(frame, 1) }, "unknown record type 1"},
+		{"retired type 2", func(frame []byte) { retypeFrame(frame, 2) }, "unknown record type 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			t0 := time.Unix(1000, 0)
+			s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+			ops := make([]*core.Operation, 6)
+			offset := 0 // byte offset of each op's frame in segment 0
+			corruptAt, corruptLen := -1, 0
+			const corruptIdx = 3
+			for i := range ops {
+				ops[i] = mkOp(fmt.Sprintf("op-%d", i), t0.Add(time.Duration(i)*time.Second))
+				rec, err := encodeOpRecordV2(nil, ops[i])
+				if err != nil {
+					t.Fatalf("encode: %v", err)
+				}
+				if i == corruptIdx {
+					corruptAt, corruptLen = offset, len(rec)
+				}
+				offset += len(rec)
+				s.Put(ops[i])
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	seg := filepath.Join(dir, walSegName(0))
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatalf("reading segment: %v", err)
-	}
-	data[corruptAt+walFrameHeader+2] ^= 0xFF // payload bit-flip → CRC mismatch
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatalf("writing corrupted segment: %v", err)
-	}
+			seg := filepath.Join(dir, walSegName(0))
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatalf("reading segment: %v", err)
+			}
+			tc.damage(data[corruptAt : corruptAt+corruptLen])
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatalf("writing corrupted segment: %v", err)
+			}
 
-	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
-	defer r.Close()
-	got := listAll(t, r)
-	if len(got) != corruptIdx {
-		t.Fatalf("recovered %d ops (%v), want the %d before the corrupt frame",
-			len(got), listIDs(got), corruptIdx)
+			state := make(map[string]*core.Operation)
+			n, err := walReplay(data, func(typ byte, body []byte) error {
+				return applyWALRecord(state, typ, body)
+			})
+			if n != corruptAt || !errors.Is(err, errWALCorrupt) || !strings.Contains(fmt.Sprint(err), tc.wantErr) {
+				t.Errorf("replay = (%d, %v), want the valid prefix to end at %d as errWALCorrupt %q", n, err, corruptAt, tc.wantErr)
+			}
+
+			r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+			defer r.Close()
+			got := listAll(t, r)
+			if len(got) != corruptIdx {
+				t.Fatalf("recovered %d ops (%v), want the %d before the corrupt frame",
+					len(got), listIDs(got), corruptIdx)
+			}
+			for _, op := range got {
+				if _, err := r.Get(op.ID); err != nil {
+					t.Errorf("Get(%s): %v", op.ID, err)
+				}
+			}
+		})
 	}
-	for _, op := range got {
-		if _, err := r.Get(op.ID); err != nil {
-			t.Errorf("Get(%s): %v", op.ID, err)
-		}
-	}
+}
+
+// retypeFrame rewrites a frame's record-type byte and re-seals its
+// checksum, leaving a structurally valid frame of another type.
+func retypeFrame(frame []byte, typ byte) {
+	frame[walFrameHeader] = typ
+	finishWALFrame(frame, 0)
 }
 
 // TestWALStoreFlushBarrier: group mode logs transitions asynchronously,
@@ -409,13 +442,17 @@ func FuzzWALReplay(f *testing.F) {
 	t0 := time.Unix(1000, 0)
 	var valid []byte
 	for i := 0; i < 3; i++ {
-		rec, err := encodeOpRecord(walRecPut, mkOp(fmt.Sprintf("op-%d", i), t0))
+		var err error
+		valid, err = encodeOpRecordV2(valid, mkOp(fmt.Sprintf("op-%d", i), t0))
 		if err != nil {
 			f.Fatal(err)
 		}
-		valid = append(valid, rec...)
 	}
-	valid = append(valid, encodeDeleteRecord("op-1")...)
+	done := mkOp("op-2", t0)
+	done.Status = core.StatusDone
+	done.UpdatedAt = t0.Add(time.Minute)
+	valid = encodeDeltaRecordV2(valid, done)
+	valid = appendDeleteRecord(valid, "op-1")
 	f.Add([]byte{})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5]) // torn tail

@@ -14,21 +14,14 @@ package engine
 // torn or bit-flipped tail detectable, which is what lets recovery
 // truncate at the first bad frame instead of guessing.
 //
-// Two codec generations share the frame format and differ only in
-// record types and body encoding:
-//
-//   - v1 (types 1–3): put/update bodies are the operation's JSON wire
-//     encoding; delete bodies are the raw ID. Still decoded on replay
-//     so logs written by older builds recover seamlessly, but no
-//     longer written.
-//   - v2 (types 4–5): op bodies are the compact binary encoding
-//     (core.AppendBinary) and delta bodies carry only the mutable
-//     field set of a lifecycle transition (core.AppendBinaryDelta).
-//     A delta replays by folding onto the ID's current replay state;
-//     a delta whose base is absent is skipped — the snapshot-overlap
-//     window makes that shape legitimate (the op was deleted before
-//     the snapshot was cut, but its delta records live in retained
-//     segments).
+// Record bodies: a full snapshot (type 4) is the operation's compact
+// binary encoding (core.AppendBinary); a delta (type 5) carries only the
+// mutable field set of a lifecycle transition (core.AppendBinaryDelta);
+// a delete (type 3) is the raw ID. A delta replays by folding onto the
+// ID's current replay state; a delta whose base is absent is skipped —
+// the snapshot-overlap window makes that shape legitimate (the op was
+// deleted before the snapshot was cut, but its delta records live in
+// retained segments).
 //
 // Replay treats every full-record type as an idempotent upsert keyed
 // by ID, so re-applying an overlapping snapshot + segment suffix
@@ -36,10 +29,10 @@ package engine
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log"
 	"sync"
 
 	"opdaemon/internal/core"
@@ -47,12 +40,12 @@ import (
 
 // WAL record types. The zero value is deliberately unused so an
 // all-zeroes torn frame can never masquerade as a valid record type.
+// Types 1 and 2 were a JSON-bodied generation that never shipped; like
+// any unknown type they end the valid prefix.
 const (
-	walRecPut     byte = 1 // v1: full snapshot, JSON body (legacy, read-only)
-	walRecUpdate  byte = 2 // v1: full snapshot, JSON body (legacy, read-only)
-	walRecDelete  byte = 3 // raw ID body (written by both generations)
-	walRecOpV2    byte = 4 // v2: full snapshot, binary body
-	walRecDeltaV2 byte = 5 // v2: mutable-field delta, binary body
+	walRecDelete  byte = 3 // raw ID body
+	walRecOpV2    byte = 4 // full snapshot, binary body
+	walRecDeltaV2 byte = 5 // mutable-field delta, binary body
 )
 
 // walFrameHeader is the fixed per-frame overhead: 4-byte length plus
@@ -77,15 +70,6 @@ var (
 	errWALCorrupt = errors.New("wal: corrupt frame")
 )
 
-// appendWALFrame appends one framed record to dst and returns the
-// extended slice.
-func appendWALFrame(dst []byte, typ byte, body []byte) []byte {
-	dst, mark := reserveWALFrame(dst)
-	dst = append(dst, typ)
-	dst = append(dst, body...)
-	return finishWALFrame(dst, mark)
-}
-
 // reserveWALFrame appends a zeroed frame header to dst and returns the
 // grown slice plus the header's offset. The caller appends the payload
 // (type byte + body) directly, then calls finishWALFrame with the same
@@ -104,20 +88,6 @@ func finishWALFrame(dst []byte, mark int) []byte {
 	binary.LittleEndian.PutUint32(dst[mark:mark+4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[mark+4:mark+8], crc32.ChecksumIEEE(payload))
 	return dst
-}
-
-// encodeOpRecord frames an operation snapshot as a v1 JSON put or
-// update record. Only tests and the mixed-format migration fixtures
-// call it now — the live write path uses the v2 encoders below.
-// Marshalling an Operation only fails if a handler smuggled an
-// unserialisable value into Params, which the API's JSON decoding makes
-// impossible in practice.
-func encodeOpRecord(typ byte, op *core.Operation) ([]byte, error) {
-	body, err := json.Marshal(op)
-	if err != nil {
-		return nil, fmt.Errorf("wal: encoding operation %s: %w", op.ID, err)
-	}
-	return appendWALFrame(nil, typ, body), nil
 }
 
 // encodeOpRecordV2 appends a framed v2 full-snapshot record to dst in
@@ -152,9 +122,23 @@ func appendDeleteRecord(dst []byte, id string) []byte {
 	return finishWALFrame(dst, mark)
 }
 
-// encodeDeleteRecord frames a deletion as a standalone buffer.
-func encodeDeleteRecord(id string) []byte {
-	return appendDeleteRecord(nil, id)
+// encodeUpdateRecord appends what the journal must record for an
+// Update that publishes c in place of old: a delta when the caller
+// established eligibility (core.DeltaEligible, chain bound), otherwise a
+// full snapshot — preceded by old's tombstone if the update moved the ID,
+// so replay tracks the disappearance.
+func encodeUpdateRecord(dst []byte, old, c *core.Operation, asDelta bool) []byte {
+	if asDelta {
+		return encodeDeltaRecordV2(dst, c)
+	}
+	if c.ID != old.ID {
+		dst = appendDeleteRecord(dst, old.ID)
+	}
+	dst, err := encodeOpRecordV2(dst, c)
+	if err != nil {
+		log.Printf("engine: %v; update is not durable", err)
+	}
+	return dst
 }
 
 // walEncPool recycles record-encode buffers so the hot mutation path
@@ -180,9 +164,10 @@ func getEncBuf() *[]byte {
 }
 
 // putEncBuf returns a buffer to the pool once its bytes have been
-// copied into the WAL batch. Oversized buffers are dropped.
+// copied into the WAL batch. Oversized buffers are dropped; nil (a
+// store without a journal never took one) is a no-op.
 func putEncBuf(b *[]byte) {
-	if cap(*b) <= walEncPoolMaxCap {
+	if b != nil && cap(*b) <= walEncPoolMaxCap {
 		walEncPool.Put(b)
 	}
 }
@@ -232,8 +217,8 @@ func walReplay(data []byte, apply func(typ byte, body []byte) error) (int, error
 // walDecoded is one record decoded off the log, ready to fold into
 // replay state. Exactly one of op / delta / del describes the record.
 type walDecoded struct {
-	op    *core.Operation   // full snapshot (v1 JSON or v2 binary)
-	delta *core.BinaryDelta // v2 mutable-field delta
+	op    *core.Operation   // full snapshot
+	delta *core.BinaryDelta // mutable-field delta
 	del   string            // deletion target ID
 }
 
@@ -249,20 +234,10 @@ func (d *walDecoded) id() string {
 	return d.del
 }
 
-// decodeWALRecord decodes one record body (both codec generations)
-// without touching replay state — the pure half that parallel recovery
+// decodeWALRecord decodes one record body without touching replay state — the pure half that parallel recovery
 // fans out. The returned record owns its memory; body may be reused.
 func decodeWALRecord(typ byte, body []byte) (walDecoded, error) {
 	switch typ {
-	case walRecPut, walRecUpdate:
-		op := new(core.Operation)
-		if err := json.Unmarshal(body, op); err != nil {
-			return walDecoded{}, fmt.Errorf("%w: undecodable operation body: %v", errWALCorrupt, err)
-		}
-		if op.ID == "" {
-			return walDecoded{}, fmt.Errorf("%w: operation record without an id", errWALCorrupt)
-		}
-		return walDecoded{op: op}, nil
 	case walRecOpV2:
 		op, err := core.DecodeBinaryOperation(body)
 		if err != nil {

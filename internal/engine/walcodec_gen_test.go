@@ -1,7 +1,7 @@
 package engine
 
-// Codec-generation tests: the v1→v2 migration contract (mixed logs
-// replay), the delta-chain bound, and fuzzing of the binary bodies.
+// Record-codec tests: which record type each kind of update logs, the
+// delta-chain bound, and fuzzing of the binary bodies.
 
 import (
 	"encoding/json"
@@ -13,72 +13,6 @@ import (
 
 	"opdaemon/internal/core"
 )
-
-// TestWALMixedFormatReplay proves the migration story: a log whose
-// oldest segment was written by the v1 JSON codec replays together
-// with v2 segments appended by the current store, and a second reopen
-// (all-v2 after compaction-free append) converges on the same state.
-func TestWALMixedFormatReplay(t *testing.T) {
-	dir := t.TempDir()
-	t0 := time.Unix(1000, 0)
-
-	// Hand-write a v1 segment the way the previous generation did:
-	// JSON puts, a JSON full-record update, and a tombstone.
-	var seg []byte
-	for i := 0; i < 5; i++ {
-		rec, err := encodeOpRecord(walRecPut, mkOp(fmt.Sprintf("v1-%02d", i), t0.Add(time.Duration(i)*time.Second)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg = append(seg, rec...)
-	}
-	upd := mkOp("v1-02", t0.Add(2*time.Second))
-	upd.Status = core.StatusDone
-	upd.UpdatedAt = t0.Add(time.Minute)
-	rec, err := encodeOpRecord(walRecUpdate, upd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg = append(seg, rec...)
-	seg = append(seg, encodeDeleteRecord("v1-04")...)
-	if err := os.WriteFile(filepath.Join(dir, walSegName(1)), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
-	if n := s.Len(); n != 4 {
-		t.Fatalf("v1 segment replayed to %d ops, want 4", n)
-	}
-	got, err := s.Get("v1-02")
-	if err != nil || got.Status != core.StatusDone {
-		t.Fatalf("Get(v1-02) = (%v, %v), want done op", got, err)
-	}
-	if _, err := s.Get("v1-04"); err == nil {
-		t.Fatal("v1 tombstone ignored: v1-04 survived replay")
-	}
-
-	// Append v2 records on top: new puts, a delta-eligible update of a
-	// v1-era op, and a delete of another.
-	for i := 0; i < 3; i++ {
-		s.Put(mkOp(fmt.Sprintf("v2-%02d", i), t0.Add(time.Hour+time.Duration(i)*time.Second)))
-	}
-	if err := s.Update("v1-01", func(op *core.Operation) {
-		op.Status = core.StatusRunning
-		op.UpdatedAt = t0.Add(2 * time.Minute)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Delete("v1-03")
-	want := listAll(t, s)
-	s.closeAbrupt()
-
-	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
-	defer r.Close()
-	sameOps(t, listAll(t, r), want)
-	if got, err := r.Get("v1-01"); err != nil || got.Status != core.StatusRunning {
-		t.Fatalf("v2 delta on v1 base: Get(v1-01) = (%v, %v), want running", got, err)
-	}
-}
 
 // countWALRecordTypes replays every segment in dir and tallies record
 // types across them.
@@ -140,9 +74,6 @@ func TestWALDeltaChainBound(t *testing.T) {
 	}
 	if counts[walRecDeltaV2] != updates-updates/walDeltaChainMax {
 		t.Errorf("delta records = %d, want %d", counts[walRecDeltaV2], updates-updates/walDeltaChainMax)
-	}
-	if counts[walRecPut] != 0 || counts[walRecUpdate] != 0 {
-		t.Errorf("fresh log contains legacy v1 records: %v", counts)
 	}
 
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
