@@ -18,8 +18,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -42,9 +40,6 @@ type daemonConfig struct {
 	defaultDeadline time.Duration
 	noticeRing      int
 	maxWait         time.Duration
-	queuePolicy     string
-	bandWeights     string
-	drrQuantum      int
 	promoteAfter    time.Duration
 	shedThreshold   float64
 	trustClientHdr  bool
@@ -53,24 +48,6 @@ type daemonConfig struct {
 	walSync         string
 	walSegmentBytes int64
 	walMaxSegments  int
-}
-
-// parseBandWeights parses the -band-weights flag value: three comma-
-// separated positive integers for the high, normal, and low bands.
-func parseBandWeights(raw string) ([3]int, error) {
-	var w [3]int
-	parts := strings.Split(raw, ",")
-	if len(parts) != 3 {
-		return w, fmt.Errorf("need 3 comma-separated integers, got %d", len(parts))
-	}
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return w, fmt.Errorf("weight %d must be a positive integer, got %q", i, p)
-		}
-		w[i] = n
-	}
-	return w, nil
 }
 
 func main() {
@@ -86,9 +63,6 @@ func main() {
 	flag.DurationVar(&cfg.defaultDeadline, "default-deadline", 0, "execution deadline for kinds registered without their own; 0 means unbounded")
 	flag.IntVar(&cfg.noticeRing, "notice-ring", 4096, "state-transition notices retained for /v1/notices; older ones fall off the ring")
 	flag.DurationVar(&cfg.maxWait, "max-wait", 60*time.Second, "upper bound on ?wait=true long-poll timeouts; longer client requests are clamped")
-	flag.StringVar(&cfg.queuePolicy, "queue-policy", engine.PolicyStrict, "priority band policy: strict (drain high first) or weighted (proportional shares)")
-	flag.StringVar(&cfg.bandWeights, "band-weights", "8,4,1", "weighted-policy dispatch shares for the high,normal,low bands")
-	flag.IntVar(&cfg.drrQuantum, "drr-quantum", 1, "operations served per client per round-robin turn within a band")
 	flag.DurationVar(&cfg.promoteAfter, "promote-after", 5*time.Second, "age at which a starved lower-band operation is promoted; <0 disables aging")
 	flag.Float64Var(&cfg.shedThreshold, "shed-threshold", 0, "shed submissions with 429 once queue depth reaches this fraction of capacity (0,1); 0 disables shedding")
 	flag.StringVar(&cfg.store, "store", "memory", "operation store backend: memory (state dies with the process) or wal (persistent write-ahead log under -wal-dir with crash recovery)")
@@ -107,13 +81,6 @@ func main() {
 // run wires the engine, store, and HTTP server together and blocks
 // until a signal triggers the drain sequence.
 func run(cfg daemonConfig) error {
-	if cfg.queuePolicy != engine.PolicyStrict && cfg.queuePolicy != engine.PolicyWeighted {
-		return fmt.Errorf("unknown -queue-policy %q (want %s or %s)", cfg.queuePolicy, engine.PolicyStrict, engine.PolicyWeighted)
-	}
-	weights, err := parseBandWeights(cfg.bandWeights)
-	if err != nil {
-		return fmt.Errorf("parsing -band-weights: %w", err)
-	}
 	if cfg.shedThreshold < 0 || cfg.shedThreshold >= 1 {
 		if cfg.shedThreshold != 0 {
 			return fmt.Errorf("-shed-threshold must be in (0,1) or 0 to disable, got %g", cfg.shedThreshold)
@@ -150,9 +117,6 @@ func run(cfg daemonConfig) error {
 		GCInterval:      cfg.gcInterval,
 		DefaultDeadline: cfg.defaultDeadline,
 		NoticeRingSize:  cfg.noticeRing,
-		QueuePolicy:     cfg.queuePolicy,
-		BandWeights:     weights,
-		DRRQuantum:      cfg.drrQuantum,
 		PromoteAfter:    cfg.promoteAfter,
 		ShedThreshold:   cfg.shedThreshold,
 	})
@@ -222,8 +186,8 @@ func run(cfg daemonConfig) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("daemon: listening on http://%s (store=%s workers=%d queue=%d shards=%d ttl=%s policy=%s shed=%g)",
-			cfg.addr, cfg.store, cfg.workers, cfg.queueDepth, cfg.storeShards, cfg.opTTL, cfg.queuePolicy, cfg.shedThreshold)
+		log.Printf("daemon: listening on http://%s (store=%s workers=%d queue=%d shards=%d ttl=%s shed=%g)",
+			cfg.addr, cfg.store, cfg.workers, cfg.queueDepth, cfg.storeShards, cfg.opTTL, cfg.shedThreshold)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return

@@ -40,8 +40,7 @@ const (
 )
 
 // Priority is the scheduling class of an Operation. The engine drains
-// higher bands first (strict policy) or in weighted proportion
-// (weighted policy); within a band, clients share the worker pool
+// higher bands first; within a band, clients share the worker pool
 // fairly. The empty string means "unset" and resolves at submission to
 // the kind's registered default, then to PriorityNormal.
 type Priority string

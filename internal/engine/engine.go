@@ -95,18 +95,6 @@ type Config struct {
 	// Once full, new notices overwrite the oldest; a long-poll cursor
 	// that falls off the ring resumes from the oldest retained notice.
 	NoticeRingSize int
-	// QueuePolicy selects how the scheduler drains priority bands:
-	// PolicyStrict (the default) serves the highest non-empty band
-	// first, PolicyWeighted gives each band a BandWeights-proportional
-	// share. Unknown values fall back to strict.
-	QueuePolicy string
-	// BandWeights are the per-band dispatch credits (high, normal,
-	// low) used by PolicyWeighted; entries < 1 default to {8, 4, 1}.
-	BandWeights [3]int
-	// DRRQuantum is how many operations one client may dispatch per
-	// round-robin turn within a band (default 1: strict per-client
-	// alternation).
-	DRRQuantum int
 	// PromoteAfter is the scheduler's aging threshold: an operation in
 	// a band below the one being served that has queued longer is
 	// dispatched next (capped at one aged dispatch in four, so aged
@@ -132,7 +120,7 @@ type Engine struct {
 	opTTL           time.Duration
 	gcInterval      time.Duration
 	// sched holds accepted-but-undispatched operations in priority
-	// bands of per-client DRR queues; tokens counts them, one token
+	// bands of per-client round-robin queues; tokens counts them, one token
 	// per scheduled item, so workers block on the channel and never
 	// poll the scheduler. Closing tokens (Shutdown) drains the
 	// remaining buffered tokens through the workers, emptying sched.
@@ -192,17 +180,6 @@ func New(cfg Config) *Engine {
 			cfg.GCInterval = time.Second
 		}
 	}
-	if cfg.QueuePolicy != PolicyWeighted {
-		cfg.QueuePolicy = PolicyStrict
-	}
-	for i, w := range cfg.BandWeights {
-		if w < 1 {
-			cfg.BandWeights[i] = []int{8, 4, 1}[i]
-		}
-	}
-	if cfg.DRRQuantum < 1 {
-		cfg.DRRQuantum = 1
-	}
 	switch {
 	case cfg.PromoteAfter == 0:
 		cfg.PromoteAfter = 5 * time.Second
@@ -230,7 +207,7 @@ func New(cfg Config) *Engine {
 		defaultDeadline: cfg.DefaultDeadline,
 		opTTL:           cfg.OpTTL,
 		gcInterval:      cfg.GCInterval,
-		sched:           newSchedQueue(cfg.QueuePolicy, cfg.BandWeights, cfg.DRRQuantum, cfg.PromoteAfter),
+		sched:           newSchedQueue(cfg.PromoteAfter),
 		tokens:          make(chan struct{}, cfg.QueueDepth),
 		shedAt:          shedAt,
 		slots:           make(chan struct{}, cfg.QueueDepth),

@@ -3,19 +3,16 @@ package engine
 // The scheduling layer that replaced the single FIFO dispatch channel.
 // Accepted operations land in a schedQueue: three priority bands
 // (high/normal/low), each holding per-client FIFO queues served in
-// deficit-round-robin order. Dispatch order is decided at dequeue
-// time, so one greedy tenant's backlog no longer sits in front of
-// everyone else's work:
+// round-robin order. Dispatch order is decided at dequeue time, so one
+// greedy tenant's backlog no longer sits in front of everyone else's
+// work:
 //
-//   - Between bands, the strict policy drains the highest non-empty
-//     band first; the weighted policy cycles bands with configurable
-//     credits so lower bands get a proportional share even under
-//     sustained high-priority load.
-//   - Within a band, each client gets one quantum of operations per
-//     round-robin turn (unit-cost DRR), so a client with 10,000 queued
-//     operations and a client with 1 alternate instead of the 10,000
-//     draining first.
-//   - An aging escape valve bounds starvation under the strict policy:
+//   - Between bands, the highest non-empty band is drained first.
+//   - Within a band, each client dispatches one operation per
+//     round-robin turn, so a client with 10,000 queued operations and a
+//     client with 1 alternate instead of the 10,000 draining first.
+//   - An aging escape valve bounds the starvation strict bands would
+//     otherwise allow:
 //     when the oldest waiter of a band below the currently served one
 //     has queued longer than promoteAfter, it is served next (it is by
 //     construction its client's FIFO head, so serving it is the
@@ -46,18 +43,8 @@ const numBands = 3
 // inverting the priority order.
 const agedEvery = 4
 
-// Scheduling policies selectable via Config.QueuePolicy.
-const (
-	// PolicyStrict drains the highest non-empty band first; lower bands
-	// progress only through the aging valve.
-	PolicyStrict = "strict"
-	// PolicyWeighted cycles bands with Config.BandWeights credits per
-	// round, giving every band a proportional share.
-	PolicyWeighted = "weighted"
-)
-
 // bandIndex maps a resolved priority onto its band slot; lower index
-// drains first under the strict policy.
+// drains first.
 func bandIndex(p core.Priority) int {
 	switch p {
 	case core.PriorityHigh:
@@ -91,13 +78,12 @@ type schedItem struct {
 	taken bool
 }
 
-// clientQueue is one client's FIFO within a band plus its DRR credit.
-// The head index avoids O(n) slice shifts on every pop.
+// clientQueue is one client's FIFO within a band. The head index avoids
+// O(n) slice shifts on every pop.
 type clientQueue struct {
-	key     string
-	items   []*schedItem
-	head    int
-	deficit int
+	key   string
+	items []*schedItem
+	head  int
 }
 
 func (cq *clientQueue) empty() bool { return cq.head >= len(cq.items) }
@@ -117,13 +103,13 @@ func (cq *clientQueue) pop() *schedItem {
 	return it
 }
 
-// schedBand is one priority band: per-client queues in DRR rotation
-// plus an arrival-order list that makes "oldest waiter" an O(1)
+// schedBand is one priority band: per-client queues in round-robin
+// rotation plus an arrival-order list that makes "oldest waiter" an O(1)
 // question for the aging valve.
 type schedBand struct {
 	clients map[string]*clientQueue
-	// active is the DRR rotation; active[0] is the client currently
-	// being served. Queues drained out-of-turn by the aging valve stay
+	// active is the round-robin rotation; active[0] is the client whose
+	// turn is next. Queues drained out-of-turn by the aging valve stay
 	// listed and are dropped lazily when their turn comes.
 	active  []*clientQueue
 	arrival []*schedItem
@@ -132,7 +118,7 @@ type schedBand struct {
 }
 
 // head returns the band's oldest pending item, compacting the arrival
-// list past items the DRR path already dispatched.
+// list past items already dispatched in turn.
 func (b *schedBand) head() *schedItem {
 	for b.astart < len(b.arrival) {
 		if it := b.arrival[b.astart]; !it.taken {
@@ -146,41 +132,36 @@ func (b *schedBand) head() *schedItem {
 	return nil
 }
 
-// next serves one item from the band in DRR order: the client at the
-// front of the rotation spends one deficit credit per operation and
-// rotates to the back when its quantum is spent.
-func (b *schedBand) next(quantum int) *schedItem {
+// next serves one item from the band in round-robin order: the client
+// at the front of the rotation dispatches one operation and goes to the
+// back.
+func (b *schedBand) next() *schedItem {
 	for len(b.active) > 0 {
 		cq := b.active[0]
+		b.active = b.active[1:]
 		if cq.empty() {
 			// Drained out of turn by the aging valve; retire the queue.
-			b.active = b.active[1:]
 			delete(b.clients, cq.key)
 			continue
 		}
-		if cq.deficit <= 0 {
-			cq.deficit = quantum
-		}
 		it := cq.pop()
 		it.taken = true
-		cq.deficit--
 		b.n--
 		if cq.empty() {
-			b.active = b.active[1:]
 			delete(b.clients, cq.key)
-		} else if cq.deficit == 0 {
-			b.active = append(b.active[1:], cq)
+		} else {
+			b.active = append(b.active, cq)
 		}
 		return it
 	}
 	return nil
 }
 
-// takeHead dispatches the band's oldest pending item out of DRR order
+// takeHead dispatches the band's oldest pending item out of turn
 // — the aging valve's promotion — returning the item actually removed.
 // The item is necessarily its client's FIFO head: it is the oldest
 // pending item of the whole band, and client queues pop oldest-first.
-// An emptied queue stays in active/clients; the DRR path retires it
+// An emptied queue stays in active/clients; next retires it
 // lazily when its turn comes, and re-adds land in the same queue.
 func (b *schedBand) takeHead(it *schedItem) *schedItem {
 	popped := b.clients[it.client].pop()
@@ -190,20 +171,12 @@ func (b *schedBand) takeHead(it *schedItem) *schedItem {
 }
 
 // schedQueue is the engine's dispatch queue: priority bands over
-// per-client DRR queues, guarded by one short-critical-section mutex.
+// per-client round-robin queues, guarded by one short-critical-section mutex.
 // Its type name places those critical sections under the lockscope
 // analyzer's no-blocking-under-lock contract.
 type schedQueue struct {
 	mu    sync.Mutex
 	bands [numBands]schedBand
-	// quantum is the DRR credit granted per client turn (operations).
-	quantum int
-	// weighted selects the weighted band policy; weights/credits/cur
-	// are its rotation state.
-	weighted bool
-	weights  [numBands]int
-	credits  [numBands]int
-	cur      int
 	// promoteAfter is the aging threshold; zero disables the valve.
 	promoteAfter time.Duration
 	// sinceAged counts takes since the last aged dispatch, for the
@@ -212,18 +185,10 @@ type schedQueue struct {
 	n         int
 }
 
-// newSchedQueue builds a scheduler; inputs are assumed normalized by
-// engine.New (policy a known constant, quantum >= 1, weights >= 1).
-func newSchedQueue(policy string, weights [numBands]int, quantum int, promoteAfter time.Duration) *schedQueue {
-	s := &schedQueue{
-		quantum:  quantum,
-		weighted: policy == PolicyWeighted,
-		weights:  weights,
-		// Credits start full so the very first take serves the highest
-		// band rather than skipping it while the rotation warms up.
-		credits:      weights,
-		promoteAfter: promoteAfter,
-	}
+// newSchedQueue builds a scheduler; promoteAfter <= 0 disables the aging
+// valve.
+func newSchedQueue(promoteAfter time.Duration) *schedQueue {
+	s := &schedQueue{promoteAfter: promoteAfter}
 	for i := range s.bands {
 		s.bands[i].clients = make(map[string]*clientQueue)
 	}
@@ -266,12 +231,7 @@ func (s *schedQueue) take(now time.Time) (string, bool) {
 		s.compact()
 		return it.id, true
 	}
-	var it *schedItem
-	if s.weighted {
-		it = s.takeWeighted()
-	} else {
-		it = s.takeStrict()
-	}
+	it := s.takeStrict()
 	if it == nil {
 		return "", false
 	}
@@ -295,7 +255,7 @@ func (s *schedQueue) compact() {
 }
 
 // takeAged is the starvation escape valve: among bands below the first
-// non-empty one (those the current policy may be under-serving), serve
+// non-empty one (those strict band order is starving), serve
 // the oldest waiter whose age crossed promoteAfter. Capped at one aged
 // dispatch per agedEvery takes.
 func (s *schedQueue) takeAged(now time.Time) *schedItem {
@@ -327,31 +287,10 @@ func (s *schedQueue) takeAged(now time.Time) *schedItem {
 func (s *schedQueue) takeStrict() *schedItem {
 	for i := range s.bands {
 		if s.bands[i].n > 0 {
-			return s.bands[i].next(s.quantum)
+			return s.bands[i].next()
 		}
 	}
 	return nil
-}
-
-// takeWeighted cycles bands in weighted round-robin: the current band
-// spends one credit per dispatch, and the rotation advances past a
-// band when it has nothing to serve or its credits are exhausted —
-// replenishing only exhausted credits, so a band skipped while empty
-// keeps its remaining share and the weights ratio holds among the
-// bands that have work. Two full cycles always reach a non-empty band
-// when one exists; the strict fallback is unreachable belt-and-braces.
-func (s *schedQueue) takeWeighted() *schedItem {
-	for tries := 0; tries < numBands*2; tries++ {
-		if s.credits[s.cur] > 0 && s.bands[s.cur].n > 0 {
-			s.credits[s.cur]--
-			return s.bands[s.cur].next(s.quantum)
-		}
-		if s.credits[s.cur] <= 0 {
-			s.credits[s.cur] = s.weights[s.cur]
-		}
-		s.cur = (s.cur + 1) % numBands
-	}
-	return s.takeStrict()
 }
 
 // depths reports the per-band and per-client pending counts for Stats

@@ -1,7 +1,7 @@
 package engine
 
 // Conformance tests for the scheduler layer: priority ordering under
-// contention, DRR fairness bounds, the aging escape valve, and the
+// contention, round-robin fairness bounds, the aging escape valve, and the
 // admission-control shed path. They share a gate pattern — a blocker
 // operation pins the single worker while the test shapes the queue, so
 // dispatch order is decided entirely by the scheduler, never by
@@ -264,47 +264,6 @@ func TestAgingPromotesStarvedLow(t *testing.T) {
 	}
 }
 
-// TestWeightedPolicySharesBands checks the weighted policy gives the
-// low band a proportional share instead of starving it behind high.
-func TestWeightedPolicySharesBands(t *testing.T) {
-	rec := &orderRecorder{}
-	e, started, release := gatedEngine(t, Config{
-		QueuePolicy:  PolicyWeighted,
-		BandWeights:  [3]int{2, 1, 1},
-		PromoteAfter: -time.Second,
-	}, rec)
-	startBlocker(t, e, started)
-
-	for i := 0; i < 20; i++ {
-		submitTag(t, e, "high", AtPriority(core.PriorityHigh))
-	}
-	for i := 0; i < 5; i++ {
-		submitTag(t, e, "low", AtPriority(core.PriorityLow))
-	}
-	close(release)
-	got := drainTags(t, rec, 25)
-
-	// With weights 2:1:1 the low band must finish while high work
-	// remains; under the strict policy all 20 highs would come first.
-	lowDone, highBefore := 0, 0
-	for _, tag := range got {
-		if tag == "low" {
-			lowDone++
-			if lowDone == 5 {
-				break
-			}
-			continue
-		}
-		highBefore++
-	}
-	if lowDone != 5 {
-		t.Fatalf("low band never drained: %v", got)
-	}
-	if highBefore >= 20 {
-		t.Errorf("all 20 high ops completed before the low band drained; weighted policy not sharing: %v", got)
-	}
-}
-
 // TestShedReturnsErrSaturated fills the queue to the shed threshold
 // and checks admission control refuses further work with ErrSaturated,
 // a populated RetryAfter, and Stats reporting the shed state.
@@ -365,34 +324,18 @@ func TestShedReturnsErrSaturated(t *testing.T) {
 // arrival bounded by pending items.
 func TestSchedArrivalStaysCompacted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	for _, policy := range []string{PolicyStrict, PolicyWeighted} {
-		// promoteAfter 0 disables aging — the worst case for the leak.
-		s := newSchedQueue(policy, [3]int{8, 4, 1}, 1, 0)
-		for i := 0; i < 1000; i++ {
-			s.add("op", "client", 1, now)
-			if _, ok := s.take(now); !ok {
-				t.Fatalf("[%s] take on non-empty queue reported empty", policy)
-			}
-		}
-		b := &s.bands[1]
-		if len(b.arrival) != 0 || b.astart != 0 {
-			t.Errorf("[%s] arrival not compacted after steady-state drain: len=%d astart=%d, want 0/0",
-				policy, len(b.arrival), b.astart)
+	// promoteAfter 0 disables aging — the worst case for the leak.
+	s := newSchedQueue(0)
+	for i := 0; i < 1000; i++ {
+		s.add("op", "client", 1, now)
+		if _, ok := s.take(now); !ok {
+			t.Fatal("take on non-empty queue reported empty")
 		}
 	}
-}
-
-// TestWeightedFirstTakeServesHigh guards the credit initialization:
-// credits used to start at zero and replenish only when the rotation
-// advanced into a band, so the very first take skipped the high band
-// and served lower-priority work ahead of queued high-priority work.
-func TestWeightedFirstTakeServesHigh(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := newSchedQueue(PolicyWeighted, [3]int{2, 1, 1}, 1, 0)
-	s.add("n", "c", bandIndex(core.PriorityNormal), now)
-	s.add("h", "c", bandIndex(core.PriorityHigh), now)
-	if id, ok := s.take(now); !ok || id != "h" {
-		t.Errorf("first weighted take = %q (ok=%v), want the high-band op", id, ok)
+	b := &s.bands[1]
+	if len(b.arrival) != 0 || b.astart != 0 {
+		t.Errorf("arrival not compacted after steady-state drain: len=%d astart=%d, want 0/0",
+			len(b.arrival), b.astart)
 	}
 }
 
