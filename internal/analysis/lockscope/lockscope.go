@@ -6,7 +6,11 @@
 // section into a stall or a self-deadlock. For the scheduler the rule
 // additionally forces time to be sampled outside the lock: the
 // engine's clock is a function value, and calling it under schedQueue.mu
-// would run arbitrary test clocks inside the dispatch hot path.
+// would run arbitrary test clocks inside the dispatch hot path. That
+// mutex also delimits admission and the idle workers' park: the park is
+// a sync.Cond.Wait on the policed mutex itself, which releases it while
+// waiting and so is no finding (no rule names it; the fixture pins
+// that), whereas parking on a channel there would be.
 // For the watch hub specifically, the rule forces the wake protocol:
 // notify must detach the waiter list under the lock and perform the
 // channel sends after unlock — a send under the shard lock is exactly

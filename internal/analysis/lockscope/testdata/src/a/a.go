@@ -207,40 +207,80 @@ func swapThenBroadcast(r *noticeRing) {
 }
 
 // schedQueue mirrors the engine's dispatch scheduler: per-client
-// queues drained under one short-critical-section mutex, with time
-// sampled by callers because the clock is a function value.
+// queues drained under one short-critical-section mutex that also
+// delimits admission and the idle workers' park, with time sampled by
+// callers because the clock is a function value.
 type schedQueue struct {
 	mu    sync.Mutex
+	wake  sync.Cond // L is &mu
 	items []string
 	clock func() int64
 }
 
+// parkUnderSchedLock is the worker's park: sync.Cond.Wait on the policed
+// mutex releases it while waiting, so it is the one wait allowed inside
+// the section.
+func parkUnderSchedLock(q *schedQueue) string {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.items) == 0 {
+		q.wake.Wait()
+	}
+	it := q.items[0]
+	q.items = q.items[1:]
+	return it
+}
+
 // clockUnderSchedLock calls the clock function value inside the
 // dispatch critical section — arbitrary (test-injected) code under the
-// hottest lock in the engine.
+// hottest lock in the engine. A worker woken from its park samples the
+// clock after releasing the lock instead.
 func clockUnderSchedLock(q *schedQueue) int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	for len(q.items) == 0 {
+		q.wake.Wait()
+	}
 	return q.clock() // want `call through function value clock inside a shard critical section`
 }
 
-// tokenSendUnderSchedLock hands a dispatch token over while holding
-// the queue lock; a full token channel stalls every submitter.
-func tokenSendUnderSchedLock(q *schedQueue, tokens chan struct{}) {
+// sendUnderSchedLock wakes a worker through a channel while holding the
+// queue lock; a full channel stalls every submitter.
+func sendUnderSchedLock(q *schedQueue, ready chan struct{}) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	tokens <- struct{}{} // want `channel send inside the q\.mu critical section`
+	ready <- struct{}{} // want `channel send inside the q\.mu critical section`
 }
 
-// sampleThenAdd is the sanctioned scheduler pattern: sample the clock
-// and send the token outside the lock, touch only slices within it.
-func sampleThenAdd(q *schedQueue, tokens chan struct{}, id string) {
+// receiveUnderSchedLock parks on a channel instead of the condition:
+// unlike Cond.Wait it keeps the lock, so no commit can ever get in to
+// wake it.
+func receiveUnderSchedLock(q *schedQueue, ready chan struct{}) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	<-ready // want `channel receive inside the q\.mu critical section`
+}
+
+// storeUnderSchedLock writes the admitted batch inside the admission
+// section; the store write belongs between reserve and commit, with no
+// lock held.
+func storeUnderSchedLock(q *schedQueue, s Store, id string) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.items = append(q.items, id)
+	s.Put(id, 1) // want `call to Store\.Put inside a shard critical section`
+}
+
+// sampleThenCommit is the sanctioned scheduler pattern: sample the clock
+// outside the lock, touch only slices within it, signal the condition
+// (which never blocks) on the way out.
+func sampleThenCommit(q *schedQueue, id string) {
 	now := q.clock()
 	_ = now
 	q.mu.Lock()
 	q.items = append(q.items, id)
 	q.mu.Unlock()
-	tokens <- struct{}{}
+	q.wake.Signal()
 }
 
 // walBatch mirrors the WAL's group-commit staging buffer: the

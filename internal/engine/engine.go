@@ -71,9 +71,9 @@ func WithPriority(p core.Priority) RegisterOption {
 type Config struct {
 	// Workers is the number of concurrent executors (default 4).
 	Workers int
-	// QueueDepth bounds the number of queued-but-unstarted
-	// operations (default 1024). Submissions beyond it fail fast
-	// with core.ErrQueueFull instead of blocking the API.
+	// QueueDepth bounds the number of accepted operations no worker
+	// has picked up yet (default 1024). Submissions beyond it fail
+	// fast with core.ErrQueueFull instead of blocking the API.
 	QueueDepth int
 	// Store holds operation state (default
 	// NewShardedStore(DefaultShardCount)).
@@ -120,28 +120,21 @@ type Engine struct {
 	opTTL           time.Duration
 	gcInterval      time.Duration
 	// sched holds accepted-but-undispatched operations in priority
-	// bands of per-client round-robin queues; tokens counts them, one token
-	// per scheduled item, so workers block on the channel and never
-	// poll the scheduler. Closing tokens (Shutdown) drains the
-	// remaining buffered tokens through the workers, emptying sched.
-	sched  *schedQueue
-	tokens chan struct{}
+	// bands of per-client round-robin queues, and owns admission: the
+	// depth bounds, shutdown's closed flag and the wake-up of idle
+	// workers all live behind its one mutex (see schedQueue).
+	sched *schedQueue
 	// meter tracks the observed drain rate; RetryAfter divides queue
 	// depth by it to tell shed clients when to come back.
-	meter drainMeter
-	// shedAt is the queue depth at which admission control starts
-	// refusing submissions with core.ErrSaturated; shedAt >= queue
-	// capacity disables shedding.
-	shedAt      int
-	slots       chan struct{}
+	meter       drainMeter
 	drained     chan struct{}
 	janitorStop chan struct{}
 	wg          sync.WaitGroup
 	runCtx      context.Context
 	runStop     context.CancelFunc
-	mu          sync.RWMutex
-	handlers    map[string]registration
-	closed      bool
+	// mu guards the handler table and nothing else.
+	mu       sync.RWMutex
+	handlers map[string]registration
 
 	// cancels is the sharded registry of in-flight operations' cancel
 	// functions. It has its own locks so Cancel never contends with
@@ -186,15 +179,6 @@ func New(cfg Config) *Engine {
 	case cfg.PromoteAfter < 0:
 		cfg.PromoteAfter = 0 // aging disabled
 	}
-	// Shedding starts at ceil(threshold * capacity) queued operations;
-	// outside (0, 1) only the hard ErrQueueFull bound applies.
-	shedAt := cfg.QueueDepth + 1
-	if cfg.ShedThreshold > 0 && cfg.ShedThreshold < 1 {
-		shedAt = int(math.Ceil(cfg.ShedThreshold * float64(cfg.QueueDepth)))
-		if shedAt < 1 {
-			shedAt = 1
-		}
-	}
 	// The engine's run context is the process-lifetime root that every
 	// handler context derives from; it is cancelled by Shutdown, not by
 	// any caller, so a detached root is the correct shape here.
@@ -207,10 +191,7 @@ func New(cfg Config) *Engine {
 		defaultDeadline: cfg.DefaultDeadline,
 		opTTL:           cfg.OpTTL,
 		gcInterval:      cfg.GCInterval,
-		sched:           newSchedQueue(cfg.PromoteAfter),
-		tokens:          make(chan struct{}, cfg.QueueDepth),
-		shedAt:          shedAt,
-		slots:           make(chan struct{}, cfg.QueueDepth),
+		sched:           newSchedQueue(cfg.QueueDepth, cfg.ShedThreshold, cfg.PromoteAfter),
 		drained:         make(chan struct{}),
 		janitorStop:     make(chan struct{}),
 		runCtx:          ctx,
@@ -267,7 +248,8 @@ type Stats struct {
 	// Workers is the configured executor count.
 	Workers int `json:"workers"`
 	// QueueDepth is the number of accepted operations no worker has
-	// picked up yet.
+	// picked up yet: those scheduled for dispatch plus those admitted
+	// and still being stored.
 	QueueDepth int `json:"queue_depth"`
 	// QueueCapacity is the configured queue bound; submissions beyond
 	// it fail fast.
@@ -321,23 +303,22 @@ type durableStore interface {
 	WALStats() WALStats
 }
 
-// Stats reports queue and store saturation. QueueDepth counts reserved
-// queue slots, so it includes operations between acceptance and
-// dequeue.
+// Stats reports queue and store saturation from one consistent reading
+// of the scheduler; QueueDepth also counts operations admitted but not
+// yet scheduled, which QueueBands and QueueClients cannot attribute yet.
 func (e *Engine) Stats() Stats {
-	bands, clients := e.sched.depths()
-	depth := len(e.slots)
+	depth, bands, clients := e.sched.depths()
 	st := Stats{
 		Workers:       e.workers,
 		QueueDepth:    depth,
-		QueueCapacity: cap(e.slots),
+		QueueCapacity: e.sched.capacity,
 		StoreLen:      e.store.Len(),
 		WatchWaiters:  e.watch.waiters(),
 		LastNotice:    e.notices.last(),
 		QueueBands:    bands,
 		QueueClients:  clients,
-		Shedding:      depth >= e.shedAt,
-		ShedAt:        e.shedAt,
+		Shedding:      depth >= e.sched.shedAt,
+		ShedAt:        e.sched.shedAt,
 		DrainPerSec:   e.meter.rate(e.clock()),
 	}
 	if ds, ok := e.store.(durableStore); ok {
@@ -364,7 +345,7 @@ func (e *Engine) RetryAfter() time.Duration {
 	if rate <= 0 {
 		return retryCeiling
 	}
-	d := time.Duration(math.Ceil(float64(len(e.slots))/rate)) * time.Second
+	d := time.Duration(math.Ceil(float64(e.sched.depth())/rate)) * time.Second
 	if d < time.Second {
 		return time.Second
 	}
@@ -437,8 +418,9 @@ func (e *Engine) Submit(ctx context.Context, kind string, params map[string]any,
 // are amortised into a single PutBatch call, so large batches take
 // each store lock O(shards) times instead of O(items). The context
 // covers admission only (see Submit): once the batch is validated and
-// its queue slots are reserved it commits, so a context cancelled
-// mid-flight never yields a half-enqueued batch.
+// admitted it commits, so a context cancelled mid-flight never yields a
+// half-enqueued batch. Nothing of a refused batch is ever stored, and a
+// batch admitted just before Shutdown is drained with the rest.
 func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...SubmitOption) ([]*core.Operation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -446,13 +428,13 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	if len(items) == 0 {
 		return nil, &core.InvalidError{Field: "batch", Reason: "must contain at least one item"}
 	}
-	if len(items) > cap(e.slots) {
+	if len(items) > e.sched.capacity {
 		// Such a batch can never be accepted, so reject it as a
 		// client error rather than ErrQueueFull, whose "retry later"
 		// semantics would have the client retry forever.
 		return nil, &core.InvalidError{
 			Field:  "batch",
-			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), cap(e.slots)),
+			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), e.sched.capacity),
 		}
 	}
 	var sub submitOptions
@@ -540,72 +522,23 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 		op.CreatedAt, op.UpdatedAt = born, born
 	}
 
-	// Reserve queue slots before storing, so a queue-full rejection
-	// is never visible through Get/List (a submission racing
-	// Shutdown can still be stored transiently before the second
-	// closed-check deletes it), and store outside the lock so a
-	// (possibly slow, pluggable) PutBatch doesn't serialize
-	// submitters. Workers release slots when they dequeue, which
-	// guarantees the reserved sends below cannot block; the lock
-	// keeps closed-checks atomic with Shutdown closing the queue.
-	// Reservation is all-or-nothing: on a full queue the tokens taken
-	// so far are drained back, which cannot block because every other
-	// token in the channel is backed by a scheduled operation a worker
-	// has not yet dequeued. Admission control runs first and accounts
-	// for the batch size, so shedAt is a hard depth bound: a batch
-	// that would push depth past the shed threshold is refused whole
-	// with ErrSaturated, the typed signal the API turns into 429 +
-	// Retry-After. (For a single operation this is the familiar
-	// "refuse once depth reached shedAt".)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, core.ErrShuttingDown
+	// Admission is decided before anything is stored, so a refused
+	// batch is never visible through Get/List, and what is admitted is
+	// stored with no lock held, so a (possibly slow, pluggable) PutBatch
+	// does not serialize submitters. From here the batch commits: its
+	// reservation counts as queue depth and Shutdown's drain waits for it.
+	if err := e.sched.reserve(len(ops)); err != nil {
+		return nil, err
 	}
-	if len(e.slots)+len(ops) > e.shedAt {
-		e.mu.Unlock()
-		return nil, core.ErrSaturated
-	}
-	reserved := 0
-	for range ops {
-		select {
-		case e.slots <- struct{}{}:
-			reserved++
-		default:
-			for ; reserved > 0; reserved-- {
-				<-e.slots
-			}
-			e.mu.Unlock()
-			return nil, core.ErrQueueFull
-		}
-	}
-	e.mu.Unlock()
-
 	e.store.PutBatch(ops)
-
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		for range ops {
-			<-e.slots
-		}
-		for _, op := range ops {
-			e.store.Delete(op.ID)
-		}
-		return nil, core.ErrShuttingDown
-	}
 	// Record the birth transitions in the feed so a notices watcher
-	// sees new operations appear, not just settle — and before the
-	// tokens below let a worker at them, or a fast operation's running
-	// notice could precede its queued one. No hub notify: a client
-	// cannot hold a waiter for an ID it has not been handed yet, and
-	// the submit response already carries the queued snapshot.
+	// sees new operations appear, not just settle — and before commit
+	// lets a worker at them, or a fast operation's running notice could
+	// precede its queued one. No hub notify: a client cannot hold a
+	// waiter for an ID it has not been handed yet, and the submit
+	// response already carries the queued snapshot.
 	e.notices.appendQueued(ops)
-	for _, op := range ops {
-		e.sched.add(op.ID, sub.client, bandIndex(op.Priority), now)
-		e.tokens <- struct{}{}
-	}
-	e.mu.Unlock()
+	e.sched.commit(ops, now)
 	return ops, nil
 }
 
@@ -685,25 +618,22 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 	return e.store.Get(id)
 }
 
-// Shutdown stops accepting submissions, drains queued operations, and
-// waits for in-flight handlers to finish. If ctx expires first, the
+// Shutdown stops accepting submissions, drains queued operations —
+// including any batch admitted before the call and still being stored —
+// and waits for in-flight handlers to finish. If ctx expires first, the
 // handlers' run context is cancelled — and with it every in-flight
 // operation's context, the same path Cancel uses — and Shutdown
 // returns ctx.Err() immediately; a handler that ignores its context
 // may still be running, so the caller decides whether to wait longer
 // or exit. Concurrent and repeated calls all observe the same drain.
 func (e *Engine) Shutdown(ctx context.Context) error {
-	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.tokens)
+	if e.sched.close() {
 		close(e.janitorStop)
 		go func() {
 			e.wg.Wait()
 			close(e.drained)
 		}()
 	}
-	e.mu.Unlock()
 
 	select {
 	case <-e.drained:
@@ -731,8 +661,10 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 // worse than an honest failure the client can retry. Call it once,
 // after New and handler registration, before serving traffic. It
 // returns how many operations were requeued and how many were marked
-// interrupted; recovered queued work that no longer fits the queue is
-// also marked interrupted rather than dropped. The context bounds the
+// interrupted; recovered queued work goes through the same admission
+// as a submission, and what the queue's bounds (the shed threshold
+// included) no longer admit is also marked interrupted rather than
+// dropped. The context bounds the
 // walk, not the recovered operations' execution.
 func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err error) {
 	ops, err := e.store.List(ListQuery{})
@@ -760,25 +692,18 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 				interrupted++
 			}
 		case core.StatusQueued:
-			e.mu.Lock()
-			if e.closed {
-				e.mu.Unlock()
-				return requeued, interrupted, core.ErrShuttingDown
-			}
-			select {
-			case e.slots <- struct{}{}:
-				// Slot reserved, so the token send cannot block — the
-				// same invariant SubmitBatch relies on. First re-announce
-				// the queued operation in the (empty after restart)
-				// notices feed, mirroring SubmitBatch's birth notice.
+			switch err := e.sched.reserve(1); {
+			case err == nil:
+				// Re-announce the queued operation in the (empty after
+				// restart) notices feed, mirroring SubmitBatch's birth
+				// notice.
 				e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
-				e.sched.add(op.ID, op.Client, bandIndex(op.Priority), e.clock())
-				e.tokens <- struct{}{}
-				e.mu.Unlock()
+				e.sched.commit(ops[i:i+1], e.clock())
 				requeued++
+			case errors.Is(err, core.ErrShuttingDown):
+				return requeued, interrupted, err
 			default:
-				e.mu.Unlock()
-				// More recovered work than queue capacity; failing the
+				// More recovered work than the queue admits; failing the
 				// overflow honestly beats dropping it silently.
 				if tr.do(op.ID, core.StatusFailed, nil, core.ErrInterrupted) {
 					interrupted++
@@ -825,23 +750,21 @@ func (e *Engine) worker() {
 	defer e.wg.Done()
 	// One call record serves every transition this worker ever makes.
 	tr := newTransitioner(e)
-	// Each token in the channel is backed by exactly one scheduled
-	// operation, so every successful receive corresponds to one
-	// successful take; which operation is decided here, at dispatch
-	// time, by the scheduler's priority/fairness policy rather than by
-	// arrival order.
-	for range e.tokens {
-		<-e.slots
+	// Which operation runs next is decided here, at dispatch time, by
+	// the scheduler's priority/fairness order rather than by arrival
+	// order. The clock is read outside the scheduler's lock, and again
+	// after every park: take returns empty-handed from one rather than
+	// dispatch on a reading that predates the wait.
+	for {
 		now := e.clock()
-		id, ok := e.sched.take(now)
-		if !ok {
-			// Unreachable by construction; release the slot rather
-			// than leak it if the invariant is ever broken.
-			e.slots <- struct{}{}
-			continue
+		id, ok, done := e.sched.take(now)
+		if done {
+			return
 		}
-		e.meter.record(now)
-		e.run(tr, id)
+		if ok {
+			e.meter.record(now)
+			e.run(tr, id)
+		}
 	}
 }
 
@@ -855,8 +778,8 @@ func (e *Engine) run(tr *transitioner, id string) {
 		return
 	}
 	if op.Status.Terminal() {
-		// Cancelled while queued; the slot is already released, the
-		// store already records the terminal state, nothing runs.
+		// Cancelled while queued; the store already records the
+		// terminal state, nothing runs.
 		return
 	}
 	reg, ok := e.registration(op.Kind)

@@ -12,23 +12,25 @@ package engine
 //     round-robin turn, so a client with 10,000 queued operations and a
 //     client with 1 alternate instead of the 10,000 draining first.
 //   - An aging escape valve bounds the starvation strict bands would
-//     otherwise allow:
-//     when the oldest waiter of a band below the currently served one
-//     has queued longer than promoteAfter, it is served next (it is by
-//     construction its client's FIFO head, so serving it is the
-//     promotion). The valve is capped at one aged dispatch per
-//     agedEvery takes so a flood of aged low-priority work cannot
-//     invert the bands.
+//     otherwise allow: when the oldest waiter of a band below the
+//     currently served one has queued longer than promoteAfter, it is
+//     served next (it is by construction its client's FIFO head, so
+//     serving it is the promotion). The valve is capped at one aged
+//     dispatch per agedEvery takes so a flood of aged low-priority work
+//     cannot invert the bands.
 //
 // Concurrency contract: schedQueue.mu guards a few map/slice
-// operations and nothing else. Its name places its critical sections
-// under the lockscope analyzer — no channel operations, callbacks,
-// Store calls, or re-entrant shard locking while it is held. Time is
+// operations, the admission arithmetic and the workers' park, and
+// nothing else. Its name places its critical sections under the
+// lockscope analyzer — no channel operations, callbacks, Store calls,
+// or re-entrant shard locking while it is held; the one wait is
+// sync.Cond.Wait on this very mutex, which releases it. Time is
 // sampled by callers and passed in, because the engine's clock is a
 // function value the analyzer (rightly) refuses to see invoked under
 // the lock.
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -89,8 +91,6 @@ type clientQueue struct {
 func (cq *clientQueue) empty() bool { return cq.head >= len(cq.items) }
 
 func (cq *clientQueue) pending() int { return len(cq.items) - cq.head }
-
-func (cq *clientQueue) push(it *schedItem) { cq.items = append(cq.items, it) }
 
 func (cq *clientQueue) pop() *schedItem {
 	it := cq.items[cq.head]
@@ -170,74 +170,158 @@ func (b *schedBand) takeHead(it *schedItem) *schedItem {
 	return popped
 }
 
-// schedQueue is the engine's dispatch queue: priority bands over
-// per-client round-robin queues, guarded by one short-critical-section mutex.
-// Its type name places those critical sections under the lockscope
-// analyzer's no-blocking-under-lock contract.
+// schedQueue is the engine's dispatch queue and the single owner of
+// admission: priority bands over per-client round-robin queues, the
+// depth bounds, the closed flag and the condition idle workers park on,
+// under one short-critical-section mutex whose type name places it
+// under the lockscope analyzer's no-blocking-under-lock contract.
+//
+// Queue depth is what is scheduled (the bands' counts) plus what is
+// held; nothing else counts operations. A submission is reserve, the
+// store write with no lock held, then commit. There is no release:
+// commit works on a closed queue, so what reserve admitted is drained
+// like everything admitted before it, never erased.
 type schedQueue struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// wake parks idle workers (L is &mu). commit signals it per item;
+	// whoever makes take's done condition true — close, or the take
+	// that empties a closed queue — broadcasts.
+	wake  sync.Cond
 	bands [numBands]schedBand
+	// capacity is the hard depth bound; shedAt is the depth past which
+	// admission sheds, capacity+1 when no threshold is configured. Both
+	// are fixed at construction and read without the lock.
+	capacity int
+	shedAt   int
+	// held counts reservations granted by reserve and not yet turned
+	// into scheduled items by commit.
+	held   int
+	closed bool
 	// promoteAfter is the aging threshold; zero disables the valve.
 	promoteAfter time.Duration
 	// sinceAged counts takes since the last aged dispatch, for the
 	// 1-in-agedEvery cap.
 	sinceAged int
-	n         int
 }
 
-// newSchedQueue builds a scheduler; promoteAfter <= 0 disables the aging
-// valve.
-func newSchedQueue(promoteAfter time.Duration) *schedQueue {
-	s := &schedQueue{promoteAfter: promoteAfter}
+// newSchedQueue builds a scheduler admitting up to capacity operations.
+// A shedThreshold in (0, 1) starts shedding at ceil(threshold *
+// capacity); any other value disables it. promoteAfter <= 0 disables
+// the aging valve.
+func newSchedQueue(capacity int, shedThreshold float64, promoteAfter time.Duration) *schedQueue {
+	s := &schedQueue{capacity: capacity, shedAt: capacity + 1, promoteAfter: promoteAfter}
+	s.wake.L = &s.mu
+	if shedThreshold > 0 && shedThreshold < 1 {
+		s.shedAt = int(math.Ceil(shedThreshold * float64(capacity)))
+	}
 	for i := range s.bands {
 		s.bands[i].clients = make(map[string]*clientQueue)
 	}
 	return s
 }
 
-// add enqueues an accepted operation under its client's queue in the
-// given band. now is sampled by the caller (the engine clock is a
-// function value, not callable under the lock).
-func (s *schedQueue) add(id, client string, band int, now time.Time) {
-	it := &schedItem{id: id, client: client, enqueued: now}
-	s.mu.Lock()
-	b := &s.bands[band]
-	cq := b.clients[client]
-	if cq == nil {
-		cq = &clientQueue{key: client}
-		b.clients[client] = cq
-		b.active = append(b.active, cq)
+// scheduled counts the operations awaiting dispatch; callers hold s.mu.
+func (s *schedQueue) scheduled() int {
+	n := 0
+	for i := range s.bands {
+		n += s.bands[i].n
 	}
-	cq.push(it)
-	b.arrival = append(b.arrival, it)
-	b.n++
-	s.n++
-	s.mu.Unlock()
+	return n
 }
 
-// take dispatches the next operation, or reports false on an empty
-// queue. The engine's token channel guarantees one successful take per
-// token, so false indicates a bookkeeping bug, not a race.
-func (s *schedQueue) take(now time.Time) (string, bool) {
+// reserve admits k operations or refuses them all, and is the one place
+// a submission's admission error is decided: core.ErrShuttingDown once
+// closed; core.ErrSaturated when a shed threshold is configured and the
+// k would push depth past it (a hard bound, batches included);
+// core.ErrQueueFull when they would push depth past capacity. A granted
+// reservation must be followed by a commit of exactly those k.
+func (s *schedQueue) reserve(k int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n == 0 {
-		return "", false
+	depth := s.scheduled() + s.held + k
+	switch {
+	case s.closed:
+		return core.ErrShuttingDown
+	case s.shedAt <= s.capacity && depth > s.shedAt:
+		return core.ErrSaturated
+	case depth > s.capacity:
+		return core.ErrQueueFull
+	}
+	s.held += k
+	return nil
+}
+
+// commit turns len(ops) reservations into scheduled items, each filed
+// under its operation's priority band and client queue, in one critical
+// section, and wakes one worker per item. now is sampled by the caller
+// (the engine clock is a function value, not callable under the lock).
+func (s *schedQueue) commit(ops []*core.Operation, now time.Time) {
+	// One allocation per batch; the items are pointed into, never copied.
+	items := make([]schedItem, len(ops))
+	for i, op := range ops {
+		items[i] = schedItem{id: op.ID, client: op.Client, enqueued: now}
+	}
+	s.mu.Lock()
+	for i, op := range ops {
+		it := &items[i]
+		b := &s.bands[bandIndex(op.Priority)]
+		cq := b.clients[it.client]
+		if cq == nil {
+			cq = &clientQueue{key: it.client}
+			b.clients[it.client] = cq
+			b.active = append(b.active, cq)
+		}
+		cq.items = append(cq.items, it)
+		b.arrival = append(b.arrival, it)
+		b.n++
+	}
+	s.held -= len(ops)
+	s.mu.Unlock()
+	for range ops {
+		s.wake.Signal()
+	}
+}
+
+// take dispatches the next operation (ok). With nothing scheduled it
+// parks the calling worker until a commit or close wakes it and returns
+// without dispatching: now predates the park, and the aging valve must
+// not judge waiting times by a reading from before an idle wait, so the
+// worker samples its clock again and calls back. done is reported only
+// once the queue is closed, empty and owes no reservation — a batch
+// admitted before close is still waited for and dispatched.
+func (s *schedQueue) take(now time.Time) (id string, ok, done bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.scheduled() == 0 {
+		if s.closed && s.held == 0 {
+			return "", false, true
+		}
+		s.wake.Wait()
+		return "", false, false
 	}
 	s.sinceAged++
-	if it := s.takeAged(now); it != nil {
-		s.sinceAged = 0
-		s.n--
-		s.compact()
-		return it.id, true
-	}
-	it := s.takeStrict()
+	it := s.takeAged(now)
 	if it == nil {
-		return "", false
+		it = s.takeStrict()
 	}
-	s.n--
 	s.compact()
-	return it.id, true
+	if s.closed && s.held == 0 && s.scheduled() == 0 {
+		s.wake.Broadcast()
+	}
+	return it.id, true, false
+}
+
+// close stops admission and reports whether this call was the one that
+// did. Workers keep dispatching until take reports done.
+func (s *schedQueue) close() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.closed = true
+	s.wake.Broadcast()
+	return true
 }
 
 // compact advances every band's arrival list past already-dispatched
@@ -280,6 +364,7 @@ func (s *schedQueue) takeAged(now time.Time) *schedItem {
 	if oldest == nil {
 		return nil
 	}
+	s.sinceAged = 0
 	return s.bands[oldestBand].takeHead(oldest)
 }
 
@@ -293,12 +378,14 @@ func (s *schedQueue) takeStrict() *schedItem {
 	return nil
 }
 
-// depths reports the per-band and per-client pending counts for Stats
-// and /v1/health. The per-client map aggregates across bands.
-func (s *schedQueue) depths() (bands map[string]int, clients map[string]int) {
+// depths reports the queue depth (scheduled plus held) and the per-band
+// and per-client scheduled counts, read in one critical section, for
+// Stats and /v1/health. The per-client map aggregates across bands.
+func (s *schedQueue) depths() (depth int, bands map[string]int, clients map[string]int) {
 	bands = make(map[string]int, numBands)
 	clients = make(map[string]int)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i := range s.bands {
 		b := &s.bands[i]
 		bands[string(bandPriority(i))] = b.n
@@ -308,6 +395,12 @@ func (s *schedQueue) depths() (bands map[string]int, clients map[string]int) {
 			}
 		}
 	}
-	s.mu.Unlock()
-	return bands, clients
+	return s.scheduled() + s.held, bands, clients
+}
+
+// depth is depths without the maps, for RetryAfter.
+func (s *schedQueue) depth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.scheduled() + s.held
 }

@@ -325,10 +325,14 @@ func TestShedReturnsErrSaturated(t *testing.T) {
 func TestSchedArrivalStaysCompacted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	// promoteAfter 0 disables aging — the worst case for the leak.
-	s := newSchedQueue(0)
+	s := newSchedQueue(1024, 0, 0)
+	ops := []*core.Operation{{ID: "op", Client: "client", Priority: core.PriorityNormal}}
 	for i := 0; i < 1000; i++ {
-		s.add("op", "client", 1, now)
-		if _, ok := s.take(now); !ok {
+		if err := s.reserve(1); err != nil {
+			t.Fatalf("reserve on an empty queue: %v", err)
+		}
+		s.commit(ops, now)
+		if _, ok, _ := s.take(now); !ok {
 			t.Fatal("take on non-empty queue reported empty")
 		}
 	}
@@ -386,6 +390,17 @@ func TestShedDisabledByDefault(t *testing.T) {
 	submitTag(t, e, "b")
 	if _, err := e.Submit(context.Background(), "tag", map[string]any{"tag": "c"}); !errors.Is(err, core.ErrQueueFull) {
 		t.Fatalf("overfull submit = %v, want ErrQueueFull", err)
+	}
+	// Overflowing by more than one is still "full", not "shedding": the
+	// disabled threshold used to be encoded as capacity+1 and compared
+	// first, so only an overflow of exactly one reached ErrQueueFull.
+	over := []BatchItem{{Kind: "tag"}, {Kind: "tag"}}
+	if _, err := e.SubmitBatch(context.Background(), over); !errors.Is(err, core.ErrQueueFull) {
+		t.Fatalf("batch overflowing a full queue by two = %v, want ErrQueueFull", err)
+	}
+	if st := e.Stats(); st.Shedding || st.ShedAt <= st.QueueCapacity {
+		t.Errorf("Stats on a full queue with shedding disabled: shedding=%v shed_at=%d capacity=%d, want false and shed_at above capacity",
+			st.Shedding, st.ShedAt, st.QueueCapacity)
 	}
 }
 
