@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-allocs lint vet fmt-check fmt bench bench-e2e bench-wal test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all build test test-allocs lint vet fmt-check fmt bench bench-e2e bench-wal mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
 
 all: build lint fmt-check test
 
@@ -85,6 +85,18 @@ bench-e2e:
 # -benchmem is always on here. See docs/performance.md.
 bench-wal:
 	$(GO) test -bench 'WAL' -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/
+
+# The contention profile docs/performance.md quotes: the batch-10 submit
+# benchmark at 2 and 8 procs (all four store/cpu rows in one profile)
+# with the mutex profiler on, then the engine's lines of the cumulative
+# top. It prints numbers and gates nothing, so it is in neither `make
+# all` nor CI; offline, and it writes only under .bench_build/.
+mutex-profile:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkAPISubmitBatch10$$' -cpu 2,8 -benchtime 2s \
+		-mutexprofile .bench_build/mutex.prof -o .bench_build/api.test ./internal/api/
+	$(GO) tool pprof -top -cum -nodefraction=0 .bench_build/api.test .bench_build/mutex.prof \
+		| grep -E '^ *(Showing|flat)|opdaemon/internal/engine'
 
 # bench/ is its own module (opdaemon/bench), invisible to `make test`
 # and `make lint`: test-bench runs its unit tests, opbench-smoke runs

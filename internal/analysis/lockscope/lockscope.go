@@ -1,9 +1,9 @@
-// Package lockscope polices the engine's shard critical sections. A
-// storeShard, cancelShard, or watchShard mutex (and the noticeRing's
-// and the scheduler schedQueue's) guards a few map and slice
-// operations and nothing else; anything that can block or re-enter the
-// store while the shard lock is held turns a nanosecond critical
-// section into a stall or a self-deadlock. For the scheduler the rule
+// Package lockscope polices the engine's short critical sections. A
+// storeShard mutex (and the inflight table's, the noticeRing's and the
+// scheduler schedQueue's) guards a few map and slice operations and
+// nothing else; anything that can block or re-enter the store while
+// such a lock is held turns a nanosecond critical section into a stall
+// or a self-deadlock. For the scheduler the rule
 // additionally forces time to be sampled outside the lock: the
 // engine's clock is a function value, and calling it under schedQueue.mu
 // would run arbitrary test clocks inside the dispatch hot path. That
@@ -11,10 +11,12 @@
 // a sync.Cond.Wait on the policed mutex itself, which releases it while
 // waiting and so is no finding (no rule names it; the fixture pins
 // that), whereas parking on a channel there would be.
-// For the watch hub specifically, the rule forces the wake protocol:
-// notify must detach the waiter list under the lock and perform the
-// channel sends after unlock — a send under the shard lock is exactly
-// the deadlock-shaped bug the flagged fixture pins. Between a
+// For the inflight table specifically, the rule forces the wake
+// protocol: notify must detach the waiter list under the lock and
+// perform the channel sends after unlock — a send under the lock is
+// exactly the deadlock-shaped bug the flagged fixture pins — and, since
+// the table also holds the running handlers' cancel functions, cancel
+// must look one up under the lock and invoke it after. Between a
 // `<shard>.mu.Lock` (or RLock) and its release the analyzer forbids:
 //
 //   - blocking channel operations (sends, receives, selects with no
@@ -77,11 +79,10 @@ var Analyzer = &lintkit.Analyzer{
 // policedTypes names the struct types whose mu field delimits a
 // policed critical section.
 var policedTypes = map[string]bool{
-	"storeShard":  true,
-	"cancelShard": true,
-	"watchShard":  true,
-	"noticeRing":  true,
-	"schedQueue":  true,
+	"storeShard": true,
+	"inflight":   true,
+	"noticeRing": true,
+	"schedQueue": true,
 }
 
 // nestedOKTypes names the struct types whose mu is policed (blocking

@@ -151,33 +151,58 @@ func suppressedCallback(sh *storeShard, fn func()) {
 	fn()
 }
 
-// watchShard mirrors the broadcast hub's shard: waiter lists keyed by
-// operation ID, woken by channel sends.
-type watchShard struct {
-	mu sync.Mutex
-	m  map[string][]chan int
+// inflight mirrors the engine's per-operation side table: waiter lists
+// woken by channel sends and the running handlers' cancel functions,
+// both keyed by operation ID.
+type inflight struct {
+	mu      sync.Mutex
+	waiting map[string][]chan int
+	cancels map[string]func(error)
 }
 
-// wakeUnderLock is the deadlock-shaped hub bug: waking waiters while
-// the shard lock is held means a slow (or buggy, unbuffered) receiver
-// stalls every subscribe/notify on the shard.
-func wakeUnderLock(sh *watchShard, id string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, ch := range sh.m[id] {
-		ch <- 1 // want `channel send inside the sh\.mu critical section`
+// wakeUnderLock is the deadlock-shaped wake bug: waking waiters while
+// the table lock is held means a slow (or buggy, unbuffered) receiver
+// stalls every subscribe, notify, install and retire.
+func wakeUnderLock(t *inflight, id string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, ch := range t.waiting[id] {
+		ch <- 1 // want `channel send inside the t\.mu critical section`
 	}
 }
 
 // collectThenWake is the sanctioned wake protocol: detach the waiter
 // list under the lock, send after unlock.
-func collectThenWake(sh *watchShard, id string) {
-	sh.mu.Lock()
-	ws := sh.m[id]
-	delete(sh.m, id)
-	sh.mu.Unlock()
+func collectThenWake(t *inflight, id string) {
+	t.mu.Lock()
+	ws := t.waiting[id]
+	delete(t.waiting, id)
+	t.mu.Unlock()
 	for _, ch := range ws {
 		ch <- 1
+	}
+}
+
+// cancelUnderLock invokes a stored cancel function inside the table's
+// critical section: context cancellation fans out to every child
+// context and their AfterFuncs, arbitrary code under the lock every
+// transition takes.
+func cancelUnderLock(t *inflight, id string, cause error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if fn, ok := t.cancels[id]; ok {
+		fn(cause) // want `call through function value fn inside a shard critical section`
+	}
+}
+
+// lookupThenCancel is the sanctioned cancel shape: look the function up
+// under the lock, invoke it after unlock.
+func lookupThenCancel(t *inflight, id string, cause error) {
+	t.mu.Lock()
+	fn, ok := t.cancels[id]
+	t.mu.Unlock()
+	if ok {
+		fn(cause)
 	}
 }
 

@@ -67,27 +67,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
 	// Saturation numbers ride along with the liveness bit so loadgen
 	// and operators can see queue pressure without a metrics stack.
-	st := s.engine.Stats()
-	writeSync(w, http.StatusOK, map[string]any{
-		"healthy":             true,
-		"kinds":               s.engine.Kinds(),
-		"workers":             st.Workers,
-		"queue_depth":         st.QueueDepth,
-		"queue_capacity":      st.QueueCapacity,
-		"queue_bands":         st.QueueBands,
-		"queue_clients":       st.QueueClients,
-		"shedding":            st.Shedding,
-		"shed_at":             st.ShedAt,
-		"drain_per_sec":       st.DrainPerSec,
-		"store_len":           st.StoreLen,
-		"watch_waiters":       st.WatchWaiters,
-		"last_notice":         st.LastNotice,
-		"durable":             st.Durable,
-		"wal_segments":        st.WALSegments,
-		"wal_batch_p50":       st.WALBatchP50,
-		"fsyncs_per_sec":      st.FsyncsPerSec,
-		"wal_commit_failures": st.WALCommitFailures,
-	})
+	// Stats is embedded, so every field it has (or gains) is reported
+	// under its own JSON tag.
+	writeSync(w, http.StatusOK, struct {
+		Healthy bool     `json:"healthy"`
+		Kinds   []string `json:"kinds"`
+		engine.Stats
+	}{true, s.engine.Kinds(), s.engine.Stats()})
 }
 
 // WithClientHeaderTrust controls whether the scheduler's client

@@ -42,6 +42,7 @@ func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 //	commit 2b5cd26 (PR 13)    43.9        3527    (noop returning map[string]any{"ok": true}, as cmd/daemon did)
 //	PR 15                     13.1        1427
 //	PR 20                     12.2        1427    (one []schedItem per batch, not one *schedItem per operation)
+//	PR 23                     12.2        1403    (a schedItem carries one pointer, not two strings)
 //
 // The thresholds are the measured values plus 15 %; they are lowered
 // when a change lowers the reading and never raised. A failure means something
@@ -56,7 +57,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 		batch           = 10
 		calls           = 300
 		maxObjectsPerOp = 14.0
-		maxBytesPerOp   = 1641
+		maxBytesPerOp   = 1613
 	)
 	e := engine.New(engine.Config{Workers: 8, QueueDepth: 1024})
 	defer e.Shutdown(context.Background())

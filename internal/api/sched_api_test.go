@@ -7,6 +7,7 @@ package api
 import (
 	"context"
 	"net/http"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
@@ -144,14 +145,27 @@ func TestSaturatedSubmitReturns429WithRetryAfter(t *testing.T) {
 }
 
 func TestHealthReportsSchedulerFields(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, e := newTestServer(t)
+	for _, kind := range []string{"zip", "archive", "mirror", "build"} {
+		e.Register(kind, func(context.Context, *core.Operation) (any, error) { return nil, nil })
+	}
 	w, resp := doJSON(t, s, http.MethodGet, "/v1/health", "")
 	checkEnvelope(t, w, resp, typeSync, http.StatusOK)
 	health, _ := resp.Result.(map[string]any)
-	for _, key := range []string{"queue_bands", "queue_clients", "shedding", "shed_at", "drain_per_sec"} {
+	// The report is engine.Stats embedded beside the liveness bit and the
+	// kinds; this is the key set clients and opbench read, exactly.
+	want := []string{
+		"healthy", "kinds", "workers", "queue_depth", "queue_capacity", "queue_bands",
+		"queue_clients", "shedding", "shed_at", "drain_per_sec", "store_len", "watch_waiters",
+		"last_notice", "durable", "wal_segments", "wal_batch_p50", "fsyncs_per_sec", "wal_commit_failures",
+	}
+	for _, key := range want {
 		if _, ok := health[key]; !ok {
 			t.Errorf("health report missing %q: %v", key, health)
 		}
+	}
+	if len(health) != len(want) {
+		t.Errorf("health report has %d keys, want exactly %d: %v", len(health), len(want), health)
 	}
 	bands, _ := health["queue_bands"].(map[string]any)
 	for _, band := range []string{"high", "normal", "low"} {
@@ -161,5 +175,16 @@ func TestHealthReportsSchedulerFields(t *testing.T) {
 	}
 	if health["shedding"] != false {
 		t.Errorf("idle daemon shedding = %v, want false", health["shedding"])
+	}
+	// kinds come back sorted, so consecutive polls of one daemon agree.
+	for poll := 0; poll < 2; poll++ {
+		_, resp := doJSON(t, s, http.MethodGet, "/v1/health", "")
+		health, _ := resp.Result.(map[string]any)
+		kinds, _ := health["kinds"].([]any)
+		if len(kinds) != 5 || !sort.SliceIsSorted(kinds, func(i, j int) bool {
+			return kinds[i].(string) < kinds[j].(string)
+		}) {
+			t.Errorf("poll %d: kinds = %v, want the registered kinds in sorted order", poll, kinds)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package api
 // The push read path over HTTP: ?wait=true long-polls on
 // GET /v1/operations/{id}, and GET /v1/notices serves the cursor-based
 // state-transition feed. Both block server-side in the engine's
-// broadcast hub / notices ring and return on state change, timeout
+// waiter table / notices ring and return on state change, timeout
 // (200 with the current snapshot — a timeout is a normal "nothing
 // happened yet", not an error), or client disconnect (r.Context();
 // nothing is written, the connection is already gone).

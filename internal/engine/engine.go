@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
@@ -136,20 +137,16 @@ type Engine struct {
 	mu       sync.RWMutex
 	handlers map[string]registration
 
-	// cancels is the sharded registry of in-flight operations' cancel
-	// functions. It has its own locks so Cancel never contends with
-	// the submission path, and it is sharded so concurrent cancels and
-	// worker install/retire traffic rarely contend with each other.
-	cancels *cancelRegistry
-
-	// watch is the sharded broadcast hub behind AwaitChange: every
-	// published transition wakes exactly the long-poll waiters
-	// registered for that operation ID. notices is the bounded
+	// inflight is the per-operation side table (see watch.go): the
+	// running handlers' cancel functions, which Cancel looks up, and the
+	// long-poll waiters behind AwaitChange, which every published
+	// transition wakes by operation ID. It has its own lock, so neither
+	// contends with the submission path. notices is the bounded
 	// transition feed behind Notices/AwaitNotices. Both are fed by
 	// publish, the single fan-out point after a state change lands in
 	// the store.
-	watch   *watchHub
-	notices *noticeRing
+	inflight *inflight
+	notices  *noticeRing
 }
 
 // New builds and starts an engine; workers begin draining the queue
@@ -197,8 +194,7 @@ func New(cfg Config) *Engine {
 		runCtx:          ctx,
 		runStop:         stop,
 		handlers:        make(map[string]registration),
-		cancels:         newCancelRegistry(0),
-		watch:           newWatchHub(0),
+		inflight:        newInflight(),
 		notices:         newNoticeRing(cfg.NoticeRingSize),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -224,14 +220,16 @@ func (e *Engine) Register(kind string, h Handler, opts ...RegisterOption) {
 	e.handlers[kind] = reg
 }
 
-// Kinds returns the registered operation kinds, for diagnostics.
+// Kinds returns the registered operation kinds in sorted order, for
+// diagnostics.
 func (e *Engine) Kinds() []string {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
 	out := make([]string, 0, len(e.handlers))
 	for k := range e.handlers {
 		out = append(out, k)
 	}
+	e.mu.RUnlock()
+	sort.Strings(out)
 	return out
 }
 
@@ -257,7 +255,7 @@ type Stats struct {
 	// StoreLen is the number of operations currently retained.
 	StoreLen int `json:"store_len"`
 	// WatchWaiters is the number of long-poll waiters currently
-	// registered in the broadcast hub.
+	// registered.
 	WatchWaiters int `json:"watch_waiters"`
 	// LastNotice is the newest sequence number assigned in the notices
 	// feed (0 before the first transition).
@@ -313,7 +311,7 @@ func (e *Engine) Stats() Stats {
 		QueueDepth:    depth,
 		QueueCapacity: e.sched.capacity,
 		StoreLen:      e.store.Len(),
-		WatchWaiters:  e.watch.waiters(),
+		WatchWaiters:  e.inflight.waiters(),
 		LastNotice:    e.notices.last(),
 		QueueBands:    bands,
 		QueueClients:  clients,
@@ -534,7 +532,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	// Record the birth transitions in the feed so a notices watcher
 	// sees new operations appear, not just settle — and before commit
 	// lets a worker at them, or a fast operation's running notice could
-	// precede its queued one. No hub notify: a client cannot hold a
+	// precede its queued one. No waiter wake: a client cannot hold a
 	// waiter for an ID it has not been handed yet, and the submit
 	// response already carries the queued snapshot.
 	e.notices.appendQueued(ops)
@@ -556,7 +554,7 @@ func (e *Engine) List(q ListQuery) ([]*core.Operation, error) {
 	return e.store.List(q)
 }
 
-// Cancel aborts the operation and returns its latest snapshot. A
+// Cancel aborts the operation and returns the snapshot it published. A
 // queued operation moves straight to cancelled and its handler never
 // runs; a running operation has its context cancelled with
 // core.ErrCancelled and settles as cancelled once the handler
@@ -567,13 +565,15 @@ func (e *Engine) List(q ListQuery) ([]*core.Operation, error) {
 // finished in the race window before the cancel landed).
 func (e *Engine) Cancel(id string) (*core.Operation, error) {
 	cancelled, running := false, false
-	var kind string
-	var at time.Time
+	var snap *core.Operation
 	err := e.store.Update(id, func(op *core.Operation) {
 		// Update may invoke fn more than once (optimistic stores retry
 		// on conflict), so captured state is reset and assigned from
 		// this attempt's snapshot alone — never toggled cumulatively.
+		// The clone of the attempt that publishes is the published
+		// snapshot (Update's contract), so it is what Cancel returns.
 		cancelled, running = false, false
+		snap = op
 		switch op.Status {
 		case core.StatusQueued:
 			// queued → cancelled is always a legal step, so this cannot
@@ -581,7 +581,6 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 			op.Transition(core.StatusCancelled, e.stamp())
 			op.Error = core.ErrCancelled.Error()
 			cancelled = true
-			kind, at = op.Kind, op.UpdatedAt
 		case core.StatusRunning:
 			// Stamp the request time now — the handler may take a
 			// while to unwind, and CancelledAt records when the abort
@@ -601,21 +600,21 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 		// publishes here. The running branch does not: stamping
 		// CancelledAt is not a status change, and the terminal
 		// transition recorded when the handler unwinds publishes then.
-		e.publish(id, kind, core.StatusCancelled, at)
+		e.publish(snap)
 	}
 	if running {
-		// The registry entry is installed before the queued→running
-		// transition and removed only after the terminal one, so a
+		// The cancel function is installed before the queued→running
+		// transition and retired only after the terminal one, so a
 		// store status of running guarantees it is present — unless
 		// the handler finished in between, in which case the missing
 		// entry (or cancelling the dead context) is a harmless no-op
 		// and the poll shows the operation's actual outcome.
-		e.cancels.cancel(id, core.ErrCancelled)
+		e.inflight.cancel(id, core.ErrCancelled)
 	}
 	if !cancelled && !running {
 		return nil, fmt.Errorf("%w: %s", core.ErrAlreadyTerminal, id)
 	}
-	return e.store.Get(id)
+	return snap, nil
 }
 
 // Shutdown stops accepting submissions, drains queued operations —
@@ -757,31 +756,23 @@ func (e *Engine) worker() {
 	// dispatch on a reading that predates the wait.
 	for {
 		now := e.clock()
-		id, ok, done := e.sched.take(now)
+		op, done := e.sched.take(now)
 		if done {
 			return
 		}
-		if ok {
+		if op != nil {
 			e.meter.record(now)
-			e.run(tr, id)
+			e.run(tr, op)
 		}
 	}
 }
 
-func (e *Engine) run(tr *transitioner, id string) {
-	op, err := e.store.Get(id)
-	if err != nil {
-		// With a pluggable store Get can fail transiently; dropping
-		// the op here would strand it in "queued" with no trace.
-		log.Printf("engine: loading queued operation %s: %v", id, err)
-		tr.do(id, core.StatusFailed, nil, fmt.Errorf("loading operation: %w", err))
-		return
-	}
-	if op.Status.Terminal() {
-		// Cancelled while queued; the store already records the
-		// terminal state, nothing runs.
-		return
-	}
+// run executes one dispatched operation. op is the queued snapshot the
+// scheduler carried from SubmitBatch (or Recover) — what the handler is
+// handed; whether the operation is still queued is decided by the
+// running transition, not by re-reading the store.
+func (e *Engine) run(tr *transitioner, op *core.Operation) {
+	id := op.ID
 	reg, ok := e.registration(op.Kind)
 	if !ok {
 		tr.do(id, core.StatusFailed, nil, fmt.Errorf("%w: %q", core.ErrUnknownKind, op.Kind))
@@ -802,11 +793,11 @@ func (e *Engine) run(tr *transitioner, id string) {
 	// Publish the cancel func before the running transition and
 	// retire it only after the terminal one, so Cancel observing
 	// status running always finds it.
-	e.cancels.install(id, cancel)
-	defer e.cancels.retire(id)
+	e.inflight.install(id, cancel)
+	defer e.inflight.retire(id)
 
 	if !tr.do(id, core.StatusRunning, nil, nil) {
-		// Cancelled between dequeue and start; never run the handler.
+		// Cancelled while queued; never run the handler.
 		return
 	}
 	result, err := e.invoke(ctx, reg.h, op)
@@ -868,13 +859,12 @@ func (e *Engine) stamp() time.Time {
 // transitioner makes lifecycle transitions: do atomically moves an
 // operation to its next status, refusing illegal steps so terminal
 // states are never overwritten, and publishes every applied step to the
-// watch hub and the notices feed.
+// waiters and the notices feed.
 //
 // It is a reusable call record because a closure handed to Store.Update
 // escapes, and so does every local it captures: written inline, each
 // transition cost four heap objects. The record and its bound apply
-// method are allocated once and reused for every call, which Update's
-// contract allows — fn is never retained past its return. Not safe for
+// method are allocated once and reused for every call. Not safe for
 // concurrent use; each worker owns one.
 type transitioner struct {
 	e     *Engine
@@ -883,11 +873,12 @@ type transitioner struct {
 	next   core.Status
 	result json.RawMessage
 	cause  error
-	// Outputs, assigned (never toggled) by the apply attempt that
-	// publishes: Update may invoke fn more than once.
+	// Outputs, assigned (never toggled) by every apply attempt, so the
+	// one that publishes decides them: Update may invoke fn more than
+	// once. snap is that attempt's clone — once Update returns nil, the
+	// published snapshot.
 	applied bool
-	kind    string
-	at      time.Time
+	snap    *core.Operation
 }
 
 func newTransitioner(e *Engine) *transitioner {
@@ -900,16 +891,23 @@ func newTransitioner(e *Engine) *transitioner {
 // recorded transition from one pre-empted by a concurrent cancel.
 func (t *transitioner) do(id string, next core.Status, result json.RawMessage, cause error) bool {
 	t.next, t.result, t.cause = next, result, cause
-	t.applied = false
 	err := t.e.store.Update(id, t.apply)
-	t.result, t.cause = nil, nil // do not pin them until the next call
+	snap := t.snap
+	t.result, t.cause, t.snap = nil, nil, nil // do not pin them until the next call
 	if err != nil {
-		// A failed write on a pluggable store would otherwise strand
-		// the op in its previous state with no trace.
-		log.Printf("engine: recording %s transition for %s: %v", next, id, err)
+		// core.ErrNotFound from the running transition is not a failure:
+		// the operation was cancelled while queued and the janitor
+		// evicted it before a worker reached its scheduler item, so it
+		// ended as the client asked and there is nothing left to run.
+		// Any other failed write would strand the operation in its
+		// previous state with no trace, so it is logged.
+		if next != core.StatusRunning || !errors.Is(err, core.ErrNotFound) {
+			log.Printf("engine: recording %s transition for %s: %v", next, id, err)
+		}
+		return false
 	}
 	if t.applied {
-		t.e.publish(id, t.kind, next, t.at)
+		t.e.publish(snap)
 	}
 	return t.applied
 }
@@ -917,10 +915,9 @@ func (t *transitioner) do(id string, next core.Status, result json.RawMessage, c
 // applyTo is the Update callback. Transition refuses illegal steps and
 // stamps UpdatedAt; it keeps the request-time CancelledAt stamp Cancel
 // already recorded, backfilling only if a cancel bypassed Cancel
-// (shouldn't happen). The fields the publish needs are copied out here:
-// Update's contract forbids retaining the clone past the callback's
-// return.
+// (shouldn't happen).
 func (t *transitioner) applyTo(op *core.Operation) {
+	t.snap = op
 	t.applied = op.Transition(t.next, t.e.stamp())
 	if !t.applied {
 		return
@@ -933,24 +930,15 @@ func (t *transitioner) applyTo(op *core.Operation) {
 		//lint:allow opdaemon/opmutate op is Update's private clone; opmutate only recognises the callback when it is a literal at the call
 		op.Error = t.cause.Error()
 	}
-	t.kind, t.at = op.Kind, op.UpdatedAt
 }
 
 // publish fans an applied state change out to the read path: it
 // appends a notice to the feed and wakes the operation's long-poll
-// waiters with the freshly published snapshot. It runs after the store
-// write commits, so a woken waiter re-reading the store can only see
-// this state or a newer one — never the one it was waiting out. The
-// snapshot is re-read rather than retained from the Update callback
-// (whose contract forbids retention); in the rare race where a newer
-// transition or a TTL eviction lands in between, waiters get the newer
-// snapshot or a nil that makes them fall back to a point Get —
-// freshest-wins either way.
-func (e *Engine) publish(id, kind string, status core.Status, at time.Time) {
-	e.notices.append(id, kind, status, at)
-	snap, err := e.store.Get(id)
-	if err != nil {
-		snap = nil
-	}
-	e.watch.notify(id, snap)
+// waiters with snap, the snapshot the transition published. It runs
+// after the store write commits, so a woken waiter re-reading the store
+// can only see this state or a newer one — never the one it was waiting
+// out.
+func (e *Engine) publish(snap *core.Operation) {
+	e.notices.append(snap.ID, snap.Kind, snap.Status, snap.UpdatedAt)
+	e.inflight.notify(snap)
 }

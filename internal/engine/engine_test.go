@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +48,24 @@ func listEngine(t *testing.T, e *Engine, q ListQuery) []*core.Operation {
 		t.Fatalf("List(%+v): %v", q, err)
 	}
 	return ops
+}
+
+// steppedClock is a fake engine clock that stands still until the test
+// advances it; safe to read from submitter and worker goroutines.
+func steppedClock() (clock func() time.Time, advance func(time.Duration)) {
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	clock = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	advance = func(d time.Duration) {
+		mu.Lock()
+		now = now.Add(d)
+		mu.Unlock()
+	}
+	return clock, advance
 }
 
 // waitStatus polls until the operation reaches a terminal status.
@@ -532,6 +554,164 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	}
 }
 
+// TestCancelledThenEvictedIsSkippedSilently: Cancel leaves a cancelled
+// queued operation's item in the scheduler, and with a TTL the janitor
+// can evict the (terminal) operation before a worker reaches that item.
+// The operation ended exactly as the client asked, so the worker skips
+// it: no handler, no bogus failed transition, nothing logged.
+func TestCancelledThenEvictedIsSkippedSilently(t *testing.T) {
+	clock, advance := steppedClock()
+	// GCInterval is huge so only the explicit GC() sweeps.
+	e := New(Config{Workers: 1, Clock: clock, OpTTL: time.Minute, GCInterval: time.Hour})
+	defer e.Shutdown(context.Background())
+	release := make(chan struct{})
+	e.Register("block", func(context.Context, *core.Operation) (any, error) {
+		<-release
+		return nil, nil
+	})
+	ran := make(chan string, 1)
+	e.Register("track", func(_ context.Context, op *core.Operation) (any, error) {
+		ran <- op.ID
+		return nil, nil
+	})
+
+	blocker, err := e.Submit(context.Background(), "block", nil)
+	if err != nil {
+		t.Fatalf("Submit(block): %v", err)
+	}
+	if _, err := waitOp(e, blocker.ID, func(op *core.Operation) bool {
+		return op.Status == core.StatusRunning
+	}); err != nil {
+		t.Fatalf("blocker never started: %v", err)
+	}
+	queued, err := e.Submit(context.Background(), "track", nil)
+	if err != nil {
+		t.Fatalf("Submit(track): %v", err)
+	}
+	if _, err := e.Cancel(queued.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	advance(2 * time.Minute)
+	if n := e.GC(); n != 1 {
+		t.Fatalf("GC past TTL evicted %d ops, want the cancelled one", n)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	close(release)
+	if err := e.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	select {
+	case id := <-ran:
+		t.Errorf("handler ran for cancelled, evicted op %s", id)
+	default:
+	}
+	if logged.Len() != 0 {
+		t.Errorf("skipping a cancelled, evicted operation logged:\n%s", logged.String())
+	}
+	if d := e.Stats().QueueDepth; d != 0 {
+		t.Errorf("QueueDepth after drain = %d, want 0", d)
+	}
+}
+
+// countingStore counts the store calls the engine makes on the
+// transition path.
+type countingStore struct {
+	Store
+	putBatch, update, get atomic.Int64
+}
+
+func (s *countingStore) PutBatch(ops []*core.Operation) {
+	s.putBatch.Add(1)
+	s.Store.PutBatch(ops)
+}
+
+func (s *countingStore) Update(id string, fn func(op *core.Operation)) error {
+	s.update.Add(1)
+	return s.Store.Update(id, fn)
+}
+
+func (s *countingStore) Get(id string) (*core.Operation, error) {
+	s.get.Add(1)
+	return s.Store.Get(id)
+}
+
+func (s *countingStore) calls() [3]int64 {
+	return [3]int64{s.putBatch.Load(), s.update.Load(), s.get.Load()}
+}
+
+// TestStoreCallsPerLifecycle pins what one operation costs the store:
+// every transition hands its snapshot forward, so nothing on the
+// submit → done path or in Cancel reads back what it just wrote. The
+// test watches the notices feed, which never touches the store.
+func TestStoreCallsPerLifecycle(t *testing.T) {
+	cs := &countingStore{Store: NewShardedStore(0)}
+	e := New(Config{Workers: 1, Store: cs})
+	defer e.Shutdown(context.Background())
+	e.Register("noop", func(context.Context, *core.Operation) (any, error) { return nil, nil })
+	release := make(chan struct{})
+	e.Register("block", func(context.Context, *core.Operation) (any, error) {
+		<-release
+		return nil, nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	awaitNotice := func(id string, status core.Status) {
+		t.Helper()
+		q := NoticeQuery{Statuses: []core.Status{status}}
+		for {
+			ns, err := e.AwaitNotices(ctx, q)
+			if err != nil {
+				t.Fatalf("waiting for %s to be %s: %v", id, status, err)
+			}
+			for _, n := range ns {
+				if n.OpID == id {
+					return
+				}
+			}
+			q.After = ns[len(ns)-1].Seq
+		}
+	}
+
+	op, err := e.Submit(ctx, "noop", nil)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	awaitNotice(op.ID, core.StatusDone)
+	if got, want := cs.calls(), [3]int64{1, 2, 0}; got != want {
+		t.Errorf("submit → done made %v {PutBatch, Update, Get} calls, want %v", got, want)
+	}
+
+	// Pin the worker, then cancel an operation that is still queued.
+	blocker, err := e.Submit(ctx, "block", nil)
+	if err != nil {
+		t.Fatalf("Submit(block): %v", err)
+	}
+	awaitNotice(blocker.ID, core.StatusRunning)
+	queued, err := e.Submit(ctx, "noop", nil)
+	if err != nil {
+		t.Fatalf("Submit(queued): %v", err)
+	}
+	before := cs.calls()
+	snap, err := e.Cancel(queued.ID)
+	if err != nil || snap.Status != core.StatusCancelled {
+		t.Fatalf("Cancel = %+v, %v, want the cancelled snapshot", snap, err)
+	}
+	got := cs.calls()
+	for i := range got {
+		got[i] -= before[i]
+	}
+	if want := [3]int64{0, 1, 0}; got != want {
+		t.Errorf("queued cancel made %v {PutBatch, Update, Get} calls, want %v", got, want)
+	}
+	if stored, err := e.Get(queued.ID); err != nil || stored != snap {
+		t.Errorf("Get after Cancel = %p (%v), want the snapshot Cancel returned, %p", stored, err, snap)
+	}
+	close(release)
+}
+
 func TestCancelRunningSignalsContext(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Shutdown(context.Background())
@@ -638,18 +818,7 @@ func TestDefaultDeadlineAppliesWhenKindHasNone(t *testing.T) {
 }
 
 func TestGCEvictsOnlyExpiredTerminal(t *testing.T) {
-	var clockMu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
+	clock, advance := steppedClock()
 
 	// GCInterval is huge so only explicit GC() calls sweep, keeping
 	// the test deterministic under the fake clock.

@@ -14,7 +14,7 @@ package engine
 // blocked reader at once. With nobody subscribed — the daemon's normal
 // state — an append touches no channel at all. Readers fetch the
 // channel BEFORE scanning the ring (subscribe-then-check, same
-// discipline as the watch hub) so an append landing between the scan
+// discipline as AwaitChange) so an append landing between the scan
 // and the block is never missed.
 
 import (

@@ -70,10 +70,11 @@ func bandPriority(i int) core.Priority {
 	}
 }
 
-// schedItem is one accepted operation awaiting dispatch.
+// schedItem is one accepted operation awaiting dispatch: the queued
+// snapshot commit was handed, which is what the worker hands the
+// handler.
 type schedItem struct {
-	id       string
-	client   string
+	op       *core.Operation
 	enqueued time.Time
 	// taken marks items already dispatched, so the band's arrival list
 	// can skip them lazily instead of paying O(n) removals.
@@ -164,7 +165,7 @@ func (b *schedBand) next() *schedItem {
 // An emptied queue stays in active/clients; next retires it
 // lazily when its turn comes, and re-adds land in the same queue.
 func (b *schedBand) takeHead(it *schedItem) *schedItem {
-	popped := b.clients[it.client].pop()
+	popped := b.clients[it.op.Client].pop()
 	popped.taken = true
 	b.n--
 	return popped
@@ -259,16 +260,16 @@ func (s *schedQueue) commit(ops []*core.Operation, now time.Time) {
 	// One allocation per batch; the items are pointed into, never copied.
 	items := make([]schedItem, len(ops))
 	for i, op := range ops {
-		items[i] = schedItem{id: op.ID, client: op.Client, enqueued: now}
+		items[i] = schedItem{op: op, enqueued: now}
 	}
 	s.mu.Lock()
 	for i, op := range ops {
 		it := &items[i]
 		b := &s.bands[bandIndex(op.Priority)]
-		cq := b.clients[it.client]
+		cq := b.clients[op.Client]
 		if cq == nil {
-			cq = &clientQueue{key: it.client}
-			b.clients[it.client] = cq
+			cq = &clientQueue{key: op.Client}
+			b.clients[op.Client] = cq
 			b.active = append(b.active, cq)
 		}
 		cq.items = append(cq.items, it)
@@ -282,22 +283,23 @@ func (s *schedQueue) commit(ops []*core.Operation, now time.Time) {
 	}
 }
 
-// take dispatches the next operation (ok). With nothing scheduled it
-// parks the calling worker until a commit or close wakes it and returns
-// without dispatching: now predates the park, and the aging valve must
-// not judge waiting times by a reading from before an idle wait, so the
-// worker samples its clock again and calls back. done is reported only
-// once the queue is closed, empty and owes no reservation — a batch
-// admitted before close is still waited for and dispatched.
-func (s *schedQueue) take(now time.Time) (id string, ok, done bool) {
+// take dispatches the next operation, returning the queued snapshot it
+// was committed with. With nothing scheduled it parks the calling
+// worker until a commit or close wakes it and returns nil without
+// dispatching: now predates the park, and the aging valve must not judge
+// waiting times by a reading from before an idle wait, so the worker
+// samples its clock again and calls back. done is reported only once
+// the queue is closed, empty and owes no reservation — a batch admitted
+// before close is still waited for and dispatched.
+func (s *schedQueue) take(now time.Time) (op *core.Operation, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.scheduled() == 0 {
 		if s.closed && s.held == 0 {
-			return "", false, true
+			return nil, true
 		}
 		s.wake.Wait()
-		return "", false, false
+		return nil, false
 	}
 	s.sinceAged++
 	it := s.takeAged(now)
@@ -308,7 +310,7 @@ func (s *schedQueue) take(now time.Time) (id string, ok, done bool) {
 	if s.closed && s.held == 0 && s.scheduled() == 0 {
 		s.wake.Broadcast()
 	}
-	return it.id, true, false
+	return it.op, false
 }
 
 // close stops admission and reports whether this call was the one that

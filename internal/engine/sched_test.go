@@ -332,7 +332,7 @@ func TestSchedArrivalStaysCompacted(t *testing.T) {
 			t.Fatalf("reserve on an empty queue: %v", err)
 		}
 		s.commit(ops, now)
-		if _, ok, _ := s.take(now); !ok {
+		if op, _ := s.take(now); op == nil {
 			t.Fatal("take on non-empty queue reported empty")
 		}
 	}

@@ -37,7 +37,8 @@ type ListQuery struct {
 //     later transition through them; callers must not mutate them.
 //   - Update is the only mutation path: it clones the stored snapshot,
 //     applies fn to the private clone, and publishes the clone
-//     atomically. fn must not retain the operation past its return.
+//     atomically. Once Update returns nil, the clone fn was last handed
+//     is the published snapshot, and the caller may keep it as one.
 //
 // The conformance suite in store_conformance_test.go holds the store to
 // this contract at every shard count, with and without its journal, and
@@ -72,6 +73,12 @@ type Store interface {
 	// it is handed, and ASSIGN any captured variables from that
 	// attempt's state rather than toggling them cumulatively, so the
 	// attempt that publishes fully determines what the caller observes.
+	//
+	// The clone handed to the attempt that publishes IS the published
+	// snapshot: when Update returns nil, the pointer fn was last handed
+	// is what Get returns until the next publish, immutable from then
+	// on, so a caller that wants the result keeps that pointer instead
+	// of reading it back. Any other attempt's clone is garbage.
 	Update(id string, fn func(op *core.Operation)) error
 	// Delete removes the operation; deleting an unknown ID is a
 	// no-op.

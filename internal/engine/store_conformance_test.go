@@ -425,6 +425,56 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 		}
 	})
 
+	// The retention guarantee the engine's publish path is built on:
+	// once Update returns nil, the clone fn was last handed IS the
+	// published snapshot, so the caller keeps it instead of reading it
+	// back.
+	t.Run("UpdateCloneIsPublishedSnapshot", func(t *testing.T) {
+		s := mk(t)
+		s.Put(mkOp("a", t0))
+		var kept *core.Operation
+		if err := s.Update("a", func(op *core.Operation) {
+			op.Status = core.StatusRunning
+			kept = op
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Get("a"); err != nil || got != kept {
+			t.Fatalf("Get after Update = %p (%v), want the clone fn was handed, %p", got, err, kept)
+		}
+
+		// A conflicting publish between the snapshot read and the
+		// publish forces a retry; fn runs with no lock held, so writing
+		// from inside the first attempt produces that conflict every
+		// time. The pointer to keep is the last attempt's.
+		var attempts []*core.Operation
+		if err := s.Update("a", func(op *core.Operation) {
+			attempts = append(attempts, op)
+			if len(attempts) == 1 {
+				if err := s.Update("a", func(in *core.Operation) { in.Error = "concurrent writer" }); err != nil {
+					t.Errorf("conflicting Update: %v", err)
+				}
+			}
+			op.Status = core.StatusDone
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(attempts) != 2 {
+			t.Fatalf("fn ran %d times, want 2 (one lost attempt, one that published)", len(attempts))
+		}
+		got, err := s.Get("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != attempts[1] || got == attempts[0] {
+			t.Errorf("Get after a retried Update = %p, want the last attempt's clone %p, never the lost one %p",
+				got, attempts[1], attempts[0])
+		}
+		if got.Status != core.StatusDone || got.Error != "concurrent writer" {
+			t.Errorf("published {%s %q}, want both writes: {done \"concurrent writer\"}", got.Status, got.Error)
+		}
+	})
+
 	t.Run("ListConcurrentWithUpdates", func(t *testing.T) {
 		// Pagination while workers transition: pages must always be
 		// well-formed (no nils, no duplicates, correct order), and old

@@ -75,7 +75,12 @@ func NewShardedStore(n int) Store {
 // newShardedStore builds the store over an optional journal; a journaled
 // store also tracks delta-chain lengths per shard.
 func newShardedStore(n int, w *wal) *shardedStore {
-	n = normalizeShardCount(n)
+	// Shard geometry: the GOMAXPROCS-scaled default for n <= 0, the
+	// maxShardCount clamp, then the power-of-two round-up the mask needs.
+	if n <= 0 {
+		n = DefaultShardCount()
+	}
+	n = nextPowerOfTwo(min(n, maxShardCount))
 	s := &shardedStore{
 		shards: make([]*storeShard, n),
 		mask:   uint32(n - 1),
@@ -89,20 +94,6 @@ func newShardedStore(n int, w *wal) *shardedStore {
 		s.shards[i] = sh
 	}
 	return s
-}
-
-// normalizeShardCount applies the shared shard-geometry policy — the
-// GOMAXPROCS-scaled default for n <= 0, the maxShardCount clamp, and
-// the power-of-two round-up — in one place so the store and the
-// engine's cancel registry can never drift apart.
-func normalizeShardCount(n int) int {
-	if n <= 0 {
-		n = DefaultShardCount()
-	}
-	if n > maxShardCount {
-		n = maxShardCount
-	}
-	return nextPowerOfTwo(n)
 }
 
 // nextPowerOfTwo returns the smallest power of two >= n, for n >= 1.

@@ -4,7 +4,7 @@ package engine
 // append-only sequence of framed records (see walcodec.go) in rotating
 // segment files, made cheap by group commit.
 //
-// The perf-critical shape mirrors the watch hub's detach-then-notify
+// The perf-critical shape mirrors the waiter table's detach-then-notify
 // protocol, and lockscope polices it the same way: writers only ever
 // append encoded records to an in-memory staging buffer (walBatch)
 // under its mutex — never touching the file — and a single committer

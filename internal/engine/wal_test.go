@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -491,4 +492,116 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// replayTestLog builds a seeded log of n mixed records over a few
+// hundred IDs — full snapshots, deltas (some with no base, which replay
+// skips) and deletes — returning the bytes and each frame's offset.
+func replayTestLog(t *testing.T, seed int64, n int) (data []byte, offs []int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	t0 := time.Unix(1000, 0)
+	live := make(map[string]*core.Operation)
+	for i := 0; i < n; i++ {
+		offs = append(offs, len(data))
+		id := fmt.Sprintf("op-%03d", r.Intn(300))
+		at := t0.Add(time.Duration(i) * time.Second)
+		cur, ok := live[id]
+		switch roll := r.Intn(10); {
+		case roll == 0 || (!ok && roll < 8):
+			op := mkOp(id, at)
+			var err error
+			if data, err = encodeOpRecordV2(data, op); err != nil {
+				t.Fatal(err)
+			}
+			live[id] = op
+		case roll == 1:
+			data = appendDeleteRecord(data, id)
+			delete(live, id)
+		default:
+			if !ok {
+				cur = mkOp(id, at) // a delta whose base is absent
+			}
+			c := cur.Clone()
+			c.Status = modelStatuses[r.Intn(len(modelStatuses))]
+			c.Error = fmt.Sprintf("step %d", i)
+			c.UpdatedAt = at
+			data = encodeDeltaRecordV2(data, c)
+			if ok {
+				live[id] = c
+			}
+		}
+	}
+	return data, offs
+}
+
+// TestReplayParallelMatchesSequential holds the replay path production
+// runs — walScanFrames, then applyRefs' parallel decode and partitioned
+// apply, which only files of walParallelMinRecords records or more reach
+// — to the sequential reference (walReplay + applyWALRecord): same final
+// state, same applied count, same cut and error. Four partitions, so
+// the fan-out runs whatever GOMAXPROCS is.
+func TestReplayParallelMatchesSequential(t *testing.T) {
+	const records = 2*walParallelMinRecords + 321
+	clean, offs := replayTestLog(t, 7, records)
+	retyped := append([]byte(nil), clean...)
+	// Mid-file, inside the second of the four decode chunks: later
+	// chunks decode records past the cut, which apply must ignore.
+	const bad = records/4 + 100
+	retypeFrame(retyped[offs[bad]:offs[bad+1]], 9)
+
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		applied int
+		wantErr error
+	}{
+		{"Clean", clean, records, nil},
+		{"TornTail", clean[:len(clean)-3], records - 1, errWALTorn},
+		{"UnknownTypeMidFile", retyped, bad, errWALCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make(map[string]*core.Operation)
+			seqApplied := 0
+			seqValid, seqErr := walReplay(tc.data, func(typ byte, body []byte) error {
+				err := applyWALRecord(want, typ, body)
+				if err == nil {
+					seqApplied++
+				}
+				return err
+			})
+			if seqApplied != tc.applied || !errors.Is(seqErr, tc.wantErr) {
+				t.Fatalf("sequential replay applied %d (%v), want %d (%v): the generator is off",
+					seqApplied, seqErr, tc.applied, tc.wantErr)
+			}
+
+			refs, valid, err := walScanFrames(tc.data, nil)
+			p := newReplayPartitions(4)
+			applied, aerr := p.applyRefs(refs)
+			if aerr != nil {
+				// As recovery does: a record that scans but does not
+				// decode ends the prefix at its own frame.
+				valid, err = refs[applied].off, aerr
+			}
+			if applied != seqApplied || valid != seqValid {
+				t.Errorf("parallel replay applied %d records, prefix %d bytes; sequential %d, %d",
+					applied, valid, seqApplied, seqValid)
+			}
+			if !errors.Is(err, tc.wantErr) || (err == nil) != (seqErr == nil) {
+				t.Errorf("parallel replay error = %v, sequential = %v", err, seqErr)
+			}
+			got := p.merge()
+			if len(got) != len(want) {
+				t.Errorf("parallel replay left %d operations, sequential %d", len(got), len(want))
+			}
+			for id, w := range want {
+				g, ok := got[id]
+				if !ok {
+					t.Errorf("%s missing after parallel replay", id)
+				} else if d := modelDiff(g, *w); d != "" {
+					t.Errorf("%s diverges: %s", id, d)
+				}
+			}
+		})
+	}
 }

@@ -183,35 +183,21 @@ func walFrameCRCOK(frame, payload []byte) bool {
 	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(frame[4:8])
 }
 
-// walReplay walks the frames in data, invoking apply for each valid
-// record in order, and returns the byte length of the valid prefix.
-// Scanning stops at the first torn or corrupt frame (or at a record
-// apply refuses); everything before it has been applied, everything
-// from it on is untrusted. A clean walk to the end returns (len(data),
-// nil).
+// walReplay is sequential replay, the reference recovery's parallel
+// pipeline is held to: it scans the frames in data (walScanFrames) and
+// invokes apply for each valid record in order, returning the byte
+// length of the valid prefix. Replay stops at the first torn or corrupt
+// frame, or at a record apply refuses; everything before it has been
+// applied, everything from it on is untrusted. A clean walk to the end
+// returns (len(data), nil).
 func walReplay(data []byte, apply func(typ byte, body []byte) error) (int, error) {
-	pos := 0
-	for pos < len(data) {
-		if len(data)-pos < walFrameHeader {
-			return pos, errWALTorn
+	refs, valid, scanErr := walScanFrames(data, nil)
+	for _, ref := range refs {
+		if err := apply(ref.typ, ref.body); err != nil {
+			return ref.off, err
 		}
-		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		if n < 1 || n > walMaxRecordBytes {
-			return pos, fmt.Errorf("%w: impossible payload length %d", errWALCorrupt, n)
-		}
-		if len(data)-pos-walFrameHeader < n {
-			return pos, errWALTorn
-		}
-		payload := data[pos+walFrameHeader : pos+walFrameHeader+n]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[pos+4:pos+8]) {
-			return pos, fmt.Errorf("%w: checksum mismatch", errWALCorrupt)
-		}
-		if err := apply(payload[0], payload[1:]); err != nil {
-			return pos, err
-		}
-		pos += walFrameHeader + n
 	}
-	return pos, nil
+	return valid, scanErr
 }
 
 // walDecoded is one record decoded off the log, ready to fold into
@@ -234,8 +220,9 @@ func (d *walDecoded) id() string {
 	return d.del
 }
 
-// decodeWALRecord decodes one record body without touching replay state — the pure half that parallel recovery
-// fans out. The returned record owns its memory; body may be reused.
+// decodeWALRecord decodes one record body without touching replay
+// state — the pure half that parallel recovery fans out. The returned
+// record owns its memory; body may be reused.
 func decodeWALRecord(typ byte, body []byte) (walDecoded, error) {
 	switch typ {
 	case walRecOpV2:

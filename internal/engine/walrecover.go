@@ -9,9 +9,9 @@ package engine
 //  1. a sequential frame scan — framing is inherently serial (each
 //     frame's position depends on the previous length prefix), but it
 //     is only header reads plus a CRC per frame;
-//  2. parallel decode — the expensive half (JSON for v1 records,
-//     binary for v2) fans out across GOMAXPROCS workers over
-//     contiguous chunks of the scanned frames;
+//  2. parallel decode — the expensive half, the binary record codec,
+//     fans out across GOMAXPROCS workers over contiguous chunks of the
+//     scanned frames;
 //  3. partitioned apply — records are partitioned by operation ID
 //     (the shard key), and one worker per partition walks the decoded
 //     records in log order applying only its own IDs. Same ID → same

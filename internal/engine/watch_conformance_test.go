@@ -1,7 +1,7 @@
 package engine
 
-// Conformance suite for the watch hub and the notices feed — the
-// contract tests the push read path lands with. The hub's subscribe-
+// Conformance suite for the waiter table and the notices feed — the
+// contract tests the push read path lands with. The subscribe-
 // then-check protocol is pinned by a hammer that races AwaitChange
 // against concurrent transitions (a check-then-subscribe bug shows up
 // here as a hang under -race), and the notices ring's cursor semantics
@@ -220,11 +220,12 @@ func TestWatchHubUnsubscribeIdempotentAfterNotify(t *testing.T) {
 	// notify detaches the waiter before sending, so a racing
 	// unsubscribe (the AwaitChange defer) finds nothing to remove and
 	// must not corrupt the count.
-	h := newWatchHub(4)
+	h := newInflight()
+	snap := mkOp("op", time.Unix(1000, 0))
 	w := h.subscribe("op")
-	h.notify("op", nil)
-	if got := <-w.ch; got != nil {
-		t.Fatalf("wake snapshot = %v, want nil", got)
+	h.notify(snap)
+	if got := <-w.ch; got != snap {
+		t.Fatalf("wake snapshot = %v, want the published snapshot", got)
 	}
 	h.unsubscribe("op", w)
 	h.unsubscribe("op", w) // double-unsubscribe is a no-op too
@@ -234,7 +235,7 @@ func TestWatchHubUnsubscribeIdempotentAfterNotify(t *testing.T) {
 }
 
 func TestWatchHubNotifyWakesAllWaitersForID(t *testing.T) {
-	h := newWatchHub(4)
+	h := newInflight()
 	snap := mkOp("op", time.Unix(1000, 0))
 	const n = 8
 	ws := make([]*watcher, n)
@@ -242,11 +243,13 @@ func TestWatchHubNotifyWakesAllWaitersForID(t *testing.T) {
 		ws[i] = h.subscribe("op")
 	}
 	other := h.subscribe("other")
-	h.notify("op", snap)
+	h.notify(snap)
 	for i, w := range ws {
 		select {
 		case got := <-w.ch:
-			if got != snap {
+			// A waiter is woken with the snapshot the transition
+			// published — the very pointer, never nil.
+			if got == nil || got != snap {
 				t.Fatalf("waiter %d woke with %v, want the published snapshot", i, got)
 			}
 		default:
@@ -262,6 +265,29 @@ func TestWatchHubNotifyWakesAllWaitersForID(t *testing.T) {
 		t.Fatalf("waiters after notify = %d, want 1 (the other id)", got)
 	}
 	h.unsubscribe("other", other)
+}
+
+func TestInflightCancelFindsInstalledOnly(t *testing.T) {
+	// cancel reaches the function a worker installed, with the cause,
+	// and reports a retired (or never installed) entry as absent — the
+	// no-op Cancel relies on when the handler finished first.
+	h := newInflight()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	if h.cancel("op", core.ErrCancelled) {
+		t.Fatal("cancel before install reported an entry")
+	}
+	h.install("op", cancel)
+	if !h.cancel("op", core.ErrCancelled) {
+		t.Fatal("cancel after install found no entry")
+	}
+	if got := context.Cause(ctx); !errors.Is(got, core.ErrCancelled) {
+		t.Fatalf("context cause = %v, want %v", got, core.ErrCancelled)
+	}
+	h.retire("op")
+	if h.cancel("op", core.ErrCancelled) {
+		t.Fatal("cancel after retire reported an entry")
+	}
 }
 
 func TestEngineLifecyclePublishesNotices(t *testing.T) {
