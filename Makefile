@@ -18,9 +18,14 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-allocs lint vet fmt-check fmt bench bench-e2e bench-wal mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all check build test test-allocs lint vet fmt-check fmt bench mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
 
-all: build lint fmt-check test
+# check is every gate that runs offline; all adds the two that download
+# a pinned tool through the module proxy. CI calls the targets one by
+# one so a failure names its step.
+all: check staticcheck vuln
+
+check: build vet fmt-check opdaemonlint test test-allocs test-bench opbench-smoke
 
 build:
 	$(GO) build ./...
@@ -45,7 +50,7 @@ lint: vet staticcheck opdaemonlint
 
 # bench/ is a nested module that compiles against internal/ and that
 # `go vet ./...` never sees; vetting it here (under a second, offline)
-# makes `make all` and `make lint` fail at once when a change to
+# makes `make check` and `make lint` fail at once when a change to
 # internal/ stops the benchmark of record compiling, instead of as a
 # failed benchmark run later.
 vet:
@@ -69,28 +74,18 @@ opdaemonlint:
 vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
+# The Go benchmarks opbench does not supersede: store and WAL contention
+# (*Parallel), cold recovery, the in-process API paths. -benchmem because
+# allocs/op is what the collector is billed for. They print numbers and
+# gate nothing; numbers worth quoting come from opbench (bench/README.md).
 bench:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/
-
-# End-to-end API benchmarks: router -> engine -> store -> envelope per
-# request. Pair with `make bench` to tell an API-layer regression from
-# a store-layer one; -benchmem because allocs/op is what the collector
-# is billed for. See docs/performance.md.
-bench-e2e:
-	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/api/
-
-# Durability-focused slice of the engine benchmarks: WAL store write
-# paths plus cold recovery, with allocation counts — the codec and
-# group-commit work lives or dies on bytes/op and allocs/op, so
-# -benchmem is always on here. See docs/performance.md.
-bench-wal:
-	$(GO) test -bench 'WAL' -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/
+	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/ ./internal/api/
 
 # The contention profile docs/performance.md quotes: the batch-10 submit
 # benchmark at 2 and 8 procs (all four store/cpu rows in one profile)
 # with the mutex profiler on, then the engine's lines of the cumulative
 # top. It prints numbers and gates nothing, so it is in neither `make
-# all` nor CI; offline, and it writes only under .bench_build/.
+# check` nor CI; offline, and it writes only under .bench_build/.
 mutex-profile:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkAPISubmitBatch10$$' -cpu 2,8 -benchtime 2s \

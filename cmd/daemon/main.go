@@ -82,9 +82,7 @@ func main() {
 // until a signal triggers the drain sequence.
 func run(cfg daemonConfig) error {
 	if cfg.shedThreshold < 0 || cfg.shedThreshold >= 1 {
-		if cfg.shedThreshold != 0 {
-			return fmt.Errorf("-shed-threshold must be in (0,1) or 0 to disable, got %g", cfg.shedThreshold)
-		}
+		return fmt.Errorf("-shed-threshold must be in (0,1) or 0 to disable, got %g", cfg.shedThreshold)
 	}
 	var store engine.Store
 	var walStore *engine.WALStore
@@ -187,7 +185,7 @@ func run(cfg daemonConfig) error {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("daemon: listening on http://%s (store=%s workers=%d queue=%d shards=%d ttl=%s shed=%g)",
-			cfg.addr, cfg.store, cfg.workers, cfg.queueDepth, cfg.storeShards, cfg.opTTL, cfg.shedThreshold)
+			cfg.addr, cfg.store, cfg.workers, cfg.queueDepth, engine.ShardCount(cfg.storeShards), cfg.opTTL, cfg.shedThreshold)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return

@@ -1,8 +1,7 @@
 // Command loadgen drives an opdaemon instance hard and reports what it
 // measured: request and operation throughput, latency percentiles, and
-// a breakdown of response codes. It is the measurement half of every
-// performance change — run it against a daemon before and after, and
-// keep the numbers in the PR.
+// a breakdown of response codes. It is a hand tool for hostile traffic
+// mixes; numbers worth quoting come from opbench (bench/README.md).
 //
 // Usage:
 //
@@ -29,7 +28,7 @@
 // plain GETs every -poll-interval (the classic poll-until-terminal
 // client); -observe watch replaces the loop with ?wait=true
 // long-polls. Run both against the same daemon to measure what the
-// watch path saves — that comparison is what BENCH_7.json records.
+// watch path saves.
 //
 // With -clients N, workers identify themselves to the daemon via
 // X-Client-Id so the scheduler's per-client fair queueing applies, and
@@ -38,7 +37,7 @@
 // without observing (fire-and-forget flood); the remaining workers are
 // the victims, spread across the other N-1 client IDs. The per-client
 // to-terminal percentiles of the victims against the greedy flood are
-// the fairness metric BENCH_8.json records.
+// the fairness metric.
 //
 // 429 responses (the daemon shedding load at its admission threshold)
 // are counted separately from errors: the report shows the shed count
@@ -81,7 +80,6 @@ func main() {
 		observeTO   = flag.Duration("observe-timeout", 30*time.Second, "max time to follow one operation to terminal (also sent as the long-poll timeout in watch mode)")
 		clients     = flag.Int("clients", 0, "number of distinct X-Client-Id values to spread workers across (0 sends no header)")
 		greedyFrac  = flag.Float64("greedy-frac", 0, "fraction (0..1) of workers assigned to one shared fire-and-forget 'greedy' client; requires -clients >= 2")
-		jsonPath    = flag.String("json", "", "also write the report as JSON to this path (schema in docs/loadgen.md), for the BENCH_*.json perf trajectory")
 	)
 	flag.Parse()
 
@@ -107,12 +105,6 @@ func main() {
 	}
 	report := cfg.run(*seed)
 	fmt.Print(report.format(cfg))
-	if *jsonPath != "" {
-		if err := report.writeJSON(*jsonPath, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-	}
 	// List and observe failures gate the exit status like transport
 	// errors do: a scripted bench run must not record a broken read
 	// path as green. Shed (429) responses do not: a daemon refusing
@@ -370,7 +362,6 @@ type workerStats struct {
 // compute the per-client fairness percentiles the adversarial mixes
 // exist to measure.
 type clientReport struct {
-	requests         int64
 	accepted         int64
 	sheds            int64
 	latencies        []time.Duration
@@ -483,7 +474,6 @@ func (cfg *runConfig) run(seed int64) *report {
 				cr = &clientReport{}
 				merged.perClient[ws.client] = cr
 			}
-			cr.requests += ws.requests
 			cr.accepted += ws.accepted
 			cr.sheds += ws.sheds
 			cr.latencies = append(cr.latencies, ws.latencies...)
@@ -889,169 +879,4 @@ func formatRetryHistogram(h map[int]int64) string {
 		parts = append(parts, fmt.Sprintf("%s×%d", label, h[s]))
 	}
 	return strings.Join(parts, " ")
-}
-
-// jsonPercentiles is the latency block of the JSON report, in
-// milliseconds for cross-run arithmetic without duration parsing.
-type jsonPercentiles struct {
-	P50Ms float64 `json:"p50_ms"`
-	P90Ms float64 `json:"p90_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	MaxMs float64 `json:"max_ms"`
-}
-
-func toJSONPercentiles(sorted []time.Duration) jsonPercentiles {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	var max time.Duration
-	if len(sorted) > 0 {
-		max = sorted[len(sorted)-1]
-	}
-	return jsonPercentiles{
-		P50Ms: ms(percentile(sorted, 50)),
-		P90Ms: ms(percentile(sorted, 90)),
-		P99Ms: ms(percentile(sorted, 99)),
-		MaxMs: ms(max),
-	}
-}
-
-// jsonReport is the machine-readable run record written by -json; one
-// of these per run is what a BENCH_*.json trajectory entry holds. The
-// schema field versions the shape so future fields can be added
-// without breaking consumers; see docs/loadgen.md.
-type jsonReport struct {
-	Schema string `json:"schema"`
-	Config struct {
-		URL             string  `json:"url"`
-		Concurrency     int     `json:"concurrency"`
-		DurationSeconds float64 `json:"duration_seconds"`
-		Batch           int     `json:"batch"`
-		Kinds           string  `json:"kinds"`
-		CancelFrac      float64 `json:"cancel_frac"`
-		ListEvery       int     `json:"list_every"`
-		Observe         string  `json:"observe,omitempty"`
-		PollIntervalMs  float64 `json:"poll_interval_ms,omitempty"`
-		ObserveTimeoutS float64 `json:"observe_timeout_seconds,omitempty"`
-		Clients         int     `json:"clients,omitempty"`
-		GreedyFrac      float64 `json:"greedy_frac,omitempty"`
-	} `json:"config"`
-	ElapsedSeconds      float64          `json:"elapsed_seconds"`
-	Requests            int64            `json:"requests"`
-	RequestsPerSecond   float64          `json:"requests_per_second"`
-	OperationsAccepted  int64            `json:"operations_accepted"`
-	OperationsPerSecond float64          `json:"operations_per_second"`
-	SubmitLatency       jsonPercentiles  `json:"submit_latency"`
-	ListRequests        int64            `json:"list_requests,omitempty"`
-	ListLatency         *jsonPercentiles `json:"list_latency,omitempty"`
-	ListErrors          int64            `json:"list_errors,omitempty"`
-	HTTPCodes           map[string]int64 `json:"http_codes"`
-	CancelsRequested    int64            `json:"cancels_requested,omitempty"`
-	Cancelled           int64            `json:"cancelled,omitempty"`
-	CancelConflicts     int64            `json:"cancel_conflicts,omitempty"`
-	CancelErrors        int64            `json:"cancel_errors,omitempty"`
-	OpsObserved         int64            `json:"ops_observed,omitempty"`
-	ObserveGets         int64            `json:"observe_gets,omitempty"`
-	GetsPerOp           float64          `json:"gets_per_op,omitempty"`
-	TimeToTerminal      *jsonPercentiles `json:"time_to_terminal,omitempty"`
-	ObserveErrors       int64            `json:"observe_errors,omitempty"`
-	Sheds               int64            `json:"sheds,omitempty"`
-	RetryAfterHistogram map[string]int64 `json:"retry_after_histogram,omitempty"`
-	PerClient           []jsonClient     `json:"per_client,omitempty"`
-	TransportErrors     int64            `json:"transport_errors"`
-}
-
-// jsonClient is one client's row of the fairness breakdown; the
-// "retry_after_histogram" key mirrors formatRetryHistogram's "none"
-// bin as the string "none".
-type jsonClient struct {
-	Client         string           `json:"client"`
-	Requests       int64            `json:"requests"`
-	Accepted       int64            `json:"accepted"`
-	Sheds          int64            `json:"sheds,omitempty"`
-	SubmitLatency  jsonPercentiles  `json:"submit_latency"`
-	TimeToTerminal *jsonPercentiles `json:"time_to_terminal,omitempty"`
-}
-
-// writeJSON renders the run as indented JSON at path.
-func (rep *report) writeJSON(path string, cfg *runConfig) error {
-	var jr jsonReport
-	jr.Schema = "opdaemon-loadgen/1"
-	jr.Config.URL = cfg.url
-	jr.Config.Concurrency = cfg.concurrency
-	jr.Config.DurationSeconds = cfg.duration.Seconds()
-	jr.Config.Batch = cfg.batch
-	jr.Config.Kinds = cfg.mix.String()
-	jr.Config.CancelFrac = cfg.cancelFrac
-	jr.Config.ListEvery = cfg.listEvery
-	if cfg.observe != "" {
-		jr.Config.Observe = cfg.observe
-		if cfg.observe == "poll" {
-			jr.Config.PollIntervalMs = float64(cfg.pollInterval) / float64(time.Millisecond)
-		}
-		jr.Config.ObserveTimeoutS = cfg.observeTimeout.Seconds()
-	}
-	jr.Config.Clients = cfg.clients
-	jr.Config.GreedyFrac = cfg.greedyFrac
-	secs := rep.elapsed.Seconds()
-	jr.ElapsedSeconds = secs
-	jr.Requests = rep.requests
-	jr.RequestsPerSecond = float64(rep.requests) / secs
-	jr.OperationsAccepted = rep.accepted
-	jr.OperationsPerSecond = float64(rep.accepted) / secs
-	jr.SubmitLatency = toJSONPercentiles(rep.latencies)
-	if rep.listRequests > 0 {
-		jr.ListRequests = rep.listRequests
-		lp := toJSONPercentiles(rep.listLatencies)
-		jr.ListLatency = &lp
-		jr.ListErrors = rep.listErrs
-	}
-	jr.HTTPCodes = make(map[string]int64, len(rep.codes))
-	for code, n := range rep.codes {
-		jr.HTTPCodes[strconv.Itoa(code)] = n
-	}
-	jr.CancelsRequested = rep.cancelRequested
-	jr.Cancelled = rep.cancelled
-	jr.CancelConflicts = rep.cancelConflicts
-	jr.CancelErrors = rep.cancelErrs
-	if cfg.observe != "" {
-		jr.OpsObserved = rep.observed
-		jr.ObserveGets = rep.observeGets
-		if rep.observed > 0 {
-			jr.GetsPerOp = float64(rep.observeGets) / float64(rep.observed)
-		}
-		op := toJSONPercentiles(rep.observeLatencies)
-		jr.TimeToTerminal = &op
-		jr.ObserveErrors = rep.observeErrs
-	}
-	if rep.sheds > 0 {
-		jr.Sheds = rep.sheds
-		jr.RetryAfterHistogram = make(map[string]int64, len(rep.retryAfter))
-		for secs, n := range rep.retryAfter {
-			key := strconv.Itoa(secs)
-			if secs < 0 {
-				key = "none"
-			}
-			jr.RetryAfterHistogram[key] = n
-		}
-	}
-	for _, key := range sortedClientKeys(rep.perClient) {
-		cr := rep.perClient[key]
-		jc := jsonClient{
-			Client:        key,
-			Requests:      cr.requests,
-			Accepted:      cr.accepted,
-			Sheds:         cr.sheds,
-			SubmitLatency: toJSONPercentiles(cr.latencies),
-		}
-		if len(cr.observeLatencies) > 0 {
-			tt := toJSONPercentiles(cr.observeLatencies)
-			jc.TimeToTerminal = &tt
-		}
-		jr.PerClient = append(jr.PerClient, jc)
-	}
-	jr.TransportErrors = rep.transportErrs
-	out, err := json.MarshalIndent(&jr, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -269,21 +269,18 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	query := r.URL.Query()
-	status := core.Status(query.Get("status"))
-	if status != "" && !status.Valid() {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown status filter %q", status))
-		return
+	var status core.Status
+	if raw := query.Get("status"); raw != "" {
+		var ok bool
+		if status, ok = statusParam(w, raw); !ok {
+			return
+		}
 	}
 	// limit caps the reply at the N newest matches; absent means
 	// unbounded, for compatibility with pre-limit clients.
-	limit := 0
-	if raw := query.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("limit must be a positive integer, got %q", raw))
-			return
-		}
-		limit = n
+	limit, ok := limitParam(w, query.Get("limit"))
+	if !ok {
+		return
 	}
 	// cursor resumes listing strictly after the named operation (pass
 	// the id of the previous page's last element). It is opaque but
@@ -302,6 +299,32 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeSync(w, http.StatusOK, ops)
+}
+
+// statusParam validates one status filter value; an unknown one is
+// answered 400 and reported !ok.
+func statusParam(w http.ResponseWriter, raw string) (core.Status, bool) {
+	st := core.Status(raw)
+	if !st.Valid() {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown status filter %q", raw))
+		return "", false
+	}
+	return st, true
+}
+
+// limitParam parses the optional limit parameter: 0 when absent (raw
+// empty), else a positive integer; anything else is answered 400 and
+// reported !ok.
+func limitParam(w http.ResponseWriter, raw string) (int, bool) {
+	if raw == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n <= 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("limit must be a positive integer, got %q", raw))
+		return 0, false
+	}
+	return n, true
 }
 
 // operationsPath prefixes an operation's poll URL; it lives here, next

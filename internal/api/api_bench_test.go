@@ -1,16 +1,15 @@
 package api
 
-// End-to-end API benchmarks: every request travels the full
+// In-process API benchmarks: every request travels the full
 // router → handler → engine → store → JSON-envelope path through
-// httptest recorders, so a regression anywhere in that stack shows up
-// here even if the store microbenchmarks stay flat. Run via
-// `make bench-e2e` or:
+// httptest recorders. They are what opbench cannot say yet — allocs/op
+// of a submit, the contention profile (`make mutex-profile` runs
+// BenchmarkAPISubmitBatch10), a cursor page, a notices page; what
+// serving a GET, a long-poll or a list page costs, and what a watched
+// lifecycle costs, are opbench's api.* and watch.* rows and
+// lifecycle_mix's op_p50_ms (bench/README.md). Run via `make bench` or:
 //
-//	go test -bench=. -benchtime=100x -run '^$' ./internal/api/
-//
-// CI runs the 100x variant on every push. The headline numbers for the
-// read-path work are BenchmarkAPIGet (poll) and BenchmarkAPIList
-// (page), whose costs must not scale with store size.
+//	go test -bench=. -benchmem -benchtime=100x -run '^$' ./internal/api/
 
 import (
 	"context"
@@ -144,50 +143,10 @@ func BenchmarkAPISubmitBatch10(b *testing.B) {
 	}
 }
 
-// BenchmarkAPIGet measures the poll hot path — the request snapd-style
-// clients issue in a tight loop — against a 10k-operation store.
-func BenchmarkAPIGet(b *testing.B) {
-	for _, bs := range benchStores() {
-		b.Run(bs.name, func(b *testing.B) {
-			st := bs.mk()
-			ops := seedStore(st, 10_000)
-			s, _ := newBenchServer(b, st)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := serve(s, "GET", "/v1/operations/"+ops[i%len(ops)].ID, "")
-				if w.Code != http.StatusOK {
-					b.Fatalf("get returned %d", w.Code)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAPIList measures a limit=50 page over a 10k-operation
-// store: before the ordered index this cloned and sorted all 10k ops
-// per request; now it touches 50.
-func BenchmarkAPIList(b *testing.B) {
-	for _, bs := range benchStores() {
-		b.Run(bs.name, func(b *testing.B) {
-			st := bs.mk()
-			seedStore(st, 10_000)
-			s, _ := newBenchServer(b, st)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := serve(s, "GET", "/v1/operations?limit=50", "")
-				if w.Code != http.StatusOK {
-					b.Fatalf("list returned %d", w.Code)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAPIListCursor measures a mid-stream cursor page, which adds
-// the cursor resolution (one point lookup + per-shard binary search)
-// to the page cost.
+// BenchmarkAPIListCursor measures a mid-stream limit=50 cursor page
+// over a 10k-operation store: the cursor resolution (one point lookup +
+// per-shard binary search) on top of the first page opbench's
+// api.serve_list50_us times. No opbench workload sends a cursor.
 func BenchmarkAPIListCursor(b *testing.B) {
 	for _, bs := range benchStores() {
 		b.Run(bs.name, func(b *testing.B) {
@@ -242,6 +201,37 @@ func BenchmarkAPISubmitBatch10WAL(b *testing.B) {
 			b.StopTimer()
 			if rejected > 0 {
 				b.ReportMetric(float64(rejected), "429s")
+			}
+		})
+	}
+}
+
+// BenchmarkAPINotices measures a limit=50 feed page over a populated
+// ring — the recurring request of a caught-up notices watcher that
+// fell briefly behind. No opbench workload reads /v1/notices.
+func BenchmarkAPINotices(b *testing.B) {
+	for _, bs := range benchStores() {
+		b.Run(bs.name, func(b *testing.B) {
+			s, e := newBenchServer(b, bs.mk())
+			// Populate the feed with real lifecycles (3 notices each).
+			for i := 0; i < 200; i++ {
+				w := serve(s, "POST", "/v1/operations", `{"kind":"noop"}`)
+				if w.Code != http.StatusAccepted {
+					b.Fatalf("seed submit returned %d", w.Code)
+				}
+			}
+			// All 200 lifecycles (3 notices each) settle before
+			// measuring.
+			for e.Stats().LastNotice < 600 {
+				time.Sleep(time.Millisecond)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := serve(s, "GET", "/v1/notices?limit=50", "")
+				if w.Code != http.StatusOK {
+					b.Fatalf("notices returned %d", w.Code)
+				}
 			}
 		})
 	}

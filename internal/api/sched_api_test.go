@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +127,19 @@ func TestSaturatedSubmitReturns429WithRetryAfter(t *testing.T) {
 	secs, err := strconv.Atoi(retry)
 	if err != nil || secs < 1 {
 		t.Errorf("Retry-After = %q, want an integer >= 1", retry)
+	}
+
+	// A batch within capacity but above the shed bound can never be
+	// admitted, at this depth or at zero: a 400 naming the bound, with no
+	// Retry-After inviting the client to try again.
+	w, resp = doJSON(t, s, http.MethodPost, "/v1/operations", "["+strings.Repeat(`{"kind":"noop"},`, 5)+`{"kind":"noop"}]`)
+	checkEnvelope(t, w, resp, typeError, http.StatusBadRequest)
+	result, _ := resp.Result.(map[string]any)
+	if msg, _ := result["message"].(string); !strings.Contains(msg, "size 6 exceeds shed bound 5") {
+		t.Errorf("oversized batch message = %q, want it to name the shed bound", msg)
+	}
+	if retry := w.Header().Get("Retry-After"); retry != "" {
+		t.Errorf("400 for an oversized batch carries Retry-After %q", retry)
 	}
 
 	// Health reflects the shed state while saturated.

@@ -1,12 +1,13 @@
 package api
 
 // Fairness benchmark for the scheduler layer, run as part of
-// `make bench-e2e`: one greedy client keeps the queue buried while a
+// `make bench`: one greedy client keeps the queue buried while a
 // victim client submits through the full API path and waits for its
 // operation to finish. The reported victim-p99-ms metric is the
-// fairness headline BENCH_8.json tracks — under the old FIFO dispatch
-// the victim waited behind the whole greedy backlog; under per-client
-// DRR its tail is bounded by the round-robin share.
+// fairness headline: under FIFO dispatch the victim would wait behind
+// the whole greedy backlog; under per-client round-robin its tail is
+// bounded by its share. opbench's two clients are both well-behaved, so
+// none of its workloads measures this.
 
 import (
 	"context"

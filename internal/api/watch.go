@@ -137,21 +137,15 @@ func (s *Server) notices(w http.ResponseWriter, r *http.Request) {
 	}
 	var statuses []core.Status
 	for _, raw := range query["status"] {
-		st := core.Status(raw)
-		if !st.Valid() {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown status filter %q", raw))
+		st, ok := statusParam(w, raw)
+		if !ok {
 			return
 		}
 		statuses = append(statuses, st)
 	}
-	limit := 0
-	if raw := query.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("limit must be a positive integer, got %q", raw))
-			return
-		}
-		limit = n
+	limit, ok := limitParam(w, query.Get("limit"))
+	if !ok {
+		return
 	}
 	nq := engine.NoticeQuery{
 		After:    after,

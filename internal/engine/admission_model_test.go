@@ -12,6 +12,10 @@ package engine
 //     the right one: ErrSaturated only with a threshold configured,
 //     ErrQueueFull only without, nothing but ErrShuttingDown once it was
 //     seen;
+//   - a batch above the admission bound (the shed threshold when one is
+//     configured, else capacity) could never be admitted, so it is an
+//     *core.InvalidError at any depth, before and after Shutdown, never
+//     one of the retryable refusals;
 //   - a batch is all-or-nothing: after a clean Shutdown the store holds
 //     exactly the operations of the accepted batches, and no other ID
 //     was ever visible through List;
@@ -76,6 +80,9 @@ type admissionRun struct {
 	row  admissionRow
 	seed int64
 	e    *Engine
+	// bound is the largest batch admission can ever grant: the shed
+	// threshold when one is configured, else capacity.
+	bound int
 
 	gate     chan struct{}
 	openGate sync.Once
@@ -108,17 +115,23 @@ func (ar *admissionRun) shutDown() {
 
 // batchSize draws a size at one of the boundaries a concurrent reserve
 // can land on: what is left under capacity, what is left under the shed
-// threshold, one either side of each, or anything that fits the queue.
+// threshold, one either side of each, anything that fits the queue, or
+// one in (admission bound, capacity], which fits the queue and can still
+// never be admitted (the draw is empty with no threshold configured).
 func (ar *admissionRun) batchSize(r *rand.Rand) int {
 	st := ar.e.Stats()
 	k := 1 + r.Intn(st.QueueCapacity)
-	switch r.Intn(4) {
+	switch r.Intn(5) {
 	case 0:
 		k = st.QueueCapacity - st.QueueDepth + r.Intn(3) - 1
 	case 1:
 		k = st.ShedAt - st.QueueDepth + r.Intn(3) - 1
 	case 2:
 		k = 1 + r.Intn(3)
+	case 3:
+		if over := st.QueueCapacity - ar.bound; over > 0 {
+			k = ar.bound + 1 + r.Intn(over)
+		}
 	}
 	if k < 1 {
 		k = 1
@@ -147,7 +160,12 @@ func (ar *admissionRun) submitter(r *rand.Rand) {
 			items[j] = BatchItem{Kind: kinds[r.Intn(len(kinds))], Priority: prios[r.Intn(len(prios))]}
 		}
 		ops, err := ar.e.SubmitBatch(context.Background(), items, AsClient(fmt.Sprintf("c%d", r.Intn(3))))
+		var inv *core.InvalidError
 		switch {
+		case len(items) > ar.bound:
+			if !errors.As(err, &inv) {
+				ar.errorf("batch of %d above the admission bound %d = %v, want *core.InvalidError", len(items), ar.bound, err)
+			}
 		case err == nil && closedSeen > 0:
 			ar.errorf("batch of %d accepted after a submit had already seen ErrShuttingDown", len(items))
 		case err == nil:
@@ -300,6 +318,11 @@ func runAdmissionModel(t *testing.T, row admissionRow, seed int64) {
 		NoticeRingSize: 1 << 14, // holds the whole history; checkFinal verifies
 	})
 	defer ar.release()
+	if st := ar.e.Stats(); st.ShedAt < st.QueueCapacity {
+		ar.bound = st.ShedAt
+	} else {
+		ar.bound = st.QueueCapacity
+	}
 	ar.e.Register("fast", func(context.Context, *core.Operation) (any, error) { return nil, nil })
 	ar.e.Register("gate", func(ctx context.Context, _ *core.Operation) (any, error) {
 		select {
@@ -362,7 +385,10 @@ func TestAdmissionModel(t *testing.T) {
 	if *modelSeed != 0 {
 		seeds = []int64{*modelSeed}
 	}
-	for _, shed := range []float64{0, 0.5} {
+	// 0.75 beside 0.5: at a half, a batch within the shed bound on a
+	// queue within the shed bound never exceeds capacity, and the order
+	// of reserve's two bound checks would go untested.
+	for _, shed := range []float64{0, 0.5, 0.75} {
 		for _, depth := range []int{8, 64} {
 			for _, workers := range []int{1, 4} {
 				row := admissionRow{shed: shed, depth: depth, workers: workers}

@@ -426,13 +426,13 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	if len(items) == 0 {
 		return nil, &core.InvalidError{Field: "batch", Reason: "must contain at least one item"}
 	}
-	if len(items) > e.sched.capacity {
+	if limit, name := e.sched.largestGrant(); len(items) > limit {
 		// Such a batch can never be accepted, so reject it as a
-		// client error rather than ErrQueueFull, whose "retry later"
-		// semantics would have the client retry forever.
+		// client error rather than ErrSaturated or ErrQueueFull, whose
+		// "retry later" semantics would have the client retry forever.
 		return nil, &core.InvalidError{
 			Field:  "batch",
-			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), e.sched.capacity),
+			Reason: fmt.Sprintf("size %d exceeds %s %d", len(items), name, limit),
 		}
 	}
 	var sub submitOptions

@@ -462,20 +462,40 @@ func TestSubmitBatchQueueFullIsAllOrNothing(t *testing.T) {
 }
 
 func TestSubmitBatchLargerThanQueueCapacity(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 2})
-	defer e.Shutdown(context.Background())
-	e.Register("ok", func(context.Context, *core.Operation) (any, error) { return nil, nil })
-
-	// A batch that exceeds total queue capacity can never succeed, so
-	// it must be a permanent InvalidError, not the retryable
-	// ErrQueueFull.
-	var inv *core.InvalidError
-	_, err := e.SubmitBatch(context.Background(), []BatchItem{{Kind: "ok"}, {Kind: "ok"}, {Kind: "ok"}})
-	if !errors.As(err, &inv) {
-		t.Fatalf("over-capacity batch error = %v, want *core.InvalidError", err)
-	}
-	if got := len(listEngine(t, e, ListQuery{})); got != 0 {
-		t.Errorf("store holds %d ops after over-capacity batch, want 0", got)
+	// A batch admission can never grant — larger than the queue, or
+	// larger than the shed bound when a threshold is configured (reserve
+	// refuses depth+k > shedAt even at depth 0) — must be a permanent
+	// InvalidError naming the bound, not the retryable ErrQueueFull or
+	// ErrSaturated, on an idle engine and on every attempt.
+	for _, tc := range []struct {
+		cfg   Config
+		size  int // refused; the bound's own size is admitted
+		limit int
+		bound string
+	}{
+		{Config{Workers: 1, QueueDepth: 2}, 3, 2, "queue capacity 2"},
+		{Config{Workers: 1, QueueDepth: 8, ShedThreshold: 0.5}, 6, 4, "shed bound 4"},
+	} {
+		e := New(tc.cfg)
+		e.Register("ok", func(context.Context, *core.Operation) (any, error) { return nil, nil })
+		items := make([]BatchItem, tc.size)
+		for i := range items {
+			items[i].Kind = "ok"
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			var inv *core.InvalidError
+			_, err := e.SubmitBatch(context.Background(), items)
+			if !errors.As(err, &inv) || !strings.Contains(inv.Reason, tc.bound) {
+				t.Fatalf("batch of %d, %s: error = %v, want *core.InvalidError naming the bound", tc.size, tc.bound, err)
+			}
+		}
+		if got := len(listEngine(t, e, ListQuery{})); got != 0 {
+			t.Errorf("store holds %d ops after a batch over %s, want 0", got, tc.bound)
+		}
+		if _, err := e.SubmitBatch(context.Background(), items[:tc.limit]); err != nil {
+			t.Errorf("batch of %d at %s = %v, want admitted", tc.limit, tc.bound, err)
+		}
+		e.Shutdown(context.Background())
 	}
 }
 

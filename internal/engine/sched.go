@@ -252,6 +252,16 @@ func (s *schedQueue) reserve(k int) error {
 	return nil
 }
 
+// largestGrant is the most reserve can ever admit at once, with the name
+// of that bound: the shed bound when a threshold is configured, else
+// capacity. A larger batch is refused at any depth.
+func (s *schedQueue) largestGrant() (limit int, name string) {
+	if s.shedAt < s.capacity {
+		return s.shedAt, "shed bound"
+	}
+	return s.capacity, "queue capacity"
+}
+
 // commit turns len(ops) reservations into scheduled items, each filed
 // under its operation's priority band and client queue, in one critical
 // section, and wakes one worker per item. now is sampled by the caller

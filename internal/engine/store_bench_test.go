@@ -1,19 +1,14 @@
 package engine
 
-// Benchmarks comparing the store at one shard (a single lock) against
-// the shard count it ships with. The serial variants establish that sharding costs nothing
-// when there is no contention; the parallel variants are the ones the
-// sharded store exists to win. Run via `make bench` or:
+// The store benchmarks opbench cannot replace: contended variants at one
+// shard (a single lock) against the shard count the store ships with,
+// the WAL under each sync policy, cold recovery, and the unbounded
+// listing. What one uncontended Get, Put, PutBatch, Update or List page
+// costs is opbench's store.* and wal.* rows (bench/README.md); at
+// -cpu 1 a *Parallel benchmark here is its own serial baseline. Run via
+// `make bench` or:
 //
-//	go test -bench=. -benchtime=100x -run '^$' ./internal/engine/
-//
-// CI runs the 100x variant on every push so a perf regression is
-// visible in the logs next to the test results.
-//
-// The read-path criteria to watch: BenchmarkStoreGet must report
-// 0 allocs/op (copy-on-write snapshots hand out shared pointers), and
-// BenchmarkStoreList/limit=50 must report the same allocs/op at every
-// store size (the ordered index makes a page O(limit), not O(n)).
+//	go test -bench=. -benchmem -benchtime=100x -run '^$' ./internal/engine/
 
 import (
 	"fmt"
@@ -50,45 +45,6 @@ func prepopulate(s Store, n int) []*core.Operation {
 	}
 	s.PutBatch(ops)
 	return ops
-}
-
-// BenchmarkStoreGet measures the poll hot path. The acceptance bar is
-// 0 allocs/op: Get returns the published snapshot pointer, never a
-// clone.
-func BenchmarkStoreGet(b *testing.B) {
-	for _, impl := range benchImpls() {
-		b.Run(impl.name, func(b *testing.B) {
-			s := impl.mk()
-			ops := prepopulate(s, 4096)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Get(ops[i%len(ops)].ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStoreGetPut measures the uncontended single-goroutine
-// Put+Get round trip — the floor sharding must not regress.
-func BenchmarkStoreGetPut(b *testing.B) {
-	for _, impl := range benchImpls() {
-		b.Run(impl.name, func(b *testing.B) {
-			s := impl.mk()
-			ops := prepopulate(s, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op := ops[i%len(ops)]
-				s.Put(op)
-				if _, err := s.Get(op.ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkStoreGetPutParallel hammers Put+Get from GOMAXPROCS
@@ -156,24 +112,6 @@ func BenchmarkStoreUpdateParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkStorePutBatch measures the amortised batch write path the
-// batch submission API rides on, at the batch size the acceptance
-// criteria use.
-func BenchmarkStorePutBatch(b *testing.B) {
-	const batchSize = 100
-	for _, impl := range benchImpls() {
-		b.Run(impl.name, func(b *testing.B) {
-			s := impl.mk()
-			ops := prepopulate(s, batchSize)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.PutBatch(ops)
-			}
-		})
-	}
-}
-
 // walBenchModes are the sync policies the WAL benchmarks compare:
 // always is the per-write fsync floor, group is the group-commit
 // design point, none isolates the framing/staging overhead from disk.
@@ -194,28 +132,11 @@ func openBenchWAL(b *testing.B, mode WALSyncMode) *WALStore {
 	return s
 }
 
-// BenchmarkStoreWALPut measures the single-writer durable admission
-// path per sync mode. always pays a full fsync round trip per op
-// (group commit cannot amortise a lone writer); compare against
-// BenchmarkStoreGetPut's in-memory floor for the durability tax.
-func BenchmarkStoreWALPut(b *testing.B) {
-	for _, mode := range walBenchModes {
-		b.Run(string(mode), func(b *testing.B) {
-			s := openBenchWAL(b, mode)
-			ops := prepopulate(s, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Put(ops[i%len(ops)])
-			}
-		})
-	}
-}
-
 // BenchmarkStoreWALPutParallel is the group-commit demonstration:
 // concurrent writers board the same batch and share one fsync, so
 // group's per-op cost collapses toward always's divided by the batch
-// size while always still serialises one fsync per generation.
+// size while always still serialises one fsync per generation. At
+// -cpu 1 these rows are the lone-writer cost of each policy.
 func BenchmarkStoreWALPutParallel(b *testing.B) {
 	for _, mode := range walBenchModes {
 		b.Run(string(mode), func(b *testing.B) {
@@ -267,8 +188,8 @@ func BenchmarkStoreWALUpdateParallel(b *testing.B) {
 
 // BenchmarkWALRecovery measures boot-time replay: open a log holding
 // 100k operations, rebuild the index, close. This is the cost a
-// restart pays and the number BENCH_9.json tracks; compaction exists
-// to bound it.
+// restart pays, and compaction exists to bound it; its -cpu 1,2 rows are
+// the evidence that parallel replay pays.
 func BenchmarkWALRecovery(b *testing.B) {
 	const n = 100_000
 	dir := b.TempDir()
@@ -291,33 +212,6 @@ func BenchmarkWALRecovery(b *testing.B) {
 		}
 		if err := r.Close(); err != nil {
 			b.Fatalf("Close: %v", err)
-		}
-	}
-}
-
-// BenchmarkStoreList measures a snapd-style poll page — limit=50,
-// newest first — at growing store sizes. The ordered per-shard index
-// makes both time and allocations independent of store size; compare
-// the 1k and 10k rows to verify.
-func BenchmarkStoreList(b *testing.B) {
-	const limit = 50
-	for _, impl := range benchImpls() {
-		for _, size := range []int{1_000, 10_000} {
-			b.Run(fmt.Sprintf("%s/limit=%d/size=%d", impl.name, limit, size), func(b *testing.B) {
-				s := impl.mk()
-				prepopulate(s, size)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					page, err := s.List(ListQuery{Limit: limit})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(page) != limit {
-						b.Fatalf("List returned %d ops, want %d", len(page), limit)
-					}
-				}
-			})
 		}
 	}
 }

@@ -63,6 +63,16 @@ type shardedStore struct {
 // round-up below integer-overflow territory.
 const maxShardCount = 1 << 16
 
+// ShardCount is the shard count a store asked for n gets: the
+// GOMAXPROCS-scaled default for n <= 0, the maxShardCount clamp, then
+// the power-of-two round-up the mask needs.
+func ShardCount(n int) int {
+	if n <= 0 {
+		n = DefaultShardCount()
+	}
+	return nextPowerOfTwo(min(n, maxShardCount))
+}
+
 // NewShardedStore returns an empty memory-only Store partitioned across
 // n hash-selected shards. n is rounded up to the next power of two so
 // shard selection is a bit mask; n <= 0 selects DefaultShardCount() and
@@ -75,12 +85,7 @@ func NewShardedStore(n int) Store {
 // newShardedStore builds the store over an optional journal; a journaled
 // store also tracks delta-chain lengths per shard.
 func newShardedStore(n int, w *wal) *shardedStore {
-	// Shard geometry: the GOMAXPROCS-scaled default for n <= 0, the
-	// maxShardCount clamp, then the power-of-two round-up the mask needs.
-	if n <= 0 {
-		n = DefaultShardCount()
-	}
-	n = nextPowerOfTwo(min(n, maxShardCount))
+	n = ShardCount(n)
 	s := &shardedStore{
 		shards: make([]*storeShard, n),
 		mask:   uint32(n - 1),

@@ -242,6 +242,22 @@ func TestWALStoreFlushBarrier(t *testing.T) {
 	}
 }
 
+// waitSnapshot waits for the asynchronous compaction to install a
+// snapshot in dir.
+func waitSnapshot(t *testing.T, dir string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.wal")); len(snaps) > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no snapshot appeared although closed segments exceed MaxSegments")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestWALStoreCompaction drives segment rotation until the committer
 // folds closed segments into a snapshot, then proves the snapshot is
 // sufficient: a reopen recovers the full state from it plus the
@@ -256,17 +272,7 @@ func TestWALStoreCompaction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Put(mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second)))
 	}
-	// Compaction runs asynchronously; wait for a snapshot to land.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.wal")); len(snaps) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot appeared after 12 rotations with MaxSegments=2")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitSnapshot(t, dir)
 	want := listAll(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -280,6 +286,90 @@ func TestWALStoreCompaction(t *testing.T) {
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
 	defer r.Close()
 	sameOps(t, listAll(t, r), want)
+}
+
+// flipByte inverts the byte in the middle of the file, which lands inside
+// a CRC-covered frame.
+func flipByte(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) == 0 {
+		t.Fatalf("reading %s to corrupt it: %d bytes, %v", path, len(data), err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALStoreUnusableSnapshot: a snapshot that does not replay may be
+// passed over only while the segments it covered are all still on disk
+// (a crash between its install and the prune); once they are pruned the
+// store refuses to open rather than boot without the operations the
+// snapshot held.
+func TestWALStoreUnusableSnapshot(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	const n = 12
+	fill := func(s *WALStore) []*core.Operation {
+		for i := 0; i < n; i++ {
+			s.Put(mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second)))
+		}
+		return listAll(t, s)
+	}
+
+	t.Run("covered segments pruned", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 2})
+		fill(s)
+		waitSnapshot(t, dir)
+		if err := s.Close(); err != nil { // waits for the compaction's prune
+			t.Fatalf("Close: %v", err)
+		}
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.wal"))
+		newest := snaps[len(snaps)-1]
+		flipByte(t, newest)
+		r, err := OpenWALStore(WALConfig{Dir: dir, Sync: WALSyncAlways})
+		if err == nil {
+			got := r.Len()
+			r.Close()
+			t.Fatalf("OpenWALStore over a corrupt snapshot whose segments are pruned = nil error, %d of %d operations", got, n)
+		}
+		if !strings.Contains(err.Error(), filepath.Base(newest)) {
+			t.Errorf("error %q does not name the snapshot %s", err, filepath.Base(newest))
+		}
+	})
+
+	t.Run("covered segments still on disk", func(t *testing.T) {
+		dir := t.TempDir()
+		// Rotation without compaction: every segment stays.
+		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 1 << 20})
+		want := fill(s)
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if len(segs) < 3 {
+			t.Fatalf("%d segments after %d puts with 64-byte segments, want several", len(segs), n)
+		}
+		// The crash window: a snapshot covering every segment was
+		// installed, unreadable, and nothing was pruned yet.
+		var last int
+		if !parseWALName(filepath.Base(segs[len(segs)-1]), "wal-%08d.log", &last) {
+			t.Fatalf("unparsable segment name %s", segs[len(segs)-1])
+		}
+		data, err := os.ReadFile(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := filepath.Join(dir, walSnapName(last))
+		if err := os.WriteFile(snap, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipByte(t, snap)
+		r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+		defer r.Close()
+		sameOps(t, listAll(t, r), want)
+	})
 }
 
 // TestWALStoreStats exercises the observability counters end to end:

@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -240,7 +241,10 @@ type walLayout struct {
 // Replay stops at the first torn or corrupt frame; the file holding it
 // is truncated to its valid prefix and any later segments — which a
 // pure crash cannot produce, only real corruption — are deleted (loudly)
-// so that what remains on disk always equals the recovered state.
+// so that what remains on disk always equals the recovered state. An
+// unusable snapshot is an error unless every segment it covered beyond
+// the state fallen back to is still on disk: booting without them would
+// silently forget acknowledged operations.
 func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) {
 	layout := walLayout{snapSeg: -1}
 	entries, err := os.ReadDir(dir)
@@ -266,7 +270,9 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 
 	// Try snapshots newest-first; a snapshot that fails to replay
 	// cleanly (which the atomic rename install should make impossible)
-	// is skipped entirely rather than half-applied.
+	// is skipped entirely rather than half-applied. skipped is the
+	// newest one passed over.
+	skipped := -1
 	for i := len(snaps) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, walSnapName(snaps[i]))
 		data, err := os.ReadFile(path)
@@ -282,7 +288,8 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 			n, rerr = trial.applyRefs(refs)
 		}
 		if rerr != nil {
-			log.Printf("engine: wal snapshot %s unusable (%v at offset %d); falling back", path, rerr, valid)
+			log.Printf("engine: wal snapshot %s unusable (%v at offset %d); skipping it", path, rerr, valid)
+			skipped = max(skipped, snaps[i])
 			continue
 		}
 		state = trial
@@ -292,6 +299,16 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		break
 	}
 	layout.maxSeg = layout.snapSeg
+	// Falling back is complete only in the crash window between a
+	// snapshot's install and the prune of what it covers: segment
+	// indexes are consecutive, so every one in (snapSeg, skipped] must
+	// still be there to replay.
+	for seg := layout.snapSeg + 1; seg <= skipped; seg++ {
+		if _, ok := slices.BinarySearch(segs, seg); !ok {
+			return nil, layout, fmt.Errorf("wal: snapshot %s is unusable and segment %s, which it covered, is already pruned: refusing to start without the operations they held",
+				filepath.Join(dir, walSnapName(skipped)), walSegName(seg))
+		}
+	}
 
 	// Replay segments newer than the snapshot, oldest first. The first
 	// bad frame ends the trusted history: truncate there, drop
