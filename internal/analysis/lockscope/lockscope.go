@@ -134,8 +134,7 @@ var codecFuncNames = map[string]bool{
 	// engine frame builders and record encoders.
 	"reserveWALFrame": true, "finishWALFrame": true,
 	"encodeOpRecordV2": true, "encodeDeltaRecordV2": true,
-	"encodeUpdateRecord": true, "appendDeleteRecord": true,
-	"decodeWALRecord": true,
+	"appendDeleteRecord": true, "decodeWALRecord": true,
 	// core.Operation binary codec.
 	"AppendBinary": true, "AppendBinaryDelta": true,
 	"DecodeBinaryOperation": true, "DecodeBinaryDelta": true,

@@ -571,7 +571,9 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 		// on conflict), so captured state is reset and assigned from
 		// this attempt's snapshot alone — never toggled cumulatively.
 		// The clone of the attempt that publishes is the published
-		// snapshot (Update's contract), so it is what Cancel returns.
+		// snapshot (Update's contract), so it is what Cancel returns; a
+		// repeated cancel of a running operation changes nothing and
+		// returns an equal copy.
 		cancelled, running = false, false
 		snap = op
 		switch op.Status {

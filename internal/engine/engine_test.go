@@ -781,6 +781,43 @@ func TestCancelErrors(t *testing.T) {
 	}
 }
 
+// TestRefusedCancelsJournalNothing: Cancel of a settled operation is an
+// Update whose callback changes nothing, so a storm of them publishes
+// nothing and journals nothing — under WALSyncAlways each would
+// otherwise cost an fsync.
+func TestRefusedCancelsJournalNothing(t *testing.T) {
+	dir := t.TempDir()
+	store := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+	defer store.Close()
+	e := New(Config{Workers: 1, Store: store})
+	defer e.Shutdown(context.Background())
+	e.Register("ok", func(context.Context, *core.Operation) (any, error) { return nil, nil })
+
+	op, err := e.Submit(context.Background(), "ok", nil)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	done := waitStatus(t, e, op.ID)
+	if err := store.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	before := countWALRecordTypes(t, dir)
+	for i := 0; i < 100; i++ {
+		if _, err := e.Cancel(op.ID); !errors.Is(err, core.ErrAlreadyTerminal) {
+			t.Fatalf("Cancel(done op) = %v, want ErrAlreadyTerminal", err)
+		}
+	}
+	if err := store.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if after := countWALRecordTypes(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("100 refused cancels moved the WAL's record counts by type from %v to %v", before, after)
+	}
+	if got, err := e.Get(op.ID); err != nil || got != done {
+		t.Errorf("Get after refused cancels = %p (%v), want the snapshot they left alone, %p", got, err, done)
+	}
+}
+
 func TestPerKindDeadlineFailsSlowHandler(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Shutdown(context.Background())

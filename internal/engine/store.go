@@ -38,7 +38,8 @@ type ListQuery struct {
 //   - Update is the only mutation path: it clones the stored snapshot,
 //     applies fn to the private clone, and publishes the clone
 //     atomically. Once Update returns nil, the clone fn was last handed
-//     is the published snapshot, and the caller may keep it as one.
+//     is the published snapshot (or, if fn changed nothing, a copy of
+//     it), and the caller may keep it as one.
 //
 // The conformance suite in store_conformance_test.go holds the store to
 // this contract at every shard count, with and without its journal, and
@@ -61,8 +62,11 @@ type Store interface {
 	List(q ListQuery) ([]*core.Operation, error)
 	// Update applies fn to a clone of the stored operation and
 	// atomically publishes the clone, making read-modify-write
-	// transitions atomic. fn must not change the operation's ID.
-	// Returns core.ErrNotFound if the ID is unknown.
+	// transitions atomic. Returns core.ErrNotFound if the ID is unknown.
+	// fn may change only the mutable set (Status, UpdatedAt, CancelledAt,
+	// Error, Result — core.DeltaEligible): any other change is refused
+	// with an error, publishing and journaling nothing. A clone whose
+	// mutable set is unchanged publishes and journals nothing either.
 	//
 	// The protocol is optimistic: fn runs with no lock held, against a
 	// clone of a lock-free snapshot read, and the clone is published
@@ -78,7 +82,9 @@ type Store interface {
 	// snapshot: when Update returns nil, the pointer fn was last handed
 	// is what Get returns until the next publish, immutable from then
 	// on, so a caller that wants the result keeps that pointer instead
-	// of reading it back. Any other attempt's clone is garbage.
+	// of reading it back. Any other attempt's clone is garbage; if fn
+	// changed nothing, its clone is an equal copy of the published
+	// snapshot, not that pointer.
 	Update(id string, fn func(op *core.Operation)) error
 	// Delete removes the operation; deleting an unknown ID is a
 	// no-op.

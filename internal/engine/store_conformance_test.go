@@ -475,6 +475,95 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 		}
 	})
 
+	// Update may change only the mutable set. A callback that touches
+	// anything else is refused whole — the legal change riding along
+	// with it included — and nothing is published, so the index key can
+	// never move.
+	t.Run("UpdateRefusesImmutableFields", func(t *testing.T) {
+		s := mk(t)
+		s.Put(mkOp("a", t0))
+		s.Put(mkOp("b", t0.Add(time.Second)))
+		base, err := s.Get("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{"ID", "Kind", "Priority", "Client", "Deadline", "CreatedAt", "Params"} {
+			err := s.Update("a", func(op *core.Operation) {
+				op.Status = core.StatusRunning
+				switch field {
+				case "ID":
+					op.ID = "z"
+				case "Kind":
+					op.Kind = "other"
+				case "Priority":
+					op.Priority = core.PriorityHigh
+				case "Client":
+					op.Client = "someone"
+				case "Deadline":
+					op.Deadline = time.Hour
+				case "CreatedAt":
+					op.CreatedAt = t0.Add(time.Hour)
+				case "Params":
+					op.Params = map[string]any{"k": "v"}
+				}
+			})
+			if !errors.Is(err, errImmutableUpdate) {
+				t.Errorf("Update changing %s = %v, want errImmutableUpdate", field, err)
+			}
+			if got, err := s.Get("a"); err != nil || got != base {
+				t.Errorf("after the refused %s change Get(a) = %p (%v), want the untouched snapshot %p", field, got, err, base)
+			}
+		}
+		if _, err := s.Get("z"); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("Get(z) = %v, want ErrNotFound: a refused ID move published", err)
+		}
+		if got := listIDs(listAll(t, s)); s.Len() != 2 || fmt.Sprint(got) != "[b a]" {
+			t.Errorf("after refused updates Len = %d, List = %v; want 2, [b a]", s.Len(), got)
+		}
+	})
+
+	// An Update whose callback changes nothing publishes nothing: Cancel
+	// of a settled operation is this shape, and must not swap pointers.
+	t.Run("UpdateNoChangePublishesNothing", func(t *testing.T) {
+		s := mk(t)
+		s.Put(mkOp("a", t0))
+		base, err := s.Get("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := s.Update("a", func(op *core.Operation) {
+				op.Status, op.UpdatedAt = core.StatusQueued, t0 // the values it already has
+			}); err != nil {
+				t.Fatalf("no-change Update: %v", err)
+			}
+		}
+		if got, err := s.Get("a"); err != nil || got != base {
+			t.Errorf("Get after no-change Updates = %p (%v), want the untouched snapshot %p", got, err, base)
+		}
+		if s.Len() != 1 {
+			t.Errorf("Len = %d, want 1", s.Len())
+		}
+
+		// Changing nothing is a decision about the base fn was handed; if
+		// that base was replaced meanwhile, the round retries on the fresh
+		// snapshot like any other conflict.
+		var seen []string
+		if err := s.Update("a", func(op *core.Operation) {
+			seen = append(seen, op.Error)
+			if len(seen) == 1 {
+				if err := s.Update("a", func(in *core.Operation) { in.Error = "concurrent writer" }); err != nil {
+					t.Errorf("conflicting Update: %v", err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 2 || seen[1] != "concurrent writer" {
+			t.Errorf("no-change Update racing a publish saw bases %q, want a retry on the concurrent writer's", seen)
+		}
+	})
+
 	t.Run("ListConcurrentWithUpdates", func(t *testing.T) {
 		// Pagination while workers transition: pages must always be
 		// well-formed (no nils, no duplicates, correct order), and old

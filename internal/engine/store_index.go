@@ -96,11 +96,6 @@ type storeShard struct {
 	mu  sync.RWMutex
 	ops map[string]*core.Operation
 	ix  opIndex
-	// deltaN counts each ID's run of consecutive delta records in the
-	// journal (absent: the last record logged was a full snapshot), so
-	// Update can bound the chain replay has to fold. Nil, and only ever
-	// read or deleted from, in a store without a journal.
-	deltaN map[string]uint8
 }
 
 // putLocked installs op (taking ownership — the caller must not mutate
@@ -112,15 +107,6 @@ func (sh *storeShard) putLocked(op *core.Operation) {
 	}
 	sh.ops[op.ID] = op
 	sh.ix.insert(op)
-	delete(sh.deltaN, op.ID)
-}
-
-// removeLocked drops the published snapshot old from the map and the
-// index. Callers hold the write lock.
-func (sh *storeShard) removeLocked(old *core.Operation) {
-	delete(sh.ops, old.ID)
-	sh.ix.remove(old.CreatedAt, old.ID)
-	delete(sh.deltaN, old.ID)
 }
 
 // get returns the published snapshot — a shared immutable pointer, no
@@ -170,7 +156,6 @@ func (sh *storeShard) evictLocked(cands []*core.Operation, tombs []byte) (int, [
 			continue
 		}
 		delete(sh.ops, op.ID)
-		delete(sh.deltaN, op.ID)
 		gone = append(gone, op)
 		staged = append(staged, frame...)
 	}

@@ -97,12 +97,12 @@ func modelOp(r *rand.Rand, id string) *core.Operation {
 }
 
 // modelMut is one Update drawn at random: mostly a lifecycle-style
-// change the journal logs as a delta, sometimes a scheduling-field
-// change that forces a full record, sometimes a CreatedAt move that
-// reindexes the operation. The callback built from it assigns
+// change of the mutable set, sometimes a deadline or CreatedAt change
+// the store must refuse whole, sometimes a callback that changes
+// nothing and must publish nothing. The callback built from it assigns
 // constants, so running it again on a retry is harmless.
 type modelMut struct {
-	kind     int // 0 lifecycle, 1 deadline, 2 created
+	kind     int // 0 lifecycle, 1 deadline, 2 created, 3 no change
 	status   core.Status
 	at       time.Time
 	msg      string
@@ -114,14 +114,16 @@ func drawModelMut(r *rand.Rand) modelMut {
 		status:   modelStatuses[r.Intn(len(modelStatuses))],
 		at:       modelTime(r),
 		msg:      fmt.Sprintf("e%d", r.Intn(100)),
-		deadline: time.Duration(r.Intn(5)) * time.Minute,
+		deadline: time.Duration(1+r.Intn(5)) * time.Minute,
 	}
 	switch k := r.Intn(10); {
-	case k < 7:
-	case k < 9:
+	case k < 6:
+	case k < 8:
 		mu.kind = 1
-	default:
+	case k < 9:
 		mu.kind = 2
+	default:
+		mu.kind = 3
 	}
 	return mu
 }
@@ -131,9 +133,11 @@ func (mu modelMut) String() string {
 	case 0:
 		return fmt.Sprintf("status=%s updated=%d", mu.status, mu.at.Unix())
 	case 1:
-		return fmt.Sprintf("deadline=%v", mu.deadline)
+		return fmt.Sprintf("deadline=%v updated=%d", mu.deadline, mu.at.Unix())
+	case 2:
+		return fmt.Sprintf("created=%d", mu.at.Unix())
 	}
-	return fmt.Sprintf("created=%d", mu.at.Unix())
+	return "no change"
 }
 
 // modelRun is one store under test with its oracle.
@@ -177,7 +181,10 @@ func applyRandom(r *rand.Rand, s Store, m storeModel, ids []string) (string, err
 		desc := "Update " + id + " " + mu.String()
 		// The oracle is "the model's value, mutated": the callback
 		// reports the base it was handed, which must be that value, and
-		// what it made of it, which becomes the model's next one.
+		// what it made of it, which becomes the model's next one — unless
+		// it changed a field outside the mutable set, which the store
+		// must refuse, leaving the model as it was.
+		prev, _ := s.Get(id)
 		var before, after core.Operation
 		err := s.Update(id, func(op *core.Operation) {
 			before = *op
@@ -186,7 +193,7 @@ func applyRandom(r *rand.Rand, s Store, m storeModel, ids []string) (string, err
 				op.Status, op.UpdatedAt, op.Error = mu.status, mu.at, mu.msg
 			case 1:
 				op.Deadline, op.UpdatedAt = mu.deadline, mu.at
-			default:
+			case 2:
 				op.CreatedAt = mu.at
 			}
 			after = *op
@@ -198,11 +205,22 @@ func applyRandom(r *rand.Rand, s Store, m storeModel, ids []string) (string, err
 			}
 			return desc + " (absent)", nil
 		}
+		if d := modelDiff(&before, want); d != "" {
+			return desc, fmt.Errorf("Update ran its callback on a stale base: %s", d)
+		}
+		if after.Deadline != before.Deadline || !after.CreatedAt.Equal(before.CreatedAt) {
+			if !errors.Is(err, errImmutableUpdate) {
+				return desc, fmt.Errorf("Update changing an immutable field = %v, want errImmutableUpdate", err)
+			}
+			return desc + " (refused)", nil
+		}
 		if err != nil {
 			return desc, fmt.Errorf("Update: %v", err)
 		}
-		if d := modelDiff(&before, want); d != "" {
-			return desc, fmt.Errorf("Update ran its callback on a stale base: %s", d)
+		if mu.kind == 3 {
+			if cur, _ := s.Get(id); cur != prev {
+				return desc, fmt.Errorf("a no-change Update republished: %p -> %p", prev, cur)
+			}
 		}
 		m[id] = after
 		return desc, nil

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"hash/maphash"
 	"log"
 	"runtime"
@@ -82,8 +85,7 @@ func NewShardedStore(n int) Store {
 	return newShardedStore(n, nil)
 }
 
-// newShardedStore builds the store over an optional journal; a journaled
-// store also tracks delta-chain lengths per shard.
+// newShardedStore builds the store over an optional journal.
 func newShardedStore(n int, w *wal) *shardedStore {
 	n = ShardCount(n)
 	s := &shardedStore{
@@ -92,11 +94,7 @@ func newShardedStore(n int, w *wal) *shardedStore {
 		log:    w,
 	}
 	for i := range s.shards {
-		sh := &storeShard{ops: make(map[string]*core.Operation)}
-		if w != nil {
-			sh.deltaN = make(map[string]uint8)
-		}
-		s.shards[i] = sh
+		s.shards[i] = &storeShard{ops: make(map[string]*core.Operation)}
 	}
 	return s
 }
@@ -321,12 +319,9 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 	return collectNewest(cursors, q), nil
 }
 
-// walDeltaChainMax bounds how many consecutive delta records one
-// operation may accumulate before the next update logs a full
-// snapshot again, so replay work and torn-tail blast radius per op stay
-// O(1). Engine lifecycles log 2–3 updates per op, so the bound exists
-// for pathological callers, not the steady state.
-const walDeltaChainMax = 16
+// errImmutableUpdate is Update's refusal of a callback that changed a
+// field outside the mutable set.
+var errImmutableUpdate = errors.New("update may change only status, updated_at, cancelled_at, error and result")
 
 // Update applies fn to a private clone of a lock-free snapshot read,
 // encodes the result (when journaled) with no lock held, then publishes
@@ -338,17 +333,15 @@ const walDeltaChainMax = 16
 // run more than once — see Store.Update's contract). Contention on one
 // ID is engine-rare (a transition race with Cancel), so retries are too.
 //
-// A pure lifecycle transition logs a compact delta record (id + mutable
-// fields); anything that touched immutable-by-convention fields — or a
-// delta chain at its bound — logs a full snapshot. Under WALSyncAlways
-// the caller waits for the fsync; group mode logs transitions
-// asynchronously (see WALSyncMode).
+// Only the mutable set may change (core.DeltaEligible), so the index key
+// never moves and every update journals one delta record. Under
+// WALSyncAlways the caller waits for the fsync; group mode logs
+// transitions asynchronously (see WALSyncMode).
 func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 	sh := s.shard(id)
 	for {
 		sh.mu.RLock()
 		old, ok := sh.ops[id]
-		chain := sh.deltaN[id]
 		sh.mu.RUnlock()
 		if !ok {
 			return core.ErrNotFound
@@ -356,16 +349,25 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 
 		c := old.Clone()
 		fn(c)
-		// fn may move the operation's index key (nothing in the engine
-		// does): the publish then reindexes instead of replacing in
-		// place, and is never logged as a delta.
-		sameKey := c.ID == old.ID && c.CreatedAt.Equal(old.CreatedAt)
-		asDelta := false
+		if !core.DeltaEligible(old, c) {
+			return fmt.Errorf("engine: %s: %w", id, errImmutableUpdate)
+		}
+		if sameMutable(old, c) {
+			// fn changed nothing: there is nothing to publish or journal,
+			// provided what fn decided against is still the published
+			// snapshot.
+			sh.mu.RLock()
+			current := sh.ops[id] == old
+			sh.mu.RUnlock()
+			if current {
+				return nil
+			}
+			continue
+		}
 		buf := s.encBuf()
 		var rec []byte
 		if buf != nil {
-			asDelta = sameKey && chain+1 < walDeltaChainMax && core.DeltaEligible(old, c)
-			rec = encodeUpdateRecord(*buf, old, c, asDelta)
+			rec = encodeDeltaRecordV2(*buf, c)
 			*buf = rec
 		}
 
@@ -378,18 +380,8 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 			putEncBuf(buf)
 			continue
 		}
-		if sameKey {
-			sh.ops[id] = c
-			sh.ix.replace(c)
-		} else {
-			sh.removeLocked(old)
-			sh.putLocked(c)
-		}
-		if asDelta {
-			sh.deltaN[id] = chain + 1
-		} else {
-			delete(sh.deltaN, id)
-		}
+		sh.ops[id] = c
+		sh.ix.replace(c)
 		g := s.log.stage(rec, 1)
 		sh.mu.Unlock()
 		s.log.wake()
@@ -397,6 +389,13 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 		s.log.transitionWait(g)
 		return nil
 	}
+}
+
+// sameMutable reports whether b carries a's mutable set unchanged.
+func sameMutable(a, b *core.Operation) bool {
+	return a.Status == b.Status && a.UpdatedAt.Equal(b.UpdatedAt) &&
+		a.CancelledAt.Equal(b.CancelledAt) && a.Error == b.Error &&
+		bytes.Equal(a.Result, b.Result)
 }
 
 // Delete removes the operation and stages its tombstone. The tombstone
@@ -415,7 +414,8 @@ func (s *shardedStore) Delete(id string) {
 	var g *walGen
 	sh.mu.Lock()
 	if old, ok := sh.ops[id]; ok {
-		sh.removeLocked(old)
+		delete(sh.ops, id)
+		sh.ix.remove(old.CreatedAt, id)
 		g = s.log.stage(rec, 1)
 	}
 	sh.mu.Unlock()
@@ -425,12 +425,6 @@ func (s *shardedStore) Delete(id string) {
 		s.log.transitionWait(g)
 	}
 }
-
-// sweepCompactThreshold is how many evictions one SweepTerminalBefore
-// must produce before the store asks the journal to compact: small
-// steady sweeps ride along until segment-count compaction triggers, mass
-// evictions reclaim replay time promptly.
-const sweepCompactThreshold = 1024
 
 // SweepTerminalBefore evicts expired terminal operations one shard at a
 // time — it never holds more than one lock, so per-operation traffic on
@@ -468,11 +462,7 @@ func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
 		evicted += n
 	}
 	putEncBuf(buf)
-	if evicted >= sweepCompactThreshold {
-		// A mass eviction: fold the log so the reclaimed history stops
-		// costing replay time. Wakes the committer itself.
-		s.log.requestCompact()
-	} else if last != nil {
+	if last != nil {
 		s.log.wake()
 	}
 	s.log.transitionWait(last)

@@ -203,11 +203,8 @@ type wal struct {
 	// snapshot; -1 before any snapshot exists.
 	snapSeg int
 
-	// compacting serialises snapshot compactions; compactReq asks the
-	// committer to force one (the janitor sets it after a large
-	// sweep).
+	// compacting serialises snapshot compactions.
 	compacting atomic.Bool
-	compactReq atomic.Bool
 	compactWG  sync.WaitGroup
 	// snapshotFn dumps the full store state for compaction; installed
 	// by OpenWALStore before the committer starts.
@@ -252,16 +249,19 @@ func (w *wal) start() {
 // openSegment creates segment i and makes it the append target. The
 // directory is fsynced before any record can be acknowledged into the
 // new file: without it a power loss could drop the segment's entry and
-// every durable record inside with it. Committer goroutine (or
-// pre-start setup) only.
+// every durable record inside with it. On failure the half-created file
+// is removed and the previous append target is left as it was.
+// Committer goroutine (or pre-start setup) only.
 func (w *wal) openSegment(i int) error {
-	f, err := os.OpenFile(filepath.Join(w.dir, walSegName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	path := filepath.Join(w.dir, walSegName(i))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: opening segment %d: %w", i, err)
 	}
 	if w.mode != WALSyncNone {
 		if err := w.syncDir(); err != nil {
 			f.Close()
+			os.Remove(path)
 			return fmt.Errorf("wal: fsync directory for segment %d: %w", i, err)
 		}
 	}
@@ -282,10 +282,10 @@ func (w *wal) openSegment(i int) error {
 // are separate so a caller with records for several shards stages them
 // all and wakes once, boarding one generation instead of straddling two.
 //
-// stage, wake, the two waits and requestCompact are everything a store's
-// mutations call on the log, and each is a no-op on a nil *wal (no
-// ticket is ever issued, so the waits return at their nil check): that
-// is how a store without a journal runs the same mutation code.
+// stage, wake and the two waits are everything a store's mutations call
+// on the log, and each is a no-op on a nil *wal (no ticket is ever
+// issued, so the waits return at their nil check): that is how a store
+// without a journal runs the same mutation code.
 func (w *wal) stage(frames []byte, recs int) *walGen {
 	if w == nil || len(frames) == 0 {
 		return nil
@@ -439,7 +439,8 @@ func (w *wal) commit() {
 }
 
 // writeAndSync appends one batch to the open segment, fsyncing per the
-// sync mode, and rotates the segment once it outgrows its bound.
+// sync mode, and rotates the segment once it outgrows its bound. The
+// error is the batch's own write+fsync outcome; rotation cannot fail it.
 func (w *wal) writeAndSync(buf []byte) error {
 	if _, err := w.f.Write(buf); err != nil {
 		return fmt.Errorf("wal: appending to segment %d: %w", w.segIndex, err)
@@ -452,31 +453,36 @@ func (w *wal) writeAndSync(buf []byte) error {
 		w.stats.fsyncs.record(w.clock())
 	}
 	if w.segSize >= w.segBytes {
-		if err := w.rotate(); err != nil {
-			return err
-		}
+		w.rotate()
 	}
 	return nil
 }
 
-// rotate closes the open segment and starts the next one.
-func (w *wal) rotate() error {
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("wal: closing segment %d: %w", w.segIndex, err)
+// rotate starts the next segment and only then closes the open one, so a
+// failed rotation leaves the log appending to the segment it had; the
+// next commit past the bound tries again.
+func (w *wal) rotate() {
+	old, i := w.f, w.segIndex
+	if err := w.openSegment(i + 1); err != nil {
+		log.Printf("engine: wal rotation failed, still appending to segment %d: %v", i, err)
+		return
 	}
-	return w.openSegment(w.segIndex + 1)
+	if err := old.Close(); err != nil {
+		log.Printf("engine: wal closing segment %d: %v", i, err)
+	}
 }
 
-// maybeCompact decides, after a commit, whether to fold the closed
-// segments into a snapshot: either enough of them accumulated
-// (maxSegs), or a sweep requested it (compactReq). One compaction runs
+// maybeCompact folds the closed segments into a snapshot, after a
+// commit, once maxSegs of them have accumulated since the last one. It
+// is the log's only compaction trigger, and it is what bounds replay and
+// disk: about maxSegs+1 segments plus one snapshot. One compaction runs
 // at a time, on its own goroutine so the committer keeps absorbing
-// writes while the snapshot is dumped.
+// writes while the snapshot is dumped; the committer is the only
+// goroutine that starts one.
 func (w *wal) maybeCompact() {
 	if w.compacting.Load() {
 		return
 	}
-	forced := w.compactReq.Load()
 	w.segMu.Lock()
 	closed := 0
 	for _, s := range w.segs {
@@ -485,38 +491,12 @@ func (w *wal) maybeCompact() {
 		}
 	}
 	w.segMu.Unlock()
-	if !forced && closed < w.maxSegs {
+	if closed < w.maxSegs {
 		return
 	}
-	if forced && closed == 0 && w.segSize == 0 {
-		// Nothing to fold: the request is moot.
-		w.compactReq.Store(false)
-		return
-	}
-	if forced && w.segSize > 0 {
-		// Force the open segment closed so the snapshot can cover the
-		// swept deletions sitting in it.
-		if err := w.rotate(); err != nil {
-			log.Printf("engine: wal rotation for compaction failed: %v", err)
-			return
-		}
-	}
-	w.compactReq.Store(false)
-	through := w.segIndex - 1
-	if through <= w.snapSegLoad() {
-		return
-	}
-	if !w.compacting.CompareAndSwap(false, true) {
-		return
-	}
+	w.compacting.Store(true)
 	w.compactWG.Add(1)
-	go w.compact(through)
-}
-
-func (w *wal) snapSegLoad() int {
-	w.segMu.Lock()
-	defer w.segMu.Unlock()
-	return w.snapSeg
+	go w.compact(w.segIndex - 1)
 }
 
 // compact dumps the full store state to a snapshot covering every
@@ -613,17 +593,6 @@ func (w *wal) syncDir() error {
 		err = cerr
 	}
 	return err
-}
-
-// requestCompact asks the committer to fold the log into a snapshot at
-// its next convenient point; the store calls it after a large terminal
-// sweep so deleted history stops occupying replay time.
-func (w *wal) requestCompact() {
-	if w == nil {
-		return
-	}
-	w.compactReq.Store(true)
-	w.wake()
 }
 
 // finalize is the clean-shutdown path: commit anything staged, fsync

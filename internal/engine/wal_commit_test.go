@@ -44,6 +44,9 @@ type syncProbe struct {
 	// fail, when non-nil, is returned by segment fsyncs in place of
 	// syncing.
 	fail error
+	// failDir, when > 0, makes the failDir-th directory fsync (counting
+	// from 1) fail; dirs counts them.
+	failDir, dirs int
 }
 
 func newSyncProbe() *syncProbe {
@@ -62,7 +65,12 @@ func (p *syncProbe) sync(f *os.File) error {
 	p.mu.Lock()
 	p.events = append(p.events, ev)
 	if ev.dir {
+		p.dirs++
+		fail := p.dirs == p.failDir
 		p.mu.Unlock()
+		if fail {
+			return errors.New("injected directory fsync failure")
+		}
 		return f.Sync()
 	}
 	hold, err := p.hold, p.fail
@@ -316,6 +324,39 @@ func TestWALRotationSyncsDirectory(t *testing.T) {
 		if !entryDurable[walSegName(i)] {
 			t.Errorf("segment %s was created but its directory entry never fsynced", walSegName(i))
 		}
+	}
+}
+
+// TestWALRotationFailureKeepsAppending: a rotation whose new segment
+// cannot be made durable (its directory fsync fails) leaves the log
+// appending to the segment it had. The batch that triggered it was
+// already written and fsynced, so it is no commit failure; later commits
+// keep landing, the next one past the bound rotates, and every
+// acknowledged operation survives a reopen.
+func TestWALRotationFailureKeepsAppending(t *testing.T) {
+	p := newSyncProbe()
+	p.failDir = 2 // the first is the open's, the second the first rotation's
+	dir := t.TempDir()
+	// Every commit overflows the 1-byte bound, so each Put rotates.
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 1, syncHook: p.sync})
+	const n = 5
+	for i := 0; i < n; i++ {
+		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))
+	}
+	if err := s.Flush(); err != nil {
+		t.Errorf("Flush: %v", err)
+	}
+	if got := s.WALStats().CommitFailures; got != 0 {
+		t.Errorf("CommitFailures = %d, want 0: every batch was written and fsynced", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+
+	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+	defer r.Close()
+	if got := r.Len(); got != n {
+		t.Errorf("reopened store holds %d of %d acknowledged operations", got, n)
 	}
 }
 

@@ -14,10 +14,11 @@ package engine
 // torn or bit-flipped tail detectable, which is what lets recovery
 // truncate at the first bad frame instead of guessing.
 //
-// Record bodies: a full snapshot (type 4) is the operation's compact
-// binary encoding (core.AppendBinary); a delta (type 5) carries only the
-// mutable field set of a lifecycle transition (core.AppendBinaryDelta);
-// a delete (type 3) is the raw ID. A delta replays by folding onto the
+// Record bodies: a full snapshot (type 4, written by Put/PutBatch and
+// compaction, and by Update in older daemons) is the operation's compact
+// binary encoding (core.AppendBinary); a delta (type 5, every Update)
+// carries only the mutable field set (core.AppendBinaryDelta); a delete
+// (type 3) is the raw ID. A delta replays by folding onto the
 // ID's current replay state; a delta whose base is absent is skipped —
 // the snapshot-overlap window makes that shape legitimate (the op was
 // deleted before the snapshot was cut, but its delta records live in
@@ -32,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"log"
 	"sync"
 
 	"opdaemon/internal/core"
@@ -120,25 +120,6 @@ func appendDeleteRecord(dst []byte, id string) []byte {
 	dst = append(dst, walRecDelete)
 	dst = append(dst, id...)
 	return finishWALFrame(dst, mark)
-}
-
-// encodeUpdateRecord appends what the journal must record for an
-// Update that publishes c in place of old: a delta when the caller
-// established eligibility (core.DeltaEligible, chain bound), otherwise a
-// full snapshot — preceded by old's tombstone if the update moved the ID,
-// so replay tracks the disappearance.
-func encodeUpdateRecord(dst []byte, old, c *core.Operation, asDelta bool) []byte {
-	if asDelta {
-		return encodeDeltaRecordV2(dst, c)
-	}
-	if c.ID != old.ID {
-		dst = appendDeleteRecord(dst, old.ID)
-	}
-	dst, err := encodeOpRecordV2(dst, c)
-	if err != nil {
-		log.Printf("engine: %v; update is not durable", err)
-	}
-	return dst
 }
 
 // walEncPool recycles record-encode buffers so the hot mutation path

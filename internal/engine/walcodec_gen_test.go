@@ -1,10 +1,11 @@
 package engine
 
-// Record-codec tests: which record type each kind of update logs, the
-// delta-chain bound, and fuzzing of the binary bodies.
+// Record-codec tests: which record type each kind of mutation logs, and
+// fuzzing of the binary bodies.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,17 +43,17 @@ func countWALRecordTypes(t *testing.T, dir string) map[byte]int {
 	return counts
 }
 
-// TestWALDeltaChainBound checks both halves of the delta policy:
-// mutable-field updates log compact deltas, and every
-// walDeltaChainMax-th consecutive delta is replaced by a full record
-// so recovery never folds an unbounded chain.
+// TestWALDeltaChainBound: the delta chain has no bound — every Update
+// journals exactly one delta record however long the run grows, so N
+// updates log 1 full record (the Put) and N deltas, and replay folds
+// the whole chain back to the published state.
 func TestWALDeltaChainBound(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Unix(1000, 0)
 	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
 
 	s.Put(mkOp("chained", t0))
-	const updates = 2*walDeltaChainMax + 3
+	const updates = 40
 	for i := 0; i < updates; i++ {
 		if err := s.Update("chained", func(op *core.Operation) {
 			op.Error = fmt.Sprintf("attempt %d", i)
@@ -65,15 +66,8 @@ func TestWALDeltaChainBound(t *testing.T) {
 	s.closeAbrupt()
 
 	counts := countWALRecordTypes(t, dir)
-	// One full record for the Put plus one per chain bound; everything
-	// else must have gone out as deltas.
-	wantFull := 1 + updates/walDeltaChainMax
-	if counts[walRecOpV2] != wantFull {
-		t.Errorf("full v2 records = %d, want %d (chain bound %d over %d updates)",
-			counts[walRecOpV2], wantFull, walDeltaChainMax, updates)
-	}
-	if counts[walRecDeltaV2] != updates-updates/walDeltaChainMax {
-		t.Errorf("delta records = %d, want %d", counts[walRecDeltaV2], updates-updates/walDeltaChainMax)
+	if counts[walRecOpV2] != 1 || counts[walRecDeltaV2] != updates || len(counts) != 2 {
+		t.Errorf("record counts by type = %v, want 1 full (the Put) and %d deltas", counts, updates)
 	}
 
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
@@ -85,9 +79,10 @@ func TestWALDeltaChainBound(t *testing.T) {
 	}
 }
 
-// TestWALImmutableChangeLogsFullRecord: an update that touches an
-// immutable field (here Deadline) is not delta-eligible and must log a
-// full record.
+// TestWALImmutableChangeLogsFullRecord: an Update that touches an
+// immutable field (here Deadline) is refused, so no record of any kind
+// is journaled for it — the only full record is the Put's — and replay
+// recovers the operation without the change.
 func TestWALImmutableChangeLogsFullRecord(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Unix(1000, 0)
@@ -97,21 +92,21 @@ func TestWALImmutableChangeLogsFullRecord(t *testing.T) {
 	if err := s.Update("imm", func(op *core.Operation) {
 		op.Deadline = time.Hour
 		op.UpdatedAt = t0.Add(time.Second)
-	}); err != nil {
-		t.Fatal(err)
+	}); !errors.Is(err, errImmutableUpdate) {
+		t.Fatalf("Update changing Deadline = %v, want errImmutableUpdate", err)
 	}
 	s.closeAbrupt()
 
 	counts := countWALRecordTypes(t, dir)
-	if counts[walRecOpV2] != 2 || counts[walRecDeltaV2] != 0 {
-		t.Errorf("record counts = %v, want 2 full v2 and no deltas", counts)
+	if counts[walRecOpV2] != 1 || len(counts) != 1 {
+		t.Errorf("record counts by type = %v, want only the Put's full record", counts)
 	}
 
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
 	defer r.Close()
 	got, err := r.Get("imm")
-	if err != nil || got.Deadline != time.Hour {
-		t.Fatalf("Get(imm) = (%+v, %v), want deadline recovered", got, err)
+	if err != nil || got.Deadline != 0 || !got.UpdatedAt.Equal(t0) {
+		t.Fatalf("Get(imm) = (%+v, %v), want the Put's state with no deadline", got, err)
 	}
 }
 
