@@ -5,7 +5,8 @@ package engine
 // concurrent goroutines on disjoint IDs, run against the real store and
 // against a plain map. After every step Get, Len and the full List order
 // must equal the model's. The journaled rows additionally close and
-// reopen the log directory along the way and compare again: replay must
+// reopen the log directory along the way, each time under a shard count
+// of 1, 2 or 8, and compare again: replay must
 // reproduce the model exactly — deletes never resurrect, a delta whose
 // base is gone fabricates nothing, List order is identical across the
 // reopen — and their tiny segments keep rotation and snapshot
@@ -398,15 +399,21 @@ func TestStoreModel(t *testing.T) {
 					ws = openWAL(t, dir, *row.wal)
 					mr.s = ws
 				}
+				// Reopens replay into a shard layout of their own, drawn
+				// from a second source so the step sequence a seed yields
+				// does not depend on it.
+				layouts := rand.New(rand.NewSource(seed))
 				reopen := func() {
 					if ws == nil {
 						return
 					}
-					mr.trace = append(mr.trace, "Close + OpenWALStore")
+					cfg := *row.wal
+					cfg.Shards = []int{1, 2, 8}[layouts.Intn(3)]
+					mr.trace = append(mr.trace, fmt.Sprintf("Close + OpenWALStore (%d shards)", cfg.Shards))
 					if err := ws.Close(); err != nil {
 						mr.fatalf("Close: %v", err)
 					}
-					ws = openWAL(t, dir, *row.wal)
+					ws = openWAL(t, dir, cfg)
 					mr.s = ws
 					mr.check()
 				}

@@ -82,16 +82,16 @@ func ShardCount(n int) int {
 // n > 65536 is clamped there. n == 1 is the single-mutex store, useful
 // as the uncontended baseline in benchmarks.
 func NewShardedStore(n int) Store {
-	return newShardedStore(n, nil)
+	return newShardedStore(n)
 }
 
-// newShardedStore builds the store over an optional journal.
-func newShardedStore(n int, w *wal) *shardedStore {
+// newShardedStore builds an empty store with no journal; OpenWALStore
+// attaches one after replaying into it.
+func newShardedStore(n int) *shardedStore {
 	n = ShardCount(n)
 	s := &shardedStore{
 		shards: make([]*storeShard, n),
 		mask:   uint32(n - 1),
-		log:    w,
 	}
 	for i := range s.shards {
 		s.shards[i] = &storeShard{ops: make(map[string]*core.Operation)}
@@ -206,33 +206,26 @@ func (s *shardedStore) bucket(ops []*core.Operation) [][]*core.Operation {
 	return buckets
 }
 
-// bulkLoad installs a recovered operation set wholesale: bucket by
-// shard, sort each bucket once into index order, and adopt the sorted
-// slice as the shard's index directly. One O(k log k) sort per shard
-// replaces k ordered inserts — recovery replay hands the ops over in
-// map order, where per-op insertion is an O(k) memmove each and the
-// rebuild goes quadratic. Shards load in parallel. The IDs must be
-// unique (they come from a replay map); intended for a store not yet
-// serving traffic, though it takes the locks anyway.
-func (s *shardedStore) bulkLoad(ops []*core.Operation) {
+// indexAll builds every shard's index from its map, for a store whose
+// maps were filled without one: recovery replay keeps only the maps,
+// since an index kept in step would cost an ordered insert, replace or
+// remove per record. One sort per shard, the shards in parallel, replaces
+// them. For a store not yet serving traffic; nothing is locked.
+func (s *shardedStore) indexAll() {
 	var wg sync.WaitGroup
-	for i, bucket := range s.bucket(ops) {
-		if len(bucket) == 0 {
-			continue
-		}
+	for _, sh := range s.shards {
 		wg.Add(1)
-		go func(sh *storeShard, bucket []*core.Operation) {
+		go func() {
 			defer wg.Done()
-			sort.Slice(bucket, func(a, b int) bool {
-				return opBefore(bucket[a], bucket[b].CreatedAt, bucket[b].ID)
-			})
-			sh.mu.Lock()
-			for _, op := range bucket {
-				sh.ops[op.ID] = op
+			ix := make([]*core.Operation, 0, len(sh.ops))
+			for _, op := range sh.ops {
+				ix = append(ix, op)
 			}
-			sh.ix.ops = bucket
-			sh.mu.Unlock()
-		}(s.shards[i], bucket)
+			sort.Slice(ix, func(a, b int) bool {
+				return opBefore(ix[a], ix[b].CreatedAt, ix[b].ID)
+			})
+			sh.ix.ops = ix
+		}()
 	}
 	wg.Wait()
 }

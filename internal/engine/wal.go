@@ -216,6 +216,9 @@ type wal struct {
 func walSegName(i int) string  { return fmt.Sprintf("wal-%08d.log", i) }
 func walSnapName(i int) string { return fmt.Sprintf("snap-%08d.wal", i) }
 
+// walSnapTmp is where a snapshot is written before its atomic rename.
+const walSnapTmp = "snap.tmp"
+
 // newWAL builds the log over an already-recovered directory layout and
 // opens a fresh segment; the caller installs snapshotFn and then calls
 // start.
@@ -510,11 +513,11 @@ func (w *wal) compact(through int) {
 	defer w.compacting.Store(false)
 	ops := w.snapshotFn()
 	if err := w.writeSnapshot(through, ops); err != nil {
+		os.Remove(filepath.Join(w.dir, walSnapTmp)) // a half-written one, if any
 		log.Printf("engine: wal snapshot through segment %d failed: %v", through, err)
 		return
 	}
 	w.segMu.Lock()
-	oldSnap := w.snapSeg
 	w.snapSeg = through
 	kept := w.segs[:0]
 	var drop []int
@@ -532,9 +535,20 @@ func (w *wal) compact(through int) {
 			log.Printf("engine: wal pruning segment %d: %v", s, err)
 		}
 	}
-	if oldSnap >= 0 && oldSnap != through {
-		if err := os.Remove(filepath.Join(w.dir, walSnapName(oldSnap))); err != nil {
-			log.Printf("engine: wal pruning snapshot %d: %v", oldSnap, err)
+	// Every older snapshot is obsolete, not only the one the log booted
+	// from: recovery may have passed over unusable ones, which nothing
+	// else would ever remove.
+	entries, err := os.ReadDir(w.dir)
+	if err != nil {
+		log.Printf("engine: wal listing snapshots to prune: %v", err)
+	}
+	for _, e := range entries {
+		var i int
+		if !parseWALName(e.Name(), "snap-%08d.wal", &i) || i >= through {
+			continue
+		}
+		if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
+			log.Printf("engine: wal pruning snapshot %d: %v", i, err)
 		}
 	}
 }
@@ -543,7 +557,7 @@ func (w *wal) compact(through int) {
 // segments <= through: written to a temp file, fsynced, renamed into
 // place, directory fsynced — the standard crash-safe install sequence.
 func (w *wal) writeSnapshot(through int, ops []*core.Operation) error {
-	tmpPath := filepath.Join(w.dir, "snap.tmp")
+	tmpPath := filepath.Join(w.dir, walSnapTmp)
 	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

@@ -13,6 +13,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -306,7 +308,8 @@ func flipByte(t *testing.T, path string) {
 // passed over only while the segments it covered are all still on disk
 // (a crash between its install and the prune); once they are pruned the
 // store refuses to open rather than boot without the operations the
-// snapshot held.
+// snapshot held. One passed over is pruned by the next compaction, like
+// any snapshot older than the one it installs.
 func TestWALStoreUnusableSnapshot(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	const n = 12
@@ -369,6 +372,41 @@ func TestWALStoreUnusableSnapshot(t *testing.T) {
 		r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
 		defer r.Close()
 		sameOps(t, listAll(t, r), want)
+	})
+
+	t.Run("skipped snapshot pruned by the next compaction", func(t *testing.T) {
+		dir := t.TempDir()
+		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 1 << 20})
+		fill(s)
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		// An unreadable snapshot over segments that are all still on
+		// disk: recovery skips it and replays the segments instead.
+		data, err := os.ReadFile(filepath.Join(dir, walSegName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		planted := filepath.Join(dir, walSnapName(2))
+		if err := os.WriteFile(planted, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipByte(t, planted)
+		// Every segment counts as closed past the (absent) usable
+		// snapshot, so the first commit compacts; Close waits for it.
+		r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 2})
+		r.Put(mkOp("after-reopen", t0))
+		want := listAll(t, r)
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.wal"))
+		if len(snaps) != 1 || snaps[0] == planted {
+			t.Fatalf("snapshots after compaction = %v, want exactly one, newer than the skipped %s", snaps, filepath.Base(planted))
+		}
+		again := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+		defer again.Close()
+		sameOps(t, listAll(t, again), want)
 	})
 }
 
@@ -553,10 +591,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // impossible length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		state := make(map[string]*core.Operation)
-		n, err := walReplay(data, func(typ byte, body []byte) error {
-			return applyWALRecord(state, typ, body)
-		})
+		state, _, n, err := referenceReplay(data)
 		if n < 0 || n > len(data) {
 			t.Fatalf("valid prefix %d out of bounds [0, %d]", n, len(data))
 		}
@@ -565,10 +600,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		// The prefix property recovery depends on: truncating to the
 		// reported prefix yields a clean replay with the same state.
-		again := make(map[string]*core.Operation)
-		m, err2 := walReplay(data[:n], func(typ byte, body []byte) error {
-			return applyWALRecord(again, typ, body)
-		})
+		again, _, m, err2 := referenceReplay(data[:n])
 		if err2 != nil || m != n {
 			t.Fatalf("replay of valid prefix = (%d, %v), want (%d, nil)", m, err2, n)
 		}
@@ -581,7 +613,47 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("prefix replay diverges on %s", id)
 			}
 		}
+		// What recovery actually runs must agree with the reference.
+		matchReference(t, data)
 	})
+}
+
+// referenceReplay is sequential replay into a map (walReplay +
+// applyWALRecord), the reference recovery is held to: the final state,
+// how many records applied, the valid prefix and the error ending it.
+func referenceReplay(data []byte) (map[string]*core.Operation, int, int, error) {
+	state := make(map[string]*core.Operation)
+	applied := 0
+	valid, err := walReplay(data, func(typ byte, body []byte) error {
+		err := applyWALRecord(state, typ, body)
+		if err == nil {
+			applied++
+		}
+		return err
+	})
+	return state, applied, valid, err
+}
+
+// matchReference replays data into a fresh store as recovery does and
+// fails unless the outcome is exactly the reference's: the same
+// operations, applied count, valid prefix and error.
+func matchReference(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantApplied, wantValid, wantErr := referenceReplay(data)
+	s := newShardedStore(4)
+	applied, valid, err := s.replay(data, new([]walRef))
+	if applied != wantApplied || valid != wantValid || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("store replay = (%d applied, prefix %d, %v), reference (%d, %d, %v)",
+			applied, valid, err, wantApplied, wantValid, wantErr)
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("store replay left %d operations, reference %d", s.Len(), len(want))
+	}
+	for id, w := range want {
+		if g, err := s.Get(id); err != nil || !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s after store replay = %+v (%v), reference %+v", id, g, err, w)
+		}
+	}
 }
 
 // replayTestLog builds a seeded log of n mixed records over a few
@@ -625,20 +697,22 @@ func replayTestLog(t *testing.T, seed int64, n int) (data []byte, offs []int) {
 	return data, offs
 }
 
-// TestReplayParallelMatchesSequential holds the replay path production
-// runs — walScanFrames, then applyRefs' parallel decode and partitioned
-// apply, which only files of walParallelMinRecords records or more reach
-// — to the sequential reference (walReplay + applyWALRecord): same final
-// state, same applied count, same cut and error. Four partitions, so
-// the fan-out runs whatever GOMAXPROCS is.
+// TestReplayParallelMatchesSequential holds the replay path recovery
+// runs — the frame scan, the chunked decode and the in-order apply into
+// the store's shards — to the sequential reference (walReplay +
+// applyWALRecord): same final state, same applied count, same cut and
+// error. Each case runs at GOMAXPROCS 1, one decode chunk, and at 4,
+// four chunks, whatever the host has.
 func TestReplayParallelMatchesSequential(t *testing.T) {
-	const records = 2*walParallelMinRecords + 321
+	const records = 8*walDecodeChunk + 321 // at least one chunk per worker at 4
 	clean, offs := replayTestLog(t, 7, records)
 	retyped := append([]byte(nil), clean...)
 	// Mid-file, inside the second of the four decode chunks: later
-	// chunks decode records past the cut, which apply must ignore.
-	const bad = records/4 + 100
+	// chunks decode records past the cut, which apply must ignore, and
+	// the fourth fails too, which must not move the cut.
+	const bad, worse = records/4 + 100, 3*records/4 + 100
 	retypeFrame(retyped[offs[bad]:offs[bad+1]], 9)
+	retypeFrame(retyped[offs[worse]:offs[worse+1]], 9)
 
 	for _, tc := range []struct {
 		name    string
@@ -651,46 +725,15 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 		{"UnknownTypeMidFile", retyped, bad, errWALCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := make(map[string]*core.Operation)
-			seqApplied := 0
-			seqValid, seqErr := walReplay(tc.data, func(typ byte, body []byte) error {
-				err := applyWALRecord(want, typ, body)
-				if err == nil {
-					seqApplied++
-				}
-				return err
-			})
-			if seqApplied != tc.applied || !errors.Is(seqErr, tc.wantErr) {
+			if _, applied, _, err := referenceReplay(tc.data); applied != tc.applied || !errors.Is(err, tc.wantErr) {
 				t.Fatalf("sequential replay applied %d (%v), want %d (%v): the generator is off",
-					seqApplied, seqErr, tc.applied, tc.wantErr)
+					applied, err, tc.applied, tc.wantErr)
 			}
-
-			refs, valid, err := walScanFrames(tc.data, nil)
-			p := newReplayPartitions(4)
-			applied, aerr := p.applyRefs(refs)
-			if aerr != nil {
-				// As recovery does: a record that scans but does not
-				// decode ends the prefix at its own frame.
-				valid, err = refs[applied].off, aerr
-			}
-			if applied != seqApplied || valid != seqValid {
-				t.Errorf("parallel replay applied %d records, prefix %d bytes; sequential %d, %d",
-					applied, valid, seqApplied, seqValid)
-			}
-			if !errors.Is(err, tc.wantErr) || (err == nil) != (seqErr == nil) {
-				t.Errorf("parallel replay error = %v, sequential = %v", err, seqErr)
-			}
-			got := p.merge()
-			if len(got) != len(want) {
-				t.Errorf("parallel replay left %d operations, sequential %d", len(got), len(want))
-			}
-			for id, w := range want {
-				g, ok := got[id]
-				if !ok {
-					t.Errorf("%s missing after parallel replay", id)
-				} else if d := modelDiff(g, *w); d != "" {
-					t.Errorf("%s diverges: %s", id, d)
-				}
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("GOMAXPROCS-%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					matchReference(t, tc.data)
+				})
 			}
 		})
 	}

@@ -189,8 +189,8 @@ type walDecoded struct {
 	del   string            // deletion target ID
 }
 
-// id returns the operation ID the record concerns — the partition key
-// for parallel replay.
+// id returns the operation ID the record concerns — the shard key
+// replay applies it under.
 func (d *walDecoded) id() string {
 	switch {
 	case d.op != nil:
@@ -228,9 +228,9 @@ func decodeWALRecord(typ byte, body []byte) (walDecoded, error) {
 // applyDecoded folds one decoded record into the replay state map:
 // full records upsert, deltas fold onto the ID's current state (a
 // delta with no base is skipped — see the package comment), deletes
-// remove. Sequential replay and every parallel-recovery partition
-// worker share this one definition of "apply", so their semantics
-// cannot drift.
+// remove. The sequential reference and recovery's replay into the
+// store's shard maps share this one definition of "apply", so their
+// semantics cannot drift.
 func applyDecoded(state map[string]*core.Operation, d walDecoded) {
 	switch {
 	case d.op != nil:

@@ -4,29 +4,25 @@ package engine
 // newest snapshot, replay the segment suffix on top of it, and repair
 // the torn tail a crash mid-append leaves behind.
 //
-// Replay is a three-stage pipeline per file:
+// Recovery replays straight into the store that will serve traffic,
+// each file in three steps:
 //
 //  1. a sequential frame scan — framing is inherently serial (each
 //     frame's position depends on the previous length prefix), but it
 //     is only header reads plus a CRC per frame;
 //  2. parallel decode — the expensive half, the binary record codec,
-//     fans out across GOMAXPROCS workers over contiguous chunks of the
-//     scanned frames;
-//  3. partitioned apply — records are partitioned by operation ID
-//     (the shard key), and one worker per partition walks the decoded
-//     records in log order applying only its own IDs. Same ID → same
-//     partition → same worker, so per-operation replay order is
-//     exactly the log order, which is all last-writer-wins needs.
+//     runs over contiguous chunks of the scanned frames, one worker per
+//     chunk, as many as GOMAXPROCS and the record count allow;
+//  3. apply in log order, each record straight into its shard's map,
+//     which is all last-writer-wins needs.
 //
-// The partition states persist across the snapshot and every segment
-// and merge into one map at the end, so the function's contract is
-// identical to the sequential version the fuzz target still pins
-// (walReplay + applyWALRecord): same valid-prefix semantics, same
-// final state.
+// The shard indexes are left empty while the maps fill and are sorted
+// once, in parallel, after the last file. The contract is the
+// sequential reference's the tests pin (walReplay + applyWALRecord):
+// same valid-prefix semantics, same final state.
 
 import (
 	"fmt"
-	"hash/maphash"
 	"log"
 	"os"
 	"path/filepath"
@@ -34,9 +30,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
-
-	"opdaemon/internal/core"
 )
 
 // walReplayLogEvery is the record-count granularity of replay progress
@@ -44,10 +37,9 @@ import (
 // of hanging silently.
 const walReplayLogEvery = 50_000
 
-// walParallelMinRecords is the fan-out floor: files with fewer scanned
-// records decode inline — goroutine startup would cost more than it
-// saves.
-const walParallelMinRecords = 4096
+// walDecodeChunk is the fewest records a decode worker is handed:
+// below it, starting another goroutine costs more than it saves.
+const walDecodeChunk = 1024
 
 // walRef locates one validated frame's payload inside a mapped file:
 // the scan stage's output, the decode stage's input.
@@ -85,139 +77,51 @@ func walScanFrames(data []byte, refs []walRef) ([]walRef, int, error) {
 	return refs, pos, nil
 }
 
-// replayPartitions is replay state sharded for parallel apply: one
-// operation map per worker, partitioned by ID hash so each ID's
-// records always land in the same map in log order.
-type replayPartitions struct {
-	n     int
-	state []map[string]*core.Operation
-}
-
-func newReplayPartitions(n int) *replayPartitions {
-	if n < 1 {
-		n = 1
-	}
-	p := &replayPartitions{n: n, state: make([]map[string]*core.Operation, n)}
-	for i := range p.state {
-		p.state[i] = make(map[string]*core.Operation)
-	}
-	return p
-}
-
-// part maps an operation ID to its partition — the same maphash the
-// store's sharding uses, modulo the worker count.
-func (p *replayPartitions) part(id string) int {
-	if p.n == 1 {
-		return 0
-	}
-	return int(maphash.String(shardSeed, id) % uint64(p.n))
-}
-
-// len counts live operations across all partitions.
-func (p *replayPartitions) len() int {
-	total := 0
-	for _, m := range p.state {
-		total += len(m)
-	}
-	return total
-}
-
-// merge flattens the partitions into one map, consuming the receiver.
-func (p *replayPartitions) merge() map[string]*core.Operation {
-	out := make(map[string]*core.Operation, p.len())
-	for _, m := range p.state {
-		for id, op := range m {
-			out[id] = op
-		}
-	}
-	return out
-}
-
-// applyRefs decodes and applies the scanned records in log order,
-// fanning decode and apply out across the partitions' workers when the
-// file is big enough to pay for it. It returns how many leading
-// records applied and, when that is fewer than len(refs), the decode
-// failure that ended the trusted prefix — the same contract as
+// replay scans data's frames and applies its records to s's shard maps
+// in log order, leaving the indexes to indexAll. It returns how many
+// records applied, the byte length of the trusted prefix, and the torn,
+// corrupt or undecodable frame that ended it, if any — the contract of
 // sequential replay: everything before the failure is applied,
-// everything from it on is untrusted.
-func (p *replayPartitions) applyRefs(refs []walRef) (int, error) {
-	if len(refs) == 0 {
-		return 0, nil
-	}
-	if p.n == 1 || len(refs) < walParallelMinRecords {
-		for i, ref := range refs {
-			d, err := decodeWALRecord(ref.typ, ref.body)
-			if err != nil {
-				return i, err
-			}
-			applyDecoded(p.state[p.part(d.id())], d)
-		}
-		return len(refs), nil
-	}
+// everything from it on is untrusted. refs is scratch reused across
+// files. The store must not be serving yet; nothing is locked.
+func (s *shardedStore) replay(data []byte, refs *[]walRef) (applied, valid int, err error) {
+	*refs, valid, err = walScanFrames(data, (*refs)[:0])
+	scanned := *refs
 
-	// Decode stage: contiguous chunks, one worker each. Workers write
-	// disjoint index ranges of decoded/parts, so no locking; the
-	// earliest failing index wins via atomic min and bounds the
-	// trusted prefix.
-	decoded := make([]walDecoded, len(refs))
-	parts := make([]int32, len(refs))
-	errs := make([]error, len(refs))
-	errIdx := atomic.Int64{}
-	errIdx.Store(int64(len(refs)))
-	chunk := (len(refs) + p.n - 1) / p.n
+	// Workers decode disjoint chunks, each stopping at its own first
+	// failure; the earliest failing chunk's failure is the cut, and
+	// whatever later chunks decoded past it is never applied.
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(scanned)/walDecodeChunk))
+	chunk := (len(scanned) + workers - 1) / workers
+	decoded := make([]walDecoded, len(scanned))
+	cuts := make([]int, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < p.n; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(refs))
-		if lo >= hi {
-			break
-		}
+	for w := range workers {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				d, err := decodeWALRecord(refs[i].typ, refs[i].body)
-				if err != nil {
-					// Everything after a bad record is untrusted, so
-					// this chunk is done; later chunks may decode bytes
-					// beyond the cut, which apply then ignores.
-					errs[i] = err
-					for {
-						cur := errIdx.Load()
-						if int64(i) >= cur || errIdx.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
+			for i := w * chunk; i < min((w+1)*chunk, len(scanned)); i++ {
+				if decoded[i], errs[w] = decodeWALRecord(scanned[i].typ, scanned[i].body); errs[w] != nil {
+					cuts[w] = i
 					return
 				}
-				decoded[i] = d
-				parts[i] = int32(p.part(d.id()))
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 
-	cut := int(errIdx.Load())
-	// Apply stage: one worker per partition walks the decoded records
-	// in log order and applies only its own IDs — per-ID order is the
-	// log order by construction.
-	for w := 0; w < p.n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			state := p.state[w]
-			for i := 0; i < cut; i++ {
-				if parts[i] == int32(w) {
-					applyDecoded(state, decoded[i])
-				}
-			}
-		}(w)
+	applied = len(scanned)
+	for w, derr := range errs {
+		if derr != nil {
+			applied, valid, err = cuts[w], scanned[cuts[w]].off, derr
+			break
+		}
 	}
-	wg.Wait()
-	if cut < len(refs) {
-		return cut, errs[cut]
+	for _, d := range decoded[:applied] {
+		applyDecoded(s.shard(d.id()).ops, d)
 	}
-	return cut, nil
+	return applied, valid, err
 }
 
 // walLayout describes what recovery found on disk, for newWAL to
@@ -236,16 +140,17 @@ type walLayout struct {
 	maxSeg int
 }
 
-// recoverWALState rebuilds the operation state from dir: newest intact
-// snapshot first, then every segment newer than it in ascending order.
-// Replay stops at the first torn or corrupt frame; the file holding it
-// is truncated to its valid prefix and any later segments — which a
-// pure crash cannot produce, only real corruption — are deleted (loudly)
-// so that what remains on disk always equals the recovered state. An
-// unusable snapshot is an error unless every segment it covered beyond
-// the state fallen back to is still on disk: booting without them would
-// silently forget acknowledged operations.
-func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) {
+// recoverWALState rebuilds the operation state from dir into a fresh
+// store of the given shard count, with no journal attached: newest
+// intact snapshot first, then every segment newer than it in ascending
+// order. Replay stops at the first torn or corrupt frame; the file
+// holding it is truncated to its valid prefix and any later segments —
+// which a pure crash cannot produce, only real corruption — are deleted
+// (loudly) so that what remains on disk always equals the recovered
+// state. An unusable snapshot is an error unless every segment it
+// covered beyond the state fallen back to is still on disk: booting
+// without them would silently forget acknowledged operations.
+func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 	layout := walLayout{snapSeg: -1}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -264,14 +169,15 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 	sort.Ints(segs)
 	sort.Ints(snaps)
 
-	state := newReplayPartitions(runtime.GOMAXPROCS(0))
+	state := newShardedStore(shards)
 	replayed := 0 // cumulative applied records, for progress logging
 	var refs []walRef
 
-	// Try snapshots newest-first; a snapshot that fails to replay
-	// cleanly (which the atomic rename install should make impossible)
-	// is skipped entirely rather than half-applied. skipped is the
-	// newest one passed over.
+	// Try snapshots newest-first, each into a fresh store that is
+	// adopted only if it replays cleanly: a snapshot that does not
+	// (which the atomic rename install should make impossible) is
+	// skipped entirely rather than half-applied. skipped is the newest
+	// one passed over.
 	skipped := -1
 	for i := len(snaps) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, walSnapName(snaps[i]))
@@ -279,14 +185,8 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		if err != nil {
 			return nil, layout, fmt.Errorf("wal: reading snapshot %s: %w", path, err)
 		}
-		var valid int
-		var rerr error
-		refs, valid, rerr = walScanFrames(data, refs[:0])
-		trial := newReplayPartitions(state.n)
-		n := 0
-		if rerr == nil {
-			n, rerr = trial.applyRefs(refs)
-		}
+		trial := newShardedStore(shards)
+		n, valid, rerr := trial.replay(data, &refs)
 		if rerr != nil {
 			log.Printf("engine: wal snapshot %s unusable (%v at offset %d); skipping it", path, rerr, valid)
 			skipped = max(skipped, snaps[i])
@@ -295,7 +195,7 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		state = trial
 		layout.snapSeg = snaps[i]
 		replayed = n
-		log.Printf("engine: wal replayed snapshot %s: %d records, %d operations live", path, n, state.len())
+		log.Printf("engine: wal replayed snapshot %s: %d records, %d operations live", path, n, state.Len())
 		break
 	}
 	layout.maxSeg = layout.snapSeg
@@ -338,19 +238,11 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 		if err != nil {
 			return nil, layout, fmt.Errorf("wal: reading segment %s: %w", path, err)
 		}
-		var valid int
-		var rerr error
-		refs, valid, rerr = walScanFrames(data, refs[:0])
-		n, aerr := state.applyRefs(refs)
-		if aerr != nil {
-			// A record that scans but does not decode ends the trusted
-			// prefix at its own frame, before wherever the scan stopped.
-			valid, rerr = refs[n].off, aerr
-		}
+		n, valid, rerr := state.replay(data, &refs)
 		layout.segs = append(layout.segs, seg)
 		before := replayed
 		replayed += n
-		log.Printf("engine: wal replayed segment %s: %d records, %d operations live", path, n, state.len())
+		log.Printf("engine: wal replayed segment %s: %d records, %d operations live", path, n, state.Len())
 		if before/walReplayLogEvery != replayed/walReplayLogEvery {
 			log.Printf("engine: wal replay progress: %d records applied", replayed)
 		}
@@ -362,7 +254,8 @@ func recoverWALState(dir string) (map[string]*core.Operation, walLayout, error) 
 			truncated = true
 		}
 	}
-	return state.merge(), layout, nil
+	state.indexAll()
+	return state, layout, nil
 }
 
 // parseWALName matches a directory entry against a wal file pattern,

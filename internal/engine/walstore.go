@@ -59,7 +59,8 @@ func (cfg WALConfig) withDefaults() WALConfig {
 	return cfg
 }
 
-// WALStore is a persistent Store; see the package comment above and
+// WALStore is a persistent Store: the sharded store recovery replayed
+// into, with the log attached; see the package comment above and
 // docs/persistence.md. Close must be called to flush staged records;
 // use OpenWALStore to build one.
 type WALStore struct {
@@ -74,9 +75,10 @@ var (
 )
 
 // OpenWALStore opens (or creates) the log directory, replays snapshot
-// plus segment suffix into a fresh in-memory index — repairing a torn
-// tail on the way — and starts the group-commit loop. The returned
-// store is ready for traffic; the caller owns Close.
+// plus segment suffix straight into a fresh sharded store — repairing a
+// torn tail on the way — then attaches the log to it and starts the
+// group-commit loop. The returned store is ready for traffic; the caller
+// owns Close.
 func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -89,7 +91,7 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", cfg.Dir, err)
 	}
-	state, layout, err := recoverWALState(cfg.Dir)
+	s, layout, err := recoverWALState(cfg.Dir, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -97,12 +99,7 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newShardedStore(cfg.Shards, w)
-	ops := make([]*core.Operation, 0, len(state))
-	for _, op := range state {
-		ops = append(ops, op)
-	}
-	s.bulkLoad(ops)
+	s.log = w
 	// The compactor's full-state snapshot source is the unbounded
 	// listing, which snapshots each shard under its own lock and merges
 	// lock-free.
