@@ -43,9 +43,10 @@ test:
 test-allocs:
 	$(GO) test -run 'Alloc|Budget' ./internal/...
 
-# lint is the single aggregate gate: vet for the compiler-adjacent
-# checks, staticcheck for general Go correctness, opdaemonlint for the
-# project's own concurrency and immutability contracts.
+# lint runs the three lint gates in one go, for local use: vet for the
+# compiler-adjacent checks, staticcheck for general Go correctness,
+# opdaemonlint for the project's own concurrency and immutability
+# contracts. CI runs each as a step of its own.
 lint: vet staticcheck opdaemonlint
 
 # bench/ is a nested module that compiles against internal/ and that

@@ -28,10 +28,10 @@
 //   - calls to same-package functions that themselves acquire a shard
 //     lock (re-entrant acquisition, an instant deadlock on the same
 //     shard with sync.Mutex);
-//   - acquiring a second shard lock while one is held, unless the
-//     acquisition ranges over the shard slice — the canonical
-//     all-shards pattern whose index order makes the ordering safe —
-//     and acquiring the same lock twice;
+//   - acquiring a second shard lock while one is held, and acquiring
+//     the same lock twice;
+//   - acquiring a lock inside a loop body and still holding it when
+//     the body ends — every iteration would take one more lock;
 //   - file I/O — os.File write methods and mutating os package
 //     functions, directly or through same-package callees — a disk
 //     write (worse, an fsync) under a policed lock serialises every
@@ -65,6 +65,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"opdaemon/internal/analysis/lintkit"
 )
@@ -167,7 +168,7 @@ func run(pass *lintkit.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				s := &scanner{pass: pass, acq: acq, held: make(map[string]*heldLock), rangeVars: make(map[types.Object]bool)}
+				s := &scanner{pass: pass, acq: acq, held: make(map[string]*heldLock)}
 				s.scan(fn.Body)
 			}
 		}
@@ -184,9 +185,6 @@ type lockOp struct {
 	// nested marks a nested-acquisition class lock (walBatch), exempt
 	// from the second-lock rule when taken under a full-class lock.
 	nested bool
-	// base is the root identifier of the path, used to recognise
-	// range-variable (all-shards) acquisitions.
-	base *ast.Ident
 }
 
 // classifyLockOp returns the lock operation described by call, or nil.
@@ -221,33 +219,13 @@ func classifyLockOp(pass *lintkit.Pass, call *ast.CallExpr) *lockOp {
 		path:    types.ExprString(sel.X),
 		acquire: acquire,
 		nested:  nestedOKTypes[name],
-		base:    rootIdent(muSel.X),
-	}
-}
-
-func rootIdent(expr ast.Expr) *ast.Ident {
-	for {
-		switch e := expr.(type) {
-		case *ast.Ident:
-			return e
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		default:
-			return nil
-		}
 	}
 }
 
 // heldLock is one acquired lock in the scanner's state.
 type heldLock struct {
-	// group marks an all-shards acquisition through a range variable.
-	group bool
+	// pos is the acquisition site.
+	pos token.Pos
 	// nested marks a nested-acquisition class lock (walBatch).
 	nested bool
 }
@@ -255,10 +233,9 @@ type heldLock struct {
 // scanner walks one function body in source order, tracking held
 // policed locks and reporting violations inside critical sections.
 type scanner struct {
-	pass      *lintkit.Pass
-	acq       *acquirerIndex
-	held      map[string]*heldLock
-	rangeVars map[types.Object]bool
+	pass *lintkit.Pass
+	acq  *acquirerIndex
+	held map[string]*heldLock
 }
 
 func (s *scanner) scan(root ast.Node) {
@@ -274,18 +251,21 @@ func (s *scanner) scan(root ast.Node) {
 			return false
 		case *ast.RangeStmt:
 			if t := s.pass.TypesInfo.TypeOf(n.X); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice, *types.Array:
-					if id, ok := n.Value.(*ast.Ident); ok {
-						if obj := s.pass.TypesInfo.Defs[id]; obj != nil {
-							s.rangeVars[obj] = true
-						}
-					}
-				case *types.Chan:
+				if _, ok := t.Underlying().(*types.Chan); ok {
 					s.reportHeld(n.Pos(), "range over a channel")
 				}
 			}
-			return true
+			s.scan(n.X)
+			s.scanLoopBody(n.Body)
+			return false
+		case *ast.ForStmt:
+			for _, part := range []ast.Node{n.Init, n.Cond, n.Post} {
+				if part != nil {
+					s.scan(part)
+				}
+			}
+			s.scanLoopBody(n.Body)
+			return false
 		case *ast.SelectStmt:
 			if !selectHasDefault(n) {
 				// One report for the select itself; the comm clauses
@@ -322,42 +302,50 @@ func (s *scanner) scan(root ast.Node) {
 	})
 }
 
+// scanLoopBody scans a loop body and flags every lock it acquires and
+// still holds where the body ends: each iteration would take one more.
+// A flagged lock is dropped from the held set, so the finding is made
+// once, at its acquisition.
+func (s *scanner) scanLoopBody(body *ast.BlockStmt) {
+	before := maps.Clone(s.held)
+	s.scan(body)
+	for path, h := range s.held {
+		if _, ok := before[path]; !ok {
+			s.pass.Reportf(h.pos, "acquiring %s in a loop without releasing it in the loop", path)
+			delete(s.held, path)
+		}
+	}
+}
+
 // applyLockOp updates the held set for a Lock/Unlock call, flagging
-// double acquisitions, unordered shard pairs, and full-class
-// acquisitions under the innermost-only staging lock. Nested-class
-// acquisitions under a full lock are the sanctioned nesting and pass.
+// double acquisitions, a second shard lock, and full-class acquisitions
+// under the innermost-only staging lock. Nested-class acquisitions under
+// a full lock are the sanctioned nesting and pass.
 func (s *scanner) applyLockOp(call *ast.CallExpr, op *lockOp) {
 	if !op.acquire {
 		delete(s.held, op.path)
 		return
 	}
-	group := op.base != nil && s.rangeVars[s.pass.TypesInfo.Uses[op.base]]
-	if prev, ok := s.held[op.path]; ok {
-		if !prev.group && !group {
-			s.pass.Reportf(call.Pos(), "acquiring %s while it is already held: self-deadlock", op.path)
-		}
+	if _, ok := s.held[op.path]; ok {
+		s.pass.Reportf(call.Pos(), "acquiring %s while it is already held: self-deadlock", op.path)
 		return
 	}
-	if op.nested {
-		// Sanctioned nesting: the staging lock may be taken under any
-		// full-class lock (log order must equal publish order); the
-		// blocking and file-I/O rules still police the section.
-		s.held[op.path] = &heldLock{nested: true}
-		return
-	}
-	if len(s.held) > 0 && !group {
+	if !op.nested {
+		// A nested-class lock is the sanctioned nesting: it may be taken
+		// under any full-class lock (log order must equal publish order);
+		// the blocking and file-I/O rules still police the section.
 		for other, h := range s.held {
 			if h.nested {
 				s.pass.Reportf(call.Pos(),
 					"acquiring %s while the staging lock %s is held: the staging lock must be innermost", op.path, other)
 			} else {
 				s.pass.Reportf(call.Pos(),
-					"acquiring %s while %s is held: multi-shard acquisition must range over the shard slice in canonical index order", op.path, other)
+					"acquiring %s while %s is held: hold one shard lock at a time", op.path, other)
 			}
 			break
 		}
 	}
-	s.held[op.path] = &heldLock{group: group}
+	s.held[op.path] = &heldLock{pos: call.Pos(), nested: op.nested}
 }
 
 // checkCall flags calls that may block, re-enter the store, or hit the

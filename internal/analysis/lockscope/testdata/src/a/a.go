@@ -86,21 +86,21 @@ func doubleLock(sh *storeShard) {
 	sh.mu.Unlock()
 }
 
-// unorderedPair takes two specific shards ad hoc instead of ranging
-// over the shard slice in canonical order.
+// unorderedPair takes two specific shards at once.
 func unorderedPair(a, b *storeShard) {
 	a.mu.Lock()
-	b.mu.Lock() // want `acquiring b\.mu while a\.mu is held: multi-shard acquisition must range over the shard slice`
+	b.mu.Lock() // want `acquiring b\.mu while a\.mu is held: hold one shard lock at a time`
 	b.mu.Unlock()
 	a.mu.Unlock()
 }
 
-// canonicalSweep is the sanctioned all-shards pattern: acquisition
-// ranges over the slice, so ordering is fixed by index.
-func canonicalSweep(shards []*storeShard) int {
+// allShardsRead read-locks every shard at once: each iteration takes
+// one more lock, and a writer waiting on any shard not yet reached keeps
+// writers off every shard already held.
+func allShardsRead(shards []*storeShard) int {
 	n := 0
 	for _, sh := range shards {
-		sh.mu.RLock()
+		sh.mu.RLock() // want `acquiring sh\.mu in a loop without releasing it in the loop`
 	}
 	defer func() {
 		for _, sh := range shards {
@@ -109,6 +109,18 @@ func canonicalSweep(shards []*storeShard) int {
 	}()
 	for _, sh := range shards {
 		n += len(sh.ops)
+	}
+	return n
+}
+
+// oneShardAtATime is the sanctioned cross-shard walk: each shard's lock
+// is released in the iteration that took it.
+func oneShardAtATime(shards []*storeShard) int {
+	n := 0
+	for i := 0; i < len(shards); i++ {
+		shards[i].mu.RLock()
+		n += len(shards[i].ops)
+		shards[i].mu.RUnlock()
 	}
 	return n
 }

@@ -14,7 +14,7 @@ type ListQuery struct {
 	// Cursor resumes listing strictly after the operation with this ID
 	// in newest-first order; empty starts at the newest operation. A
 	// cursor naming an operation the store no longer holds (TTL
-	// eviction, deletion) yields an empty page: the caller fell behind
+	// eviction) yields an empty page: the caller fell behind
 	// retention and must restart from the top.
 	Cursor string
 	// Limit caps the page size; <= 0 means unbounded.
@@ -86,12 +86,10 @@ type Store interface {
 	// changed nothing, its clone is an equal copy of the published
 	// snapshot, not that pointer.
 	Update(id string, fn func(op *core.Operation)) error
-	// Delete removes the operation; deleting an unknown ID is a
-	// no-op.
-	Delete(id string)
 	// SweepTerminalBefore deletes every operation whose status is
 	// terminal and whose UpdatedAt is before cutoff, returning how
-	// many were removed. Non-terminal operations are never touched.
+	// many were removed; it is the only way an operation leaves the
+	// store. Non-terminal operations are never touched.
 	// The janitor calls this on every tick, so the scan walks the index
 	// in place rather than snapshotting the store.
 	SweepTerminalBefore(cutoff time.Time) int

@@ -73,6 +73,14 @@ func mkOp(id string, at time.Time) *core.Operation {
 	}
 }
 
+// mkDone is mkOp settled done: the shape a sweep evicts once at is
+// older than its cutoff.
+func mkDone(id string, at time.Time) *core.Operation {
+	op := mkOp(id, at)
+	op.Status = core.StatusDone
+	return op
+}
+
 // listAll returns the full newest-first listing, failing the test on
 // error.
 func listAll(t *testing.T, s Store) []*core.Operation {
@@ -622,15 +630,19 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 
 	t.Run("DeleteIdempotent", func(t *testing.T) {
 		s := mk(t)
-		s.Put(mkOp("a", t0))
-		s.Delete("a")
-		if _, err := s.Get("a"); !errors.Is(err, core.ErrNotFound) {
-			t.Errorf("Get after Delete = %v, want ErrNotFound", err)
+		s.Put(mkDone("a", t0))
+		cutoff := t0.Add(time.Second)
+		if got := s.SweepTerminalBefore(cutoff); got != 1 {
+			t.Errorf("sweep evicted %d, want 1", got)
 		}
-		s.Delete("a") // deleting again must be a no-op
-		s.Delete("never-existed")
+		if _, err := s.Get("a"); !errors.Is(err, core.ErrNotFound) {
+			t.Errorf("Get after the sweep = %v, want ErrNotFound", err)
+		}
+		if got := s.SweepTerminalBefore(cutoff); got != 0 { // evicting again must be a no-op
+			t.Errorf("second sweep evicted %d, want 0", got)
+		}
 		if s.Len() != 0 {
-			t.Errorf("Len after deletes = %d, want 0", s.Len())
+			t.Errorf("Len after the sweeps = %d, want 0", s.Len())
 		}
 	})
 
@@ -638,54 +650,74 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 		s := mk(t)
 		const n = 10
 		for i := 0; i < n; i++ {
-			s.Put(mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i))))
+			s.Put(mkDone(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i))))
 		}
 		for i := 0; i < n; i++ {
-			s.Delete(fmt.Sprintf("op-%02d", i))
+			if got := s.SweepTerminalBefore(t0.Add(time.Duration(i + 1))); got != 1 {
+				t.Fatalf("sweep %d evicted %d ops, want 1", i+1, got)
+			}
 			if got, want := s.Len(), n-i-1; got != want {
-				t.Fatalf("Len after deleting %d ops = %d, want %d", i+1, got, want)
+				t.Fatalf("Len after evicting %d ops = %d, want %d", i+1, got, want)
 			}
 		}
 		if got := len(listAll(t, s)); got != 0 {
-			t.Errorf("List after deleting everything has %d ops, want 0", got)
+			t.Errorf("List after evicting everything has %d ops, want 0", got)
 		}
 	})
 
 	t.Run("DeleteConcurrentWithUpdate", func(t *testing.T) {
-		// The janitor deletes terminal operations while workers
-		// update others; hammer one ID from both sides. Every Update
-		// must either apply atomically or report ErrNotFound — never
-		// panic, deadlock, or resurrect the deleted operation.
+		// The janitor sweeps terminal operations while workers update
+		// them and others; race one sweep against updates of an expired
+		// operation and a running one. Every Update must either apply
+		// atomically or report ErrNotFound, an evicted operation never
+		// reappears, and the running one is never evicted.
 		s := mk(t)
+		cutoff := t0.Add(time.Hour)
 		const rounds = 100
 		for r := 0; r < rounds; r++ {
-			id := fmt.Sprintf("op-%03d", r)
-			s.Put(mkOp(id, t0))
+			id, live := fmt.Sprintf("op-%03d", r), fmt.Sprintf("live-%03d", r)
+			running := mkOp(live, t0)
+			running.Status = core.StatusRunning
+			s.PutBatch([]*core.Operation{mkDone(id, t0), running})
+			evicted := 0
 			var wg sync.WaitGroup
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 10; i++ {
-					err := s.Update(id, func(op *core.Operation) {
-						op.UpdatedAt = op.UpdatedAt.Add(time.Second)
-					})
-					if err != nil && !errors.Is(err, core.ErrNotFound) {
-						t.Errorf("Update racing Delete: %v", err)
-						return
+					for _, target := range []string{id, live} {
+						err := s.Update(target, func(op *core.Operation) {
+							op.UpdatedAt = op.UpdatedAt.Add(time.Second)
+						})
+						if err != nil && !errors.Is(err, core.ErrNotFound) {
+							t.Errorf("Update racing the sweep: %v", err)
+							return
+						}
 					}
 				}
 			}()
 			go func() {
 				defer wg.Done()
-				s.Delete(id)
+				evicted = s.SweepTerminalBefore(cutoff)
 			}()
 			wg.Wait()
+			if evicted == 0 {
+				// An update republished the candidate under the sweep,
+				// which leaves it to the next tick.
+				evicted = s.SweepTerminalBefore(cutoff)
+			}
+			if evicted != 1 {
+				t.Fatalf("round %d: sweeps evicted %d ops, want exactly %s", r, evicted, id)
+			}
 			if _, err := s.Get(id); !errors.Is(err, core.ErrNotFound) {
-				t.Fatalf("round %d: op resurrected after Delete: %v", r, err)
+				t.Fatalf("round %d: op resurrected after its eviction: %v", r, err)
+			}
+			if _, err := s.Get(live); err != nil {
+				t.Fatalf("round %d: sweep evicted the running %s: %v", r, live, err)
 			}
 		}
-		if got := s.Len(); got != 0 {
-			t.Errorf("Len after concurrent delete rounds = %d, want 0", got)
+		if got := s.Len(); got != rounds {
+			t.Errorf("Len after concurrent sweep rounds = %d, want %d running ops", got, rounds)
 		}
 	})
 
@@ -811,9 +843,9 @@ func TestShardedStoreSpreadsKeys(t *testing.T) {
 // TestSweepEvictsOnlyWhatItCollected pins the sweep's second pass, which
 // no black-box history can drive on purpose: between collecting
 // candidates and taking the write lock, one candidate is republished
-// (same ID, new snapshot) and one is deleted. Neither is the sweep's to
-// evict any more; the rest go, from map and index alike, and the
-// tombstones handed back are exactly theirs, in order.
+// (same ID, new snapshot) and another sweep evicts one. Neither is this
+// sweep's to evict any more; the rest go, from map and index alike, and
+// the tombstones handed back are exactly theirs, in order.
 func TestSweepEvictsOnlyWhatItCollected(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	s := NewShardedStore(1).(*shardedStore)
@@ -834,10 +866,12 @@ func TestSweepEvictsOnlyWhatItCollected(t *testing.T) {
 		tombs = appendDeleteRecord(tombs, op.ID)
 	}
 
-	again := mkOp("b", t0.Add(time.Second))
-	again.Status = core.StatusDone
+	again := mkDone("b", t0.Add(time.Second))
 	s.Put(again)
-	s.Delete("d")
+	// Another sweep's write pass got to d first.
+	sh.mu.Lock()
+	sh.evictLocked([]*core.Operation{cands[3]}, nil)
+	sh.mu.Unlock()
 
 	sh.mu.Lock()
 	n, staged := sh.evictLocked(cands, tombs)
@@ -866,5 +900,47 @@ func TestSweepEvictsOnlyWhatItCollected(t *testing.T) {
 	}
 	if fmt.Sprint(deleted) != "[a c e]" {
 		t.Errorf("staged tombstones = %v, want [a c e]", deleted)
+	}
+}
+
+// TestListHoldsOneShardLock: a page never holds one shard while it waits
+// for another. With shard 1 write-locked, a List parks there; a Put to
+// shard 0 must still go through, or every writer on the shards the page
+// already passed would queue behind the one it is waiting for.
+func TestListHoldsOneShardLock(t *testing.T) {
+	s := newShardedStore(2)
+	id := "op-0"
+	for i := 1; s.shardIndex(id) != 0; i++ {
+		id = fmt.Sprintf("op-%d", i)
+	}
+	s.shards[1].mu.Lock()
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		s.List(ListQuery{Limit: 10})
+	}()
+	time.Sleep(50 * time.Millisecond) // let the List park on shard 1
+	put := make(chan struct{})
+	go func() {
+		defer close(put)
+		s.Put(mkOp(id, time.Unix(1000, 0)))
+	}()
+	ok := closesWithin(put, time.Second)
+	s.shards[1].mu.Unlock()
+	<-listed
+	<-put
+	if !ok {
+		t.Fatal("a Put to shard 0 waited on a List parked on shard 1")
+	}
+}
+
+// closesWithin reports whether done closes before d elapses. A helper,
+// so that a test may wait with a shard lock held.
+func closesWithin(done <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-done:
+		return true
+	case <-time.After(d):
+		return false
 	}
 }

@@ -137,7 +137,7 @@ func (sh *storeShard) expiredTerminal(dst []*core.Operation, cutoff time.Time) [
 
 // evictLocked removes every candidate the shard still publishes and
 // returns how many that was. A candidate the map no longer holds by
-// pointer was deleted or republished since it was collected — a
+// pointer was evicted or republished since it was collected — a
 // different snapshot, not this sweep's to evict — and is left alone.
 // cands must be in index order, as expiredTerminal returns them, and is
 // compacted in place to the evicted ones. tombs holds the candidates'
@@ -194,14 +194,13 @@ func (c *listCursor) current() *core.Operation { return c.ops[c.pos] }
 // collectNewest merges the cursors newest-first and returns the page
 // selected by q (status filter, limit). Cursor resolution — turning
 // q.Cursor into per-shard start positions — is the caller's job, since
-// it needs the shard locks; collectNewest only walks. The caller must
-// hold (at least) read locks on every contributing shard for the
-// duration of the call; the returned page is built of shared immutable
-// pointers, so it stays valid after the locks are released.
+// it needs the shard locks; collectNewest only walks the runs the caller
+// copied out, with no lock held. The page is built of shared immutable
+// pointers.
 //
 // Cost: O(len(cursors)) to seed the heap plus O(scanned · log shards)
 // to emit, where scanned == limit when no status filter is set. The
-// only allocations are the output slice and the heap.
+// only allocation is the output slice; the heap reuses cursors.
 func collectNewest(cursors []listCursor, q ListQuery) []*core.Operation {
 	// Drop exhausted shards, then heapify by newest-first current op.
 	h := cursors[:0]

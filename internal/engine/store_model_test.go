@@ -1,12 +1,12 @@
 package engine
 
 // Model-based test of the store: seeded random histories of
-// Put/PutBatch/Update/Delete/SweepTerminalBefore, some of them from
-// concurrent goroutines on disjoint IDs, run against the real store and
-// against a plain map. After every step Get, Len and the full List order
-// must equal the model's. The journaled rows additionally close and
-// reopen the log directory along the way, each time under a shard count
-// of 1, 2 or 8, and compare again: replay must
+// Put/PutBatch/Update/SweepTerminalBefore, some of them from concurrent
+// goroutines on disjoint IDs, run against the real store and against a
+// plain map. After every step Get, Len, the full List order and a paged,
+// status-filtered walk must equal the model's. The journaled rows
+// additionally close and reopen the log directory along the way, each
+// time under a shard count of 1, 2 or 8, and compare again: replay must
 // reproduce the model exactly — deletes never resurrect, a delta whose
 // base is gone fabricates nothing, List order is identical across the
 // reopen — and their tiny segments keep rotation and snapshot
@@ -177,7 +177,7 @@ func applyRandom(r *rand.Rand, s Store, m storeModel, ids []string) (string, err
 		m[id] = *op
 		s.Put(op)
 		return "Put " + id, nil
-	case k < 8:
+	default:
 		mu := drawModelMut(r)
 		desc := "Update " + id + " " + mu.String()
 		// The oracle is "the model's value, mutated": the callback
@@ -225,10 +225,6 @@ func applyRandom(r *rand.Rand, s Store, m storeModel, ids []string) (string, err
 		}
 		m[id] = after
 		return desc, nil
-	default:
-		delete(m, id)
-		s.Delete(id)
-		return "Delete " + id, nil
 	}
 }
 
@@ -340,8 +336,8 @@ func (mr *modelRun) check() {
 			mr.fatalf("List[%d] of %v: %s", i, listIDs(got), d)
 		}
 	}
-	// The bounded page takes List's other locking path (every shard
-	// read-locked at once); it must be the same listing's head.
+	// A bounded unfiltered page copies at most Limit entries per shard;
+	// it must be the unbounded listing's head.
 	page, err := mr.s.List(ListQuery{Limit: 5})
 	if err != nil {
 		mr.fatalf("List(limit 5): %v", err)
@@ -352,6 +348,39 @@ func (mr *modelRun) check() {
 	for i := range page {
 		if page[i] != got[i] {
 			mr.fatalf("List(limit 5)[%d] = %s, want the unbounded listing's %s", i, page[i].ID, got[i].ID)
+		}
+	}
+	// A cursor walk in pages of 7, its status filter rotating through
+	// "" and the five statuses by step, must concatenate to the model's
+	// filtered listing.
+	status := append([]core.Status{""}, modelStatuses...)[len(mr.trace)%(len(modelStatuses)+1)]
+	var filtered []core.Operation
+	for _, op := range want {
+		if status == "" || op.Status == status {
+			filtered = append(filtered, op)
+		}
+	}
+	var walked []*core.Operation
+	for cursor := ""; ; {
+		page, err := mr.s.List(ListQuery{Status: status, Cursor: cursor, Limit: 7})
+		if err != nil {
+			mr.fatalf("List(status %q, cursor %q, limit 7): %v", status, cursor, err)
+		}
+		if len(page) == 0 {
+			break
+		}
+		walked = append(walked, page...)
+		if len(walked) > len(filtered) {
+			mr.fatalf("status %q walk has %d ops or more %v, want %d", status, len(walked), listIDs(walked), len(filtered))
+		}
+		cursor = page[len(page)-1].ID
+	}
+	if len(walked) != len(filtered) {
+		mr.fatalf("status %q walk has %d ops %v, want %d", status, len(walked), listIDs(walked), len(filtered))
+	}
+	for i := range filtered {
+		if d := modelDiff(walked[i], filtered[i]); d != "" {
+			mr.fatalf("status %q walk[%d] of %v: %s", status, i, listIDs(walked), d)
 		}
 	}
 }

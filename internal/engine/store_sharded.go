@@ -248,25 +248,17 @@ func (s *shardedStore) Get(id string) (*core.Operation, error) {
 	return s.shard(id).get(id)
 }
 
-// List k-way-merges the shard index tails newest-first. Two locking
-// strategies keep writers available:
+// List k-way-merges the shard index tails newest-first. It visits the
+// shards in turn and, under each shard's read lock alone, copies the run
+// at or below the cursor into one shared buffer (pointer copies: the
+// snapshots are immutable), then merges the runs lock-free. A bounded
+// unfiltered page copies at most q.Limit entries per shard, since no
+// shard can contribute more. List never holds one shard while it waits
+// for another, so a writer queued on one cannot stall the others.
 //
-//   - Bounded, unfiltered pages (the poll hot path) read-lock every
-//     shard — always in index order, the only path holding more than
-//     one shard lock, and read locks only, so no deadlock cycle with
-//     the one-at-a-time sweep — for a critical section that is
-//     O(shards + limit·log shards) by construction: short no matter
-//     how large the store is, and free of per-element copies.
-//   - Unbounded or status-filtered queries can scan O(n), so instead
-//     of stalling every writer store-wide for the whole merge they
-//     snapshot each shard's candidate range under that shard's lock
-//     alone (a pointer copy — published snapshots are immutable) and
-//     merge lock-free, restoring the one-shard-at-a-time write
-//     availability the pre-index implementation had.
-//
-// Either way List is not a cross-shard point-in-time snapshot (an op
-// stored concurrently may or may not appear), matching the interface
-// contract which only promises per-op snapshot consistency.
+// List is not a cross-shard point-in-time snapshot (an op stored
+// concurrently may or may not appear), matching the interface contract
+// which only promises per-op snapshot consistency.
 func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 	// Resolve the cursor up front via its shard's own lock: an
 	// unknown cursor is an empty page, and a known one contributes
@@ -281,33 +273,25 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 		key = op
 	}
 
-	if q.Limit > 0 && q.Status == "" {
-		for _, sh := range s.shards {
-			sh.mu.RLock()
-		}
-		defer func() {
-			for _, sh := range s.shards {
-				sh.mu.RUnlock()
-			}
-		}()
-		cursors := make([]listCursor, len(s.shards))
-		for i, sh := range s.shards {
-			cursors[i] = listCursor{ops: sh.ix.ops, pos: sh.startPos(key)}
-		}
-		return collectNewest(cursors, q), nil
-	}
-
 	cursors := make([]listCursor, len(s.shards))
+	var runs []*core.Operation
 	for i, sh := range s.shards {
 		sh.mu.RLock()
-		pos := sh.startPos(key)
-		var snap []*core.Operation
-		if pos >= 0 {
-			snap = make([]*core.Operation, pos+1)
-			copy(snap, sh.ix.ops[:pos+1])
+		end := sh.startPos(key) + 1
+		from := 0
+		if q.Limit > 0 && q.Status == "" {
+			from = max(0, end-q.Limit)
 		}
+		if i == 0 {
+			// The hash balances the shards, so the first run sizes the
+			// buffer for all of them, never beyond what is stored.
+			runs = make([]*core.Operation, 0, len(s.shards)*(end-from))
+		}
+		runs = append(runs, sh.ix.ops[from:end]...)
 		sh.mu.RUnlock()
-		cursors[i] = listCursor{ops: snap, pos: pos}
+		// A later append may move runs; this run stays where it is.
+		n := end - from
+		cursors[i] = listCursor{ops: runs[len(runs)-n:], pos: n - 1}
 	}
 	return collectNewest(cursors, q), nil
 }
@@ -366,7 +350,7 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 
 		sh.mu.Lock()
 		if sh.ops[id] != old {
-			// A conflicting publish (another update, a delete, a re-put)
+			// A conflicting publish (another update, an eviction, a re-put)
 			// landed between snapshot and lock: the clone and record
 			// describe a stale base. Drop both and retry.
 			sh.mu.Unlock()
@@ -391,43 +375,14 @@ func sameMutable(a, b *core.Operation) bool {
 		bytes.Equal(a.Result, b.Result)
 }
 
-// Delete removes the operation and stages its tombstone. The tombstone
-// is encoded up front — wasted work when the operation turns out not to
-// exist, but deletes of absent IDs are not a path worth a codec call
-// inside the lock. Nothing stored means nothing to tombstone: replay of
-// the existing log already yields absence.
-func (s *shardedStore) Delete(id string) {
-	buf := s.encBuf()
-	var rec []byte
-	if buf != nil {
-		rec = appendDeleteRecord(*buf, id)
-		*buf = rec
-	}
-	sh := s.shard(id)
-	var g *walGen
-	sh.mu.Lock()
-	if old, ok := sh.ops[id]; ok {
-		delete(sh.ops, id)
-		sh.ix.remove(old.CreatedAt, id)
-		g = s.log.stage(rec, 1)
-	}
-	sh.mu.Unlock()
-	putEncBuf(buf)
-	if g != nil {
-		s.log.wake()
-		s.log.transitionWait(g)
-	}
-}
-
-// SweepTerminalBefore evicts expired terminal operations one shard at a
-// time — it never holds more than one lock, so per-operation traffic on
-// other shards is unaffected, and List's all-shard read locks (taken in
-// index order) form no cycle with this sequential walk. Each shard takes
-// two passes so no tombstone is encoded under the lock and a tick that
-// finds nothing expired never takes a write lock: a read-locked pass
-// collects candidates, their tombstones are encoded lock-free (when
-// journaled), and a write-locked pass evicts the candidates still
-// published and stages exactly their frames.
+// SweepTerminalBefore is the only way an operation leaves the store. It
+// evicts expired terminal operations one shard at a time — it never
+// holds more than one lock, so per-operation traffic on other shards is
+// unaffected. Each shard takes two passes so no tombstone is encoded
+// under the lock and a tick that finds nothing expired never takes a
+// write lock: a read-locked pass collects candidates, their tombstones
+// are encoded lock-free (when journaled), and a write-locked pass evicts
+// the candidates still published and stages exactly their frames.
 func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
 	evicted := 0
 	var last *walGen

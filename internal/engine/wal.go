@@ -35,14 +35,14 @@ type WALSyncMode string
 
 const (
 	// WALSyncAlways fsyncs every batch and makes every mutation —
-	// puts, updates, deletes — wait for its commit ticket. Maximum
+	// puts, updates, sweeps — wait for its commit ticket. Maximum
 	// durability, one fsync round-trip on every write path.
 	WALSyncAlways WALSyncMode = "always"
 	// WALSyncGroup (the default) commits the moment anything is staged;
 	// whatever boards while that write+fsync is in flight shares the
 	// next one, so batch size tracks concurrency and disk latency with
 	// no timer. Admissions (Put/PutBatch) wait for durability;
-	// transitions (Update/Delete) are logged asynchronously — recovery
+	// transitions and sweep evictions are logged asynchronously — recovery
 	// semantics make the loss window principled (see
 	// docs/persistence.md).
 	WALSyncGroup WALSyncMode = "group"
@@ -191,6 +191,9 @@ type wal struct {
 	f        *os.File
 	segIndex int
 	segSize  int64
+	// commitErr is the first failed commit's error. finalize reports it:
+	// a later fsync that succeeds does not make that batch durable.
+	commitErr error
 	// spare recycles the detached batch buffer across commits.
 	spare []byte
 
@@ -436,6 +439,9 @@ func (w *wal) commit() {
 		// is degraded; the in-memory state remains correct until restart.
 		w.stats.commitFailures.Add(1)
 		log.Printf("engine: wal commit of %d records failed: %v", n, err)
+		if w.commitErr == nil {
+			w.commitErr = err
+		}
 	}
 	gen.err = err
 	close(gen.done)
@@ -611,12 +617,17 @@ func (w *wal) syncDir() error {
 
 // finalize is the clean-shutdown path: commit anything staged, fsync
 // regardless of mode (a clean close should be durable even under
-// none/group), and close the segment.
+// none/group), and close the segment. A commit that failed at any point
+// in the log's life is the error reported, ahead of the sync's or the
+// close's.
 func (w *wal) finalize() error {
 	w.commit()
 	var err error
+	if w.commitErr != nil {
+		err = fmt.Errorf("records may not be durable: %w", w.commitErr)
+	}
 	if w.f != nil {
-		if serr := w.sync(w.f); serr != nil {
+		if serr := w.sync(w.f); err == nil {
 			err = serr
 		}
 		if cerr := w.f.Close(); err == nil {

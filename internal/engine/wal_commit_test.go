@@ -363,7 +363,8 @@ func TestWALRotationFailureKeepsAppending(t *testing.T) {
 // TestWALCommitFailureCounted: a failed fsync still releases its
 // waiters (the Store interface has no write-error channel) but is
 // counted, and Engine.Stats carries the count to /v1/health and
-// /v1/metrics.
+// /v1/metrics. Close reports it too: the clean final fsync does not make
+// the failed batch durable.
 func TestWALCommitFailureCounted(t *testing.T) {
 	p := newSyncProbe()
 	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, syncHook: p.sync})
@@ -375,7 +376,8 @@ func TestWALCommitFailureCounted(t *testing.T) {
 		t.Fatalf("CommitFailures = %d after a clean commit, want 0", got)
 	}
 
-	p.failWith(errors.New("injected fsync failure"))
+	injected := errors.New("injected fsync failure")
+	p.failWith(injected)
 	s.Put(mkOp("lost", t0))
 	p.failWith(nil)
 
@@ -383,8 +385,11 @@ func TestWALCommitFailureCounted(t *testing.T) {
 		t.Errorf("CommitFailures = %d after one failed fsync, want 1", got)
 	}
 	e := New(Config{Workers: 1, Store: s})
-	defer e.Shutdown(context.Background())
 	if got := e.Stats().WALCommitFailures; got != 1 {
 		t.Errorf("Engine.Stats().WALCommitFailures = %d, want 1", got)
+	}
+	e.Shutdown(context.Background())
+	if err := s.Close(); !errors.Is(err, injected) {
+		t.Errorf("Close = %v after a failed commit, want the injected error", err)
 	}
 }

@@ -75,8 +75,16 @@ func TestWALStoreRecoversAfterCrash(t *testing.T) {
 			t.Fatalf("Update(%s): %v", id, err)
 		}
 	}
-	s.Delete("op-03")
-	s.Delete("op-07")
+	// Tombstone op-03 and op-07 through a sweep, the store's only
+	// eviction path.
+	for _, id := range []string{"op-03", "op-07"} {
+		if err := s.Update(id, func(op *core.Operation) { op.Status = core.StatusFailed }); err != nil {
+			t.Fatalf("Update(%s): %v", id, err)
+		}
+	}
+	if got := s.SweepTerminalBefore(t0.Add(time.Minute)); got != 2 {
+		t.Fatalf("sweep evicted %d, want op-03 and op-07", got)
+	}
 	want := listAll(t, s)
 
 	s.closeAbrupt()

@@ -112,7 +112,9 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 }
 
 // Close flushes staged records, stops the committer, and closes the
-// open segment. The store must not be used afterwards.
+// open segment. Its error is the first commit that ever failed, if one
+// did, even when the final fsync succeeds. The store must not be used
+// afterwards.
 func (s *WALStore) Close() error {
 	return s.log.close()
 }
