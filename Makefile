@@ -107,8 +107,9 @@ opbench-smoke:
 
 # Short coverage-guided fuzz runs over the untrusted-input parsers —
 # the cursor values clients control, the WAL replay path that must
-# survive arbitrary on-disk bytes after a crash — and over the JSON wire
-# codec, held byte for byte to encoding/json. One `go test
+# survive arbitrary on-disk bytes after a crash — over the JSON wire
+# codec, held byte for byte to encoding/json, and differentially over the
+# store index's galloping search against sort.Search. One `go test
 # -fuzz` invocation accepts a single target, hence one line per
 # fuzzer; seed corpora alone also run as normal tests under `make
 # test`. FuzzOperationAppendJSON takes thirteen arguments, and the
@@ -119,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzListQueryCursor$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
 	$(GO) test -fuzz '^FuzzWALCodecBinary$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
+	$(GO) test -fuzz '^FuzzOpIndexSearch$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
 	$(GO) test -fuzz '^FuzzDecodeSubmit$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzOperationAppendJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run '^Fuzz' ./internal/core/
 

@@ -144,9 +144,9 @@ func BenchmarkAPISubmitBatch10(b *testing.B) {
 }
 
 // BenchmarkAPIListCursor measures a mid-stream limit=50 cursor page
-// over a 10k-operation store: the cursor resolution (one point lookup +
-// per-shard binary search) on top of the first page opbench's
-// api.serve_list50_us times. No opbench workload sends a cursor.
+// over a 10k-operation store: cursor resolution (a point lookup, then a
+// per-shard tail-first search, at its dearest mid-index) on top of the
+// page opbench's api.serve_list50_us times. No opbench workload sends a cursor.
 func BenchmarkAPIListCursor(b *testing.B) {
 	for _, bs := range benchStores() {
 		b.Run(bs.name, func(b *testing.B) {

@@ -149,10 +149,12 @@ func (ar *admissionRun) submitter(r *rand.Rand) {
 	prios := []core.Priority{"", core.PriorityHigh, core.PriorityNormal, core.PriorityLow}
 	closedSeen := 0
 	for i := 0; i < 150 && closedSeen < 3; i++ {
-		switch n := ar.attempts.Add(1); n {
-		case ar.gateAt:
+		// Two ifs, not a switch: the draws may name the same attempt.
+		n := ar.attempts.Add(1)
+		if n == ar.gateAt {
 			ar.release()
-		case ar.shutdownAt:
+		}
+		if n == ar.shutdownAt {
 			ar.shutDown()
 		}
 		items := make([]BatchItem, ar.batchSize(r))

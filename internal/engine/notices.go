@@ -93,6 +93,7 @@ type noticeRing struct {
 	// changed is the channel the next append closes; nil while no
 	// reader has asked for one since the last append.
 	changed chan struct{}
+	scanned uint64 // entries since has examined, for tests
 }
 
 func newNoticeRing(capacity int) *noticeRing {
@@ -160,16 +161,18 @@ func (r *noticeRing) waitChan() <-chan struct{} {
 	return ch
 }
 
-// since returns the retained notices selected by q, oldest first. A
+// since returns the retained notices selected by q, oldest first, and
+// the sequence it scanned through: after an empty page, a cursor there
+// selects what q.After does, without rescanning what did not match. A
 // cursor at or past the newest notice yields an empty page (the >=
 // comparison also guards the q.After+1 overflow at MaxUint64); a
 // cursor that has fallen off the ring resumes from the oldest retained
 // notice.
-func (r *noticeRing) since(q NoticeQuery) []Notice {
+func (r *noticeRing) since(q NoticeQuery) ([]Notice, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.seq == 0 || q.After >= r.seq {
-		return nil
+		return nil, q.After
 	}
 	n := uint64(len(r.buf))
 	oldest := uint64(1)
@@ -182,16 +185,17 @@ func (r *noticeRing) since(q NoticeQuery) []Notice {
 	}
 	var out []Notice
 	for s := start; s <= r.seq; s++ {
+		r.scanned++
 		nt := &r.buf[(s-1)%n]
 		if !q.match(nt) {
 			continue
 		}
 		out = append(out, *nt)
 		if q.Limit > 0 && len(out) == q.Limit {
-			break
+			return out, s
 		}
 	}
-	return out
+	return out, r.seq
 }
 
 // last returns the newest assigned sequence, for Stats and tests.
@@ -205,7 +209,8 @@ func (r *noticeRing) last() uint64 {
 // oldest first, without blocking. An empty page means the cursor is
 // caught up (or nothing matched the filters).
 func (e *Engine) Notices(q NoticeQuery) []Notice {
-	return e.notices.since(q)
+	ns, _ := e.notices.since(q)
+	return ns
 }
 
 // AwaitNotices blocks until at least one notice newer than q.After
@@ -216,11 +221,14 @@ func (e *Engine) AwaitNotices(ctx context.Context, q NoticeQuery) ([]Notice, err
 	for {
 		// Fetch the wake channel before scanning: an append that lands
 		// after the scan closes this very channel, so the select below
-		// cannot sleep through it.
+		// cannot sleep through it. A wake resumes the scan where the
+		// last one ended; what it skipped did not match.
 		ch := e.notices.waitChan()
-		if ns := e.notices.since(q); len(ns) > 0 {
+		ns, through := e.notices.since(q)
+		if len(ns) > 0 {
 			return ns, nil
 		}
+		q.After = through
 		select {
 		case <-ch:
 		case <-ctx.Done():

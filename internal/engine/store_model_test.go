@@ -238,13 +238,23 @@ func (mr *modelRun) step(r *rand.Rand) {
 			mr.fatalf("%v", err)
 		}
 	case k < 15:
-		// A batch may name an ID twice; the later element wins.
+		// A batch may name an ID twice; the later element wins. Half the
+		// batches share one CreatedAt, as SubmitBatch stamps them, so
+		// their IDs alone order them and each insert searches its slot.
 		ops := make([]*core.Operation, 2+r.Intn(10))
 		desc := "PutBatch"
+		shared := r.Intn(2) == 0
+		at := modelTime(r)
 		for i := range ops {
 			ops[i] = modelOp(r, mr.ids[r.Intn(len(mr.ids))])
+			if shared {
+				ops[i].CreatedAt = at
+			}
 			mr.m[ops[i].ID] = *ops[i]
 			desc += " " + ops[i].ID
+		}
+		if shared {
+			desc += fmt.Sprintf(" (all created %d)", at.Unix())
 		}
 		mr.trace = append(mr.trace, desc)
 		mr.s.PutBatch(ops)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -335,30 +336,30 @@ func TestNoticeRingCursorSemantics(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	r := newNoticeRing(4)
 
-	if got := r.since(NoticeQuery{}); got != nil {
+	if got, _ := r.since(NoticeQuery{}); got != nil {
 		t.Fatalf("empty ring since() = %v, want nil", got)
 	}
 
 	for i := 1; i <= 3; i++ {
 		r.append(fmt.Sprintf("op%d", i), "k", core.StatusQueued, t0)
 	}
-	ns := r.since(NoticeQuery{})
+	ns, _ := r.since(NoticeQuery{})
 	if len(ns) != 3 || ns[0].Seq != 1 || ns[2].Seq != 3 {
 		t.Fatalf("since(0) = %+v, want seqs 1..3", ns)
 	}
-	if ns = r.since(NoticeQuery{After: 2}); len(ns) != 1 || ns[0].Seq != 3 {
+	if ns, _ = r.since(NoticeQuery{After: 2}); len(ns) != 1 || ns[0].Seq != 3 {
 		t.Fatalf("since(2) = %+v, want just seq 3", ns)
 	}
 	// Caught-up and past-the-end cursors yield empty pages.
-	if ns = r.since(NoticeQuery{After: 3}); len(ns) != 0 {
+	if ns, _ = r.since(NoticeQuery{After: 3}); len(ns) != 0 {
 		t.Fatalf("since(3) = %+v, want empty", ns)
 	}
-	if ns = r.since(NoticeQuery{After: 99}); len(ns) != 0 {
+	if ns, _ = r.since(NoticeQuery{After: 99}); len(ns) != 0 {
 		t.Fatalf("since(99) = %+v, want empty", ns)
 	}
 	// MaxUint64 must not wrap After+1 around to zero and replay the
 	// whole ring.
-	if ns = r.since(NoticeQuery{After: math.MaxUint64}); len(ns) != 0 {
+	if ns, _ = r.since(NoticeQuery{After: math.MaxUint64}); len(ns) != 0 {
 		t.Fatalf("since(MaxUint64) = %+v, want empty", ns)
 	}
 
@@ -368,7 +369,7 @@ func TestNoticeRingCursorSemantics(t *testing.T) {
 	for i := 4; i <= 7; i++ {
 		r.append(fmt.Sprintf("op%d", i), "k", core.StatusRunning, t0)
 	}
-	ns = r.since(NoticeQuery{After: 1})
+	ns, _ = r.since(NoticeQuery{After: 1})
 	if len(ns) != 4 || ns[0].Seq != 4 || ns[3].Seq != 7 {
 		t.Fatalf("since(1) after wrap = %+v, want seqs 4..7", ns)
 	}
@@ -386,23 +387,31 @@ func TestNoticeRingFiltersAndLimit(t *testing.T) {
 	r.append("a", "build", core.StatusDone, t0)
 	r.append("b", "deploy", core.StatusFailed, t0)
 
-	ns := r.since(NoticeQuery{Kinds: []string{"deploy"}})
+	ns, _ := r.since(NoticeQuery{Kinds: []string{"deploy"}})
 	if len(ns) != 2 || ns[0].OpID != "b" || ns[1].Status != core.StatusFailed {
 		t.Fatalf("kind filter = %+v, want b's two notices", ns)
 	}
-	ns = r.since(NoticeQuery{Statuses: []core.Status{core.StatusDone, core.StatusFailed}})
+	ns, _ = r.since(NoticeQuery{Statuses: []core.Status{core.StatusDone, core.StatusFailed}})
 	if len(ns) != 2 || ns[0].Status != core.StatusDone || ns[1].Status != core.StatusFailed {
 		t.Fatalf("status filter = %+v, want done then failed", ns)
 	}
-	ns = r.since(NoticeQuery{Limit: 2})
+	ns, _ = r.since(NoticeQuery{Limit: 2})
 	if len(ns) != 2 || ns[0].Seq != 1 || ns[1].Seq != 2 {
 		t.Fatalf("limit page = %+v, want seqs 1,2", ns)
 	}
 	// Filters and limit compose: the limit counts matches, not scanned
 	// entries.
-	ns = r.since(NoticeQuery{Kinds: []string{"build"}, Limit: 2})
-	if len(ns) != 2 || ns[1].Status != core.StatusRunning {
-		t.Fatalf("filtered limit page = %+v, want build queued,running", ns)
+	ns, through := r.since(NoticeQuery{Kinds: []string{"build"}, Limit: 2})
+	if len(ns) != 2 || ns[1].Status != core.StatusRunning || through != 2 {
+		t.Fatalf("filtered limit page = %+v through %d, want build queued,running through 2", ns, through)
+	}
+	// An empty page scanned through the newest notice, or stayed at a
+	// cursor already past it.
+	if ns, through = r.since(NoticeQuery{After: 1, Kinds: []string{"none"}}); len(ns) != 0 || through != 5 {
+		t.Fatalf("unmatched filter = %+v through %d, want empty through 5", ns, through)
+	}
+	if ns, through = r.since(NoticeQuery{After: 9}); len(ns) != 0 || through != 9 {
+		t.Fatalf("since(9) = %+v through %d, want empty through 9", ns, through)
 	}
 }
 
@@ -507,4 +516,55 @@ func TestAwaitNoticesFilteredSkipsNonMatching(t *testing.T) {
 	if len(res.ns) != 1 || res.ns[0].Status != core.StatusDone {
 		t.Fatalf("page = %+v, want just the done notice", res.ns)
 	}
+}
+
+func TestAwaitNoticesFilteredScansEachNoticeOnce(t *testing.T) {
+	// A filtered reader parked through n non-matching appends must
+	// examine each notice once. Rescanning from its unchanged cursor on
+	// every wake examines at least n(n-1)/2, under the lock every append
+	// takes. Each append waits until the reader has re-subscribed, so it
+	// wakes n times however the goroutines are scheduled.
+	const n = 64
+	e := newWatchEngine(t)
+	r := e.notices
+	r.mu.Lock()
+	after, base := r.seq, r.scanned
+	r.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.AwaitNotices(ctx, NoticeQuery{After: after, Kinds: []string{"never"}})
+		done <- err
+	}()
+	for i := 0; i < n; i++ {
+		for !r.subscribed() {
+			select {
+			case err := <-done:
+				t.Fatalf("append %d: AwaitNotices returned early: %v", i, err)
+			default:
+				runtime.Gosched()
+			}
+		}
+		r.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("AwaitNotices = %v, want context.Canceled", err)
+	}
+	r.mu.Lock()
+	scanned := r.scanned - base
+	r.mu.Unlock()
+	if scanned > n {
+		t.Fatalf("reader examined %d notices through %d non-matching appends, want at most %d", scanned, n, n)
+	}
+}
+
+// subscribed reports whether a reader holds the channel the next append
+// closes.
+func (r *noticeRing) subscribed() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.changed != nil
 }
