@@ -37,10 +37,8 @@ type daemonConfig struct {
 	drainTimeout    time.Duration
 	opTTL           time.Duration
 	gcInterval      time.Duration
-	defaultDeadline time.Duration
 	noticeRing      int
 	maxWait         time.Duration
-	promoteAfter    time.Duration
 	shedThreshold   float64
 	trustClientHdr  bool
 	store           string
@@ -52,30 +50,36 @@ type daemonConfig struct {
 
 func main() {
 	var cfg daemonConfig
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8712", "listen address")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables — never expose it publicly")
-	flag.IntVar(&cfg.workers, "workers", 8, "concurrent operation workers")
-	flag.IntVar(&cfg.queueDepth, "queue-depth", 1024, "max queued operations")
-	flag.IntVar(&cfg.storeShards, "store-shards", engine.DefaultShardCount(), "operation store shard count, rounded up to a power of two (default scales with GOMAXPROCS, which <= 0 also selects; 1 is a single mutex)")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain operations on shutdown")
-	flag.DurationVar(&cfg.opTTL, "op-ttl", 0, "retention for terminal operations; 0 keeps them forever, >0 starts a janitor that evicts older ones")
-	flag.DurationVar(&cfg.gcInterval, "gc-interval", 0, "how often the janitor sweeps (default op-ttl/2, min 1s); ignored when -op-ttl is 0")
-	flag.DurationVar(&cfg.defaultDeadline, "default-deadline", 0, "execution deadline for kinds registered without their own; 0 means unbounded")
-	flag.IntVar(&cfg.noticeRing, "notice-ring", 4096, "state-transition notices retained for /v1/notices; older ones fall off the ring")
-	flag.DurationVar(&cfg.maxWait, "max-wait", 60*time.Second, "upper bound on ?wait=true long-poll timeouts; longer client requests are clamped")
-	flag.DurationVar(&cfg.promoteAfter, "promote-after", 5*time.Second, "age at which a starved lower-band operation is promoted; <0 disables aging")
-	flag.Float64Var(&cfg.shedThreshold, "shed-threshold", 0, "shed submissions with 429 once queue depth reaches this fraction of capacity (0,1); 0 disables shedding")
-	flag.StringVar(&cfg.store, "store", "memory", "operation store backend: memory (state dies with the process) or wal (persistent write-ahead log under -wal-dir with crash recovery)")
-	flag.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory, required with -store=wal; created if absent")
-	flag.StringVar(&cfg.walSync, "wal-sync", string(engine.WALSyncGroup), "wal fsync policy: always (fsync per mutation), group (commit as soon as anything is staged; whatever arrives during that fsync shares the next one; submissions wait, transitions are logged asynchronously), or none (never fsync)")
-	flag.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 16<<20, "wal segment rotation size in bytes")
-	flag.IntVar(&cfg.walMaxSegments, "wal-max-segments", 8, "closed wal segments tolerated before snapshot compaction folds them")
-	flag.BoolVar(&cfg.trustClientHdr, "trust-client-header", true, "honour X-Client-Id for fair-queueing attribution; set false for untrusted clients (the header is unauthenticated, so a greedy client could mint fresh scheduler queues per request) to key on remote address only")
-	flag.Parse()
-
+	// ExitOnError: a bad flag prints usage and exits 2, as flag.Parse does.
+	_ = newFlagSet(&cfg).Parse(os.Args[1:])
 	if err := run(cfg); err != nil {
 		log.Fatalf("daemon: %v", err)
 	}
+}
+
+// newFlagSet registers every daemon flag on a fresh FlagSet that parses
+// into cfg; the drift test in main_test.go checks the set against the
+// Tuning table of docs/architecture.md.
+func newFlagSet(cfg *daemonConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8712", "listen address")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables — never expose it publicly")
+	fs.IntVar(&cfg.workers, "workers", 8, "concurrent operation workers")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", 1024, "max queued operations")
+	fs.IntVar(&cfg.storeShards, "store-shards", engine.DefaultShardCount(), "operation store shard count, rounded up to a power of two (default scales with GOMAXPROCS, which <= 0 also selects; 1 is a single mutex)")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain operations on shutdown")
+	fs.DurationVar(&cfg.opTTL, "op-ttl", 0, "retention for terminal operations; 0 keeps them forever, >0 starts a janitor that evicts older ones")
+	fs.DurationVar(&cfg.gcInterval, "gc-interval", 0, "how often the janitor sweeps (default op-ttl/2, min 1s); ignored when -op-ttl is 0")
+	fs.IntVar(&cfg.noticeRing, "notice-ring", 4096, "state-transition notices retained for /v1/notices; older ones fall off the ring")
+	fs.DurationVar(&cfg.maxWait, "max-wait", 60*time.Second, "upper bound on ?wait=true long-poll timeouts; longer client requests are clamped")
+	fs.Float64Var(&cfg.shedThreshold, "shed-threshold", 0, "shed submissions with 429 once queue depth reaches this fraction of capacity (0,1); 0 disables shedding")
+	fs.StringVar(&cfg.store, "store", "memory", "operation store backend: memory (state dies with the process) or wal (persistent write-ahead log under -wal-dir with crash recovery)")
+	fs.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory, required with -store=wal; created if absent")
+	fs.StringVar(&cfg.walSync, "wal-sync", string(engine.WALSyncGroup), "wal fsync policy: always (fsync per mutation), group (commit as soon as anything is staged; whatever arrives during that fsync shares the next one; submissions wait, transitions are logged asynchronously), or none (never fsync)")
+	fs.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 16<<20, "wal segment rotation size in bytes")
+	fs.IntVar(&cfg.walMaxSegments, "wal-max-segments", 8, "closed wal segments tolerated before snapshot compaction folds them")
+	fs.BoolVar(&cfg.trustClientHdr, "trust-client-header", true, "honour X-Client-Id for fair-queueing attribution; set false for untrusted clients (the header is unauthenticated, so a greedy client could mint fresh scheduler queues per request) to key on remote address only")
+	return fs
 }
 
 // run wires the engine, store, and HTTP server together and blocks
@@ -108,15 +112,13 @@ func run(cfg daemonConfig) error {
 		return fmt.Errorf("unknown -store %q (want memory or wal)", cfg.store)
 	}
 	eng := engine.New(engine.Config{
-		Workers:         cfg.workers,
-		QueueDepth:      cfg.queueDepth,
-		Store:           store,
-		OpTTL:           cfg.opTTL,
-		GCInterval:      cfg.gcInterval,
-		DefaultDeadline: cfg.defaultDeadline,
-		NoticeRingSize:  cfg.noticeRing,
-		PromoteAfter:    cfg.promoteAfter,
-		ShedThreshold:   cfg.shedThreshold,
+		Workers:        cfg.workers,
+		QueueDepth:     cfg.queueDepth,
+		Store:          store,
+		OpTTL:          cfg.opTTL,
+		GCInterval:     cfg.gcInterval,
+		NoticeRingSize: cfg.noticeRing,
+		ShedThreshold:  cfg.shedThreshold,
 	})
 	registerBuiltins(eng)
 

@@ -87,20 +87,31 @@ func WithClientHeaderTrust(trust bool) Option {
 	return func(s *Server) { s.trustClientHeader = trust }
 }
 
+// maxClientIDBytes bounds a trusted X-Client-Id. The key is stored on
+// every operation of the request and journaled once per WAL record, so
+// an unbounded header would multiply into the log by the batch size.
+const maxClientIDBytes = 256
+
 // clientKey attributes a request to a client for the scheduler's fair
 // queueing: the X-Client-Id header when present and trusted (see
 // WithClientHeaderTrust), else the remote host (port stripped, so one
-// client's connections pool into one queue).
-func (s *Server) clientKey(r *http.Request) string {
+// client's connections pool into one queue). A trusted header longer
+// than maxClientIDBytes is answered 400 and reported !ok.
+func (s *Server) clientKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	if s.trustClientHeader {
-		if key := r.Header.Get("X-Client-Id"); key != "" {
-			return key
+		key := r.Header.Get("X-Client-Id")
+		if len(key) > maxClientIDBytes {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("X-Client-Id longer than %d bytes", maxClientIDBytes))
+			return "", false
+		}
+		if key != "" {
+			return key, true
 		}
 	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
+		return host, true
 	}
-	return r.RemoteAddr
+	return r.RemoteAddr, true
 }
 
 // submitRequest is one operation in the body of POST /v1/operations,
@@ -112,8 +123,8 @@ type submitRequest struct {
 	Kind   string         `json:"kind"`
 	Params map[string]any `json:"params"`
 	// Priority selects the scheduling band (low/normal/high). Absent
-	// means the kind's registered default, then normal; unknown values
-	// are rejected by the engine with a 400.
+	// means normal; unknown values are rejected by the engine with a
+	// 400.
 	Priority core.Priority `json:"priority"`
 }
 
@@ -168,6 +179,10 @@ func isJSONArray(body []byte) bool {
 // and the reply carries one async envelope per item (or one error
 // envelope naming every invalid item).
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
+	client, ok := s.clientKey(w, r)
+	if !ok {
+		return
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := getBuffer()
 	defer putBuffer(buf)
@@ -189,25 +204,24 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed JSON body: %v", err))
 		return
 	}
-	client := engine.AsClient(s.clientKey(r))
-	if batch {
-		// Empty and oversized batches are the engine's call (it knows
-		// the queue capacity); both surface as InvalidError → 400.
-		ops, err := s.engine.SubmitBatch(r.Context(), items, client)
-		if err != nil {
-			s.writeEngineError(w, err)
-			return
-		}
-		writeBatchAsync(w, ops)
-		return
-	}
-	req := items[0]
-	op, err := s.engine.Submit(r.Context(), req.Kind, req.Params, client, engine.AtPriority(req.Priority))
+	// Both body shapes take the batch path. Empty and oversized batches
+	// are the engine's call (it knows the queue capacity); both surface
+	// as InvalidError → 400.
+	ops, err := s.engine.SubmitBatch(r.Context(), items, engine.AsClient(client))
 	if err != nil {
+		if !batch {
+			// A single body reports its one item's error as its own,
+			// not as a batch rejection.
+			err = core.UnwrapSingle(err)
+		}
 		s.writeEngineError(w, err)
 		return
 	}
-	writeAsync(w, resourcePath(op), op)
+	if batch {
+		writeBatchAsync(w, ops)
+		return
+	}
+	writeAsync(w, resourcePath(ops[0]), ops[0])
 }
 
 // readBody reads r to its end into buf, which it grows as needed — up

@@ -85,6 +85,29 @@ func TestClientHeaderTrustDisabled(t *testing.T) {
 	}
 }
 
+// TestClientIDLengthBound checks a trusted X-Client-Id is refused past
+// maxClientIDBytes: every operation of the request carries the key and
+// the WAL journals it once per record, so an unbounded header (net/http
+// admits up to 1 MiB) multiplies into the log by the batch size. An
+// untrusted header is ignored at any length.
+func TestClientIDLengthBound(t *testing.T) {
+	s, _ := newTestServer(t)
+	atBound := strings.Repeat("c", maxClientIDBytes)
+	w, resp := doJSON(t, s, http.MethodPost, "/v1/operations", `{"kind":"echo"}`, withHeader("X-Client-Id", atBound))
+	checkEnvelope(t, w, resp, typeAsync, http.StatusAccepted)
+
+	w, resp = doJSON(t, s, http.MethodPost, "/v1/operations", `[{"kind":"echo"}]`, withHeader("X-Client-Id", atBound+"c"))
+	checkEnvelope(t, w, resp, typeError, http.StatusBadRequest)
+	result, _ := resp.Result.(map[string]any)
+	if msg, _ := result["message"].(string); msg != "X-Client-Id longer than 256 bytes" {
+		t.Errorf("over-bound message = %q, want it to name the 256-byte bound", msg)
+	}
+
+	s, _ = newTestServer(t, WithClientHeaderTrust(false))
+	w, resp = doJSON(t, s, http.MethodPost, "/v1/operations", `{"kind":"echo"}`, withHeader("X-Client-Id", atBound+"c"))
+	checkEnvelope(t, w, resp, typeAsync, http.StatusAccepted)
+}
+
 func TestSaturatedSubmitReturns429WithRetryAfter(t *testing.T) {
 	e := engine.New(engine.Config{
 		Workers:       1,

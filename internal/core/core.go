@@ -240,6 +240,18 @@ func (e *BatchError) Error() string {
 	return fmt.Sprintf("batch rejected: %d of %d items invalid", len(e.Items), e.Total)
 }
 
+// UnwrapSingle returns the item error of a *BatchError that rejected
+// exactly one item, and any other error unchanged, so a single
+// submission sent as a one-item batch reports its own failure (an
+// ErrUnknownKind or *InvalidError) rather than a batch rejection.
+func UnwrapSingle(err error) error {
+	var berr *BatchError
+	if errors.As(err, &berr) && len(berr.Items) == 1 {
+		return berr.Items[0].Err
+	}
+	return err
+}
+
 // ValidID reports whether id has the shape NewID produces: exactly 32
 // lowercase hex digits. The API layer uses it to reject malformed
 // cursors before they reach the store.

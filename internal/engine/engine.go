@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -39,13 +40,8 @@ type Handler func(ctx context.Context, op *core.Operation) (any, error)
 // registration is a handler plus its per-kind execution options.
 type registration struct {
 	h Handler
-	// deadline bounds one execution of this kind; zero falls back to
-	// the engine's DefaultDeadline (which may itself be zero:
-	// unbounded).
+	// deadline bounds one execution of this kind; zero is unbounded.
 	deadline time.Duration
-	// priority is the kind's default scheduling class for submissions
-	// that do not set one; empty falls back to core.PriorityNormal.
-	priority core.Priority
 }
 
 // RegisterOption tunes one kind's registration.
@@ -55,17 +51,7 @@ type RegisterOption func(*registration)
 // context is cancelled after d and the operation is recorded as failed
 // with a deadline error. d <= 0 means no per-kind bound.
 func WithDeadline(d time.Duration) RegisterOption {
-	return func(r *registration) { r.deadline = d }
-}
-
-// WithPriority sets the kind's default scheduling class, used when a
-// submission does not carry its own. Invalid values are ignored.
-func WithPriority(p core.Priority) RegisterOption {
-	return func(r *registration) {
-		if p.Valid() {
-			r.priority = p
-		}
-	}
+	return func(r *registration) { r.deadline = max(d, 0) }
 }
 
 // Config tunes an Engine. Zero values pick sensible defaults.
@@ -89,19 +75,10 @@ type Config struct {
 	// GCInterval is how often the janitor sweeps (default OpTTL/2,
 	// floored at one second). Ignored when OpTTL is zero.
 	GCInterval time.Duration
-	// DefaultDeadline bounds execution of kinds registered without
-	// WithDeadline. Zero means unbounded.
-	DefaultDeadline time.Duration
 	// NoticeRingSize bounds the state-transition feed (default 4096).
 	// Once full, new notices overwrite the oldest; a long-poll cursor
 	// that falls off the ring resumes from the oldest retained notice.
 	NoticeRingSize int
-	// PromoteAfter is the scheduler's aging threshold: an operation in
-	// a band below the one being served that has queued longer is
-	// dispatched next (capped at one aged dispatch in four, so aged
-	// backlogs cannot invert the bands). Zero picks the 5s default;
-	// negative disables aging.
-	PromoteAfter time.Duration
 	// ShedThreshold is the admission-control knob: a submission or
 	// batch that would push queue depth past this fraction of
 	// QueueDepth is refused with core.ErrSaturated (HTTP 429 +
@@ -114,12 +91,11 @@ type Config struct {
 // Engine owns the operation lifecycle: it accepts submissions, runs
 // them on a worker pool, and exposes read access to their state.
 type Engine struct {
-	store           Store
-	clock           func() time.Time
-	workers         int
-	defaultDeadline time.Duration
-	opTTL           time.Duration
-	gcInterval      time.Duration
+	store      Store
+	clock      func() time.Time
+	workers    int
+	opTTL      time.Duration
+	gcInterval time.Duration
 	// sched holds accepted-but-undispatched operations in priority
 	// bands of per-client round-robin queues, and owns admission: the
 	// depth bounds, shutdown's closed flag and the wake-up of idle
@@ -170,32 +146,25 @@ func New(cfg Config) *Engine {
 			cfg.GCInterval = time.Second
 		}
 	}
-	switch {
-	case cfg.PromoteAfter == 0:
-		cfg.PromoteAfter = 5 * time.Second
-	case cfg.PromoteAfter < 0:
-		cfg.PromoteAfter = 0 // aging disabled
-	}
 	// The engine's run context is the process-lifetime root that every
 	// handler context derives from; it is cancelled by Shutdown, not by
 	// any caller, so a detached root is the correct shape here.
 	//lint:allow opdaemon/ctxdiscipline engine run-root is owned by Shutdown, not a caller
 	ctx, stop := context.WithCancel(context.Background())
 	e := &Engine{
-		store:           cfg.Store,
-		clock:           cfg.Clock,
-		workers:         cfg.Workers,
-		defaultDeadline: cfg.DefaultDeadline,
-		opTTL:           cfg.OpTTL,
-		gcInterval:      cfg.GCInterval,
-		sched:           newSchedQueue(cfg.QueueDepth, cfg.ShedThreshold, cfg.PromoteAfter),
-		drained:         make(chan struct{}),
-		janitorStop:     make(chan struct{}),
-		runCtx:          ctx,
-		runStop:         stop,
-		handlers:        make(map[string]registration),
-		inflight:        newInflight(),
-		notices:         newNoticeRing(cfg.NoticeRingSize),
+		store:       cfg.Store,
+		clock:       cfg.Clock,
+		workers:     cfg.Workers,
+		opTTL:       cfg.OpTTL,
+		gcInterval:  cfg.GCInterval,
+		sched:       newSchedQueue(cfg.QueueDepth, cfg.ShedThreshold),
+		drained:     make(chan struct{}),
+		janitorStop: make(chan struct{}),
+		runCtx:      ctx,
+		runStop:     stop,
+		handlers:    make(map[string]registration),
+		inflight:    newInflight(),
+		notices:     newNoticeRing(cfg.NoticeRingSize),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -360,8 +329,7 @@ type BatchItem = core.SubmitItem
 
 // submitOptions collects the per-submission scheduling attributes.
 type submitOptions struct {
-	client   string
-	priority core.Priority
+	client string
 }
 
 // SubmitOption tunes one Submit or SubmitBatch call.
@@ -375,14 +343,6 @@ func AsClient(key string) SubmitOption {
 	return func(o *submitOptions) { o.client = key }
 }
 
-// AtPriority sets the submission's scheduling class, overriding the
-// kinds' registered defaults for every item that does not carry its
-// own. Empty defers to those defaults; non-empty invalid values fail
-// validation.
-func AtPriority(p core.Priority) SubmitOption {
-	return func(o *submitOptions) { o.priority = p }
-}
-
 // Submit validates and enqueues an operation of the given kind,
 // returning its queued snapshot. It fails fast with
 // core.ErrUnknownKind, core.ErrShuttingDown, core.ErrSaturated (the
@@ -394,15 +354,7 @@ func AtPriority(p core.Priority) SubmitOption {
 func (e *Engine) Submit(ctx context.Context, kind string, params map[string]any, opts ...SubmitOption) (*core.Operation, error) {
 	ops, err := e.SubmitBatch(ctx, []BatchItem{{Kind: kind, Params: params}}, opts...)
 	if err != nil {
-		// A single-item batch rejection carries exactly one item
-		// error; surface it directly so callers keep seeing the
-		// same ErrUnknownKind / InvalidError values as before
-		// batching existed.
-		var berr *core.BatchError
-		if errors.As(err, &berr) && len(berr.Items) == 1 {
-			return nil, berr.Items[0].Err
-		}
-		return nil, err
+		return nil, core.UnwrapSingle(err)
 	}
 	return ops[0], nil
 }
@@ -439,21 +391,15 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	for _, opt := range opts {
 		opt(&sub)
 	}
-	if sub.priority != "" && !sub.priority.Valid() {
-		return nil, &core.InvalidError{
-			Field:  "priority",
-			Reason: fmt.Sprintf("must be low, normal, or high, got %q", sub.priority),
-		}
-	}
 
 	// Validate every item before touching the queue or store, so a
 	// rejected batch leaves no trace and the client learns about all
 	// bad items in one round trip. One read-lock covers the whole
 	// loop — per-item locking would re-serialize submitters on the
-	// engine mutex. The kind's effective deadline and resolved
-	// priority go straight into the operation record here, so it
-	// carries the attributes it was accepted under even if the kind is
-	// re-registered before a worker picks it up.
+	// engine mutex. The kind's deadline and the item's priority go
+	// straight into the operation record here, so it carries the
+	// attributes it was accepted under even if the kind is re-registered
+	// before a worker picks it up.
 	var berr *core.BatchError
 	ops := make([]*core.Operation, len(items))
 	for i, it := range items {
@@ -461,7 +407,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 			Kind:     it.Kind,
 			Params:   it.Params,
 			Status:   core.StatusQueued,
-			Priority: core.PriorityNormal,
+			Priority: cmp.Or(it.Priority, core.PriorityNormal),
 			Client:   sub.client,
 		}
 	}
@@ -482,21 +428,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 				err = fmt.Errorf("%w: %q", core.ErrUnknownKind, it.Kind)
 				break
 			}
-			op := ops[i]
-			op.Deadline = reg.deadline
-			if op.Deadline <= 0 {
-				op.Deadline = e.defaultDeadline
-			}
-			// Priority resolution: item, then submission option, then
-			// kind default, then normal.
-			switch {
-			case it.Priority != "":
-				op.Priority = it.Priority
-			case sub.priority != "":
-				op.Priority = sub.priority
-			case reg.priority != "":
-				op.Priority = reg.priority
-			}
+			ops[i].Deadline = reg.deadline
 		}
 		if err != nil {
 			if berr == nil {

@@ -843,37 +843,6 @@ func TestPerKindDeadlineFailsSlowHandler(t *testing.T) {
 	}
 }
 
-func TestDefaultDeadlineAppliesWhenKindHasNone(t *testing.T) {
-	e := New(Config{Workers: 1, DefaultDeadline: 20 * time.Millisecond})
-	defer e.Shutdown(context.Background())
-
-	e.Register("slow", func(ctx context.Context, _ *core.Operation) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	e.Register("fast", func(context.Context, *core.Operation) (any, error) {
-		return "done", nil
-	})
-
-	slow, err := e.Submit(context.Background(), "slow", nil)
-	if err != nil {
-		t.Fatalf("Submit(slow): %v", err)
-	}
-	if slow.Deadline != 20*time.Millisecond {
-		t.Errorf("default deadline not recorded: got %s", slow.Deadline)
-	}
-	if final := waitStatus(t, e, slow.ID); final.Status != core.StatusFailed {
-		t.Errorf("slow op status = %s, want failed via default deadline", final.Status)
-	}
-	fast, err := e.Submit(context.Background(), "fast", nil)
-	if err != nil {
-		t.Fatalf("Submit(fast): %v", err)
-	}
-	if final := waitStatus(t, e, fast.ID); final.Status != core.StatusDone {
-		t.Errorf("fast op status = %s, want done within deadline", final.Status)
-	}
-}
-
 func TestGCEvictsOnlyExpiredTerminal(t *testing.T) {
 	clock, advance := steppedClock()
 

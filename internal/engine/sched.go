@@ -45,6 +45,11 @@ const numBands = 3
 // inverting the priority order.
 const agedEvery = 4
 
+// promoteAfter is the aging threshold: the oldest waiter of a band below
+// the one being served becomes eligible for the valve once it has queued
+// this long.
+const promoteAfter = 5 * time.Second
+
 // bandIndex maps a resolved priority onto its band slot; lower index
 // drains first.
 func bandIndex(p core.Priority) int {
@@ -198,8 +203,6 @@ type schedQueue struct {
 	// into scheduled items by commit.
 	held   int
 	closed bool
-	// promoteAfter is the aging threshold; zero disables the valve.
-	promoteAfter time.Duration
 	// sinceAged counts takes since the last aged dispatch, for the
 	// 1-in-agedEvery cap.
 	sinceAged int
@@ -207,10 +210,9 @@ type schedQueue struct {
 
 // newSchedQueue builds a scheduler admitting up to capacity operations.
 // A shedThreshold in (0, 1) starts shedding at ceil(threshold *
-// capacity); any other value disables it. promoteAfter <= 0 disables
-// the aging valve.
-func newSchedQueue(capacity int, shedThreshold float64, promoteAfter time.Duration) *schedQueue {
-	s := &schedQueue{capacity: capacity, shedAt: capacity + 1, promoteAfter: promoteAfter}
+// capacity); any other value disables it.
+func newSchedQueue(capacity int, shedThreshold float64) *schedQueue {
+	s := &schedQueue{capacity: capacity, shedAt: capacity + 1}
 	s.wake.L = &s.mu
 	if shedThreshold > 0 && shedThreshold < 1 {
 		s.shedAt = int(math.Ceil(shedThreshold * float64(capacity)))
@@ -355,7 +357,7 @@ func (s *schedQueue) compact() {
 // the oldest waiter whose age crossed promoteAfter. Capped at one aged
 // dispatch per agedEvery takes.
 func (s *schedQueue) takeAged(now time.Time) *schedItem {
-	if s.promoteAfter <= 0 || s.sinceAged < agedEvery {
+	if s.sinceAged < agedEvery {
 		return nil
 	}
 	first := 0
@@ -366,7 +368,7 @@ func (s *schedQueue) takeAged(now time.Time) *schedItem {
 	oldestBand := -1
 	for i := first + 1; i < numBands; i++ {
 		h := s.bands[i].head()
-		if h == nil || now.Sub(h.enqueued) < s.promoteAfter {
+		if h == nil || now.Sub(h.enqueued) < promoteAfter {
 			continue
 		}
 		if oldest == nil || h.enqueued.Before(oldest.enqueued) {

@@ -97,9 +97,25 @@ func drainTags(t *testing.T, rec *orderRecorder, want int) []string {
 
 func submitTag(t *testing.T, e *Engine, tag string, opts ...SubmitOption) {
 	t.Helper()
-	if _, err := e.Submit(context.Background(), "tag", map[string]any{"tag": tag}, opts...); err != nil {
+	submitTagAt(t, e, tag, "", opts...)
+}
+
+// submitTagAt submits a tag operation whose request item carries
+// priority p; empty means normal.
+func submitTagAt(t *testing.T, e *Engine, tag string, p core.Priority, opts ...SubmitOption) {
+	t.Helper()
+	item := BatchItem{Kind: "tag", Params: map[string]any{"tag": tag}, Priority: p}
+	if _, err := e.SubmitBatch(context.Background(), []BatchItem{item}, opts...); err != nil {
 		t.Fatalf("submitting %q: %v", tag, err)
 	}
+}
+
+// frozenClock returns a clock that never advances, so no operation ever
+// ages past promoteAfter and dispatch order is strict bands plus
+// round-robin alone.
+func frozenClock() func() time.Time {
+	at := time.Unix(1_700_000_000, 0)
+	return func() time.Time { return at }
 }
 
 // TestPriorityOrderingUnderContention pins the worker, enqueues a mix
@@ -107,14 +123,15 @@ func submitTag(t *testing.T, e *Engine, tag string, opts ...SubmitOption) {
 // strict policy drains high, then normal, then low.
 func TestPriorityOrderingUnderContention(t *testing.T) {
 	rec := &orderRecorder{}
-	// PromoteAfter: -1 disables aging so the order is purely strict.
-	e, started, release := gatedEngine(t, Config{PromoteAfter: -time.Second}, rec)
+	// A frozen clock keeps the aging valve shut, so the order is purely
+	// strict.
+	e, started, release := gatedEngine(t, Config{Clock: frozenClock()}, rec)
 	startBlocker(t, e, started)
 
 	for i := 0; i < 3; i++ {
-		submitTag(t, e, "low", AtPriority(core.PriorityLow))
-		submitTag(t, e, "normal", AtPriority(core.PriorityNormal))
-		submitTag(t, e, "high", AtPriority(core.PriorityHigh))
+		submitTagAt(t, e, "low", core.PriorityLow)
+		submitTagAt(t, e, "normal", core.PriorityNormal)
+		submitTagAt(t, e, "high", core.PriorityHigh)
 	}
 	close(release)
 	got := drainTags(t, rec, 9)
@@ -127,31 +144,28 @@ func TestPriorityOrderingUnderContention(t *testing.T) {
 	}
 }
 
-// TestDefaultAndKindPriority checks priority resolution: the submit
-// option wins over the kind default, the kind default wins over
-// normal, and the resolved value is published on the snapshot.
+// TestDefaultAndKindPriority checks the one priority rule: the request
+// item's priority, else normal, published on the snapshot. A kind has
+// no default of its own.
 func TestDefaultAndKindPriority(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Shutdown(context.Background())
-	e.Register("bg", func(context.Context, *core.Operation) (any, error) { return nil, nil },
-		WithPriority(core.PriorityLow))
 	e.Register("plain", func(context.Context, *core.Operation) (any, error) { return nil, nil })
 
-	op, err := e.Submit(context.Background(), "bg", nil)
+	ops, err := e.SubmitBatch(context.Background(), []BatchItem{
+		{Kind: "plain", Priority: core.PriorityLow},
+		{Kind: "plain", Priority: core.PriorityHigh},
+		{Kind: "plain"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Priority != core.PriorityLow {
-		t.Errorf("kind-default priority = %s, want low", op.Priority)
+	for i, want := range []core.Priority{core.PriorityLow, core.PriorityHigh, core.PriorityNormal} {
+		if ops[i].Priority != want {
+			t.Errorf("item %d priority = %s, want %s", i, ops[i].Priority, want)
+		}
 	}
-	op, err = e.Submit(context.Background(), "bg", nil, AtPriority(core.PriorityHigh))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if op.Priority != core.PriorityHigh {
-		t.Errorf("option-over-kind priority = %s, want high", op.Priority)
-	}
-	op, err = e.Submit(context.Background(), "plain", nil)
+	op, err := e.Submit(context.Background(), "plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +173,15 @@ func TestDefaultAndKindPriority(t *testing.T) {
 		t.Errorf("unset priority = %s, want normal", op.Priority)
 	}
 
+	// A single item's invalid priority is its own InvalidError once
+	// unwrapped, as the API does for a single-object body; in a batch it
+	// rejects the whole batch.
+	_, err = e.SubmitBatch(context.Background(), []BatchItem{{Kind: "plain", Priority: "urgent"}})
 	var inv *core.InvalidError
-	if _, err := e.Submit(context.Background(), "plain", nil, AtPriority("urgent")); !errors.As(err, &inv) {
-		t.Errorf("invalid priority error = %v, want InvalidError", err)
+	if !errors.As(core.UnwrapSingle(err), &inv) || inv.Field != "priority" {
+		t.Errorf("invalid single-item priority error = %v, want InvalidError on priority", err)
 	}
-	if _, err := e.SubmitBatch(context.Background(), []BatchItem{{Kind: "plain", Priority: "urgent"}}); err == nil {
+	if _, err := e.SubmitBatch(context.Background(), []BatchItem{{Kind: "plain"}, {Kind: "plain", Priority: "urgent"}}); err == nil {
 		t.Error("batch with invalid item priority was accepted")
 	}
 }
@@ -175,7 +193,7 @@ func TestDefaultAndKindPriority(t *testing.T) {
 // the greedy client has consumed no more than its round-robin share.
 func TestDRRFairnessBound(t *testing.T) {
 	rec := &orderRecorder{}
-	e, started, release := gatedEngine(t, Config{PromoteAfter: -time.Second}, rec)
+	e, started, release := gatedEngine(t, Config{Clock: frozenClock()}, rec)
 	startBlocker(t, e, started)
 
 	for i := 0; i < 30; i++ {
@@ -231,15 +249,15 @@ func TestAgingPromotesStarvedLow(t *testing.T) {
 	clock := func() time.Time { return base.Add(time.Duration(nanos.Load())) }
 
 	rec := &orderRecorder{}
-	e, started, release := gatedEngine(t, Config{Clock: clock, PromoteAfter: 50 * time.Millisecond}, rec)
+	e, started, release := gatedEngine(t, Config{Clock: clock}, rec)
 	startBlocker(t, e, started)
 
-	submitTag(t, e, "starved", AtPriority(core.PriorityLow))
+	submitTagAt(t, e, "starved", core.PriorityLow)
 	for i := 0; i < 50; i++ {
-		submitTag(t, e, "high", AtPriority(core.PriorityHigh))
+		submitTagAt(t, e, "high", core.PriorityHigh)
 	}
 	// Age everything past the promotion threshold, then open the gate.
-	nanos.Store(int64(100 * time.Millisecond))
+	nanos.Store(int64(promoteAfter + time.Second))
 	close(release)
 	got := drainTags(t, rec, 51)
 
@@ -319,13 +337,12 @@ func TestShedReturnsErrSaturated(t *testing.T) {
 // TestSchedArrivalStaysCompacted guards against the dispatch-path
 // leak: arrival was only compacted by head(), which the aging valve
 // calls solely for bands *below* the first non-empty one — so the
-// busiest band (and every band when aging is disabled) pinned each
-// dispatched item forever. take() now compacts every band, keeping
-// arrival bounded by pending items.
+// busiest band pinned each dispatched item forever. take() now compacts
+// every band, keeping arrival bounded by pending items.
 func TestSchedArrivalStaysCompacted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	// promoteAfter 0 disables aging — the worst case for the leak.
-	s := newSchedQueue(1024, 0, 0)
+	// One band only: the valve never looks at it.
+	s := newSchedQueue(1024, 0)
 	ops := []*core.Operation{{ID: "op", Client: "client", Priority: core.PriorityNormal}}
 	for i := 0; i < 1000; i++ {
 		if err := s.reserve(1); err != nil {
@@ -411,7 +428,7 @@ func TestSchedDepthsPerClient(t *testing.T) {
 	e, started, release := gatedEngine(t, Config{}, rec)
 	startBlocker(t, e, started)
 
-	submitTag(t, e, "x", AsClient("alice"), AtPriority(core.PriorityHigh))
+	submitTagAt(t, e, "x", core.PriorityHigh, AsClient("alice"))
 	submitTag(t, e, "x", AsClient("alice"))
 	submitTag(t, e, "x", AsClient("bob"))
 
