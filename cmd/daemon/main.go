@@ -33,13 +33,11 @@ type daemonConfig struct {
 	debugAddr       string
 	workers         int
 	queueDepth      int
-	storeShards     int
 	drainTimeout    time.Duration
 	opTTL           time.Duration
 	gcInterval      time.Duration
 	noticeRing      int
 	maxWait         time.Duration
-	shedThreshold   float64
 	trustClientHdr  bool
 	store           string
 	walDir          string
@@ -66,13 +64,11 @@ func newFlagSet(cfg *daemonConfig) *flag.FlagSet {
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables — never expose it publicly")
 	fs.IntVar(&cfg.workers, "workers", 8, "concurrent operation workers")
 	fs.IntVar(&cfg.queueDepth, "queue-depth", 1024, "max queued operations")
-	fs.IntVar(&cfg.storeShards, "store-shards", engine.DefaultShardCount(), "operation store shard count, rounded up to a power of two (default scales with GOMAXPROCS, which <= 0 also selects; 1 is a single mutex)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain operations on shutdown")
 	fs.DurationVar(&cfg.opTTL, "op-ttl", 0, "retention for terminal operations; 0 keeps them forever, >0 starts a janitor that evicts older ones")
 	fs.DurationVar(&cfg.gcInterval, "gc-interval", 0, "how often the janitor sweeps (default op-ttl/2, min 1s); ignored when -op-ttl is 0")
 	fs.IntVar(&cfg.noticeRing, "notice-ring", 4096, "state-transition notices retained for /v1/notices; older ones fall off the ring")
 	fs.DurationVar(&cfg.maxWait, "max-wait", 60*time.Second, "upper bound on ?wait=true long-poll timeouts; longer client requests are clamped")
-	fs.Float64Var(&cfg.shedThreshold, "shed-threshold", 0, "shed submissions with 429 once queue depth reaches this fraction of capacity (0,1); 0 disables shedding")
 	fs.StringVar(&cfg.store, "store", "memory", "operation store backend: memory (state dies with the process) or wal (persistent write-ahead log under -wal-dir with crash recovery)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory, required with -store=wal; created if absent")
 	fs.StringVar(&cfg.walSync, "wal-sync", string(engine.WALSyncGroup), "wal fsync policy: always (fsync per mutation), group (commit as soon as anything is staged; whatever arrives during that fsync shares the next one; submissions wait, transitions are logged asynchronously), or none (never fsync)")
@@ -85,14 +81,11 @@ func newFlagSet(cfg *daemonConfig) *flag.FlagSet {
 // run wires the engine, store, and HTTP server together and blocks
 // until a signal triggers the drain sequence.
 func run(cfg daemonConfig) error {
-	if cfg.shedThreshold < 0 || cfg.shedThreshold >= 1 {
-		return fmt.Errorf("-shed-threshold must be in (0,1) or 0 to disable, got %g", cfg.shedThreshold)
-	}
 	var store engine.Store
 	var walStore *engine.WALStore
 	switch cfg.store {
 	case "memory":
-		store = engine.NewShardedStore(cfg.storeShards)
+		store = engine.NewShardedStore(0)
 	case "wal":
 		if cfg.walDir == "" {
 			return fmt.Errorf("-store=wal requires -wal-dir")
@@ -102,7 +95,6 @@ func run(cfg daemonConfig) error {
 			Sync:         engine.WALSyncMode(cfg.walSync),
 			SegmentBytes: cfg.walSegmentBytes,
 			MaxSegments:  cfg.walMaxSegments,
-			Shards:       cfg.storeShards,
 		})
 		if err != nil {
 			return fmt.Errorf("opening wal store: %w", err)
@@ -118,7 +110,6 @@ func run(cfg daemonConfig) error {
 		OpTTL:          cfg.opTTL,
 		GCInterval:     cfg.gcInterval,
 		NoticeRingSize: cfg.noticeRing,
-		ShedThreshold:  cfg.shedThreshold,
 	})
 	registerBuiltins(eng)
 
@@ -186,8 +177,8 @@ func run(cfg daemonConfig) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("daemon: listening on http://%s (store=%s workers=%d queue=%d shards=%d ttl=%s shed=%g)",
-			cfg.addr, cfg.store, cfg.workers, cfg.queueDepth, engine.ShardCount(cfg.storeShards), cfg.opTTL, cfg.shedThreshold)
+		log.Printf("daemon: listening on http://%s (store=%s workers=%d queue=%d shards=%d ttl=%s)",
+			cfg.addr, cfg.store, cfg.workers, cfg.queueDepth, engine.DefaultShardCount(), cfg.opTTL)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return

@@ -22,11 +22,12 @@ func parseFlags(args ...string) (daemonConfig, error) {
 	return cfg, err
 }
 
-// TestRemovedFlagsRefused checks the scheduling settings that have one
-// source (the kind's deadline, the fixed aging threshold) have no flag.
+// TestRemovedFlagsRefused checks the settings that have one source (the
+// kind's deadline, the fixed aging threshold, -queue-depth as the only
+// admission bound, the GOMAXPROCS-scaled shard count) have no flag.
 func TestRemovedFlagsRefused(t *testing.T) {
-	for _, name := range []string{"default-deadline", "promote-after"} {
-		_, err := parseFlags("-"+name, "1s")
+	for _, name := range []string{"default-deadline", "promote-after", "shed-threshold", "store-shards"} {
+		_, err := parseFlags("-"+name, "1")
 		if err == nil || err.Error() != "flag provided but not defined: -"+name {
 			t.Errorf("-%s: parse error %v, want it refused as an unknown flag", name, err)
 		}
@@ -40,7 +41,6 @@ func TestRunRefusesBadConfig(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-shed-threshold", "1.5"}, "-shed-threshold must be in (0,1) or 0 to disable, got 1.5"},
 		{[]string{"-store", "wal"}, "-store=wal requires -wal-dir"},
 		{[]string{"-store", "bogus"}, `unknown -store "bogus" (want memory or wal)`},
 		{[]string{"-store", "wal", "-wal-dir", t.TempDir(), "-wal-sync", "bogus"}, `wal: unknown sync mode "bogus"`},

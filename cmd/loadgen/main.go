@@ -39,8 +39,8 @@
 // to-terminal percentiles of the victims against the greedy flood are
 // the fairness metric.
 //
-// 429 responses (the daemon shedding load at its admission threshold)
-// are counted separately from errors: the report shows the shed count
+// 429 responses (the daemon's queue at its -queue-depth bound) are
+// counted separately from errors: the report shows the shed count
 // and a histogram of the Retry-After hints received, and a run that
 // was fully shed still exits 0 — being told to back off is the daemon
 // working, not the bench failing.
@@ -108,7 +108,7 @@ func main() {
 	// List and observe failures gate the exit status like transport
 	// errors do: a scripted bench run must not record a broken read
 	// path as green. Shed (429) responses do not: a daemon refusing
-	// load at its admission threshold is behaving, so a run that got
+	// load at its queue bound is behaving, so a run that got
 	// nothing accepted but was told to back off still exits 0.
 	if report.transportErrs > 0 || report.listErrs > 0 || report.observeErrs > 0 ||
 		(report.accepted == 0 && report.sheds == 0) {
@@ -560,8 +560,7 @@ func (cfg *runConfig) worker(client, observeClient *http.Client, ws *workerStats
 				}
 			}
 		case http.StatusTooManyRequests:
-			// The daemon shed this submission at its admission
-			// threshold; count it and the Retry-After hint instead of
+			// The daemon's queue was full; count it and the Retry-After hint instead of
 			// folding it into generic errors.
 			ws.sheds++
 			secs, err := strconv.Atoi(retryHeader)

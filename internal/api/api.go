@@ -362,8 +362,8 @@ func (s *Server) notFound(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeEngineError maps engine and core errors onto HTTP codes. It is
-// a Server method because the backpressure replies (saturation shed,
-// hard queue-full) consult the engine for the Retry-After estimate.
+// a Server method because the queue-full reply consults the engine for
+// its Retry-After estimate.
 func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	var inv *core.InvalidError
 	var batch *core.BatchError
@@ -380,16 +380,16 @@ func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusConflict, err.Error())
 	case errors.Is(err, core.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, core.ErrSaturated), errors.Is(err, core.ErrQueueFull):
-		// Both are "come back later"; Retry-After carries the engine's
+	case errors.Is(err, core.ErrQueueFull):
+		// "Come back later": Retry-After carries the engine's
 		// depth-over-drain-rate estimate of when the queue will have
 		// room, in whole seconds per RFC 9110.
 		retry := strconv.Itoa(int(s.engine.RetryAfter().Seconds()))
 		writeErrorHeaders(w, http.StatusTooManyRequests, err.Error(),
 			map[string]string{"Retry-After": retry})
 	default:
-		// Likely a store failure once pluggable backends exist; the
-		// client gets an opaque 500, so the log is the only trace.
+		// A store failure, such as a WAL write error; the client gets
+		// an opaque 500, so the log is the only trace.
 		log.Printf("api: internal error: %v", err)
 		writeError(w, http.StatusInternalServerError, "internal error")
 	}

@@ -38,8 +38,6 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("opdaemon_store_operations", "Operations currently retained in the store.", float64(st.StoreLen))
 	gauge("opdaemon_watch_waiters", "Long-poll waiters currently registered.", float64(st.WatchWaiters))
 	gauge("opdaemon_notice_last_seq", "Newest sequence number assigned in the notices feed.", float64(st.LastNotice))
-	gauge("opdaemon_shedding", "1 when admission control is refusing submissions.", boolMetric(st.Shedding))
-	gauge("opdaemon_shed_at", "Queue depth at which shedding starts.", float64(st.ShedAt))
 	gauge("opdaemon_drain_per_sec", "Observed dequeue rate over the trailing window.", float64(st.DrainPerSec))
 
 	// Per-band queue depth, one labelled series per priority band.

@@ -4,6 +4,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,9 +59,8 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for _, name := range []string{
 		"opdaemon_queue_depth", "opdaemon_queue_capacity", "opdaemon_store_operations",
-		"opdaemon_watch_waiters", "opdaemon_notice_last_seq", "opdaemon_shedding",
-		"opdaemon_shed_at", "opdaemon_drain_per_sec", "opdaemon_queue_clients",
-		"opdaemon_durable",
+		"opdaemon_watch_waiters", "opdaemon_notice_last_seq", "opdaemon_drain_per_sec",
+		"opdaemon_queue_clients", "opdaemon_durable",
 	} {
 		if _, ok := vals[name]; !ok {
 			t.Errorf("exposition is missing %s", name)
@@ -83,7 +85,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-func TestMetricsDurableGauges(t *testing.T) {
+// newWALServer builds a server over a WAL-backed engine, the
+// configuration that emits every series.
+func newWALServer(t *testing.T) *Server {
+	t.Helper()
 	ws, err := engine.OpenWALStore(engine.WALConfig{Dir: t.TempDir(), Sync: engine.WALSyncGroup})
 	if err != nil {
 		t.Fatalf("OpenWALStore: %v", err)
@@ -96,9 +101,11 @@ func TestMetricsDurableGauges(t *testing.T) {
 	e.Register("echo", func(_ context.Context, op *core.Operation) (any, error) {
 		return op.Params, nil
 	})
-	s := New(e)
+	return New(e)
+}
 
-	vals := scrapeMetrics(t, s)
+func TestMetricsDurableGauges(t *testing.T) {
+	vals := scrapeMetrics(t, newWALServer(t))
 	if vals["opdaemon_durable"] != "1" {
 		t.Errorf("opdaemon_durable = %q, want 1 for the WAL store", vals["opdaemon_durable"])
 	}
@@ -121,6 +128,51 @@ func TestMetricsDurableGauges(t *testing.T) {
 	}
 	if got := vals["TYPE opdaemon_wal_segments"]; got != "gauge" {
 		t.Errorf("opdaemon_wal_segments has TYPE %q, want gauge", got)
+	}
+}
+
+// documentedSeries matches a series name the metrics section of
+// docs/api.md lists in backticks, bare or with its labels.
+var documentedSeries = regexp.MustCompile("`(opdaemon_[a-z0-9_]+)[`{]")
+
+// TestMetricsDocListsEverySeries checks that the series a WAL-backed
+// server emits are exactly the ones docs/api.md lists under
+// GET /v1/metrics, so a series can neither ship undocumented nor stay
+// documented after it is gone.
+func TestMetricsDocListsEverySeries(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### `GET /v1/metrics`\n")
+	if !ok {
+		t.Fatal("docs/api.md has no GET /v1/metrics section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	documented := map[string]bool{}
+	for _, m := range documentedSeries.FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+	var missing []string
+	for key := range scrapeMetrics(t, newWALServer(t)) {
+		if name, ok := strings.CutPrefix(key, "TYPE "); ok {
+			if !documented[name] {
+				missing = append(missing, name)
+			}
+			delete(documented, name)
+		}
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("series not listed under GET /v1/metrics in docs/api.md: %v", missing)
+	}
+	var stale []string
+	for name := range documented {
+		stale = append(stale, name)
+	}
+	sort.Strings(stale)
+	if len(stale) > 0 {
+		t.Errorf("docs/api.md lists series the server does not emit: %v", stale)
 	}
 }
 

@@ -109,11 +109,7 @@ func TestClientIDLengthBound(t *testing.T) {
 }
 
 func TestSaturatedSubmitReturns429WithRetryAfter(t *testing.T) {
-	e := engine.New(engine.Config{
-		Workers:       1,
-		QueueDepth:    10,
-		ShedThreshold: 0.5,
-	})
+	e := engine.New(engine.Config{Workers: 1, QueueDepth: 5})
 	t.Cleanup(func() { e.Shutdown(context.Background()) })
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
@@ -143,6 +139,10 @@ func TestSaturatedSubmitReturns429WithRetryAfter(t *testing.T) {
 
 	w, resp = doJSON(t, s, http.MethodPost, "/v1/operations", `{"kind":"noop"}`)
 	checkEnvelope(t, w, resp, typeError, http.StatusTooManyRequests)
+	result, _ := resp.Result.(map[string]any)
+	if msg, _ := result["message"].(string); msg != core.ErrQueueFull.Error() {
+		t.Errorf("429 message = %q, want %q", msg, core.ErrQueueFull.Error())
+	}
 	retry := w.Header().Get("Retry-After")
 	if retry == "" {
 		t.Fatal("429 reply missing Retry-After header")
@@ -152,28 +152,25 @@ func TestSaturatedSubmitReturns429WithRetryAfter(t *testing.T) {
 		t.Errorf("Retry-After = %q, want an integer >= 1", retry)
 	}
 
-	// A batch within capacity but above the shed bound can never be
-	// admitted, at this depth or at zero: a 400 naming the bound, with no
-	// Retry-After inviting the client to try again.
+	// A batch above capacity can never be admitted, at this depth or at
+	// zero: a 400 naming the capacity, with no Retry-After inviting the
+	// client to try again.
 	w, resp = doJSON(t, s, http.MethodPost, "/v1/operations", "["+strings.Repeat(`{"kind":"noop"},`, 5)+`{"kind":"noop"}]`)
 	checkEnvelope(t, w, resp, typeError, http.StatusBadRequest)
-	result, _ := resp.Result.(map[string]any)
-	if msg, _ := result["message"].(string); !strings.Contains(msg, "size 6 exceeds shed bound 5") {
-		t.Errorf("oversized batch message = %q, want it to name the shed bound", msg)
+	result, _ = resp.Result.(map[string]any)
+	if msg, _ := result["message"].(string); !strings.Contains(msg, "size 6 exceeds queue capacity 5") {
+		t.Errorf("oversized batch message = %q, want it to name the queue capacity", msg)
 	}
 	if retry := w.Header().Get("Retry-After"); retry != "" {
 		t.Errorf("400 for an oversized batch carries Retry-After %q", retry)
 	}
 
-	// Health reflects the shed state while saturated.
+	// Health reports the full queue.
 	hw, hresp := doJSON(t, s, http.MethodGet, "/v1/health", "")
 	checkEnvelope(t, hw, hresp, typeSync, http.StatusOK)
 	health, _ := hresp.Result.(map[string]any)
-	if health["shedding"] != true {
-		t.Errorf("health shedding = %v, want true", health["shedding"])
-	}
-	if shedAt, _ := health["shed_at"].(float64); shedAt != 5 {
-		t.Errorf("health shed_at = %v, want 5", health["shed_at"])
+	if depth, _ := health["queue_depth"].(float64); depth != 5 || health["queue_capacity"] != depth {
+		t.Errorf("health queue_depth = %v, queue_capacity = %v, want 5 and 5", health["queue_depth"], health["queue_capacity"])
 	}
 	bands, _ := health["queue_bands"].(map[string]any)
 	if n, _ := bands["normal"].(float64); n != 5 {
@@ -193,7 +190,7 @@ func TestHealthReportsSchedulerFields(t *testing.T) {
 	// kinds; this is the key set clients and opbench read, exactly.
 	want := []string{
 		"healthy", "kinds", "workers", "queue_depth", "queue_capacity", "queue_bands",
-		"queue_clients", "shedding", "shed_at", "drain_per_sec", "store_len", "watch_waiters",
+		"queue_clients", "drain_per_sec", "store_len", "watch_waiters",
 		"last_notice", "durable", "wal_segments", "wal_batch_p50", "fsyncs_per_sec", "wal_commit_failures",
 	}
 	for _, key := range want {
@@ -209,9 +206,6 @@ func TestHealthReportsSchedulerFields(t *testing.T) {
 		if _, ok := bands[band]; !ok {
 			t.Errorf("queue_bands missing %q band: %v", band, bands)
 		}
-	}
-	if health["shedding"] != false {
-		t.Errorf("idle daemon shedding = %v, want false", health["shedding"])
 	}
 	// kinds come back sorted, so consecutive polls of one daemon agree.
 	for poll := 0; poll < 2; poll++ {

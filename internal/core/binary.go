@@ -501,10 +501,10 @@ func (d *BinaryDelta) Apply(base *Operation) *Operation {
 }
 
 // DeltaEligible reports whether the transition old → new touched only
-// the mutable field set a delta record carries. Updates that changed
-// an immutable-by-convention field (identity, kind, params, scheduling
-// attributes, creation time) must log a full record instead. Params is
-// compared by reference: lifecycle transitions share the params map
+// the mutable field set a delta record carries. The store's Update
+// refuses a transition that changed any other field (identity, kind,
+// params, scheduling attributes, creation time), so every update it
+// journals is a delta. Params is compared by reference: lifecycle transitions share the params map
 // with the base snapshot, and a replaced map — even a deep-equal one —
 // disqualifies the delta rather than risking a lossy replay.
 func DeltaEligible(old, new *Operation) bool {

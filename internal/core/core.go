@@ -42,7 +42,7 @@ const (
 // Priority is the scheduling class of an Operation. The engine drains
 // higher bands first; within a band, clients share the worker pool
 // fairly. The empty string means "unset" and resolves at submission to
-// the kind's registered default, then to PriorityNormal.
+// PriorityNormal.
 type Priority string
 
 const (
@@ -115,8 +115,7 @@ type Operation struct {
 	Result json.RawMessage `json:"result,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	// Priority is the scheduling class resolved at submission (request
-	// value, else the kind's registered default, else normal); it is
-	// always set on a published operation.
+	// value, else normal); it is always set on a published operation.
 	Priority Priority `json:"priority,omitempty"`
 	// Client is the submitting client's attribution key (the API's
 	// X-Client-Id header, falling back to the remote address); the
@@ -124,8 +123,8 @@ type Operation struct {
 	// submissions, which all share one queue.
 	Client string `json:"client,omitempty"`
 	// Deadline is the execution time budget fixed at submission (the
-	// kind's registered deadline, or the engine default). Zero means
-	// the handler runs unbounded. The suffix names the JSON unit.
+	// kind's registered deadline). Zero means the handler runs
+	// unbounded. The suffix names the JSON unit.
 	Deadline  time.Duration `json:"deadline_ns,omitempty"`
 	CreatedAt time.Time     `json:"created_at"`
 	UpdatedAt time.Time     `json:"updated_at"`
@@ -178,11 +177,10 @@ var (
 	ErrShuttingDown = errors.New("engine is shutting down")
 	// ErrQueueFull means the submission queue is at capacity.
 	ErrQueueFull = errors.New("operation queue is full")
-	// ErrSaturated means admission control refused the submission: the
-	// queue has reached the configured shed threshold and the engine is
-	// shedding load before it hard-fills. The API maps it to 429 with a
-	// Retry-After computed from queue depth and the observed drain
-	// rate.
+	// ErrSaturated is never returned: the queue's capacity is the only
+	// admission bound, and a full queue is ErrQueueFull. It stays
+	// declared because the benchmark module's refusal counter still
+	// matches against it.
 	ErrSaturated = errors.New("engine saturated, shedding load")
 	// ErrAlreadyTerminal means the operation has already reached a
 	// terminal state and can no longer be cancelled.

@@ -323,9 +323,8 @@ type SubmitItem struct {
 	Kind string
 	// Params is the handler's input, passed through verbatim.
 	Params map[string]any
-	// Priority is the item's scheduling class; empty falls back to the
-	// submission-level priority, then the kind's registered default,
-	// then normal. Non-empty invalid values fail validation.
+	// Priority is the item's scheduling class; empty means normal.
+	// Non-empty invalid values fail validation.
 	Priority Priority
 }
 

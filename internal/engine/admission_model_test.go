@@ -1,19 +1,15 @@
 package engine
 
 // Model-based test of admission: seeded goroutines submit batches sized
-// around the queue's remaining capacity and its shed boundary while a
-// sampler polls Stats and List, handlers return at once, block on a
-// gate or are cancelled while queued, and Shutdown fires at a random
-// point of the history. What must hold however the race falls:
+// around the queue's remaining capacity while a sampler polls Stats and
+// List, handlers return at once, block on a gate or are cancelled while
+// queued, and Shutdown fires at a random point of the history. What must
+// hold however the race falls:
 //
-//   - observed queue depth never exceeds capacity, nor the shed
-//     threshold when one is configured;
-//   - a refusal is ErrShuttingDown, ErrSaturated or ErrQueueFull, and
-//     the right one: ErrSaturated only with a threshold configured,
-//     ErrQueueFull only without, nothing but ErrShuttingDown once it was
-//     seen;
-//   - a batch above the admission bound (the shed threshold when one is
-//     configured, else capacity) could never be admitted, so it is an
+//   - observed queue depth never exceeds capacity;
+//   - a refusal is ErrShuttingDown or ErrQueueFull, and nothing but
+//     ErrShuttingDown once it was seen;
+//   - a batch above capacity could never be admitted, so it is an
 //     *core.InvalidError at any depth, before and after Shutdown, never
 //     one of the retryable refusals;
 //   - a batch is all-or-nothing: after a clean Shutdown the store holds
@@ -64,13 +60,12 @@ func (s *slowPutStore) PutBatch(ops []*core.Operation) {
 }
 
 type admissionRow struct {
-	shed    float64
 	depth   int
 	workers int
 }
 
 func (r admissionRow) String() string {
-	return fmt.Sprintf("shed=%g/depth=%d/workers=%d", r.shed, r.depth, r.workers)
+	return fmt.Sprintf("depth=%d/workers=%d", r.depth, r.workers)
 }
 
 // admissionRun is one history: an engine, what its submitters were
@@ -80,8 +75,7 @@ type admissionRun struct {
 	row  admissionRow
 	seed int64
 	e    *Engine
-	// bound is the largest batch admission can ever grant: the shed
-	// threshold when one is configured, else capacity.
+	// bound is the largest batch admission can ever grant: capacity.
 	bound int
 
 	gate     chan struct{}
@@ -114,32 +108,21 @@ func (ar *admissionRun) shutDown() {
 }
 
 // batchSize draws a size at one of the boundaries a concurrent reserve
-// can land on: what is left under capacity, what is left under the shed
-// threshold, one either side of each, anything that fits the queue, or
-// one in (admission bound, capacity], which fits the queue and can still
-// never be admitted (the draw is empty with no threshold configured).
+// can land on: what is left under capacity or one either side of it,
+// a small batch, anything that fits the queue, or one or two above
+// capacity, which can never be admitted.
 func (ar *admissionRun) batchSize(r *rand.Rand) int {
 	st := ar.e.Stats()
 	k := 1 + r.Intn(st.QueueCapacity)
 	switch r.Intn(5) {
-	case 0:
+	case 0, 1:
 		k = st.QueueCapacity - st.QueueDepth + r.Intn(3) - 1
-	case 1:
-		k = st.ShedAt - st.QueueDepth + r.Intn(3) - 1
 	case 2:
 		k = 1 + r.Intn(3)
 	case 3:
-		if over := st.QueueCapacity - ar.bound; over > 0 {
-			k = ar.bound + 1 + r.Intn(over)
-		}
+		k = st.QueueCapacity + 1 + r.Intn(2)
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > st.QueueCapacity {
-		k = st.QueueCapacity
-	}
-	return k
+	return max(k, 1)
 }
 
 // submitter submits until the engine shuts down under it (or it has had
@@ -188,14 +171,8 @@ func (ar *admissionRun) submitter(r *rand.Rand) {
 			closedSeen++
 		case closedSeen > 0:
 			ar.errorf("submit after ErrShuttingDown was seen = %v, want ErrShuttingDown", err)
-		case errors.Is(err, core.ErrSaturated):
-			if ar.row.shed == 0 {
-				ar.errorf("batch of %d refused with ErrSaturated, but no shed threshold is configured", len(items))
-			}
 		case errors.Is(err, core.ErrQueueFull):
-			if ar.row.shed != 0 {
-				ar.errorf("batch of %d refused with ErrQueueFull, but the shed threshold lies within capacity and is hit first", len(items))
-			}
+			// The queue had no room for the batch; legal at any depth.
 		default:
 			ar.errorf("batch of %d refused with untyped error %v", len(items), err)
 		}
@@ -214,9 +191,6 @@ func (ar *admissionRun) sampler(stop <-chan struct{}) {
 		st := ar.e.Stats()
 		if st.QueueDepth > st.QueueCapacity {
 			ar.errorf("observed queue depth %d above capacity %d", st.QueueDepth, st.QueueCapacity)
-		}
-		if ar.row.shed != 0 && st.QueueDepth > st.ShedAt {
-			ar.errorf("observed queue depth %d above shed threshold %d", st.QueueDepth, st.ShedAt)
 		}
 		scheduled := 0
 		for _, n := range st.QueueBands {
@@ -311,20 +285,16 @@ func runAdmissionModel(t *testing.T, row admissionRow, seed int64) {
 		seen:       make(map[string]bool),
 	}
 	ar.e = New(Config{
-		Workers:       row.workers,
-		QueueDepth:    row.depth,
-		ShedThreshold: row.shed,
-		// The probe below is PutBatch 1. A history that accepts fewer
-		// batches than drawn here shuts down by attempt count instead.
-		Store:          &slowPutStore{Store: NewShardedStore(0), shutdownAt: 2 + r.Int63n(80), shutdown: ar.shutDown},
+		Workers:    row.workers,
+		QueueDepth: row.depth,
+		// The two probes below are PutBatch 1 and 2. A history that
+		// accepts fewer batches than drawn here shuts down by attempt
+		// count instead.
+		Store:          &slowPutStore{Store: NewShardedStore(0), shutdownAt: 3 + r.Int63n(80), shutdown: ar.shutDown},
 		NoticeRingSize: 1 << 14, // holds the whole history; checkFinal verifies
 	})
 	defer ar.release()
-	if st := ar.e.Stats(); st.ShedAt < st.QueueCapacity {
-		ar.bound = st.ShedAt
-	} else {
-		ar.bound = st.QueueCapacity
-	}
+	ar.bound = ar.e.Stats().QueueCapacity
 	ar.e.Register("fast", func(context.Context, *core.Operation) (any, error) { return nil, nil })
 	ar.e.Register("gate", func(ctx context.Context, _ *core.Operation) (any, error) {
 		select {
@@ -345,6 +315,19 @@ func runAdmissionModel(t *testing.T, row admissionRow, seed int64) {
 		t.Fatalf("%s seed %d: operation submitted to idle workers never ran: %v", row, seed, err)
 	}
 	ar.accepted[probe.ID] = true
+	// The probe has been dequeued, so the queue is empty, and the bound
+	// is inclusive: a batch of exactly capacity fits.
+	full := make([]BatchItem, ar.bound)
+	for i := range full {
+		full[i].Kind = "fast"
+	}
+	ops, err := ar.e.SubmitBatch(context.Background(), full)
+	if err != nil {
+		t.Fatalf("%s seed %d: batch of capacity %d on an empty queue: %v", row, seed, ar.bound, err)
+	}
+	for _, op := range ops {
+		ar.accepted[op.ID] = true
+	}
 
 	stop := make(chan struct{})
 	var sampling, submitting sync.WaitGroup
@@ -387,19 +370,14 @@ func TestAdmissionModel(t *testing.T) {
 	if *modelSeed != 0 {
 		seeds = []int64{*modelSeed}
 	}
-	// 0.75 beside 0.5: at a half, a batch within the shed bound on a
-	// queue within the shed bound never exceeds capacity, and the order
-	// of reserve's two bound checks would go untested.
-	for _, shed := range []float64{0, 0.5, 0.75} {
-		for _, depth := range []int{8, 64} {
-			for _, workers := range []int{1, 4} {
-				row := admissionRow{shed: shed, depth: depth, workers: workers}
-				t.Run(row.String(), func(t *testing.T) {
-					for _, seed := range seeds {
-						runAdmissionModel(t, row, seed)
-					}
-				})
-			}
+	for _, depth := range []int{8, 64} {
+		for _, workers := range []int{1, 4} {
+			row := admissionRow{depth: depth, workers: workers}
+			t.Run(row.String(), func(t *testing.T) {
+				for _, seed := range seeds {
+					runAdmissionModel(t, row, seed)
+				}
+			})
 		}
 	}
 }

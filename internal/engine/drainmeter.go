@@ -15,7 +15,7 @@ const meterWindow = 10
 
 // drainMeter measures the queue's drain rate: workers record each
 // dequeue into per-second ring buckets, and rate averages the trailing
-// window. The engine computes Retry-After for shed submissions from
+// window. The engine computes Retry-After for refused submissions from
 // it — depth over drain rate is the honest "come back in" estimate.
 // Plain mutex, nanosecond critical sections; not a policed shard type.
 type drainMeter struct {

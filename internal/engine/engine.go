@@ -79,13 +79,6 @@ type Config struct {
 	// Once full, new notices overwrite the oldest; a long-poll cursor
 	// that falls off the ring resumes from the oldest retained notice.
 	NoticeRingSize int
-	// ShedThreshold is the admission-control knob: a submission or
-	// batch that would push queue depth past this fraction of
-	// QueueDepth is refused with core.ErrSaturated (HTTP 429 +
-	// Retry-After) instead of queueing further — the threshold is a
-	// hard depth bound, batches included. Values outside (0, 1)
-	// disable shedding, leaving only the hard ErrQueueFull bound.
-	ShedThreshold float64
 }
 
 // Engine owns the operation lifecycle: it accepts submissions, runs
@@ -98,11 +91,11 @@ type Engine struct {
 	gcInterval time.Duration
 	// sched holds accepted-but-undispatched operations in priority
 	// bands of per-client round-robin queues, and owns admission: the
-	// depth bounds, shutdown's closed flag and the wake-up of idle
+	// depth bound, shutdown's closed flag and the wake-up of idle
 	// workers all live behind its one mutex (see schedQueue).
 	sched *schedQueue
 	// meter tracks the observed drain rate; RetryAfter divides queue
-	// depth by it to tell shed clients when to come back.
+	// depth by it to tell refused clients when to come back.
 	meter       drainMeter
 	drained     chan struct{}
 	janitorStop chan struct{}
@@ -157,7 +150,7 @@ func New(cfg Config) *Engine {
 		workers:     cfg.Workers,
 		opTTL:       cfg.OpTTL,
 		gcInterval:  cfg.GCInterval,
-		sched:       newSchedQueue(cfg.QueueDepth, cfg.ShedThreshold),
+		sched:       newSchedQueue(cfg.QueueDepth),
 		drained:     make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		runCtx:      ctx,
@@ -236,12 +229,6 @@ type Stats struct {
 	// aggregated across bands. Anonymous submissions share the ""
 	// key.
 	QueueClients map[string]int `json:"queue_clients"`
-	// Shedding reports whether admission control is currently refusing
-	// submissions (queue depth has reached ShedAt).
-	Shedding bool `json:"shedding"`
-	// ShedAt is the queue depth at which shedding starts; a value
-	// above QueueCapacity means shedding is disabled.
-	ShedAt int `json:"shed_at"`
 	// DrainPerSec is the observed dequeue rate over the trailing
 	// window, the denominator of Retry-After.
 	DrainPerSec float64 `json:"drain_per_sec"`
@@ -284,8 +271,6 @@ func (e *Engine) Stats() Stats {
 		LastNotice:    e.notices.last(),
 		QueueBands:    bands,
 		QueueClients:  clients,
-		Shedding:      depth >= e.sched.shedAt,
-		ShedAt:        e.sched.shedAt,
 		DrainPerSec:   e.meter.rate(e.clock()),
 	}
 	if ds, ok := e.store.(durableStore); ok {
@@ -299,11 +284,11 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// retryCeiling bounds RetryAfter so shed clients never back off for
+// retryCeiling bounds RetryAfter so refused clients never back off for
 // longer than the queue could plausibly take to drain.
 const retryCeiling = 30 * time.Second
 
-// RetryAfter estimates how long a shed client should wait before
+// RetryAfter estimates how long a refused client should wait before
 // resubmitting: current queue depth over the observed drain rate,
 // clamped to [1s, 30s]. With no observed drain (cold start, wedged
 // handlers) it returns the ceiling — the honest answer is "a while".
@@ -345,11 +330,10 @@ func AsClient(key string) SubmitOption {
 
 // Submit validates and enqueues an operation of the given kind,
 // returning its queued snapshot. It fails fast with
-// core.ErrUnknownKind, core.ErrShuttingDown, core.ErrSaturated (the
-// admission-control shed), or core.ErrQueueFull. The context covers
-// admission only — a caller that has already given up (request
-// aborted, client gone) is rejected with its ctx error instead of
-// enqueuing work nobody will read; it does not bound the operation's
+// core.ErrUnknownKind, core.ErrShuttingDown or core.ErrQueueFull. The
+// context covers admission only — a caller that has already given up
+// (request aborted, client gone) is rejected with its ctx error instead
+// of enqueuing work nobody will read; it does not bound the operation's
 // execution, which is governed by the kind's deadline.
 func (e *Engine) Submit(ctx context.Context, kind string, params map[string]any, opts ...SubmitOption) (*core.Operation, error) {
 	ops, err := e.SubmitBatch(ctx, []BatchItem{{Kind: kind, Params: params}}, opts...)
@@ -362,14 +346,13 @@ func (e *Engine) Submit(ctx context.Context, kind string, params map[string]any,
 // SubmitBatch validates and enqueues a batch of operations atomically:
 // either every item is accepted and queued snapshots are returned in
 // batch order, or nothing is enqueued. Validation failures are
-// reported per item through *core.BatchError; admission, capacity, and
-// shutdown failures (core.ErrSaturated, core.ErrQueueFull,
-// core.ErrShuttingDown) apply to the batch as a whole. Store writes
-// are amortised into a single PutBatch call, so large batches take
-// each store lock O(shards) times instead of O(items). The context
-// covers admission only (see Submit): once the batch is validated and
-// admitted it commits, so a context cancelled mid-flight never yields a
-// half-enqueued batch. Nothing of a refused batch is ever stored, and a
+// reported per item through *core.BatchError; capacity and shutdown
+// failures (core.ErrQueueFull, core.ErrShuttingDown) apply to the batch
+// as a whole. Store writes are amortised into a single PutBatch call, so
+// large batches take each store lock O(shards) times instead of
+// O(items). The context covers admission only (see Submit): once the
+// batch is validated and admitted it commits, so a context cancelled
+// mid-flight never yields a half-enqueued batch. Nothing of a refused batch is ever stored, and a
 // batch admitted just before Shutdown is drained with the rest.
 func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...SubmitOption) ([]*core.Operation, error) {
 	if err := ctx.Err(); err != nil {
@@ -378,13 +361,13 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	if len(items) == 0 {
 		return nil, &core.InvalidError{Field: "batch", Reason: "must contain at least one item"}
 	}
-	if limit, name := e.sched.largestGrant(); len(items) > limit {
+	if len(items) > e.sched.capacity {
 		// Such a batch can never be accepted, so reject it as a
-		// client error rather than ErrSaturated or ErrQueueFull, whose
-		// "retry later" semantics would have the client retry forever.
+		// client error rather than ErrQueueFull, whose "retry later"
+		// semantics would have the client retry forever.
 		return nil, &core.InvalidError{
 			Field:  "batch",
-			Reason: fmt.Sprintf("size %d exceeds %s %d", len(items), name, limit),
+			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), e.sched.capacity),
 		}
 	}
 	var sub submitOptions
@@ -595,9 +578,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 // after New and handler registration, before serving traffic. It
 // returns how many operations were requeued and how many were marked
 // interrupted; recovered queued work goes through the same admission
-// as a submission, and what the queue's bounds (the shed threshold
-// included) no longer admit is also marked interrupted rather than
-// dropped. The context bounds the
+// as a submission, and what the queue's capacity no longer admits is
+// also marked interrupted rather than dropped. The context bounds the
 // walk, not the recovered operations' execution.
 func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err error) {
 	ops, err := e.store.List(ListQuery{})

@@ -414,17 +414,19 @@ func TestSubmitBatchEmpty(t *testing.T) {
 }
 
 func TestSubmitBatchQueueFullIsAllOrNothing(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 2})
+	e := New(Config{Workers: 1, QueueDepth: 4})
 	defer e.Shutdown(context.Background())
 
-	release := make(chan struct{})
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Shutdown, so a failed check cannot hang the drain
 	e.Register("block", func(context.Context, *core.Operation) (any, error) {
-		<-release
+		<-gate
 		return nil, nil
 	})
 
-	// Occupy the single worker, then fill one of the two queue slots,
-	// so a 2-item batch needs more capacity than remains.
+	// Occupy the single worker, then fill one of the four queue slots,
+	// so a 4-item batch would land one past capacity.
 	first, err := e.Submit(context.Background(), "block", nil)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -438,9 +440,10 @@ func TestSubmitBatchQueueFullIsAllOrNothing(t *testing.T) {
 		t.Fatalf("Submit (fills one slot): %v", err)
 	}
 
-	over, err := e.SubmitBatch(context.Background(), []BatchItem{{Kind: "block"}, {Kind: "block"}})
+	items := []BatchItem{{Kind: "block"}, {Kind: "block"}, {Kind: "block"}, {Kind: "block"}}
+	over, err := e.SubmitBatch(context.Background(), items)
 	if !errors.Is(err, core.ErrQueueFull) {
-		t.Fatalf("overflowing batch error = %v, want ErrQueueFull", err)
+		t.Fatalf("batch landing one past capacity = %v, want ErrQueueFull", err)
 	}
 	if over != nil {
 		t.Errorf("overflowing batch returned ops %v, want nil", over)
@@ -449,53 +452,44 @@ func TestSubmitBatchQueueFullIsAllOrNothing(t *testing.T) {
 		t.Errorf("store holds %d ops after rejected batch, want 2 (no partial enqueue)", got)
 	}
 
-	// The failed reservation must have returned its slot: a batch
-	// that fits the remaining capacity must now succeed.
-	fits, err := e.SubmitBatch(context.Background(), []BatchItem{{Kind: "block"}})
+	// The refused batch held no slot: one item fewer lands exactly at
+	// capacity and is admitted, and then the queue is full.
+	fits, err := e.SubmitBatch(context.Background(), items[:3])
 	if err != nil {
-		t.Fatalf("fitting batch after rejected batch: %v", err)
+		t.Fatalf("batch landing exactly at capacity after rejected batch: %v", err)
 	}
-	close(release)
+	if st := e.Stats(); st.QueueDepth != st.QueueCapacity {
+		t.Errorf("QueueDepth = %d after a batch landing at capacity, want %d", st.QueueDepth, st.QueueCapacity)
+	}
+	if _, err := e.Submit(context.Background(), "block", nil); !errors.Is(err, core.ErrQueueFull) {
+		t.Fatalf("submit on a queue at capacity = %v, want ErrQueueFull", err)
+	}
+	release()
 	for _, op := range fits {
 		waitStatus(t, e, op.ID)
 	}
 }
 
 func TestSubmitBatchLargerThanQueueCapacity(t *testing.T) {
-	// A batch admission can never grant — larger than the queue, or
-	// larger than the shed bound when a threshold is configured (reserve
-	// refuses depth+k > shedAt even at depth 0) — must be a permanent
-	// InvalidError naming the bound, not the retryable ErrQueueFull or
-	// ErrSaturated, on an idle engine and on every attempt.
-	for _, tc := range []struct {
-		cfg   Config
-		size  int // refused; the bound's own size is admitted
-		limit int
-		bound string
-	}{
-		{Config{Workers: 1, QueueDepth: 2}, 3, 2, "queue capacity 2"},
-		{Config{Workers: 1, QueueDepth: 8, ShedThreshold: 0.5}, 6, 4, "shed bound 4"},
-	} {
-		e := New(tc.cfg)
-		e.Register("ok", func(context.Context, *core.Operation) (any, error) { return nil, nil })
-		items := make([]BatchItem, tc.size)
-		for i := range items {
-			items[i].Kind = "ok"
+	// A batch larger than the queue can never be admitted, so it must be
+	// a permanent InvalidError naming the capacity, not the retryable
+	// ErrQueueFull, on an idle engine and on every attempt.
+	e := New(Config{Workers: 1, QueueDepth: 2})
+	defer e.Shutdown(context.Background())
+	e.Register("ok", func(context.Context, *core.Operation) (any, error) { return nil, nil })
+	items := []BatchItem{{Kind: "ok"}, {Kind: "ok"}, {Kind: "ok"}}
+	for attempt := 0; attempt < 2; attempt++ {
+		var inv *core.InvalidError
+		_, err := e.SubmitBatch(context.Background(), items)
+		if !errors.As(err, &inv) || inv.Reason != "size 3 exceeds queue capacity 2" {
+			t.Fatalf("batch of 3 on capacity 2: error = %v, want *core.InvalidError naming the capacity", err)
 		}
-		for attempt := 0; attempt < 2; attempt++ {
-			var inv *core.InvalidError
-			_, err := e.SubmitBatch(context.Background(), items)
-			if !errors.As(err, &inv) || !strings.Contains(inv.Reason, tc.bound) {
-				t.Fatalf("batch of %d, %s: error = %v, want *core.InvalidError naming the bound", tc.size, tc.bound, err)
-			}
-		}
-		if got := len(listEngine(t, e, ListQuery{})); got != 0 {
-			t.Errorf("store holds %d ops after a batch over %s, want 0", got, tc.bound)
-		}
-		if _, err := e.SubmitBatch(context.Background(), items[:tc.limit]); err != nil {
-			t.Errorf("batch of %d at %s = %v, want admitted", tc.limit, tc.bound, err)
-		}
-		e.Shutdown(context.Background())
+	}
+	if got := len(listEngine(t, e, ListQuery{})); got != 0 {
+		t.Errorf("store holds %d ops after a batch over capacity, want 0", got)
+	}
+	if _, err := e.SubmitBatch(context.Background(), items[:2]); err != nil {
+		t.Errorf("batch of 2 at queue capacity 2 = %v, want admitted", err)
 	}
 }
 
@@ -975,42 +969,51 @@ func TestStatsReportSaturation(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	e := New(Config{Workers: 1, QueueDepth: 1})
-	defer e.Shutdown(context.Background())
+	var nanos atomic.Int64
+	base := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return base.Add(time.Duration(nanos.Load())) }
+	rec := &orderRecorder{}
+	e, started, gate := gatedEngine(t, Config{QueueDepth: 5, Clock: clock}, rec)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before the cleanup's Shutdown, so a failed check cannot hang the drain
+	startBlocker(t, e, started)
 
-	release := make(chan struct{})
-	e.Register("block", func(context.Context, *core.Operation) (any, error) {
-		<-release
-		return nil, nil
-	})
-
-	// First submission occupies the single worker; fill the queue
-	// behind it, then the next submission must fail fast.
-	first, err := e.Submit(context.Background(), "block", nil)
-	if err != nil {
-		t.Fatalf("Submit 1: %v", err)
+	// The blocker occupies the worker without holding a queue slot, so
+	// five queued ops reach capacity exactly and the next must fail fast.
+	for i := 0; i < 5; i++ {
+		submitTag(t, e, "filler")
 	}
-	// Wait for the worker to pick up the first op so queue slots are
-	// deterministic.
-	if _, err := waitOp(e, first.ID, func(op *core.Operation) bool {
-		return op.Status == core.StatusRunning
-	}); err != nil {
-		t.Fatalf("first op never started running: %v", err)
-	}
-	if _, err := e.Submit(context.Background(), "block", nil); err != nil {
-		t.Fatalf("Submit 2 (fills queue): %v", err)
-	}
-	over, err := e.Submit(context.Background(), "block", nil)
+	over, err := e.Submit(context.Background(), "tag", map[string]any{"tag": "over"})
 	if !errors.Is(err, core.ErrQueueFull) {
-		t.Fatalf("Submit 3 error = %v, want ErrQueueFull", err)
+		t.Fatalf("submit at capacity = %v, want ErrQueueFull", err)
 	}
 	if over != nil {
 		t.Errorf("overflow submission returned op %v, want nil", over)
 	}
-	if got := len(listEngine(t, e, ListQuery{})); got != 2 {
-		t.Errorf("store holds %d ops after overflow, want 2 (no phantom record)", got)
+	if got := len(listEngine(t, e, ListQuery{})); got != 6 {
+		t.Errorf("store holds %d ops after overflow, want 6 (no phantom record)", got)
 	}
-	close(release)
+	st := e.Stats()
+	if st.QueueDepth != st.QueueCapacity || st.QueueCapacity != 5 {
+		t.Errorf("Stats at the bound: depth %d, capacity %d, want 5 and 5", st.QueueDepth, st.QueueCapacity)
+	}
+	if st.QueueBands[string(core.PriorityNormal)] != 5 {
+		t.Errorf("Stats.QueueBands[normal] = %d, want 5 (bands: %v)", st.QueueBands[string(core.PriorityNormal)], st.QueueBands)
+	}
+
+	// Once the blocker's dequeue has left the meter's window there is
+	// no drain history, and the estimate is the ceiling.
+	nanos.Store(int64(meterWindow * time.Second))
+	if ra := e.RetryAfter(); ra != retryCeiling {
+		t.Errorf("RetryAfter with no drain history = %s, want %s", ra, retryCeiling)
+	}
+
+	release()
+	drainTags(t, rec, 5)
+	// With drain history and an empty queue the estimate floors at 1s.
+	if ra := e.RetryAfter(); ra < time.Second || ra > retryCeiling {
+		t.Errorf("RetryAfter after drain = %s, want within [1s, %s]", ra, retryCeiling)
+	}
 }
 
 // TestStampsCarryNoMonotonicReading: the index orders by CreatedAt

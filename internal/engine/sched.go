@@ -30,7 +30,6 @@ package engine
 // the lock.
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -194,11 +193,9 @@ type schedQueue struct {
 	// that empties a closed queue — broadcasts.
 	wake  sync.Cond
 	bands [numBands]schedBand
-	// capacity is the hard depth bound; shedAt is the depth past which
-	// admission sheds, capacity+1 when no threshold is configured. Both
-	// are fixed at construction and read without the lock.
+	// capacity is the depth bound, fixed at construction and read
+	// without the lock.
 	capacity int
-	shedAt   int
 	// held counts reservations granted by reserve and not yet turned
 	// into scheduled items by commit.
 	held   int
@@ -209,14 +206,9 @@ type schedQueue struct {
 }
 
 // newSchedQueue builds a scheduler admitting up to capacity operations.
-// A shedThreshold in (0, 1) starts shedding at ceil(threshold *
-// capacity); any other value disables it.
-func newSchedQueue(capacity int, shedThreshold float64) *schedQueue {
-	s := &schedQueue{capacity: capacity, shedAt: capacity + 1}
+func newSchedQueue(capacity int) *schedQueue {
+	s := &schedQueue{capacity: capacity}
 	s.wake.L = &s.mu
-	if shedThreshold > 0 && shedThreshold < 1 {
-		s.shedAt = int(math.Ceil(shedThreshold * float64(capacity)))
-	}
 	for i := range s.bands {
 		s.bands[i].clients = make(map[string]*clientQueue)
 	}
@@ -234,10 +226,9 @@ func (s *schedQueue) scheduled() int {
 
 // reserve admits k operations or refuses them all, and is the one place
 // a submission's admission error is decided: core.ErrShuttingDown once
-// closed; core.ErrSaturated when a shed threshold is configured and the
-// k would push depth past it (a hard bound, batches included);
-// core.ErrQueueFull when they would push depth past capacity. A granted
-// reservation must be followed by a commit of exactly those k.
+// closed; core.ErrQueueFull when the k would push depth past capacity
+// (batches included). A granted reservation must be followed by a
+// commit of exactly those k.
 func (s *schedQueue) reserve(k int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -245,23 +236,11 @@ func (s *schedQueue) reserve(k int) error {
 	switch {
 	case s.closed:
 		return core.ErrShuttingDown
-	case s.shedAt <= s.capacity && depth > s.shedAt:
-		return core.ErrSaturated
 	case depth > s.capacity:
 		return core.ErrQueueFull
 	}
 	s.held += k
 	return nil
-}
-
-// largestGrant is the most reserve can ever admit at once, with the name
-// of that bound: the shed bound when a threshold is configured, else
-// capacity. A larger batch is refused at any depth.
-func (s *schedQueue) largestGrant() (limit int, name string) {
-	if s.shedAt < s.capacity {
-		return s.shedAt, "shed bound"
-	}
-	return s.capacity, "queue capacity"
 }
 
 // commit turns len(ops) reservations into scheduled items, each filed

@@ -282,58 +282,6 @@ func TestAgingPromotesStarvedLow(t *testing.T) {
 	}
 }
 
-// TestShedReturnsErrSaturated fills the queue to the shed threshold
-// and checks admission control refuses further work with ErrSaturated,
-// a populated RetryAfter, and Stats reporting the shed state.
-func TestShedReturnsErrSaturated(t *testing.T) {
-	rec := &orderRecorder{}
-	e, started, release := gatedEngine(t, Config{
-		QueueDepth:    10,
-		ShedThreshold: 0.5,
-	}, rec)
-	startBlocker(t, e, started)
-
-	// The blocker occupies the worker without holding a queue slot, so
-	// five queued ops reach the shedAt=5 threshold exactly.
-	for i := 0; i < 5; i++ {
-		submitTag(t, e, "filler")
-	}
-	_, err := e.Submit(context.Background(), "tag", map[string]any{"tag": "shed"})
-	if !errors.Is(err, core.ErrSaturated) {
-		t.Fatalf("submit at threshold = %v, want ErrSaturated", err)
-	}
-	// Batch admission sheds identically.
-	if _, err := e.SubmitBatch(context.Background(), []BatchItem{{Kind: "tag"}}); !errors.Is(err, core.ErrSaturated) {
-		t.Fatalf("batch submit at threshold = %v, want ErrSaturated", err)
-	}
-
-	st := e.Stats()
-	if !st.Shedding {
-		t.Errorf("Stats.Shedding = false at depth %d, shedAt %d", st.QueueDepth, st.ShedAt)
-	}
-	if st.ShedAt != 5 {
-		t.Errorf("Stats.ShedAt = %d, want 5", st.ShedAt)
-	}
-	if st.QueueBands[string(core.PriorityNormal)] != 5 {
-		t.Errorf("Stats.QueueBands[normal] = %d, want 5 (bands: %v)", st.QueueBands[string(core.PriorityNormal)], st.QueueBands)
-	}
-
-	// Nothing has drained yet, so the estimate is the no-data ceiling.
-	if ra := e.RetryAfter(); ra != retryCeiling {
-		t.Errorf("RetryAfter with no drain history = %s, want %s", ra, retryCeiling)
-	}
-
-	close(release)
-	drainTags(t, rec, 5)
-	// With drain history and an empty queue the estimate floors at 1s.
-	if ra := e.RetryAfter(); ra < time.Second || ra > retryCeiling {
-		t.Errorf("RetryAfter after drain = %s, want within [1s, %s]", ra, retryCeiling)
-	}
-	if st := e.Stats(); st.Shedding {
-		t.Error("Stats.Shedding still true after drain")
-	}
-}
-
 // TestSchedArrivalStaysCompacted guards against the dispatch-path
 // leak: arrival was only compacted by head(), which the aging valve
 // calls solely for bands *below* the first non-empty one — so the
@@ -342,7 +290,7 @@ func TestShedReturnsErrSaturated(t *testing.T) {
 func TestSchedArrivalStaysCompacted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	// One band only: the valve never looks at it.
-	s := newSchedQueue(1024, 0)
+	s := newSchedQueue(1024)
 	ops := []*core.Operation{{ID: "op", Client: "client", Priority: core.PriorityNormal}}
 	for i := 0; i < 1000; i++ {
 		if err := s.reserve(1); err != nil {
@@ -360,43 +308,9 @@ func TestSchedArrivalStaysCompacted(t *testing.T) {
 	}
 }
 
-// TestBatchShedAccountsForSize checks the shed threshold is a hard
-// depth bound for batches too: a batch admitted just under shedAt must
-// not push the queue past it.
-func TestBatchShedAccountsForSize(t *testing.T) {
-	rec := &orderRecorder{}
-	e, started, release := gatedEngine(t, Config{
-		QueueDepth:    10,
-		ShedThreshold: 0.5, // shedAt = 5
-	}, rec)
-	startBlocker(t, e, started)
-
-	for i := 0; i < 3; i++ {
-		submitTag(t, e, "filler")
-	}
-	// Depth 3: a batch of 3 would land at 6 > shedAt, so it sheds whole.
-	over := []BatchItem{{Kind: "tag"}, {Kind: "tag"}, {Kind: "tag"}}
-	if _, err := e.SubmitBatch(context.Background(), over); !errors.Is(err, core.ErrSaturated) {
-		t.Fatalf("batch crossing shedAt = %v, want ErrSaturated", err)
-	}
-	// A batch of 2 lands exactly at shedAt and is admitted.
-	fits := []BatchItem{
-		{Kind: "tag", Params: map[string]any{"tag": "b1"}},
-		{Kind: "tag", Params: map[string]any{"tag": "b2"}},
-	}
-	if _, err := e.SubmitBatch(context.Background(), fits); err != nil {
-		t.Fatalf("batch landing at shedAt = %v, want admitted", err)
-	}
-	if _, err := e.Submit(context.Background(), "tag", nil); !errors.Is(err, core.ErrSaturated) {
-		t.Fatalf("submit at shedAt = %v, want ErrSaturated", err)
-	}
-
-	close(release)
-	drainTags(t, rec, 5)
-}
-
-// TestShedDisabledByDefault checks a default-config engine never sheds:
-// the queue hard-fills to ErrQueueFull exactly as before this layer.
+// TestShedDisabledByDefault pins that no configuration sheds below
+// capacity: -queue-depth is the only admission bound, and a full queue
+// refuses every overflow with ErrQueueFull.
 func TestShedDisabledByDefault(t *testing.T) {
 	rec := &orderRecorder{}
 	e, started, release := gatedEngine(t, Config{QueueDepth: 2}, rec)
@@ -408,16 +322,10 @@ func TestShedDisabledByDefault(t *testing.T) {
 	if _, err := e.Submit(context.Background(), "tag", map[string]any{"tag": "c"}); !errors.Is(err, core.ErrQueueFull) {
 		t.Fatalf("overfull submit = %v, want ErrQueueFull", err)
 	}
-	// Overflowing by more than one is still "full", not "shedding": the
-	// disabled threshold used to be encoded as capacity+1 and compared
-	// first, so only an overflow of exactly one reached ErrQueueFull.
+	// Overflowing by more than one is the same refusal.
 	over := []BatchItem{{Kind: "tag"}, {Kind: "tag"}}
 	if _, err := e.SubmitBatch(context.Background(), over); !errors.Is(err, core.ErrQueueFull) {
 		t.Fatalf("batch overflowing a full queue by two = %v, want ErrQueueFull", err)
-	}
-	if st := e.Stats(); st.Shedding || st.ShedAt <= st.QueueCapacity {
-		t.Errorf("Stats on a full queue with shedding disabled: shedding=%v shed_at=%d capacity=%d, want false and shed_at above capacity",
-			st.Shedding, st.ShedAt, st.QueueCapacity)
 	}
 }
 

@@ -16,8 +16,7 @@ import (
 )
 
 // allocImpls enumerates the shard counts whose allocation profile is
-// pinned: one shard ("mem": the single-mutex store -store-shards 1
-// runs) and a fixed multi-shard count, so the merge path is exercised
+// pinned: one shard ("mem": the single-mutex store) and a fixed multi-shard count, so the merge path is exercised
 // even on single-core hosts.
 func allocImpls() []struct {
 	name string

@@ -98,8 +98,8 @@ func (ix *opIndex) remove(createdAt time.Time, id string) {
 
 // storeShard is one partition of the ID space: a mutex-guarded map for
 // point lookups plus the opIndex that keeps the partition ordered. A
-// one-shard store is the single-lock store; -store-shards picks how many
-// there are, never which code runs.
+// one-shard store is the single-lock store; the shard count picks how
+// many there are, never which code runs.
 //
 // Copy-on-write invariant: every *core.Operation reachable from ops or
 // the index is immutable. Update publishes a mutated clone in place of

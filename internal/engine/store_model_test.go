@@ -447,8 +447,8 @@ func TestStoreModel(t *testing.T) {
 						return
 					}
 					cfg := *row.wal
-					cfg.Shards = []int{1, 2, 8}[layouts.Intn(3)]
-					mr.trace = append(mr.trace, fmt.Sprintf("Close + OpenWALStore (%d shards)", cfg.Shards))
+					cfg.shards = []int{1, 2, 8}[layouts.Intn(3)]
+					mr.trace = append(mr.trace, fmt.Sprintf("Close + OpenWALStore (%d shards)", cfg.shards))
 					if err := ws.Close(); err != nil {
 						mr.fatalf("Close: %v", err)
 					}

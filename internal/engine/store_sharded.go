@@ -19,9 +19,7 @@ import (
 // runtime.GOMAXPROCS(0). Lock contention scales with the number of
 // goroutines the scheduler can actually run at once, so the default
 // tracks the hardware instead of hardcoding a count — one shard on a
-// single-core container, 16 on a 16-way host. Raise it explicitly
-// (e.g. the daemon's -store-shards flag) to trade memory for extra
-// headroom under skewed load.
+// single-core container, 16 on a 16-way host.
 func DefaultShardCount() int {
 	return nextPowerOfTwo(runtime.GOMAXPROCS(0))
 }
@@ -66,16 +64,6 @@ type shardedStore struct {
 // round-up below integer-overflow territory.
 const maxShardCount = 1 << 16
 
-// ShardCount is the shard count a store asked for n gets: the
-// GOMAXPROCS-scaled default for n <= 0, the maxShardCount clamp, then
-// the power-of-two round-up the mask needs.
-func ShardCount(n int) int {
-	if n <= 0 {
-		n = DefaultShardCount()
-	}
-	return nextPowerOfTwo(min(n, maxShardCount))
-}
-
 // NewShardedStore returns an empty memory-only Store partitioned across
 // n hash-selected shards. n is rounded up to the next power of two so
 // shard selection is a bit mask; n <= 0 selects DefaultShardCount() and
@@ -88,7 +76,10 @@ func NewShardedStore(n int) Store {
 // newShardedStore builds an empty store with no journal; OpenWALStore
 // attaches one after replaying into it.
 func newShardedStore(n int) *shardedStore {
-	n = ShardCount(n)
+	if n <= 0 {
+		n = DefaultShardCount()
+	}
+	n = nextPowerOfTwo(min(n, maxShardCount))
 	s := &shardedStore{
 		shards: make([]*storeShard, n),
 		mask:   uint32(n - 1),

@@ -218,7 +218,7 @@ func TestWALGroupBatchesDuringFsync(t *testing.T) {
 // while the rest were still being staged.
 func TestWALPutBatchOneWake(t *testing.T) {
 	p := newSyncProbe()
-	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, Shards: 8, syncHook: p.sync})
+	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, shards: 8, syncHook: p.sync})
 	defer s.Close()
 
 	// Enough operations that encoding the later buckets takes far

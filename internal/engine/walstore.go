@@ -29,11 +29,12 @@ type WALConfig struct {
 	// MaxSegments is how many closed segments may accumulate before
 	// the committer folds them into a snapshot (default 8).
 	MaxSegments int
-	// Shards is the in-memory index's shard count, with the same
-	// semantics as NewShardedStore (default DefaultShardCount).
-	Shards int
 	// Clock returns the current time; overridable in tests.
 	Clock func() time.Time
+	// shards is the in-memory index's shard count, with the same
+	// semantics as NewShardedStore (default DefaultShardCount). Tests
+	// only, like syncHook.
+	shards int
 	// syncHook replaces (*os.File).Sync for every fsync the log
 	// issues. Tests only, like wal.die.
 	syncHook func(*os.File) error
@@ -91,7 +92,7 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", cfg.Dir, err)
 	}
-	s, layout, err := recoverWALState(cfg.Dir, cfg.Shards)
+	s, layout, err := recoverWALState(cfg.Dir, cfg.shards)
 	if err != nil {
 		return nil, err
 	}
