@@ -18,14 +18,16 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all check build test test-allocs lint vet fmt-check fmt bench mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all check build test models test-allocs lint vet fmt-check fmt bench mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
 
-# check is every gate that runs offline; all adds the two that download
-# a pinned tool through the module proxy. CI calls the targets one by
-# one so a failure names its step.
+# check is the offline gate. It leaves four targets to CI: fuzz-smoke (a
+# minute of coverage-guided search) and bench (the Go benchmarks, which
+# gate nothing) run offline but slowly; staticcheck and vuln, which all
+# adds, download a pinned tool through the module proxy. CI calls the
+# targets one by one so a failure names its step.
 all: check staticcheck vuln
 
-check: build vet fmt-check opdaemonlint test test-allocs test-bench opbench-smoke
+check: build vet fmt-check opdaemonlint test models test-allocs test-bench opbench-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +37,15 @@ build:
 # failure log prints the seed for reproduction.
 test:
 	$(GO) test -race -shuffle=on ./...
+
+# The two generated-history tests (TestStoreModel, TestAdmissionModel)
+# draw one fresh seed per run beside their fixed ones; ten runs give ten
+# more histories each (~25 s). A failure prints its seed, and
+# `-modelseed N` replays it. The replay test rides along (~1 s), so
+# recovery's fanned-out decode and its earliest-failure cut run ten
+# more times under -race.
+models:
+	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$' -count=10 ./internal/engine/
 
 # The allocation pins (AllocsPerRun tests, the accept→terminal budget in
 # internal/api) skip themselves under the race detector, whose

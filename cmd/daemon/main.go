@@ -29,21 +29,17 @@ import (
 // daemonConfig collects every tunable so run stays testable and the
 // flag list has one home.
 type daemonConfig struct {
-	addr            string
-	debugAddr       string
-	workers         int
-	queueDepth      int
-	drainTimeout    time.Duration
-	opTTL           time.Duration
-	gcInterval      time.Duration
-	noticeRing      int
-	maxWait         time.Duration
-	trustClientHdr  bool
-	store           string
-	walDir          string
-	walSync         string
-	walSegmentBytes int64
-	walMaxSegments  int
+	addr           string
+	debugAddr      string
+	workers        int
+	queueDepth     int
+	drainTimeout   time.Duration
+	opTTL          time.Duration
+	gcInterval     time.Duration
+	trustClientHdr bool
+	store          string
+	walDir         string
+	walSync        string
 }
 
 func main() {
@@ -67,13 +63,9 @@ func newFlagSet(cfg *daemonConfig) *flag.FlagSet {
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "max time to drain operations on shutdown")
 	fs.DurationVar(&cfg.opTTL, "op-ttl", 0, "retention for terminal operations; 0 keeps them forever, >0 starts a janitor that evicts older ones")
 	fs.DurationVar(&cfg.gcInterval, "gc-interval", 0, "how often the janitor sweeps (default op-ttl/2, min 1s); ignored when -op-ttl is 0")
-	fs.IntVar(&cfg.noticeRing, "notice-ring", 4096, "state-transition notices retained for /v1/notices; older ones fall off the ring")
-	fs.DurationVar(&cfg.maxWait, "max-wait", 60*time.Second, "upper bound on ?wait=true long-poll timeouts; longer client requests are clamped")
 	fs.StringVar(&cfg.store, "store", "memory", "operation store backend: memory (state dies with the process) or wal (persistent write-ahead log under -wal-dir with crash recovery)")
 	fs.StringVar(&cfg.walDir, "wal-dir", "", "write-ahead log directory, required with -store=wal; created if absent")
 	fs.StringVar(&cfg.walSync, "wal-sync", string(engine.WALSyncGroup), "wal fsync policy: always (fsync per mutation), group (commit as soon as anything is staged; whatever arrives during that fsync shares the next one; submissions wait, transitions are logged asynchronously), or none (never fsync)")
-	fs.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 16<<20, "wal segment rotation size in bytes")
-	fs.IntVar(&cfg.walMaxSegments, "wal-max-segments", 8, "closed wal segments tolerated before snapshot compaction folds them")
 	fs.BoolVar(&cfg.trustClientHdr, "trust-client-header", true, "honour X-Client-Id for fair-queueing attribution; set false for untrusted clients (the header is unauthenticated, so a greedy client could mint fresh scheduler queues per request) to key on remote address only")
 	return fs
 }
@@ -81,6 +73,14 @@ func newFlagSet(cfg *daemonConfig) *flag.FlagSet {
 // run wires the engine, store, and HTTP server together and blocks
 // until a signal triggers the drain sequence.
 func run(cfg daemonConfig) error {
+	// The engine would quietly replace a non-positive size with its own
+	// default, which the startup log would then misreport.
+	if cfg.workers <= 0 {
+		return fmt.Errorf("-workers must be positive, got %d", cfg.workers)
+	}
+	if cfg.queueDepth <= 0 {
+		return fmt.Errorf("-queue-depth must be positive, got %d", cfg.queueDepth)
+	}
 	var store engine.Store
 	var walStore *engine.WALStore
 	switch cfg.store {
@@ -90,12 +90,7 @@ func run(cfg daemonConfig) error {
 		if cfg.walDir == "" {
 			return fmt.Errorf("-store=wal requires -wal-dir")
 		}
-		ws, err := engine.OpenWALStore(engine.WALConfig{
-			Dir:          cfg.walDir,
-			Sync:         engine.WALSyncMode(cfg.walSync),
-			SegmentBytes: cfg.walSegmentBytes,
-			MaxSegments:  cfg.walMaxSegments,
-		})
+		ws, err := engine.OpenWALStore(engine.WALConfig{Dir: cfg.walDir, Sync: engine.WALSyncMode(cfg.walSync)})
 		if err != nil {
 			return fmt.Errorf("opening wal store: %w", err)
 		}
@@ -104,12 +99,11 @@ func run(cfg daemonConfig) error {
 		return fmt.Errorf("unknown -store %q (want memory or wal)", cfg.store)
 	}
 	eng := engine.New(engine.Config{
-		Workers:        cfg.workers,
-		QueueDepth:     cfg.queueDepth,
-		Store:          store,
-		OpTTL:          cfg.opTTL,
-		GCInterval:     cfg.gcInterval,
-		NoticeRingSize: cfg.noticeRing,
+		Workers:    cfg.workers,
+		QueueDepth: cfg.queueDepth,
+		Store:      store,
+		OpTTL:      cfg.opTTL,
+		GCInterval: cfg.gcInterval,
 	})
 	registerBuiltins(eng)
 
@@ -153,22 +147,18 @@ func run(cfg daemonConfig) error {
 		}()
 	}
 
-	// The write timeout must outlast the longest permitted long-poll,
-	// or the server would cut ?wait=true connections mid-wait; the
-	// margin covers writing the response after the wait resolves.
-	writeTimeout := 30 * time.Second
-	if cfg.maxWait+15*time.Second > writeTimeout {
-		writeTimeout = cfg.maxWait + 15*time.Second
-	}
 	srv := &http.Server{
 		Addr:              cfg.addr,
-		Handler:           api.New(eng, api.WithMaxWait(cfg.maxWait), api.WithClientHeaderTrust(cfg.trustClientHdr)),
+		Handler:           api.New(eng, api.WithClientHeaderTrust(cfg.trustClientHdr)),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Bound request reads, response writes, and idle keep-alives
 		// so a client trickling bytes in either direction can't hold
-		// a goroutine forever.
+		// a goroutine forever. The write timeout must outlast the
+		// longest long-poll, or the server would cut ?wait=true
+		// connections mid-wait; the margin covers writing the response
+		// after the wait resolves.
 		ReadTimeout:  30 * time.Second,
-		WriteTimeout: writeTimeout,
+		WriteTimeout: api.MaxWait + 15*time.Second,
 		IdleTimeout:  2 * time.Minute,
 	}
 

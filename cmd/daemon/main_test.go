@@ -24,9 +24,13 @@ func parseFlags(args ...string) (daemonConfig, error) {
 
 // TestRemovedFlagsRefused checks the settings that have one source (the
 // kind's deadline, the fixed aging threshold, -queue-depth as the only
-// admission bound, the GOMAXPROCS-scaled shard count) have no flag.
+// admission bound, the GOMAXPROCS-scaled shard count, the sizes of the
+// notices ring, the long-poll clamp and the WAL's segments) have no flag.
 func TestRemovedFlagsRefused(t *testing.T) {
-	for _, name := range []string{"default-deadline", "promote-after", "shed-threshold", "store-shards"} {
+	for _, name := range []string{
+		"default-deadline", "promote-after", "shed-threshold", "store-shards",
+		"notice-ring", "max-wait", "wal-segment-bytes", "wal-max-segments",
+	} {
 		_, err := parseFlags("-"+name, "1")
 		if err == nil || err.Error() != "flag provided but not defined: -"+name {
 			t.Errorf("-%s: parse error %v, want it refused as an unknown flag", name, err)
@@ -44,6 +48,8 @@ func TestRunRefusesBadConfig(t *testing.T) {
 		{[]string{"-store", "wal"}, "-store=wal requires -wal-dir"},
 		{[]string{"-store", "bogus"}, `unknown -store "bogus" (want memory or wal)`},
 		{[]string{"-store", "wal", "-wal-dir", t.TempDir(), "-wal-sync", "bogus"}, `wal: unknown sync mode "bogus"`},
+		{[]string{"-workers", "0"}, "-workers must be positive, got 0"},
+		{[]string{"-queue-depth", "-1"}, "-queue-depth must be positive, got -1"},
 	} {
 		cfg, err := parseFlags(append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
 		if err != nil {

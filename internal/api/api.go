@@ -27,8 +27,7 @@ const maxBodyBytes = 1 << 20
 type Server struct {
 	engine *engine.Engine
 	mux    *http.ServeMux
-	// maxWait bounds long-poll waits (?wait=true); client-requested
-	// timeouts above it are clamped. See WithMaxWait.
+	// maxWait is MaxWait; tests shorten it.
 	maxWait time.Duration
 	// trustClientHeader controls whether X-Client-Id is honoured for
 	// scheduler client attribution. See WithClientHeaderTrust.
@@ -37,7 +36,7 @@ type Server struct {
 
 // New builds the API server around an engine.
 func New(e *engine.Engine, opts ...Option) *Server {
-	s := &Server{engine: e, mux: http.NewServeMux(), maxWait: defaultMaxWait, trustClientHeader: true}
+	s := &Server{engine: e, mux: http.NewServeMux(), maxWait: MaxWait, trustClientHeader: true}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -75,6 +74,9 @@ func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
 		engine.Stats
 	}{true, s.engine.Kinds(), s.engine.Stats()})
 }
+
+// Option tunes a Server.
+type Option func(*Server)
 
 // WithClientHeaderTrust controls whether the scheduler's client
 // attribution honours the X-Client-Id request header (the default).

@@ -22,26 +22,13 @@ import (
 
 const (
 	// defaultWait is the long-poll timeout when ?wait=true is given
-	// without ?timeout= (clamped to the server's max wait).
+	// without ?timeout=.
 	defaultWait = 30 * time.Second
-	// defaultMaxWait bounds client-requested long-poll timeouts unless
-	// overridden with WithMaxWait; longer requests are clamped, not
-	// rejected, so clients need not know the server's bound.
-	defaultMaxWait = 60 * time.Second
+	// MaxWait bounds client-requested long-poll timeouts; longer
+	// requests are clamped, not rejected, so clients need not know the
+	// server's bound. An HTTP server's write timeout must outlast it.
+	MaxWait = 60 * time.Second
 )
-
-// Option tunes a Server.
-type Option func(*Server)
-
-// WithMaxWait bounds long-poll waits: client timeouts above d are
-// clamped to d. d <= 0 keeps the default (60s).
-func WithMaxWait(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.maxWait = d
-		}
-	}
-}
 
 // waitParams parses the shared long-poll query parameters. On a
 // malformed value it writes the 400 envelope and reports ok=false.

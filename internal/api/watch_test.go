@@ -209,9 +209,9 @@ func TestGetWaitParamValidation(t *testing.T) {
 }
 
 func TestGetWaitTimeoutClampedToMaxWait(t *testing.T) {
-	// A server configured with a tiny max wait clamps a huge client
-	// timeout instead of rejecting it: the request returns within the
-	// server's bound with the current snapshot.
+	// A server with a tiny max wait clamps a huge client timeout
+	// instead of rejecting it: the request returns within the server's
+	// bound with the current snapshot.
 	e := engine.New(engine.Config{Workers: 1})
 	t.Cleanup(func() { e.Shutdown(context.Background()) })
 	release := make(chan struct{})
@@ -224,7 +224,8 @@ func TestGetWaitTimeoutClampedToMaxWait(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	})
-	s := New(e, WithMaxWait(50*time.Millisecond))
+	s := New(e)
+	s.maxWait = 50 * time.Millisecond
 	id := submitAndAwaitRunning(t, s, e, "block")
 
 	start := time.Now()

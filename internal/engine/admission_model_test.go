@@ -290,8 +290,8 @@ func runAdmissionModel(t *testing.T, row admissionRow, seed int64) {
 		// The two probes below are PutBatch 1 and 2. A history that
 		// accepts fewer batches than drawn here shuts down by attempt
 		// count instead.
-		Store:          &slowPutStore{Store: NewShardedStore(0), shutdownAt: 3 + r.Int63n(80), shutdown: ar.shutDown},
-		NoticeRingSize: 1 << 14, // holds the whole history; checkFinal verifies
+		Store:      &slowPutStore{Store: NewShardedStore(0), shutdownAt: 3 + r.Int63n(80), shutdown: ar.shutDown},
+		noticeRing: 1 << 14, // holds the whole history; checkFinal verifies
 	})
 	defer ar.release()
 	ar.bound = ar.e.Stats().QueueCapacity

@@ -54,7 +54,8 @@ func WithDeadline(d time.Duration) RegisterOption {
 	return func(r *registration) { r.deadline = max(d, 0) }
 }
 
-// Config tunes an Engine. Zero values pick sensible defaults.
+// Config tunes an Engine. Zero values pick the defaults documented per
+// field.
 type Config struct {
 	// Workers is the number of concurrent executors (default 4).
 	Workers int
@@ -75,10 +76,8 @@ type Config struct {
 	// GCInterval is how often the janitor sweeps (default OpTTL/2,
 	// floored at one second). Ignored when OpTTL is zero.
 	GCInterval time.Duration
-	// NoticeRingSize bounds the state-transition feed (default 4096).
-	// Once full, new notices overwrite the oldest; a long-poll cursor
-	// that falls off the ring resumes from the oldest retained notice.
-	NoticeRingSize int
+	// noticeRing overrides noticeRingSize. Tests only.
+	noticeRing int
 }
 
 // Engine owns the operation lifecycle: it accepts submissions, runs
@@ -133,6 +132,9 @@ func New(cfg Config) *Engine {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
+	if cfg.noticeRing <= 0 {
+		cfg.noticeRing = noticeRingSize
+	}
 	if cfg.OpTTL > 0 && cfg.GCInterval <= 0 {
 		cfg.GCInterval = cfg.OpTTL / 2
 		if cfg.GCInterval < time.Second {
@@ -157,7 +159,7 @@ func New(cfg Config) *Engine {
 		runStop:     stop,
 		handlers:    make(map[string]registration),
 		inflight:    newInflight(),
-		notices:     newNoticeRing(cfg.NoticeRingSize),
+		notices:     newNoticeRing(cfg.noticeRing),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)

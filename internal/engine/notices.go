@@ -80,6 +80,11 @@ func (q NoticeQuery) match(n *Notice) bool {
 	return true
 }
 
+// noticeRingSize is how many notices the feed retains. Once full, new
+// notices overwrite the oldest; a cursor that falls off the ring
+// resumes from the oldest retained notice.
+const noticeRingSize = 4096
+
 // noticeRing is the fixed-capacity transition log. The notice with
 // sequence s lives at buf[(s-1) % len(buf)]; once the feed wraps, the
 // oldest retained sequence is seq-len(buf)+1. Its name places its
@@ -97,9 +102,6 @@ type noticeRing struct {
 }
 
 func newNoticeRing(capacity int) *noticeRing {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &noticeRing{buf: make([]Notice, capacity)}
 }
 

@@ -398,7 +398,7 @@ func (mr *modelRun) check() {
 func TestStoreModel(t *testing.T) {
 	// Small enough segments that a run rotates and compacts many times.
 	walCfg := func(sync WALSyncMode) *WALConfig {
-		return &WALConfig{Sync: sync, SegmentBytes: 2 << 10, MaxSegments: 2}
+		return &WALConfig{Sync: sync, segBytes: 2 << 10, maxSegs: 2}
 	}
 	rows := []struct {
 		name   string

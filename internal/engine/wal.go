@@ -156,6 +156,14 @@ type WALStats struct {
 	CommitFailures uint64
 }
 
+// The log's size bounds: the committer rotates the open segment once it
+// reaches walSegBytes, and maybeCompact folds the closed segments into a
+// snapshot once walMaxSegs of them have accumulated.
+const (
+	walSegBytes = 16 << 20
+	walMaxSegs  = 8
+)
+
 // wal owns the on-disk log: the staging buffer, the committer
 // goroutine, segment rotation, and snapshot compaction.
 type wal struct {
@@ -163,7 +171,6 @@ type wal struct {
 	mode     WALSyncMode
 	segBytes int64
 	maxSegs  int
-	clock    func() time.Time
 	// sync is every fsync the log issues, segment files and the
 	// directory alike. Always (*os.File).Sync outside tests, which
 	// substitute it to count fsyncs or hold one open.
@@ -229,9 +236,8 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	w := &wal{
 		dir:      cfg.Dir,
 		mode:     cfg.Sync,
-		segBytes: cfg.SegmentBytes,
-		maxSegs:  cfg.MaxSegments,
-		clock:    cfg.Clock,
+		segBytes: cfg.segBytes,
+		maxSegs:  cfg.maxSegs,
 		sync:     cfg.syncHook,
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
@@ -459,7 +465,7 @@ func (w *wal) writeAndSync(buf []byte) error {
 		if err := w.sync(w.f); err != nil {
 			return fmt.Errorf("wal: fsync segment %d: %w", w.segIndex, err)
 		}
-		w.stats.fsyncs.record(w.clock())
+		w.stats.fsyncs.record(time.Now())
 	}
 	if w.segSize >= w.segBytes {
 		w.rotate()
@@ -645,7 +651,7 @@ func (w *wal) snapshotStats() WALStats {
 	return WALStats{
 		Segments:       segs,
 		BatchP50:       w.stats.batchP50(),
-		FsyncsPerSec:   w.stats.fsyncs.rate(w.clock()),
+		FsyncsPerSec:   w.stats.fsyncs.rate(time.Now()),
 		CommitFailures: w.stats.commitFailures.Load(),
 	}
 }

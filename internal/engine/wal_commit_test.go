@@ -294,7 +294,7 @@ func TestWALFlushWaitsForInFlightCommit(t *testing.T) {
 func TestWALRotationSyncsDirectory(t *testing.T) {
 	p := newSyncProbe()
 	// Every commit overflows the 1-byte bound, so each Put rotates.
-	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncAlways, SegmentBytes: 1, syncHook: p.sync})
+	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncAlways, segBytes: 1, syncHook: p.sync})
 	const n = 3
 	for i := 0; i < n; i++ {
 		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))
@@ -338,7 +338,7 @@ func TestWALRotationFailureKeepsAppending(t *testing.T) {
 	p.failDir = 2 // the first is the open's, the second the first rotation's
 	dir := t.TempDir()
 	// Every commit overflows the 1-byte bound, so each Put rotates.
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 1, syncHook: p.sync})
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 1, syncHook: p.sync})
 	const n = 5
 	for i := 0; i < n; i++ {
 		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))

@@ -262,7 +262,7 @@ func waitSnapshot(t *testing.T, dir string) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no snapshot appeared although closed segments exceed MaxSegments")
+			t.Fatal("no snapshot appeared although closed segments exceed maxSegs")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -277,7 +277,7 @@ func TestWALStoreCompaction(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	// Every commit overflows the 1-byte segment bound, so each Put
 	// rotates; two closed segments trigger compaction.
-	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 1, MaxSegments: 2})
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 1, maxSegs: 2})
 	const n = 12
 	for i := 0; i < n; i++ {
 		s.Put(mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second)))
@@ -330,7 +330,7 @@ func TestWALStoreUnusableSnapshot(t *testing.T) {
 
 	t.Run("covered segments pruned", func(t *testing.T) {
 		dir := t.TempDir()
-		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 2})
+		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 64, maxSegs: 2})
 		fill(s)
 		waitSnapshot(t, dir)
 		if err := s.Close(); err != nil { // waits for the compaction's prune
@@ -353,7 +353,7 @@ func TestWALStoreUnusableSnapshot(t *testing.T) {
 	t.Run("covered segments still on disk", func(t *testing.T) {
 		dir := t.TempDir()
 		// Rotation without compaction: every segment stays.
-		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 1 << 20})
+		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 64, maxSegs: 1 << 20})
 		want := fill(s)
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -384,7 +384,7 @@ func TestWALStoreUnusableSnapshot(t *testing.T) {
 
 	t.Run("skipped snapshot pruned by the next compaction", func(t *testing.T) {
 		dir := t.TempDir()
-		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 1 << 20})
+		s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 64, maxSegs: 1 << 20})
 		fill(s)
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -402,7 +402,7 @@ func TestWALStoreUnusableSnapshot(t *testing.T) {
 		flipByte(t, planted)
 		// Every segment counts as closed past the (absent) usable
 		// snapshot, so the first commit compacts; Close waits for it.
-		r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, SegmentBytes: 64, MaxSegments: 2})
+		r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 64, maxSegs: 2})
 		r.Put(mkOp("after-reopen", t0))
 		want := listAll(t, r)
 		if err := r.Close(); err != nil {

@@ -11,7 +11,6 @@ package engine
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"opdaemon/internal/core"
 )
@@ -23,14 +22,10 @@ type WALConfig struct {
 	Dir string
 	// Sync is the fsync policy (default WALSyncGroup).
 	Sync WALSyncMode
-	// SegmentBytes rotates the open segment once it exceeds this size
-	// (default 16 MiB).
-	SegmentBytes int64
-	// MaxSegments is how many closed segments may accumulate before
-	// the committer folds them into a snapshot (default 8).
-	MaxSegments int
-	// Clock returns the current time; overridable in tests.
-	Clock func() time.Time
+	// segBytes overrides walSegBytes and maxSegs overrides walMaxSegs.
+	// Tests only, like shards.
+	segBytes int64
+	maxSegs  int
 	// shards is the in-memory index's shard count, with the same
 	// semantics as NewShardedStore (default DefaultShardCount). Tests
 	// only, like syncHook.
@@ -45,14 +40,11 @@ func (cfg WALConfig) withDefaults() WALConfig {
 	if cfg.Sync == "" {
 		cfg.Sync = WALSyncGroup
 	}
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = 16 << 20
+	if cfg.segBytes <= 0 {
+		cfg.segBytes = walSegBytes
 	}
-	if cfg.MaxSegments <= 0 {
-		cfg.MaxSegments = 8
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+	if cfg.maxSegs <= 0 {
+		cfg.maxSegs = walMaxSegs
 	}
 	if cfg.syncHook == nil {
 		cfg.syncHook = (*os.File).Sync
