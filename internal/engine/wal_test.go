@@ -222,6 +222,68 @@ func retypeFrame(frame []byte, typ byte) {
 	finishWALFrame(frame, 0)
 }
 
+// TestWALRecoverZeroTails: zeros to the end of a segment are the unused
+// preallocated space of a segment the log moved past or never reached,
+// so a closed segment with a zero tail, or one that is all zeros, ends
+// cleanly: recovery keeps every record in it and every segment after it,
+// and truncates nothing. Zeros followed by anything else stay corrupt.
+func TestWALRecoverZeroTails(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	// segment writes seg of dir holding the given operations' records,
+	// then tail.
+	segment := func(t *testing.T, dir string, seg int, tail []byte, ids ...string) {
+		t.Helper()
+		var data []byte
+		for i, id := range ids {
+			var err error
+			if data, err = encodeOpRecordV2(data, mkOp(id, t0.Add(time.Duration(i)*time.Second))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, walSegName(seg)), append(data, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeros := make([]byte, 3*len(walZeros)/2) // more than one comparison chunk
+
+	t.Run("closed zero-tailed segments keep what follows", func(t *testing.T) {
+		dir := t.TempDir()
+		segment(t, dir, 0, zeros, "a", "b")
+		segment(t, dir, 1, zeros) // a prepared segment never used
+		segment(t, dir, 2, zeros[:5], "c")
+		segment(t, dir, 3, nil, "d")
+		s, layout, err := recoverWALState(dir, 4)
+		if err != nil {
+			t.Fatalf("recoverWALState: %v", err)
+		}
+		if got := s.Len(); got != 4 {
+			t.Errorf("recovered %d operations, want all 4", got)
+		}
+		if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(layout.segs, want) {
+			t.Errorf("live segments = %v, want %v: a zero tail dropped what follows", layout.segs, want)
+		}
+		if fi, err := os.Stat(filepath.Join(dir, walSegName(1))); err != nil || fi.Size() != int64(len(zeros)) {
+			t.Errorf("the all-zero segment was changed: %v, %v", fi, err)
+		}
+	})
+
+	t.Run("zeros then garbage are corrupt", func(t *testing.T) {
+		dir := t.TempDir()
+		segment(t, dir, 0, append(append([]byte(nil), zeros...), 0x42), "a", "b")
+		segment(t, dir, 1, nil, "c")
+		s, layout, err := recoverWALState(dir, 4)
+		if err != nil {
+			t.Fatalf("recoverWALState: %v", err)
+		}
+		if got := s.Len(); got != 2 {
+			t.Errorf("recovered %d operations, want the 2 before the corruption", got)
+		}
+		if want := []int{0}; !reflect.DeepEqual(layout.segs, want) {
+			t.Errorf("live segments = %v, want %v: a segment after a corrupt frame survived", layout.segs, want)
+		}
+	})
+}
+
 // TestWALStoreFlushBarrier: group mode logs transitions asynchronously,
 // but Flush is a hard durability barrier — everything staged before it
 // must survive a crash immediately after it.
@@ -597,6 +659,13 @@ func FuzzWALReplay(f *testing.F) {
 	flipped[11] ^= 0x80 // checksum mismatch in the first record
 	f.Add(flipped)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // impossible length
+	// The shapes a preallocated segment leaves: records then its zero
+	// tail (a clean end), a frame torn into that tail, and zeros that
+	// give way to garbage (corrupt, not a tail).
+	zeros := make([]byte, 64)
+	f.Add(append(append([]byte(nil), valid...), zeros...))
+	f.Add(append(append([]byte(nil), valid[:len(valid)-5]...), zeros...))
+	f.Add(append(append([]byte(nil), zeros...), 0xde, 0xad, 0xbe, 0xef))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		state, _, n, err := referenceReplay(data)
@@ -605,6 +674,10 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if err == nil && n != len(data) {
 			t.Fatalf("clean replay consumed %d of %d bytes", n, len(data))
+		}
+		// Only zeros to the end of the file are a clean end.
+		if err != nil && walAllZero(data[n:]) {
+			t.Fatalf("replay failed at %d (%v) although only zeros follow", n, err)
 		}
 		// The prefix property recovery depends on: truncating to the
 		// reported prefix yields a clean replay with the same state.
@@ -730,6 +803,7 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	}{
 		{"Clean", clean, records, nil},
 		{"TornTail", clean[:len(clean)-3], records - 1, errWALTorn},
+		{"ZeroTail", append(append([]byte(nil), clean...), make([]byte, 100_000)...), records, nil},
 		{"UnknownTypeMidFile", retyped, bad, errWALCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,7 +12,9 @@ package engine
 // the checksum (IEEE CRC32) covers the whole payload. The length prefix
 // makes frames skippable without parsing bodies; the checksum makes a
 // torn or bit-flipped tail detectable, which is what lets recovery
-// truncate at the first bad frame instead of guessing.
+// truncate at the first bad frame instead of guessing. Zeros from a
+// frame boundary to the end of a file end it cleanly: segments are
+// zero-filled before the log writes into them (see wal.prepare).
 //
 // Record bodies: a full snapshot (type 4, written by Put/PutBatch and
 // compaction, and by Update in older daemons) is the operation's compact
@@ -29,6 +31,7 @@ package engine
 // converges on the same state.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -151,6 +154,23 @@ func putEncBuf(b *[]byte) {
 	if b != nil && cap(*b) <= walEncPoolMaxCap {
 		walEncPool.Put(b)
 	}
+}
+
+// walZeros is the one zero buffer the log needs: segment preparation
+// writes it over and over to zero-fill a file, and replay compares
+// against it to recognise a zero tail. Never written.
+var walZeros [64 << 10]byte
+
+// walAllZero reports whether b holds nothing but zero bytes.
+func walAllZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(walZeros))
+		if !bytes.Equal(b[:n], walZeros[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // walFrameLen reads the payload length from a frame header; the caller

@@ -54,9 +54,17 @@ type walRef struct {
 // across files). It returns the refs, the byte length of the
 // well-framed prefix, and the torn/corrupt error that ended the walk,
 // if any. No record is decoded here.
+//
+// Zeros from a frame boundary to the end of data are a clean end, and
+// count as part of the well-framed prefix: they are the preallocated
+// space of a segment the log never reached (wal.prepare). A zero header
+// followed by anything else stays corrupt.
 func walScanFrames(data []byte, refs []walRef) ([]walRef, int, error) {
 	pos := 0
 	for pos < len(data) {
+		if data[pos] == 0 && walAllZero(data[pos:]) {
+			return refs, len(data), nil
+		}
 		if len(data)-pos < walFrameHeader {
 			return refs, pos, errWALTorn
 		}
@@ -143,11 +151,13 @@ type walLayout struct {
 // recoverWALState rebuilds the operation state from dir into a fresh
 // store of the given shard count, with no journal attached: newest
 // intact snapshot first, then every segment newer than it in ascending
-// order. Replay stops at the first torn or corrupt frame; the file
-// holding it is truncated to its valid prefix and any later segments —
-// which a pure crash cannot produce, only real corruption — are deleted
-// (loudly) so that what remains on disk always equals the recovered
-// state. An unusable snapshot is an error unless every segment it
+// order. A segment's zero tail is its clean end, not a bad frame (see
+// walScanFrames), so a closed segment with unused preallocated space
+// costs the segments after it nothing. Replay stops at the first torn
+// or corrupt frame; the file holding it is truncated to its valid
+// prefix and any later segments — which a pure crash cannot produce,
+// only real corruption — are deleted (loudly) so that what remains on
+// disk always equals the recovered state. An unusable snapshot is an error unless every segment it
 // covered beyond the state fallen back to is still on disk: booting
 // without them would silently forget acknowledged operations.
 func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
