@@ -11,7 +11,11 @@ package engine
 // base is gone fabricates nothing, List order is identical across the
 // reopen — and their tiny segments keep rotation and snapshot
 // compaction (the snapshot/suffix overlap replay has to tolerate)
-// happening throughout.
+// happening throughout. Most reopens follow a crash instead of a Close:
+// under WALSyncAlways at any point, since every mutation waited for its
+// commit, and after a Flush under the other modes. A crash leaves the
+// open segment's zero tail and an unused prepared segment for replay to
+// read, and every rotation leaves a closed segment with a zero tail.
 //
 // A failure prints its seed; -modelseed N reruns exactly that history.
 
@@ -410,6 +414,7 @@ func TestStoreModel(t *testing.T) {
 		{"sharded-default", 0, nil},
 		{"wal-none", 0, walCfg(WALSyncNone)},
 		{"wal-group", 0, walCfg(WALSyncGroup)},
+		{"wal-always", 0, walCfg(WALSyncAlways)},
 	}
 	seeds := []int64{1, 2, 3, time.Now().UnixNano()}
 	if *modelSeed != 0 {
@@ -438,9 +443,10 @@ func TestStoreModel(t *testing.T) {
 					ws = openWAL(t, dir, *row.wal)
 					mr.s = ws
 				}
-				// Reopens replay into a shard layout of their own, drawn
-				// from a second source so the step sequence a seed yields
-				// does not depend on it.
+				// Reopens replay into a shard layout of their own, and
+				// choose between a Close and a crash, drawn from a second
+				// source so the step sequence a seed yields does not
+				// depend on them.
 				layouts := rand.New(rand.NewSource(seed))
 				reopen := func() {
 					if ws == nil {
@@ -448,9 +454,19 @@ func TestStoreModel(t *testing.T) {
 					}
 					cfg := *row.wal
 					cfg.shards = []int{1, 2, 8}[layouts.Intn(3)]
-					mr.trace = append(mr.trace, fmt.Sprintf("Close + OpenWALStore (%d shards)", cfg.shards))
-					if err := ws.Close(); err != nil {
-						mr.fatalf("Close: %v", err)
+					if layouts.Intn(3) == 0 {
+						mr.trace = append(mr.trace, fmt.Sprintf("Close + OpenWALStore (%d shards)", cfg.shards))
+						if err := ws.Close(); err != nil {
+							mr.fatalf("Close: %v", err)
+						}
+					} else {
+						mr.trace = append(mr.trace, fmt.Sprintf("crash + OpenWALStore (%d shards)", cfg.shards))
+						if cfg.Sync != WALSyncAlways {
+							if err := ws.Flush(); err != nil {
+								mr.fatalf("Flush: %v", err)
+							}
+						}
+						ws.closeAbrupt()
 					}
 					ws = openWAL(t, dir, cfg)
 					mr.s = ws

@@ -4,6 +4,14 @@ package engine
 // append-only sequence of framed records (see walcodec.go) in rotating
 // segment files, made cheap by group commit.
 //
+// Every segment after the one opened at start-up is preallocated: a
+// goroutine of its own creates it, writes zeros over its whole size and
+// makes file and directory entry durable while the committer is still
+// writing the segment before it. Commits then overwrite blocks the
+// file already has, so an fsync journals no size change and no block
+// allocation, and rotation is a swap of file handles that creates
+// nothing and fsyncs nothing on the committer.
+//
 // The perf-critical shape mirrors the waiter table's detach-then-notify
 // protocol, and lockscope polices it the same way: writers only ever
 // append encoded records to an in-memory staging buffer (walBatch)
@@ -89,6 +97,18 @@ type walBatch struct {
 	last *walGen
 }
 
+// walPrep is one segment prepared off the committer: created,
+// zero-filled to the segment size, and fsynced, file first and directory
+// entry second, before the committer may write a record into it.
+type walPrep struct {
+	index int
+	// done closes when preparation has ended; f (nil on failure) and err
+	// are written before it closes and read only after.
+	done chan struct{}
+	f    *os.File
+	err  error
+}
+
 // walStatsCounters aggregates the observability counters the health
 // endpoint surfaces. Plain mutex over a tiny ring; not a policed type.
 type walStatsCounters struct {
@@ -156,8 +176,8 @@ type WALStats struct {
 	CommitFailures uint64
 }
 
-// The log's size bounds: the committer rotates the open segment once it
-// reaches walSegBytes, and maybeCompact folds the closed segments into a
+// The log's size bounds: the committer rotates before a batch that would
+// take the open segment past walSegBytes, and maybeCompact folds the closed segments into a
 // snapshot once walMaxSegs of them have accumulated.
 const (
 	walSegBytes = 16 << 20
@@ -175,6 +195,10 @@ type wal struct {
 	// directory alike. Always (*os.File).Sync outside tests, which
 	// substitute it to count fsyncs or hold one open.
 	sync func(*os.File) error
+	// fill is every write that zero-fills a segment being prepared.
+	// Always (*os.File).WriteAt outside tests, which substitute it to
+	// make one fail.
+	fill func(f *os.File, b []byte, off int64) (int, error)
 
 	batch walBatch
 	// kick wakes the committer; capacity 1 so boarding writers can
@@ -194,10 +218,15 @@ type wal struct {
 	// before done closes.
 	closeErr error
 
-	// Committer-goroutine-owned; no locks.
+	// Committer-goroutine-owned; no locks. segSize is where the next
+	// batch is written in f.
 	f        *os.File
 	segIndex int
 	segSize  int64
+	// prep is the next segment, in preparation or prepared and not yet
+	// in use; nil when none is. Only the committer starts, swaps in or
+	// drops one; the pointer is atomic so that tests can wait for it.
+	prep atomic.Pointer[walPrep]
 	// commitErr is the first failed commit's error. finalize reports it:
 	// a later fsync that succeeds does not make that batch durable.
 	commitErr error
@@ -231,7 +260,8 @@ const walSnapTmp = "snap.tmp"
 
 // newWAL builds the log over an already-recovered directory layout and
 // opens a fresh segment; the caller installs snapshotFn and then calls
-// start.
+// start. The fresh segment is created empty and grows: a new log does no
+// zero-fill I/O until it is half a segment long.
 func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	w := &wal{
 		dir:      cfg.Dir,
@@ -239,16 +269,20 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 		segBytes: cfg.segBytes,
 		maxSegs:  cfg.maxSegs,
 		sync:     cfg.syncHook,
+		fill:     cfg.fillHook,
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		die:      make(chan struct{}),
 		done:     make(chan struct{}),
-		segs:     layout.segs,
+		segIndex: layout.maxSeg + 1,
+		segs:     append(layout.segs, layout.maxSeg+1),
 		snapSeg:  layout.snapSeg,
 	}
-	if err := w.openSegment(layout.maxSeg + 1); err != nil {
+	f, err := w.createSegment(w.segIndex, false)
+	if err != nil {
 		return nil, err
 	}
+	w.f = f
 	return w, nil
 }
 
@@ -258,32 +292,89 @@ func (w *wal) start() {
 	go w.committer()
 }
 
-// openSegment creates segment i and makes it the append target. The
-// directory is fsynced before any record can be acknowledged into the
-// new file: without it a power loss could drop the segment's entry and
-// every durable record inside with it. On failure the half-created file
-// is removed and the previous append target is left as it was.
-// Committer goroutine (or pre-start setup) only.
-func (w *wal) openSegment(i int) error {
+// createSegment creates segment i, zero-filled to segBytes when fill is
+// set. The directory is fsynced before the file is returned, so before
+// any record can be acknowledged into it: without that a power loss
+// could drop the segment's entry and every durable record inside with
+// it. A filled file is fsynced first, so the entry never names blocks
+// that are not allocated yet. Under WALSyncNone both fsyncs are skipped.
+// On failure the half-created file is removed.
+func (w *wal) createSegment(i int, fill bool) (*os.File, error) {
 	path := filepath.Join(w.dir, walSegName(i))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: opening segment %d: %w", i, err)
+		return nil, fmt.Errorf("wal: creating segment %d: %w", i, err)
 	}
-	if w.mode != WALSyncNone {
-		if err := w.syncDir(); err != nil {
-			f.Close()
-			os.Remove(path)
-			return fmt.Errorf("wal: fsync directory for segment %d: %w", i, err)
+	if err := w.initSegment(f, fill); err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, fmt.Errorf("wal: preparing segment %d: %w", i, err)
+	}
+	return f, nil
+}
+
+// initSegment is createSegment's zero-fill and fsyncs. The zeros come
+// from walZeros, one fixed buffer, so preparing a segment allocates
+// nothing however large it is.
+func (w *wal) initSegment(f *os.File, fill bool) error {
+	if fill {
+		for off := int64(0); off < w.segBytes; {
+			n, err := w.fill(f, walZeros[:min(int64(len(walZeros)), w.segBytes-off)], off)
+			if err != nil {
+				return fmt.Errorf("zero-filling: %w", err)
+			}
+			off += int64(n)
 		}
 	}
-	w.f = f
-	w.segIndex = i
-	w.segSize = 0
-	w.segMu.Lock()
-	w.segs = append(w.segs, i)
-	w.segMu.Unlock()
+	if w.mode == WALSyncNone {
+		return nil
+	}
+	if fill {
+		if err := w.sync(f); err != nil {
+			return fmt.Errorf("fsync: %w", err)
+		}
+	}
+	if err := w.syncDir(); err != nil {
+		return fmt.Errorf("fsync directory: %w", err)
+	}
 	return nil
+}
+
+// prepareNext starts preparing the segment after the open one on a
+// goroutine of its own, unless one is already in preparation or
+// waiting. The committer waits for that goroutine before it exits
+// (dropPrep). Committer goroutine only.
+func (w *wal) prepareNext() {
+	if w.prep.Load() != nil {
+		return
+	}
+	p := &walPrep{index: w.segIndex + 1, done: make(chan struct{})}
+	w.prep.Store(p)
+	go func() {
+		defer close(p.done)
+		p.f, p.err = w.createSegment(p.index, true)
+	}()
+}
+
+// dropPrep waits for a preparation in flight and closes the prepared
+// segment the log never used. A clean close (remove set) deletes the
+// file as well; a crash leaves it, and recovery reads an all-zero
+// segment as an empty one. Committer goroutine only.
+func (w *wal) dropPrep(remove bool) {
+	p := w.prep.Swap(nil)
+	if p == nil {
+		return
+	}
+	<-p.done
+	if p.f == nil {
+		return
+	}
+	p.f.Close()
+	if remove {
+		if err := os.Remove(p.f.Name()); err != nil {
+			log.Printf("engine: wal removing unused segment %d: %v", p.index, err)
+		}
+	}
 }
 
 // stage boards one or more already-framed records (recs counts them)
@@ -377,7 +468,8 @@ func (w *wal) flush() error {
 }
 
 // close flushes staged records, stops the committer, waits for any
-// in-flight compaction, and closes the segment file.
+// in-flight compaction and segment preparation, closes the segment file
+// and removes a prepared segment that was never used.
 func (w *wal) close() error {
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
@@ -388,7 +480,8 @@ func (w *wal) close() error {
 // abort is the crash-simulation close: the committer exits immediately,
 // dropping whatever is staged but not yet committed, and the segment
 // file is left un-flushed — the closest a live process gets to
-// kill -9. Tests only.
+// kill -9. A segment preparation in flight is waited for and its file
+// left on disk. Tests only.
 func (w *wal) abort() {
 	w.dieOnce.Do(func() { close(w.die) })
 	<-w.done
@@ -406,6 +499,7 @@ func (w *wal) committer() {
 	for {
 		select {
 		case <-w.die:
+			w.dropPrep(false)
 			return
 		case <-w.stop:
 			w.closeErr = w.finalize()
@@ -453,12 +547,17 @@ func (w *wal) commit() {
 	close(gen.done)
 }
 
-// writeAndSync appends one batch to the open segment, fsyncing per the
-// sync mode, and rotates the segment once it outgrows its bound. The
-// error is the batch's own write+fsync outcome; rotation cannot fail it.
+// writeAndSync writes one batch at the open segment's end, fsyncing per
+// the sync mode. A batch that would take a non-empty segment past its
+// bound rotates first, and once the segment is past half its bound the
+// next one is prepared. The error is the batch's own write+fsync
+// outcome; rotation cannot fail it.
 func (w *wal) writeAndSync(buf []byte) error {
-	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: appending to segment %d: %w", w.segIndex, err)
+	if w.segSize > 0 && w.segSize+int64(len(buf)) > w.segBytes {
+		w.rotate()
+	}
+	if _, err := w.f.WriteAt(buf, w.segSize); err != nil {
+		return fmt.Errorf("wal: writing segment %d: %w", w.segIndex, err)
 	}
 	w.segSize += int64(len(buf))
 	if w.mode != WALSyncNone {
@@ -467,21 +566,37 @@ func (w *wal) writeAndSync(buf []byte) error {
 		}
 		w.stats.fsyncs.record(time.Now())
 	}
-	if w.segSize >= w.segBytes {
-		w.rotate()
+	if w.segSize > w.segBytes/2 {
+		w.prepareNext()
 	}
 	return nil
 }
 
-// rotate starts the next segment and only then closes the open one, so a
-// failed rotation leaves the log appending to the segment it had; the
-// next commit past the bound tries again.
+// rotate swaps the prepared segment in and closes the open one. It never
+// waits: while the preparation is still in flight, or after it failed,
+// the log keeps growing the segment it has, and the next commit past the
+// bound tries again (a failed preparation is logged here, and a fresh
+// one starts after this commit's write).
 func (w *wal) rotate() {
-	old, i := w.f, w.segIndex
-	if err := w.openSegment(i + 1); err != nil {
-		log.Printf("engine: wal rotation failed, still appending to segment %d: %v", i, err)
+	p := w.prep.Load()
+	if p == nil {
 		return
 	}
+	select {
+	case <-p.done:
+	default:
+		return
+	}
+	w.prep.Store(nil)
+	if p.err != nil {
+		log.Printf("engine: wal rotation failed, still appending to segment %d: %v", w.segIndex, p.err)
+		return
+	}
+	old, i := w.f, w.segIndex
+	w.f, w.segIndex, w.segSize = p.f, p.index, 0
+	w.segMu.Lock()
+	w.segs = append(w.segs, p.index)
+	w.segMu.Unlock()
 	if err := old.Close(); err != nil {
 		log.Printf("engine: wal closing segment %d: %v", i, err)
 	}
@@ -623,11 +738,12 @@ func (w *wal) syncDir() error {
 
 // finalize is the clean-shutdown path: commit anything staged, fsync
 // regardless of mode (a clean close should be durable even under
-// none/group), and close the segment. A commit that failed at any point
-// in the log's life is the error reported, ahead of the sync's or the
-// close's.
+// none/group), close the segment, and remove a prepared segment that was
+// never used. A commit that failed at any point in the log's life is the
+// error reported, ahead of the sync's or the close's.
 func (w *wal) finalize() error {
 	w.commit()
+	w.dropPrep(true)
 	var err error
 	if w.commitErr != nil {
 		err = fmt.Errorf("records may not be durable: %w", w.commitErr)

@@ -1,10 +1,13 @@
 package engine
 
-// Deterministic tests of the self-clocked committer. They drive the
-// WAL through WALConfig.syncHook, which sees every fsync the log
-// issues: counting them shows how many commits a set of writers
-// shared, and holding one open stands in for a slow disk, so the
-// batching that normally depends on timing happens on demand.
+// Deterministic tests of the self-clocked committer and of segment
+// preparation. They drive the WAL through WALConfig.syncHook, which sees
+// every fsync the log issues: counting them shows how many commits a set
+// of writers shared, and holding one open stands in for a slow disk, so
+// the batching that normally depends on timing happens on demand.
+// WALConfig.fillHook does the same for the writes that zero-fill a
+// segment being prepared, and awaitPrep makes rotation, which swaps in a
+// segment only once it is ready, happen where a test wants it.
 
 import (
 	"context"
@@ -14,6 +17,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -28,10 +33,14 @@ type syncEvent struct {
 	// segs lists the segment files present at a directory fsync —
 	// exactly the entries that fsync makes durable.
 	segs []string
+	// records marks a segment fsync of a file holding anything but
+	// zeros: one that makes records durable, not a preparation's
+	// zero-fill.
+	records bool
 }
 
 // syncProbe is a WALConfig.syncHook that records every fsync and can
-// hold the next segment fsync open or make it fail.
+// hold the next segment or directory fsync open or make it fail.
 type syncProbe struct {
 	mu     sync.Mutex
 	events []syncEvent
@@ -47,10 +56,14 @@ type syncProbe struct {
 	// failDir, when > 0, makes the failDir-th directory fsync (counting
 	// from 1) fail; dirs counts them.
 	failDir, dirs int
+	// holdDir and dirEntered are hold and entered for the next
+	// directory fsync.
+	holdDir    chan struct{}
+	dirEntered chan struct{}
 }
 
 func newSyncProbe() *syncProbe {
-	return &syncProbe{entered: make(chan struct{})}
+	return &syncProbe{entered: make(chan struct{}), dirEntered: make(chan struct{})}
 }
 
 func (p *syncProbe) sync(f *os.File) error {
@@ -61,13 +74,21 @@ func (p *syncProbe) sync(f *os.File) error {
 		for _, s := range segs {
 			ev.segs = append(ev.segs, filepath.Base(s))
 		}
+	} else if data, err := os.ReadFile(f.Name()); err == nil {
+		ev.records = !walAllZero(data)
 	}
 	p.mu.Lock()
 	p.events = append(p.events, ev)
 	if ev.dir {
 		p.dirs++
 		fail := p.dirs == p.failDir
+		hold := p.holdDir
+		p.holdDir = nil
 		p.mu.Unlock()
+		if hold != nil {
+			p.dirEntered <- struct{}{}
+			<-hold
+		}
 		if fail {
 			return errors.New("injected directory fsync failure")
 		}
@@ -105,6 +126,53 @@ func (p *syncProbe) holdNext() (release func()) {
 	p.hold = hold
 	p.mu.Unlock()
 	return func() { close(hold) }
+}
+
+// holdNextDir is holdNext for the next directory fsync, which reports on
+// dirEntered.
+func (p *syncProbe) holdNextDir() (release func()) {
+	hold := make(chan struct{})
+	p.mu.Lock()
+	p.holdDir = hold
+	p.mu.Unlock()
+	return func() { close(hold) }
+}
+
+// eventsNamed returns the fsyncs of the file or directory called name.
+func (p *syncProbe) eventsNamed(name string) []syncEvent {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []syncEvent
+	for _, ev := range p.events {
+		if ev.name == name {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// awaitPrep waits until the segment preparation the log has started, if
+// any, has ended. A commit rotates only into a segment that is ready, so
+// a test with tiny segments calls it after each write it wants the next
+// write to rotate past.
+func awaitPrep(s *WALStore) {
+	if p := s.log.prep.Load(); p != nil {
+		<-p.done
+	}
+}
+
+// liveSegmentFiles lists the segment files in dir by base name.
+func liveSegmentFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(paths))
+	for i, path := range paths {
+		names[i] = filepath.Base(path)
+	}
+	return names
 }
 
 // segSyncs reports how many segment fsyncs have started and how many of
@@ -289,22 +357,26 @@ func TestWALFlushWaitsForInFlightCommit(t *testing.T) {
 // TestWALRotationSyncsDirectory: a segment's directory entry must be
 // durable before any record is fsynced into it, at open and at every
 // rotation, or a power loss could take acknowledged records with the
-// dirent. Asserted by ordering: every segment fsync is preceded by a
-// directory fsync issued when that segment already existed.
+// dirent. Asserted by ordering: every segment fsync that makes records
+// durable is preceded by a directory fsync issued when that segment
+// already existed. (A preparation's fsync of the zeros it wrote comes
+// before its directory fsync, and carries no record.)
 func TestWALRotationSyncsDirectory(t *testing.T) {
 	p := newSyncProbe()
-	// Every commit overflows the 1-byte bound, so each Put rotates.
+	// Every commit overflows the 1-byte bound, so each Put after the
+	// first rotates into the segment the one before it prepared.
 	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncAlways, segBytes: 1, syncHook: p.sync})
 	const n = 3
 	for i := 0; i < n; i++ {
 		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))
+		awaitPrep(s)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	entryDurable := make(map[string]bool)
-	written := 0
+	var written []string
 	for _, ev := range p.events {
 		if ev.dir {
 			for _, seg := range ev.segs {
@@ -312,13 +384,18 @@ func TestWALRotationSyncsDirectory(t *testing.T) {
 			}
 			continue
 		}
-		written++
+		if !ev.records {
+			continue
+		}
+		written = append(written, ev.name)
 		if !entryDurable[ev.name] {
 			t.Errorf("records fsynced into %s before a directory fsync covered its entry", ev.name)
 		}
 	}
-	if written < n {
-		t.Fatalf("saw %d segment fsyncs, want at least %d (one per Put)", written, n)
+	// The Puts' commits, then Close's final fsync of the open segment.
+	want := []string{walSegName(0), walSegName(1), walSegName(2), walSegName(2)}
+	if fmt.Sprint(written) != fmt.Sprint(want) {
+		t.Fatalf("fsyncs of records went to %v, want %v (one segment per Put)", written, want)
 	}
 	for i := 0; i <= n; i++ {
 		if !entryDurable[walSegName(i)] {
@@ -327,36 +404,196 @@ func TestWALRotationSyncsDirectory(t *testing.T) {
 	}
 }
 
-// TestWALRotationFailureKeepsAppending: a rotation whose new segment
-// cannot be made durable (its directory fsync fails) leaves the log
-// appending to the segment it had. The batch that triggered it was
-// already written and fsynced, so it is no commit failure; later commits
-// keep landing, the next one past the bound rotates, and every
-// acknowledged operation survives a reopen.
+// TestWALRotationFailureKeepsAppending: a next segment whose preparation
+// fails — ENOSPC while zero-filling it, or its directory fsync — is
+// removed, and the log keeps appending to the segment it has. No record
+// was ever written into the failed segment, so it is no commit failure;
+// the next commit past the bound retries the preparation, the one after
+// that rotates, and every acknowledged operation survives a reopen.
 func TestWALRotationFailureKeepsAppending(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(p *syncProbe, cfg *WALConfig)
+	}{
+		{"ENOSPC while zero-filling", func(_ *syncProbe, cfg *WALConfig) {
+			var failed atomic.Bool
+			cfg.fillHook = func(f *os.File, b []byte, off int64) (int, error) {
+				if failed.CompareAndSwap(false, true) {
+					return 0, syscall.ENOSPC
+				}
+				return f.WriteAt(b, off)
+			}
+		}},
+		{"directory fsync", func(p *syncProbe, _ *WALConfig) {
+			p.failDir = 2 // the first is the open's, the second the first preparation's
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newSyncProbe()
+			dir := t.TempDir()
+			// Every commit overflows the 1-byte bound, so each Put after
+			// the first would rotate.
+			cfg := WALConfig{Sync: WALSyncAlways, segBytes: 1, syncHook: p.sync}
+			tc.fault(p, &cfg)
+			s := openWAL(t, dir, cfg)
+			put := func(i int) {
+				s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))
+				awaitPrep(s)
+			}
+			put(0) // segment 1's preparation fails
+			if got, want := liveSegmentFiles(t, dir), []string{walSegName(0)}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("segment files after a failed preparation = %v, want %v: the half-prepared file stayed", got, want)
+			}
+			put(1) // still in segment 0; segment 1 is prepared again
+			if got := s.WALStats().Segments; got != 1 {
+				t.Errorf("%d live segments after the failed preparation, want 1: the log did not keep appending", got)
+			}
+			put(2) // rotates into the retried segment 1
+			if got := s.WALStats().Segments; got != 2 {
+				t.Errorf("%d live segments after the retry, want 2: the log never rotated", got)
+			}
+			const n = 5
+			for i := 3; i < n; i++ {
+				put(i)
+			}
+			if err := s.Flush(); err != nil {
+				t.Errorf("Flush: %v", err)
+			}
+			if got := s.WALStats().CommitFailures; got != 0 {
+				t.Errorf("CommitFailures = %d, want 0: every batch was written and fsynced", got)
+			}
+			if err := s.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+
+			r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+			defer r.Close()
+			if got := r.Len(); got != n {
+				t.Errorf("reopened store holds %d of %d acknowledged operations", got, n)
+			}
+		})
+	}
+}
+
+// TestWALRotationOffWriterPath: a commit never waits for the next
+// segment. With the preparing segment's directory fsync held open, a Put
+// whose batch crosses the bound still returns, written into the segment
+// the log has; once the preparation lands, the next commit rotates.
+func TestWALRotationOffWriterPath(t *testing.T) {
 	p := newSyncProbe()
-	p.failDir = 2 // the first is the open's, the second the first rotation's
 	dir := t.TempDir()
-	// Every commit overflows the 1-byte bound, so each Put rotates.
 	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 1, syncHook: p.sync})
-	const n = 5
-	for i := 0; i < n; i++ {
-		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))
+	t0 := time.Unix(1000, 0)
+
+	release := p.holdNextDir()
+	s.Put(mkOp("op-0", t0)) // past half the bound: segment 1's preparation starts
+	<-p.dirEntered
+	done := make(chan struct{})
+	go func() {
+		s.Put(mkOp("op-1", t0.Add(time.Second)))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		release()
+		t.Fatal("a Put crossing the segment bound waited for the next segment's directory fsync")
 	}
-	if err := s.Flush(); err != nil {
-		t.Errorf("Flush: %v", err)
+	if got := s.WALStats().Segments; got != 1 {
+		t.Errorf("%d live segments while segment 1 was being prepared, want 1", got)
 	}
-	if got := s.WALStats().CommitFailures; got != 0 {
-		t.Errorf("CommitFailures = %d, want 0: every batch was written and fsynced", got)
+	release()
+	awaitPrep(s)
+	s.Put(mkOp("op-2", t0.Add(2*time.Second)))
+	if got := s.WALStats().Segments; got != 2 {
+		t.Errorf("%d live segments once the preparation landed, want 2", got)
 	}
 	if err := s.Close(); err != nil {
-		t.Errorf("Close: %v", err)
+		t.Fatalf("Close: %v", err)
 	}
-
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
 	defer r.Close()
-	if got := r.Len(); got != n {
-		t.Errorf("reopened store holds %d of %d acknowledged operations", got, n)
+	if got := r.Len(); got != 3 {
+		t.Errorf("reopened store holds %d of 3 acknowledged operations", got)
+	}
+}
+
+// TestWALPreparationEndsWithClose: Close, and abort (the crash
+// simulation), wait for a segment preparation in flight, so its
+// goroutine never outlives the log. A clean Close removes the prepared
+// segment the log never used; a crash leaves it, and the reopen reads
+// its zeros as an empty segment. Under WALSyncNone a preparation fsyncs
+// neither the file nor the directory.
+func TestWALPreparationEndsWithClose(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  WALSyncMode
+		crash bool
+	}{
+		{"Close", WALSyncAlways, false},
+		{"abort", WALSyncAlways, true},
+		{"Close under sync none", WALSyncNone, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newSyncProbe()
+			entered, hold := make(chan struct{}), make(chan struct{})
+			var fills atomic.Int32
+			fill := func(f *os.File, b []byte, off int64) (int, error) {
+				if fills.Add(1) == 1 {
+					close(entered)
+					<-hold
+				}
+				return f.WriteAt(b, off)
+			}
+			dir := t.TempDir()
+			s := openWAL(t, dir, WALConfig{Sync: tc.mode, segBytes: 1, syncHook: p.sync, fillHook: fill})
+			s.Put(mkOp("op-0", time.Unix(1000, 0))) // segment 1's preparation starts and blocks
+			<-entered
+
+			closed := make(chan struct{})
+			go func() {
+				defer close(closed)
+				if tc.crash {
+					s.closeAbrupt()
+				} else if err := s.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}()
+			select {
+			case <-closed:
+				close(hold)
+				t.Fatal("the log closed while its segment preparation was still running")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(hold)
+			<-closed
+			if s.log.prep.Load() != nil {
+				t.Error("the closed log still holds a segment preparation")
+			}
+
+			prepared := walSegName(1)
+			want := []string{walSegName(0)}
+			if tc.crash {
+				want = append(want, prepared)
+			}
+			if got := liveSegmentFiles(t, dir); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("segment files after the close = %v, want %v", got, want)
+			}
+			if tc.mode == WALSyncNone {
+				if evs := p.eventsNamed(prepared); len(evs) != 0 {
+					t.Errorf("preparing %s under sync none fsynced it %d times", prepared, len(evs))
+				}
+				if evs := p.eventsNamed(filepath.Base(dir)); len(evs) != 0 {
+					t.Errorf("the log fsynced its directory %d times under sync none", len(evs))
+				}
+			}
+
+			r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+			defer r.Close()
+			if got := r.Len(); got != 1 {
+				t.Errorf("reopened store holds %d of 1 acknowledged operations", got)
+			}
+		})
 	}
 }
 

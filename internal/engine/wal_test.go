@@ -338,11 +338,13 @@ func TestWALStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	t0 := time.Unix(1000, 0)
 	// Every commit overflows the 1-byte segment bound, so each Put
-	// rotates; two closed segments trigger compaction.
+	// rotates once the one before it has prepared the next segment; two
+	// closed segments trigger compaction.
 	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 1, maxSegs: 2})
 	const n = 12
 	for i := 0; i < n; i++ {
 		s.Put(mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second)))
+		awaitPrep(s)
 	}
 	waitSnapshot(t, dir)
 	want := listAll(t, s)
@@ -383,9 +385,12 @@ func flipByte(t *testing.T, path string) {
 func TestWALStoreUnusableSnapshot(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	const n = 12
+	// With 64-byte segments every Put after the first rotates, once the
+	// Put before it has prepared the next segment.
 	fill := func(s *WALStore) []*core.Operation {
 		for i := 0; i < n; i++ {
 			s.Put(mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second)))
+			awaitPrep(s)
 		}
 		return listAll(t, s)
 	}

@@ -33,6 +33,9 @@ type WALConfig struct {
 	// syncHook replaces (*os.File).Sync for every fsync the log
 	// issues. Tests only, like wal.die.
 	syncHook func(*os.File) error
+	// fillHook replaces (*os.File).WriteAt for the writes that zero-fill
+	// a segment being prepared. Tests only, like syncHook.
+	fillHook func(f *os.File, b []byte, off int64) (int, error)
 }
 
 // withDefaults resolves the zero values.
@@ -48,6 +51,9 @@ func (cfg WALConfig) withDefaults() WALConfig {
 	}
 	if cfg.syncHook == nil {
 		cfg.syncHook = (*os.File).Sync
+	}
+	if cfg.fillHook == nil {
+		cfg.fillHook = (*os.File).WriteAt
 	}
 	return cfg
 }
