@@ -177,8 +177,9 @@ type WALStats struct {
 }
 
 // The log's size bounds: the committer rotates before a batch that would
-// take the open segment past walSegBytes, and maybeCompact folds the closed segments into a
-// snapshot once walMaxSegs of them have accumulated.
+// take the open segment past walSegBytes, and maybeCompact folds the
+// closed segments into a snapshot once walMaxSegs of them have
+// accumulated.
 const (
 	walSegBytes = 16 << 20
 	walMaxSegs  = 8
@@ -296,8 +297,8 @@ func (w *wal) start() {
 // set. The directory is fsynced before the file is returned, so before
 // any record can be acknowledged into it: without that a power loss
 // could drop the segment's entry and every durable record inside with
-// it. A filled file is fsynced first, so the entry never names blocks
-// that are not allocated yet. Under WALSyncNone both fsyncs are skipped.
+// it. A filled file is fsynced first, so a durable entry never names a
+// file whose zeros are not. Under WALSyncNone both fsyncs are skipped.
 // On failure the half-created file is removed.
 func (w *wal) createSegment(i int, fill bool) (*os.File, error) {
 	path := filepath.Join(w.dir, walSegName(i))
@@ -380,8 +381,8 @@ func (w *wal) dropPrep(remove bool) {
 // stage boards one or more already-framed records (recs counts them)
 // onto the current batch, returning the generation ticket the caller
 // may wait on. Callers may hold a storeShard lock: stage only appends
-// to the staging buffer; all file I/O happens on the committer
-// goroutine. Nothing commits until wake is called — staging and waking
+// to the staging buffer; all file I/O happens on the committer and the
+// goroutines it starts. Nothing commits until wake is called — staging and waking
 // are separate so a caller with records for several shards stages them
 // all and wakes once, boarding one generation instead of straddling two.
 //
@@ -468,8 +469,8 @@ func (w *wal) flush() error {
 }
 
 // close flushes staged records, stops the committer, waits for any
-// in-flight compaction and segment preparation, closes the segment file
-// and removes a prepared segment that was never used.
+// in-flight compaction and segment preparation, trims and closes the
+// segment file, and removes a prepared segment that was never used.
 func (w *wal) close() error {
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
@@ -736,11 +737,13 @@ func (w *wal) syncDir() error {
 	return err
 }
 
-// finalize is the clean-shutdown path: commit anything staged, fsync
-// regardless of mode (a clean close should be durable even under
-// none/group), close the segment, and remove a prepared segment that was
-// never used. A commit that failed at any point in the log's life is the
-// error reported, ahead of the sync's or the close's.
+// finalize is the clean-shutdown path: commit anything staged, cut the
+// open segment's zero tail, fsync regardless of mode (a clean close
+// should be durable even under none/group), close the segment, and
+// remove a prepared segment that was never used. A cleanly closed log
+// thus holds no preallocated space, and the next open reads no zeros. A
+// commit that failed at any point in the log's life is the error
+// reported, ahead of the sync's or the close's.
 func (w *wal) finalize() error {
 	w.commit()
 	w.dropPrep(true)
@@ -749,6 +752,11 @@ func (w *wal) finalize() error {
 		err = fmt.Errorf("records may not be durable: %w", w.commitErr)
 	}
 	if w.f != nil {
+		// A zero tail left in place is still a clean end, so a failed
+		// cut costs the next open a read, never a record.
+		if terr := w.f.Truncate(w.segSize); terr != nil {
+			log.Printf("engine: wal trimming segment %d: %v", w.segIndex, terr)
+		}
 		if serr := w.sync(w.f); err == nil {
 			err = serr
 		}

@@ -630,3 +630,52 @@ func TestWALCommitFailureCounted(t *testing.T) {
 		t.Errorf("Close = %v after a failed commit, want the injected error", err)
 	}
 }
+
+// TestWALCloseTrimsZeroTail: a clean Close cuts the open segment back to
+// its records, so a cleanly closed log holds no preallocated space and
+// the next open reads no zeros. A crash leaves the zero tail, which
+// replay reads as the segment's clean end.
+func TestWALCloseTrimsZeroTail(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "Close", true: "crash"}[crash], func(t *testing.T) {
+			dir := t.TempDir()
+			const segBytes = 4 << 10
+			s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: segBytes})
+			// Puts until one rotates into the preallocated segment 1.
+			var last *core.Operation
+			n := 0
+			for ; s.WALStats().Segments < 2; n++ {
+				if n == 1000 {
+					t.Fatal("the log never rotated")
+				}
+				last = mkOp(fmt.Sprintf("op-%03d", n), time.Unix(1000+int64(n), 0))
+				s.Put(last)
+				awaitPrep(s)
+			}
+			rec, err := encodeOpRecordV2(nil, last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(len(rec))
+			if crash {
+				s.closeAbrupt()
+				want = segBytes
+			} else if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			fi, err := os.Stat(filepath.Join(dir, walSegName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != want {
+				t.Errorf("segment 1 is %d bytes after the close, want %d", fi.Size(), want)
+			}
+
+			r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+			defer r.Close()
+			if got := r.Len(); got != n {
+				t.Errorf("reopened store holds %d of %d acknowledged operations", got, n)
+			}
+		})
+	}
+}
