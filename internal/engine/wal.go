@@ -382,9 +382,10 @@ func (w *wal) dropPrep(remove bool) {
 // onto the current batch, returning the generation ticket the caller
 // may wait on. Callers may hold a storeShard lock: stage only appends
 // to the staging buffer; all file I/O happens on the committer and the
-// goroutines it starts. Nothing commits until wake is called — staging and waking
-// are separate so a caller with records for several shards stages them
-// all and wakes once, boarding one generation instead of straddling two.
+// goroutines it starts. Nothing commits until wake is called — staging
+// and waking are separate so a caller with records for several shards
+// stages them all and wakes once, boarding one generation instead of
+// straddling two.
 //
 // stage, wake and the two waits are everything a store's mutations call
 // on the log, and each is a no-op on a nil *wal (no ticket is ever
