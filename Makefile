@@ -43,9 +43,11 @@ test:
 # more histories each (~25 s). A failure prints its seed, and
 # `-modelseed N` replays it. The replay test rides along (~1 s), so
 # recovery's fanned-out decode and its earliest-failure cut run ten
-# more times under -race.
+# more times under -race, and so do the no-lost-wakeup races of
+# AwaitChange and AwaitNotices (200 iterations each, ~1 s), which pin
+# the in-flight table's one-lock publish against the long-polls it wakes.
 models:
-	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$' -count=10 ./internal/engine/
+	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$|^TestAwait(Change|Notices)NoLostWakeups$$' -count=10 ./internal/engine/
 
 # The allocation pins (AllocsPerRun tests, the accept→terminal budget in
 # internal/api) skip themselves under the race detector, whose

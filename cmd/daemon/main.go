@@ -81,10 +81,23 @@ func run(cfg daemonConfig) error {
 	if cfg.queueDepth <= 0 {
 		return fmt.Errorf("-queue-depth must be positive, got %d", cfg.queueDepth)
 	}
+	// A negative duration would otherwise read as "keep forever" (TTL),
+	// "use the default" (GC interval) or an already expired drain.
+	for _, d := range []struct {
+		flag string
+		v    time.Duration
+	}{{"-op-ttl", cfg.opTTL}, {"-gc-interval", cfg.gcInterval}, {"-drain-timeout", cfg.drainTimeout}} {
+		if d.v < 0 {
+			return fmt.Errorf("%s must not be negative, got %s", d.flag, d.v)
+		}
+	}
 	var store engine.Store
 	var walStore *engine.WALStore
 	switch cfg.store {
 	case "memory":
+		if cfg.walDir != "" {
+			return fmt.Errorf("-wal-dir needs -store=wal: -store=memory writes nothing to %s", cfg.walDir)
+		}
 		store = engine.NewShardedStore(0)
 	case "wal":
 		if cfg.walDir == "" {

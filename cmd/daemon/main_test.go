@@ -50,6 +50,10 @@ func TestRunRefusesBadConfig(t *testing.T) {
 		{[]string{"-store", "wal", "-wal-dir", t.TempDir(), "-wal-sync", "bogus"}, `wal: unknown sync mode "bogus"`},
 		{[]string{"-workers", "0"}, "-workers must be positive, got 0"},
 		{[]string{"-queue-depth", "-1"}, "-queue-depth must be positive, got -1"},
+		{[]string{"-op-ttl", "-1s"}, "-op-ttl must not be negative, got -1s"},
+		{[]string{"-op-ttl", "2s", "-gc-interval", "-1s"}, "-gc-interval must not be negative, got -1s"},
+		{[]string{"-drain-timeout", "-5s"}, "-drain-timeout must not be negative, got -5s"},
+		{[]string{"-wal-dir", t.TempDir()}, "-wal-dir needs -store=wal"},
 	} {
 		cfg, err := parseFlags(append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
 		if err != nil {

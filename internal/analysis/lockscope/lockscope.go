@@ -1,6 +1,6 @@
 // Package lockscope polices the engine's short critical sections. A
-// storeShard mutex (and the inflight table's, the noticeRing's and the
-// scheduler schedQueue's) guards a few map and slice operations and
+// storeShard mutex (and the inflight table's and the scheduler
+// schedQueue's) guards a few map and slice operations and
 // nothing else; anything that can block or re-enter the store while
 // such a lock is held turns a nanosecond critical section into a stall
 // or a self-deadlock. For the scheduler the rule
@@ -12,15 +12,18 @@
 // waiting and so is no finding (no rule names it; the fixture pins
 // that), whereas parking on a channel there would be.
 // For the inflight table specifically, the rule forces the wake
-// protocol: notify must detach the waiter list under the lock and
-// perform the channel sends after unlock — a send under the lock is
-// exactly the deadlock-shaped bug the flagged fixture pins — and, since
-// the table also holds the running handlers' cancel functions, cancel
-// must look one up under the lock and invoke it after. Between a
+// protocol: publish must detach the waiter list and the notices
+// broadcast channel under the lock and perform the channel sends and
+// the close after unlock — a send under the lock is exactly the
+// deadlock-shaped bug the flagged fixture pins — and, since the table
+// also holds the running handlers' cancel functions, cancel must look
+// one up under the lock and invoke it after. Between a
 // `<shard>.mu.Lock` (or RLock) and its release the analyzer forbids:
 //
 //   - blocking channel operations (sends, receives, selects with no
 //     default, ranging over a channel);
+//   - closing a channel — a close never blocks, but every reader it
+//     wakes goes straight for the lock the closer still holds;
 //   - calls through function values — handler or callback invocation
 //     runs arbitrary user code under the lock;
 //   - calls to methods of the Store interface — a pluggable backend
@@ -82,7 +85,6 @@ var Analyzer = &lintkit.Analyzer{
 var policedTypes = map[string]bool{
 	"storeShard": true,
 	"inflight":   true,
-	"noticeRing": true,
 	"schedQueue": true,
 }
 
@@ -357,6 +359,10 @@ func (s *scanner) checkCall(call *ast.CallExpr) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		obj := s.pass.TypesInfo.Uses[fun]
+		if b, ok := obj.(*types.Builtin); ok && b.Name() == "close" {
+			s.reportHeld(call.Pos(), "channel close")
+			return
+		}
 		if v, ok := obj.(*types.Var); ok && isFuncValue(v) {
 			s.pass.Reportf(call.Pos(),
 				"call through function value %s inside a shard critical section: callbacks run arbitrary code under the lock", fun.Name)

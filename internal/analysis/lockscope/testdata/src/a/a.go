@@ -163,18 +163,19 @@ func suppressedCallback(sh *storeShard, fn func()) {
 	fn()
 }
 
-// inflight mirrors the engine's per-operation side table: waiter lists
-// woken by channel sends and the running handlers' cancel functions,
-// both keyed by operation ID.
+// inflight mirrors the engine's side table: per-ID waiter lists woken
+// by channel sends, the running handlers' cancel functions, and the
+// notices feed's closed-channel broadcast, all under one mutex.
 type inflight struct {
 	mu      sync.Mutex
 	waiting map[string][]chan int
 	cancels map[string]func(error)
+	changed chan struct{}
 }
 
 // wakeUnderLock is the deadlock-shaped wake bug: waking waiters while
 // the table lock is held means a slow (or buggy, unbuffered) receiver
-// stalls every subscribe, notify, install and retire.
+// stalls every subscribe, publish, install and retire.
 func wakeUnderLock(t *inflight, id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -183,13 +184,39 @@ func wakeUnderLock(t *inflight, id string) {
 	}
 }
 
-// collectThenWake is the sanctioned wake protocol: detach the waiter
-// list under the lock, send after unlock.
-func collectThenWake(t *inflight, id string) {
+// broadcastUnderLock closes the feed's broadcast channel inside the
+// critical section: every woken reader rescans the ring and queues on
+// the lock the publisher still holds.
+func broadcastUnderLock(t *inflight) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.changed != nil {
+		close(t.changed) // want `channel close inside the t\.mu critical section`
+		t.changed = nil
+	}
+}
+
+// waitUnderLock blocks on the broadcast channel while holding the
+// table lock the publisher needs — a deadlock, not a wait.
+func waitUnderLock(t *inflight) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	<-t.changed // want `channel receive inside the t\.mu critical section`
+}
+
+// detachThenWake is the sanctioned publish: detach the waiter list and
+// take the broadcast channel under the lock, close and send after
+// unlock.
+func detachThenWake(t *inflight, id string) {
 	t.mu.Lock()
 	ws := t.waiting[id]
 	delete(t.waiting, id)
+	changed := t.changed
+	t.changed = nil
 	t.mu.Unlock()
+	if changed != nil {
+		close(changed)
+	}
 	for _, ch := range ws {
 		ch <- 1
 	}
@@ -216,31 +243,6 @@ func lookupThenCancel(t *inflight, id string, cause error) {
 	if ok {
 		fn(cause)
 	}
-}
-
-// noticeRing mirrors the feed ring: a closed-channel broadcast swapped
-// under the lock.
-type noticeRing struct {
-	mu      sync.Mutex
-	changed chan struct{}
-}
-
-// waitUnderRingLock blocks on the broadcast channel while holding the
-// ring lock the appender needs — a deadlock, not a wait.
-func waitUnderRingLock(r *noticeRing) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	<-r.changed // want `channel receive inside the r\.mu critical section`
-}
-
-// swapThenBroadcast is the sanctioned feed wake: swap the channel
-// under the lock, close the old one after unlock.
-func swapThenBroadcast(r *noticeRing) {
-	r.mu.Lock()
-	old := r.changed
-	r.changed = make(chan struct{})
-	r.mu.Unlock()
-	close(old)
 }
 
 // schedQueue mirrors the engine's dispatch scheduler: per-client

@@ -247,7 +247,7 @@ func (ar *admissionRun) checkFinal() {
 			ar.errorf("operation %s was visible through List but belongs to no accepted batch", id)
 		}
 	}
-	if last, size := e.notices.last(), uint64(len(e.notices.buf)); last > size {
+	if last, size := e.inflight.last(), uint64(len(e.inflight.ring)); last > size {
 		ar.t.Fatalf("%s seed %d: %d notices overflowed the test's ring of %d", ar.row, ar.seed, last, size)
 	}
 	type life struct{ notices, terminal int }

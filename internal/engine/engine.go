@@ -105,16 +105,14 @@ type Engine struct {
 	mu       sync.RWMutex
 	handlers map[string]registration
 
-	// inflight is the per-operation side table (see watch.go): the
-	// running handlers' cancel functions, which Cancel looks up, and the
+	// inflight is the side table beside the store (see watch.go): the
+	// running handlers' cancel functions, which Cancel looks up, the
 	// long-poll waiters behind AwaitChange, which every published
-	// transition wakes by operation ID. It has its own lock, so neither
-	// contends with the submission path. notices is the bounded
-	// transition feed behind Notices/AwaitNotices. Both are fed by
-	// publish, the single fan-out point after a state change lands in
-	// the store.
+	// transition wakes by operation ID, and the bounded notices ring
+	// behind Notices/AwaitNotices. It has its own lock, so it does not
+	// contend with the store; its publish is the single fan-out point
+	// after a state change lands in the store.
 	inflight *inflight
-	notices  *noticeRing
 }
 
 // New builds and starts an engine; workers begin draining the queue
@@ -158,8 +156,7 @@ func New(cfg Config) *Engine {
 		runCtx:      ctx,
 		runStop:     stop,
 		handlers:    make(map[string]registration),
-		inflight:    newInflight(),
-		notices:     newNoticeRing(cfg.noticeRing),
+		inflight:    newInflight(cfg.noticeRing),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -264,13 +261,14 @@ type durableStore interface {
 // yet scheduled, which QueueBands and QueueClients cannot attribute yet.
 func (e *Engine) Stats() Stats {
 	depth, bands, clients := e.sched.depths()
+	waiters, last := e.inflight.counts()
 	st := Stats{
 		Workers:       e.workers,
 		QueueDepth:    depth,
 		QueueCapacity: e.sched.capacity,
 		StoreLen:      e.store.Len(),
-		WatchWaiters:  e.inflight.waiters(),
-		LastNotice:    e.notices.last(),
+		WatchWaiters:  waiters,
+		LastNotice:    last,
 		QueueBands:    bands,
 		QueueClients:  clients,
 		DrainPerSec:   e.meter.rate(e.clock()),
@@ -452,7 +450,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 	// precede its queued one. No waiter wake: a client cannot hold a
 	// waiter for an ID it has not been handed yet, and the submit
 	// response already carries the queued snapshot.
-	e.notices.appendQueued(ops)
+	e.inflight.born(ops)
 	e.sched.commit(ops, now)
 	return ops, nil
 }
@@ -519,7 +517,7 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 		// publishes here. The running branch does not: stamping
 		// CancelledAt is not a status change, and the terminal
 		// transition recorded when the handler unwinds publishes then.
-		e.publish(snap)
+		e.inflight.publish(snap)
 	}
 	if running {
 		// The cancel function is installed before the queued→running
@@ -614,7 +612,7 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 				// Re-announce the queued operation in the (empty after
 				// restart) notices feed, mirroring SubmitBatch's birth
 				// notice.
-				e.notices.append(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
+				e.inflight.born(ops[i : i+1])
 				e.sched.commit(ops[i:i+1], e.clock())
 				requeued++
 			case errors.Is(err, core.ErrShuttingDown):
@@ -825,7 +823,7 @@ func (t *transitioner) do(id string, next core.Status, result json.RawMessage, c
 		return false
 	}
 	if t.applied {
-		t.e.publish(snap)
+		t.e.inflight.publish(snap)
 	}
 	return t.applied
 }
@@ -848,15 +846,4 @@ func (t *transitioner) applyTo(op *core.Operation) {
 		//lint:allow opdaemon/opmutate op is Update's private clone; opmutate only recognises the callback when it is a literal at the call
 		op.Error = t.cause.Error()
 	}
-}
-
-// publish fans an applied state change out to the read path: it
-// appends a notice to the feed and wakes the operation's long-poll
-// waiters with snap, the snapshot the transition published. It runs
-// after the store write commits, so a woken waiter re-reading the store
-// can only see this state or a newer one — never the one it was waiting
-// out.
-func (e *Engine) publish(snap *core.Operation) {
-	e.notices.append(snap.ID, snap.Kind, snap.Status, snap.UpdatedAt)
-	e.inflight.notify(snap)
 }

@@ -8,18 +8,19 @@ package engine
 // simply resumes from the oldest retained notice (the feed is a tail,
 // not an archive — the store remains the source of truth).
 //
-// Wakeups use a closed-channel broadcast, made only on demand: a reader
-// about to block asks for the ring's "changed" channel, which creates
-// it, and the next append takes it away and closes it, waking every
-// blocked reader at once. With nobody subscribed — the daemon's normal
-// state — an append touches no channel at all. Readers fetch the
+// The ring lives in the in-flight table (watch.go), so a transition
+// appends its notice under the same lock that detaches its long-poll
+// waiters. Wakeups use a closed-channel broadcast, made only on demand:
+// a reader about to block asks for the table's "changed" channel, which
+// creates it, and the next notice takes it away and closes it, waking
+// every blocked reader at once. With nobody subscribed — the daemon's
+// normal state — a notice touches no channel at all. Readers fetch the
 // channel BEFORE scanning the ring (subscribe-then-check, same
-// discipline as AwaitChange) so an append landing between the scan
-// and the block is never missed.
+// discipline as AwaitChange) so a notice landing between the scan and
+// the block is never missed.
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"opdaemon/internal/core"
@@ -85,81 +86,17 @@ func (q NoticeQuery) match(n *Notice) bool {
 // resumes from the oldest retained notice.
 const noticeRingSize = 4096
 
-// noticeRing is the fixed-capacity transition log. The notice with
-// sequence s lives at buf[(s-1) % len(buf)]; once the feed wraps, the
-// oldest retained sequence is seq-len(buf)+1. Its name places its
-// critical sections under the lockscope analyzer's
-// no-channel-ops-under-lock contract — the broadcast close happens
-// after unlock.
-type noticeRing struct {
-	mu  sync.Mutex
-	buf []Notice
-	seq uint64 // last assigned sequence; 0 before the first notice
-	// changed is the channel the next append closes; nil while no
-	// reader has asked for one since the last append.
-	changed chan struct{}
-	scanned uint64 // entries since has examined, for tests
-}
-
-func newNoticeRing(capacity int) *noticeRing {
-	return &noticeRing{buf: make([]Notice, capacity)}
-}
-
-// putLocked records one transition. Callers hold r.mu.
-func (r *noticeRing) putLocked(opID, kind string, status core.Status, at time.Time) {
-	r.seq++
-	r.buf[(r.seq-1)%uint64(len(r.buf))] = Notice{
-		Seq:    r.seq,
-		OpID:   opID,
-		Kind:   kind,
-		Status: status,
-		Time:   at,
-	}
-}
-
-// wake closes the channel an append took from the ring, if a reader had
-// subscribed. It runs after unlock: a reader woken here immediately
-// rescans the ring, which needs the lock.
-func wake(subscribed chan struct{}) {
-	if subscribed != nil {
-		close(subscribed)
-	}
-}
-
-// append records one transition and wakes every blocked reader.
-func (r *noticeRing) append(opID, kind string, status core.Status, at time.Time) {
-	r.mu.Lock()
-	r.putLocked(opID, kind, status, at)
-	subscribed := r.changed
-	r.changed = nil
-	r.mu.Unlock()
-	wake(subscribed)
-}
-
-// appendQueued records the birth of every operation of a batch under
-// one lock acquisition, then wakes the readers once.
-func (r *noticeRing) appendQueued(ops []*core.Operation) {
-	r.mu.Lock()
-	for _, op := range ops {
-		r.putLocked(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
-	}
-	subscribed := r.changed
-	r.changed = nil
-	r.mu.Unlock()
-	wake(subscribed)
-}
-
-// waitChan returns the channel closed by the next append, creating it
+// waitChan returns the channel closed by the next notice, creating it
 // if this is the first reader since the last one. Readers must fetch it
 // before calling since — the subscribe-then-check order that makes the
-// blocked select race-free against concurrent appends.
-func (r *noticeRing) waitChan() <-chan struct{} {
-	r.mu.Lock()
-	if r.changed == nil {
-		r.changed = make(chan struct{})
+// blocked select race-free against concurrent notices.
+func (t *inflight) waitChan() <-chan struct{} {
+	t.mu.Lock()
+	if t.changed == nil {
+		t.changed = make(chan struct{})
 	}
-	ch := r.changed
-	r.mu.Unlock()
+	ch := t.changed
+	t.mu.Unlock()
 	return ch
 }
 
@@ -170,25 +107,25 @@ func (r *noticeRing) waitChan() <-chan struct{} {
 // comparison also guards the q.After+1 overflow at MaxUint64); a
 // cursor that has fallen off the ring resumes from the oldest retained
 // notice.
-func (r *noticeRing) since(q NoticeQuery) ([]Notice, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.seq == 0 || q.After >= r.seq {
+func (t *inflight) since(q NoticeQuery) ([]Notice, uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.seq == 0 || q.After >= t.seq {
 		return nil, q.After
 	}
-	n := uint64(len(r.buf))
+	n := uint64(len(t.ring))
 	oldest := uint64(1)
-	if r.seq > n {
-		oldest = r.seq - n + 1
+	if t.seq > n {
+		oldest = t.seq - n + 1
 	}
 	start := q.After + 1
 	if start < oldest {
 		start = oldest
 	}
 	var out []Notice
-	for s := start; s <= r.seq; s++ {
-		r.scanned++
-		nt := &r.buf[(s-1)%n]
+	for s := start; s <= t.seq; s++ {
+		t.scanned++
+		nt := &t.ring[(s-1)%n]
 		if !q.match(nt) {
 			continue
 		}
@@ -197,21 +134,14 @@ func (r *noticeRing) since(q NoticeQuery) ([]Notice, uint64) {
 			return out, s
 		}
 	}
-	return out, r.seq
-}
-
-// last returns the newest assigned sequence, for Stats and tests.
-func (r *noticeRing) last() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
+	return out, t.seq
 }
 
 // Notices returns the retained state-transition records selected by q,
 // oldest first, without blocking. An empty page means the cursor is
 // caught up (or nothing matched the filters).
 func (e *Engine) Notices(q NoticeQuery) []Notice {
-	ns, _ := e.notices.since(q)
+	ns, _ := e.inflight.since(q)
 	return ns
 }
 
@@ -221,12 +151,12 @@ func (e *Engine) Notices(q NoticeQuery) []Notice {
 // received before the next call.
 func (e *Engine) AwaitNotices(ctx context.Context, q NoticeQuery) ([]Notice, error) {
 	for {
-		// Fetch the wake channel before scanning: an append that lands
+		// Fetch the wake channel before scanning: a notice that lands
 		// after the scan closes this very channel, so the select below
 		// cannot sleep through it. A wake resumes the scan where the
 		// last one ended; what it skipped did not match.
-		ch := e.notices.waitChan()
-		ns, through := e.notices.since(q)
+		ch := e.inflight.waitChan()
+		ns, through := e.inflight.since(q)
 		if len(ns) > 0 {
 			return ns, nil
 		}

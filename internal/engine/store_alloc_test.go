@@ -130,26 +130,43 @@ func TestListPagedWalkMatchesUnbounded(t *testing.T) {
 	}
 }
 
-// TestNoticeAppendAllocsOnlyForReaders: with nobody subscribed — the
-// daemon's normal state — recording a notice touches no channel and
-// allocates nothing; the broadcast channel exists only between a
-// reader's subscription and the append that wakes it.
+// TestNoticeAppendAllocsOnlyForReaders: with no feed reader and no
+// long-poll waiter — the daemon's normal state — a transition's publish
+// and a batch's birth notices touch no channel and allocate nothing;
+// the broadcast channel exists only between a reader's subscription and
+// the notice that wakes it.
 func TestNoticeAppendAllocsOnlyForReaders(t *testing.T) {
 	skipIfRace(t)
-	r := newNoticeRing(64)
+	r := newInflight(64)
 	at := time.Unix(1000, 0)
+	snap := &core.Operation{ID: "id", Kind: "kind", Status: core.StatusRunning, UpdatedAt: at}
 	ops := []*core.Operation{{ID: "a", Kind: "k", CreatedAt: at}, {ID: "b", Kind: "k", CreatedAt: at}}
 	if allocs := testing.AllocsPerRun(1000, func() {
-		r.append("id", "kind", core.StatusRunning, at)
-		r.appendQueued(ops)
+		r.publish(snap)
+		r.born(ops)
 	}); allocs != 0 {
-		t.Errorf("append with no reader allocates %.1f objects, want 0", allocs)
+		t.Errorf("publish with no reader allocates %.1f objects, want 0", allocs)
 	}
 	ch := r.waitChan()
-	r.append("id", "kind", core.StatusDone, at)
+	r.publish(snap)
 	select {
 	case <-ch:
 	default:
-		t.Error("append did not close the channel a reader had fetched")
+		t.Error("publish did not close the channel a reader had fetched")
+	}
+}
+
+// TestWaiterSubscribeAllocs pins what parking one long-poll costs the
+// collector: the waiter is a bare capacity-one channel, which the
+// runtime allocates as two objects (the channel and its buffer, split
+// because the element is a pointer), plus the backing array of the ID's
+// waiter list.
+func TestWaiterSubscribeAllocs(t *testing.T) {
+	skipIfRace(t)
+	r := newInflight(64)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		r.unsubscribe("op", r.subscribe("op"))
+	}); allocs != 3 {
+		t.Errorf("subscribe plus unsubscribe allocates %.1f objects, want 3", allocs)
 	}
 }

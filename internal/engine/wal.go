@@ -220,10 +220,15 @@ type wal struct {
 	closeErr error
 
 	// Committer-goroutine-owned; no locks. segSize is where the next
-	// batch is written in f.
-	f        *os.File
-	segIndex int
-	segSize  int64
+	// batch is written in f. After a failed preparation, the next one
+	// waits until segSize passes prepAfter. compactAt is the open
+	// segment when the last compaction started: a failed one is retried
+	// once another segment has closed, not on every commit.
+	f         *os.File
+	segIndex  int
+	segSize   int64
+	prepAfter int64
+	compactAt int
 	// prep is the next segment, in preparation or prepared and not yet
 	// in use; nil when none is. Only the committer starts, swaps in or
 	// drops one; the pointer is atomic so that tests can wait for it.
@@ -568,7 +573,7 @@ func (w *wal) writeAndSync(buf []byte) error {
 		}
 		w.stats.fsyncs.record(time.Now())
 	}
-	if w.segSize > w.segBytes/2 {
+	if w.segSize > max(w.segBytes/2, w.prepAfter) {
 		w.prepareNext()
 	}
 	return nil
@@ -577,8 +582,10 @@ func (w *wal) writeAndSync(buf []byte) error {
 // rotate swaps the prepared segment in and closes the open one. It never
 // waits: while the preparation is still in flight, or after it failed,
 // the log keeps growing the segment it has, and the next commit past the
-// bound tries again (a failed preparation is logged here, and a fresh
-// one starts after this commit's write).
+// bound tries again. A failed preparation is logged here, and a fresh
+// one starts once the segment has grown another half segment, so a
+// full or failing disk sees one zero-fill per half segment written,
+// not one per commit.
 func (w *wal) rotate() {
 	p := w.prep.Load()
 	if p == nil {
@@ -592,10 +599,11 @@ func (w *wal) rotate() {
 	w.prep.Store(nil)
 	if p.err != nil {
 		log.Printf("engine: wal rotation failed, still appending to segment %d: %v", w.segIndex, p.err)
+		w.prepAfter = w.segSize + w.segBytes/2
 		return
 	}
 	old, i := w.f, w.segIndex
-	w.f, w.segIndex, w.segSize = p.f, p.index, 0
+	w.f, w.segIndex, w.segSize, w.prepAfter = p.f, p.index, 0, 0
 	w.segMu.Lock()
 	w.segs = append(w.segs, p.index)
 	w.segMu.Unlock()
@@ -612,7 +620,7 @@ func (w *wal) rotate() {
 // writes while the snapshot is dumped; the committer is the only
 // goroutine that starts one.
 func (w *wal) maybeCompact() {
-	if w.compacting.Load() {
+	if w.compacting.Load() || w.compactAt == w.segIndex {
 		return
 	}
 	w.segMu.Lock()
@@ -627,6 +635,7 @@ func (w *wal) maybeCompact() {
 		return
 	}
 	w.compacting.Store(true)
+	w.compactAt = w.segIndex
 	w.compactWG.Add(1)
 	go w.compact(w.segIndex - 1)
 }

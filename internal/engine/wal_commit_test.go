@@ -475,6 +475,63 @@ func TestWALRotationFailureKeepsAppending(t *testing.T) {
 	}
 }
 
+// TestWALFailedPreparationWaitsForGrowth: a failed preparation is not
+// restarted by every commit past the bound — each restart zero-fills a
+// whole segment again and logs a line — but once the open segment has
+// grown another half segment since the failure was seen.
+func TestWALFailedPreparationWaitsForGrowth(t *testing.T) {
+	const segBytes = 4 << 10
+	var attempts atomic.Int32
+	fill := func(*os.File, []byte, int64) (int, error) {
+		attempts.Add(1)
+		return 0, syscall.ENOSPC
+	}
+	dir := t.TempDir()
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: segBytes, fillHook: fill})
+	defer s.Close()
+	size := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, walSegName(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	i := 0
+	put := func() {
+		s.Put(mkOp(fmt.Sprintf("op-%03d", i), time.Unix(1000+int64(i), 0)))
+		i++
+		awaitPrep(s)
+	}
+	// The first preparation starts at half the bound and fails; the
+	// commit that crosses the bound finds it failed.
+	var seen int64
+	for size() <= segBytes {
+		seen = size()
+		put()
+	}
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("%d preparations by the commit past the bound, want 1", got)
+	}
+	for commits := 1; ; commits++ {
+		put()
+		grown := size() > seen+segBytes/2
+		want := int32(1)
+		if grown {
+			want = 2
+		}
+		if got := attempts.Load(); got != want {
+			t.Fatalf("%d preparations after %d commits past the bound (segment grew %d bytes since the failure), want %d",
+				got, commits, size()-seen, want)
+		}
+		if grown {
+			break
+		}
+	}
+	if got := s.WALStats().Segments; got != 1 {
+		t.Errorf("%d live segments, want 1: every preparation failed", got)
+	}
+}
+
 // TestWALRotationOffWriterPath: a commit never waits for the next
 // segment. With the preparing segment's directory fsync held open, a Put
 // whose batch crosses the bound still returns, written into the segment

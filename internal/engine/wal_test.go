@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -360,6 +361,55 @@ func TestWALStoreCompaction(t *testing.T) {
 	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
 	defer r.Close()
 	sameOps(t, listAll(t, r), want)
+}
+
+// TestWALFailedCompactionWaitsForRotation: a snapshot that cannot be
+// written (ENOSPC, EIO) is not retried by every commit — each retry
+// dumps the whole store again and logs a line — but once per segment
+// closed since the attempt.
+func TestWALFailedCompactionWaitsForRotation(t *testing.T) {
+	attempts := make(chan struct{}, 1024)
+	hook := func(f *os.File) error {
+		if filepath.Base(f.Name()) == walSnapTmp {
+			attempts <- struct{}{}
+			return syscall.EIO
+		}
+		return f.Sync()
+	}
+	dir := t.TempDir()
+	// One closed segment triggers compaction; a 4 KiB segment takes
+	// many Puts to fill, so the commits between rotations are many.
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 4 << 10, maxSegs: 1, syncHook: hook})
+	i := 0
+	put := func() {
+		s.Put(mkOp(fmt.Sprintf("op-%03d", i), time.Unix(1000+int64(i), 0)))
+		i++
+		awaitPrep(s)
+	}
+	rotate := func() {
+		for n := s.WALStats().Segments; s.WALStats().Segments == n; {
+			put()
+		}
+	}
+	rotate()
+	select {
+	case <-attempts:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no compaction attempt after a segment closed")
+	}
+	for range 8 { // commits that close no segment
+		put()
+	}
+	rotate()
+	if err := s.Close(); err != nil { // waits for a compaction in flight
+		t.Fatalf("Close: %v", err)
+	}
+	if got := len(attempts); got != 1 {
+		t.Errorf("%d compaction attempts after the first failed, want 1: one for the one segment closed since", got)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap*")); len(snaps) != 0 {
+		t.Errorf("failed compactions left %v", snaps)
+	}
 }
 
 // flipByte inverts the byte in the middle of the file, which lands inside

@@ -14,7 +14,8 @@ package engine
 // torn or bit-flipped tail detectable, which is what lets recovery
 // truncate at the first bad frame instead of guessing. Zeros from a
 // frame boundary to the end of a file end it cleanly: segments are
-// zero-filled before the log writes into them (see wal.prepare).
+// zero-filled before the log writes into them (see wal.prepareNext and
+// wal.createSegment).
 //
 // Record bodies: a full snapshot (type 4, written by Put/PutBatch and
 // compaction, and by Update in older daemons) is the operation's compact

@@ -57,8 +57,9 @@ type walRef struct {
 //
 // Zeros from a frame boundary to the end of data are a clean end, and
 // count as part of the well-framed prefix: they are the preallocated
-// space of a segment the log never reached (wal.prepare). A zero header
-// followed by anything else stays corrupt.
+// space of a segment the log never reached (wal.prepareNext,
+// wal.createSegment). A zero header followed by anything else stays
+// corrupt.
 func walScanFrames(data []byte, refs []walRef) ([]walRef, int, error) {
 	pos := 0
 	for pos < len(data) {

@@ -1,32 +1,37 @@
 package engine
 
-// The push read path and the cancel path share one side table, inflight:
-// what the engine keeps per operation ID beside the store — the running
-// handler's cancel function and the parked long-poll waiters. Every
-// applied state transition wakes exactly the waiters registered for
-// that operation ID — no scan over other operations, no polling timers.
-// The table is one mutex over two maps: it is taken a handful of times
-// per operation for a few map operations each, and the mutex profile
-// (docs/performance.md) puts its share of contention delay below the
-// notices ring's single mutex, so it is not sharded.
+// The read path and the cancel path share one side table, inflight:
+// what the engine keeps beside the store — the running handlers' cancel
+// functions, the long-poll waiters parked per operation ID, and the
+// notices ring (notices.go) with its broadcast channel. Every applied
+// state transition is one publish under the table's one mutex: it
+// appends the notice, detaches exactly the waiters registered for that
+// operation ID — no scan over other operations, no polling timers — and
+// takes the ring's broadcast channel. The lock is taken a handful of
+// times per operation for a few map and slice operations each, and the
+// mutex profile (docs/performance.md) puts its share of contention delay
+// near 1 %, so it is not sharded.
 //
 // Race discipline (pinned by watch_conformance_test.go):
 //
 //   - Waiters subscribe BEFORE checking current state, never after.
 //     AwaitChange registers its waiter, then reads the snapshot; a
 //     transition that publishes before the read is seen by the read,
-//     and one that publishes after it must run notify after the
+//     and one that publishes after it must run publish after the
 //     subscribe, so it finds the waiter. Check-then-subscribe would
 //     leave a window where a transition slips between the check and
-//     the registration and the waiter sleeps forever.
-//   - notify detaches the waiter list under the lock and sends only
-//     after unlock (the lockscope analyzer forbids channel operations
-//     inside inflight critical sections). The sends can never block: a
-//     watcher's channel has capacity one, and once detached from the
-//     map no other notify or unsubscribe can reach it, so each watcher
-//     sees at most one send in its lifetime.
+//     the registration and the waiter sleeps forever. AwaitNotices
+//     fetches the broadcast channel before scanning the ring for the
+//     same reason.
+//   - publish detaches the waiter list and the broadcast channel under
+//     the lock and closes and sends only after unlock (the lockscope
+//     analyzer forbids channel operations inside inflight critical
+//     sections). The sends can never block: a waiter is a capacity-one
+//     channel, and once detached from the map no other publish or
+//     unsubscribe can reach it, so each waiter sees at most one send in
+//     its lifetime.
 //   - unsubscribe is idempotent and safe after a wake already consumed
-//     the watcher: it removes the watcher only if still registered.
+//     the waiter: it removes the waiter only if still registered.
 //   - A worker installs the cancel function BEFORE the queued→running
 //     transition and retires it only AFTER the terminal one, so Cancel
 //     observing status running always finds it; cancel looks it up
@@ -36,30 +41,38 @@ package engine
 import (
 	"context"
 	"sync"
+	"time"
 
 	"opdaemon/internal/core"
 )
-
-// watcher is one registered long-poll waiter: a one-shot channel that
-// receives the snapshot published by the transition that woke it.
-type watcher struct {
-	ch chan *core.Operation
-}
 
 // inflight is the table. Its name places its critical sections under
 // the lockscope analyzer's no-blocking-under-lock contract.
 type inflight struct {
 	mu      sync.Mutex
 	cancels map[string]context.CancelCauseFunc
-	waiting map[string][]*watcher
-	// n counts registered waiters so Stats never walks the map.
-	n int
+	// waiting holds the one-shot long-poll waiters: each is woken by a
+	// single send of the snapshot the transition published.
+	waiting map[string][]chan *core.Operation
+	// nwait counts registered waiters so Stats never walks the map.
+	nwait int
+
+	// ring is the notices ring: the notice with sequence s lives at
+	// ring[(s-1) % len(ring)]; once the feed wraps, the oldest retained
+	// sequence is seq-len(ring)+1.
+	ring []Notice
+	seq  uint64 // last assigned sequence; 0 before the first notice
+	// changed is the channel the next notice closes; nil while no feed
+	// reader has asked for one since the last notice.
+	changed chan struct{}
+	scanned uint64 // entries since has examined, for tests
 }
 
-func newInflight() *inflight {
+func newInflight(ringSize int) *inflight {
 	return &inflight{
 		cancels: make(map[string]context.CancelCauseFunc),
-		waiting: make(map[string][]*watcher),
+		waiting: make(map[string][]chan *core.Operation),
+		ring:    make([]Notice, ringSize),
 	}
 }
 
@@ -89,74 +102,114 @@ func (t *inflight) cancel(id string, cause error) bool {
 	if ok {
 		// Invoke outside the lock: context cancellation fans out to
 		// registered children and need not serialize other operations'
-		// installs, retires and wakes.
+		// installs, retires and publishes.
 		fn(cause)
 	}
 	return ok
 }
 
 // subscribe registers a one-shot waiter for the operation's next
-// transition. The caller must either receive from the watcher's
-// channel or call unsubscribe (calling both is safe).
-func (t *inflight) subscribe(id string) *watcher {
-	w := &watcher{ch: make(chan *core.Operation, 1)}
+// transition. The caller must either receive from the channel or call
+// unsubscribe (calling both is safe).
+func (t *inflight) subscribe(id string) chan *core.Operation {
+	w := make(chan *core.Operation, 1)
 	t.mu.Lock()
 	t.waiting[id] = append(t.waiting[id], w)
-	t.n++
+	t.nwait++
 	t.mu.Unlock()
 	return w
 }
 
 // unsubscribe removes the waiter if it is still registered. A no-op
-// when a notify already detached it (the pending buffered send is
-// simply never received and gets collected with the watcher).
-func (t *inflight) unsubscribe(id string, w *watcher) {
+// when a publish already detached it (the pending buffered send is
+// simply never received and gets collected with the channel).
+func (t *inflight) unsubscribe(id string, w chan *core.Operation) {
 	t.mu.Lock()
 	ws := t.waiting[id]
 	for i, x := range ws {
 		if x == w {
 			ws[i] = ws[len(ws)-1]
-			ws[len(ws)-1] = nil // unpin the detached watcher
+			ws[len(ws)-1] = nil // unpin the detached waiter
 			ws = ws[:len(ws)-1]
 			if len(ws) == 0 {
 				delete(t.waiting, id)
 			} else {
 				t.waiting[id] = ws
 			}
-			t.n--
+			t.nwait--
 			break
 		}
 	}
 	t.mu.Unlock()
 }
 
-// notify wakes every waiter registered for the operation with the
-// snapshot the transition published. The waiter list is detached under
-// the lock and woken after it, so a slow receiver can never stall the
-// table.
-func (t *inflight) notify(snap *core.Operation) {
-	t.mu.Lock()
-	ws := t.waiting[snap.ID]
-	if len(ws) == 0 {
-		t.mu.Unlock()
-		return
-	}
-	delete(t.waiting, snap.ID)
-	t.n -= len(ws)
-	t.mu.Unlock()
-	for _, w := range ws {
-		// Cannot block: capacity-one channel, and detaching under the
-		// lock made this the only send the watcher will ever see.
-		w.ch <- snap
+// note records one transition in the ring. Callers hold t.mu, take the
+// broadcast channel a feed reader left and close it after unlock.
+func (t *inflight) note(opID, kind string, status core.Status, at time.Time) {
+	t.seq++
+	t.ring[(t.seq-1)%uint64(len(t.ring))] = Notice{
+		Seq:    t.seq,
+		OpID:   opID,
+		Kind:   kind,
+		Status: status,
+		Time:   at,
 	}
 }
 
-// waiters returns the number of registered waiters, for Stats and the
-// conformance suite's leak checks.
-func (t *inflight) waiters() int {
+// broadcast wakes every feed reader blocked on the channel a notice
+// took, if one had subscribed. It runs after unlock: a woken reader
+// immediately rescans the ring, which needs the lock.
+func broadcast(changed chan struct{}) {
+	if changed != nil {
+		close(changed)
+	}
+}
+
+// publish fans an applied state change out to the read path: it
+// appends a notice to the feed and wakes the operation's long-poll
+// waiters with snap, the snapshot the transition published. It runs
+// after the store write commits, so a woken waiter re-reading the store
+// can only see this state or a newer one — never the one it was waiting
+// out.
+func (t *inflight) publish(snap *core.Operation) {
+	t.mu.Lock()
+	t.note(snap.ID, snap.Kind, snap.Status, snap.UpdatedAt)
+	changed := t.changed
+	t.changed = nil
+	ws := t.waiting[snap.ID]
+	if ws != nil {
+		delete(t.waiting, snap.ID)
+		t.nwait -= len(ws)
+	}
+	t.mu.Unlock()
+	broadcast(changed)
+	for _, w := range ws {
+		// Cannot block: capacity-one channel, and detaching under the
+		// lock made this the only send the waiter will ever see.
+		w <- snap
+	}
+}
+
+// born records the birth of every operation of a batch under one lock
+// acquisition, then wakes the feed readers once. It wakes no long-poll
+// waiter: a client cannot hold one for an ID it has not been handed yet.
+func (t *inflight) born(ops []*core.Operation) {
+	t.mu.Lock()
+	for _, op := range ops {
+		t.note(op.ID, op.Kind, core.StatusQueued, op.CreatedAt)
+	}
+	changed := t.changed
+	t.changed = nil
+	t.mu.Unlock()
+	broadcast(changed)
+}
+
+// counts returns the registered waiters and the newest notice sequence
+// from one critical section, for Stats.
+func (t *inflight) counts() (waiters int, last uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return t.nwait, t.seq
 }
 
 // AwaitChange blocks until the operation's published status differs
@@ -180,7 +233,7 @@ func (e *Engine) AwaitChange(ctx context.Context, id string, seen core.Status) (
 		return op, nil
 	}
 	select {
-	case snap := <-w.ch:
+	case snap := <-w:
 		return snap, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()

@@ -218,14 +218,14 @@ func TestAwaitChangeContextCancelCleansUpWaiter(t *testing.T) {
 }
 
 func TestWatchHubUnsubscribeIdempotentAfterNotify(t *testing.T) {
-	// notify detaches the waiter before sending, so a racing
+	// publish detaches the waiter before sending, so a racing
 	// unsubscribe (the AwaitChange defer) finds nothing to remove and
 	// must not corrupt the count.
-	h := newInflight()
+	h := newInflight(noticeRingSize)
 	snap := mkOp("op", time.Unix(1000, 0))
 	w := h.subscribe("op")
-	h.notify(snap)
-	if got := <-w.ch; got != snap {
+	h.publish(snap)
+	if got := <-w; got != snap {
 		t.Fatalf("wake snapshot = %v, want the published snapshot", got)
 	}
 	h.unsubscribe("op", w)
@@ -236,18 +236,18 @@ func TestWatchHubUnsubscribeIdempotentAfterNotify(t *testing.T) {
 }
 
 func TestWatchHubNotifyWakesAllWaitersForID(t *testing.T) {
-	h := newInflight()
+	h := newInflight(noticeRingSize)
 	snap := mkOp("op", time.Unix(1000, 0))
 	const n = 8
-	ws := make([]*watcher, n)
+	ws := make([]chan *core.Operation, n)
 	for i := range ws {
 		ws[i] = h.subscribe("op")
 	}
 	other := h.subscribe("other")
-	h.notify(snap)
+	h.publish(snap)
 	for i, w := range ws {
 		select {
-		case got := <-w.ch:
+		case got := <-w:
 			// A waiter is woken with the snapshot the transition
 			// published — the very pointer, never nil.
 			if got == nil || got != snap {
@@ -258,12 +258,12 @@ func TestWatchHubNotifyWakesAllWaitersForID(t *testing.T) {
 		}
 	}
 	select {
-	case <-other.ch:
+	case <-other:
 		t.Fatal("waiter for a different id was woken")
 	default:
 	}
 	if got := h.waiters(); got != 1 {
-		t.Fatalf("waiters after notify = %d, want 1 (the other id)", got)
+		t.Fatalf("waiters after publish = %d, want 1 (the other id)", got)
 	}
 	h.unsubscribe("other", other)
 }
@@ -272,7 +272,7 @@ func TestInflightCancelFindsInstalledOnly(t *testing.T) {
 	// cancel reaches the function a worker installed, with the cause,
 	// and reports a retired (or never installed) entry as absent — the
 	// no-op Cancel relies on when the handler finished first.
-	h := newInflight()
+	h := newInflight(noticeRingSize)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	if h.cancel("op", core.ErrCancelled) {
@@ -334,7 +334,7 @@ func TestEngineLifecyclePublishesNotices(t *testing.T) {
 
 func TestNoticeRingCursorSemantics(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	r := newNoticeRing(4)
+	r := newInflight(4)
 
 	if got, _ := r.since(NoticeQuery{}); got != nil {
 		t.Fatalf("empty ring since() = %v, want nil", got)
@@ -380,7 +380,7 @@ func TestNoticeRingCursorSemantics(t *testing.T) {
 
 func TestNoticeRingFiltersAndLimit(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	r := newNoticeRing(16)
+	r := newInflight(16)
 	r.append("a", "build", core.StatusQueued, t0)
 	r.append("a", "build", core.StatusRunning, t0)
 	r.append("b", "deploy", core.StatusQueued, t0)
@@ -417,7 +417,7 @@ func TestNoticeRingFiltersAndLimit(t *testing.T) {
 
 func TestAwaitNoticesWakesOnAppend(t *testing.T) {
 	e := newWatchEngine(t)
-	after := e.notices.last()
+	after := e.inflight.last()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -431,7 +431,7 @@ func TestAwaitNoticesWakesOnAppend(t *testing.T) {
 		done <- page{ns, err}
 	}()
 	time.Sleep(5 * time.Millisecond)
-	e.notices.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
+	e.inflight.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
 
 	res := <-done
 	if res.err != nil {
@@ -448,14 +448,14 @@ func TestAwaitNoticesNoLostWakeups(t *testing.T) {
 	// before since) must never sleep through an append.
 	e := newWatchEngine(t)
 	for i := 0; i < 200; i++ {
-		after := e.notices.last()
+		after := e.inflight.last()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		done := make(chan error, 1)
 		go func() {
 			_, err := e.AwaitNotices(ctx, NoticeQuery{After: after})
 			done <- err
 		}()
-		e.notices.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
+		e.inflight.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
 		if err := <-done; err != nil {
 			cancel()
 			t.Fatalf("iter %d: AwaitNotices: %v (lost wakeup?)", i, err)
@@ -469,7 +469,7 @@ func TestAwaitNoticesContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.AwaitNotices(ctx, NoticeQuery{After: e.notices.last()})
+		_, err := e.AwaitNotices(ctx, NoticeQuery{After: e.inflight.last()})
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -484,7 +484,7 @@ func TestAwaitNoticesFilteredSkipsNonMatching(t *testing.T) {
 	// non-matching appends and wake only for a match — without busy
 	// returning empty pages in between.
 	e := newWatchEngine(t)
-	after := e.notices.last()
+	after := e.inflight.last()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -501,14 +501,14 @@ func TestAwaitNoticesFilteredSkipsNonMatching(t *testing.T) {
 		done <- page{ns, err}
 	}()
 	time.Sleep(5 * time.Millisecond)
-	e.notices.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
-	e.notices.append("op", "k", core.StatusRunning, time.Unix(1000, 0))
+	e.inflight.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
+	e.inflight.append("op", "k", core.StatusRunning, time.Unix(1000, 0))
 	select {
 	case res := <-done:
 		t.Fatalf("woke on non-matching notices: %+v, %v", res.ns, res.err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	e.notices.append("op", "k", core.StatusDone, time.Unix(1000, 0))
+	e.inflight.append("op", "k", core.StatusDone, time.Unix(1000, 0))
 	res := <-done
 	if res.err != nil {
 		t.Fatalf("AwaitNotices: %v", res.err)
@@ -526,7 +526,7 @@ func TestAwaitNoticesFilteredScansEachNoticeOnce(t *testing.T) {
 	// wakes n times however the goroutines are scheduled.
 	const n = 64
 	e := newWatchEngine(t)
-	r := e.notices
+	r := e.inflight
 	r.mu.Lock()
 	after, base := r.seq, r.scanned
 	r.mu.Unlock()
@@ -561,10 +561,27 @@ func TestAwaitNoticesFilteredScansEachNoticeOnce(t *testing.T) {
 	}
 }
 
-// subscribed reports whether a reader holds the channel the next append
+// subscribed reports whether a reader holds the channel the next notice
 // closes.
-func (r *noticeRing) subscribed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.changed != nil
+func (t *inflight) subscribed() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.changed != nil
+}
+
+// append publishes one transition with no store behind it.
+func (t *inflight) append(opID, kind string, status core.Status, at time.Time) {
+	t.publish(&core.Operation{ID: opID, Kind: kind, Status: status, UpdatedAt: at})
+}
+
+// waiters returns the number of registered long-poll waiters.
+func (t *inflight) waiters() int {
+	n, _ := t.counts()
+	return n
+}
+
+// last returns the newest assigned notice sequence.
+func (t *inflight) last() uint64 {
+	_, seq := t.counts()
+	return seq
 }
