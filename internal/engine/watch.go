@@ -156,15 +156,6 @@ func (t *inflight) note(opID, kind string, status core.Status, at time.Time) {
 	}
 }
 
-// broadcast wakes every feed reader blocked on the channel a notice
-// took, if one had subscribed. It runs after unlock: a woken reader
-// immediately rescans the ring, which needs the lock.
-func broadcast(changed chan struct{}) {
-	if changed != nil {
-		close(changed)
-	}
-}
-
 // publish fans an applied state change out to the read path: it
 // appends a notice to the feed and wakes the operation's long-poll
 // waiters with snap, the snapshot the transition published. It runs
@@ -182,7 +173,11 @@ func (t *inflight) publish(snap *core.Operation) {
 		t.nwait -= len(ws)
 	}
 	t.mu.Unlock()
-	broadcast(changed)
+	if changed != nil {
+		// Wake every blocked feed reader after unlock: each rescans the
+		// ring at once, which needs the lock.
+		close(changed)
+	}
 	for _, w := range ws {
 		// Cannot block: capacity-one channel, and detaching under the
 		// lock made this the only send the waiter will ever see.
@@ -201,7 +196,9 @@ func (t *inflight) born(ops []*core.Operation) {
 	changed := t.changed
 	t.changed = nil
 	t.mu.Unlock()
-	broadcast(changed)
+	if changed != nil {
+		close(changed)
+	}
 }
 
 // counts returns the registered waiters and the newest notice sequence
