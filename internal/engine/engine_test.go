@@ -1016,6 +1016,38 @@ func TestQueueFull(t *testing.T) {
 	}
 }
 
+// TestRetryAfterAfterIdleSpell: a burst that drains after an idle
+// minute is measured over the seconds it actually spans, not diluted by
+// the idle part of the meter's window. 21 dequeues in the current second
+// with 30 queued answer ceil(30/21) = 2s; averaging the burst over the
+// whole ten-second window would answer ceil(30/2.1) = 15s.
+func TestRetryAfterAfterIdleSpell(t *testing.T) {
+	var nanos atomic.Int64
+	base := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return base.Add(time.Duration(nanos.Load())) }
+	rec := &orderRecorder{}
+	e, started, gate := gatedEngine(t, Config{QueueDepth: 40, Clock: clock}, rec)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+
+	for i := 0; i < 5; i++ {
+		submitTag(t, e, "old")
+	}
+	drainTags(t, rec, 5)
+	nanos.Store(int64(time.Minute))
+	for i := 0; i < 20; i++ {
+		submitTag(t, e, "burst")
+	}
+	drainTags(t, rec, 25)
+	startBlocker(t, e, started)
+	for i := 0; i < 30; i++ {
+		submitTag(t, e, "queued")
+	}
+	if ra := e.RetryAfter(); ra != 2*time.Second {
+		t.Errorf("RetryAfter with 30 queued after 21 dequeues this second = %s, want 2s", ra)
+	}
+}
+
 // TestStampsCarryNoMonotonicReading: the index orders by CreatedAt
 // while JSON and the WAL publish the wall clock alone, so a timestamp
 // that kept time.Now's monotonic reading could order two near-

@@ -12,14 +12,17 @@ package engine
 //     round-robin turn, so a client with 10,000 queued operations and a
 //     client with 1 alternate instead of the 10,000 draining first.
 //   - An aging escape valve bounds the starvation strict bands would
-//     otherwise allow: when the oldest waiter of a band below the
-//     currently served one has queued longer than promoteAfter, it is
-//     served next (it is by construction its client's FIFO head, so
-//     serving it is the promotion). The valve is capped at one aged
-//     dispatch per agedEvery takes so a flood of aged low-priority work
-//     cannot invert the bands.
+//     otherwise allow. It chooses a band, not an item: when the next
+//     round-robin turn of a band below the currently served one has
+//     waited promoteAfter or longer, that band takes the turn. The valve
+//     is capped at one aged dispatch per agedEvery takes so a flood of
+//     aged low-priority work cannot invert the bands.
 //
-// Concurrency contract: schedQueue.mu guards a few map/slice
+// Both orderings, the clients' FIFOs and each band's rotation, are one
+// generic ring that reuses its storage, so a steady state allocates
+// nothing.
+//
+// Concurrency contract: schedQueue.mu guards a few map/ring
 // operations, the admission arithmetic and the workers' park, and
 // nothing else. Its name places its critical sections under the
 // lockscope analyzer — no channel operations, callbacks, Store calls,
@@ -44,9 +47,9 @@ const numBands = 3
 // inverting the priority order.
 const agedEvery = 4
 
-// promoteAfter is the aging threshold: the oldest waiter of a band below
-// the one being served becomes eligible for the valve once it has queued
-// this long.
+// promoteAfter is the aging threshold: a band below the one being served
+// becomes eligible for the valve once its next turn has queued this
+// long.
 const promoteAfter = 5 * time.Second
 
 // bandIndex maps a resolved priority onto its band slot; lower index
@@ -80,99 +83,77 @@ func bandPriority(i int) core.Priority {
 type schedItem struct {
 	op       *core.Operation
 	enqueued time.Time
-	// taken marks items already dispatched, so the band's arrival list
-	// can skip them lazily instead of paying O(n) removals.
-	taken bool
 }
 
-// clientQueue is one client's FIFO within a band. The head index avoids
-// O(n) slice shifts on every pop.
+// ring is a FIFO over a circular buffer that doubles when full and keeps
+// its storage when it drains, so a steady state allocates nothing.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+// push appends v, doubling the buffer first when it is full.
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(8, 2*len(r.buf)))
+		copy(buf, r.buf[r.head:])
+		copy(buf[len(r.buf)-r.head:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+}
+
+// peek returns the oldest element; the ring must not be empty.
+func (r *ring[T]) peek() T { return r.buf[r.head] }
+
+// pop removes and returns the oldest element; the ring must not be
+// empty.
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero // unpin for GC
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v
+}
+
+// clientQueue is one client's FIFO within a band.
 type clientQueue struct {
 	key   string
-	items []*schedItem
-	head  int
+	items ring[schedItem]
 }
 
-func (cq *clientQueue) empty() bool { return cq.head >= len(cq.items) }
-
-func (cq *clientQueue) pending() int { return len(cq.items) - cq.head }
-
-func (cq *clientQueue) pop() *schedItem {
-	it := cq.items[cq.head]
-	cq.items[cq.head] = nil // unpin for GC
-	cq.head++
-	if cq.empty() {
-		cq.items = cq.items[:0]
-		cq.head = 0
-	}
-	return it
-}
-
-// schedBand is one priority band: per-client queues in round-robin
-// rotation plus an arrival-order list that makes "oldest waiter" an O(1)
-// question for the aging valve.
+// schedBand is one priority band: per-client queues served in
+// round-robin rotation. A client is in clients and in the rotation
+// exactly while it has pending items, so client keys cannot leak.
 type schedBand struct {
 	clients map[string]*clientQueue
-	// active is the round-robin rotation; active[0] is the client whose
-	// turn is next. Queues drained out-of-turn by the aging valve stay
-	// listed and are dropped lazily when their turn comes.
-	active  []*clientQueue
-	arrival []*schedItem
-	astart  int
-	n       int
+	// rotation's head is the client whose turn is next.
+	rotation ring[*clientQueue]
+	n        int
 }
 
-// head returns the band's oldest pending item, compacting the arrival
-// list past items already dispatched in turn.
-func (b *schedBand) head() *schedItem {
-	for b.astart < len(b.arrival) {
-		if it := b.arrival[b.astart]; !it.taken {
-			return it
-		}
-		b.arrival[b.astart] = nil
-		b.astart++
-	}
-	b.arrival = b.arrival[:0]
-	b.astart = 0
-	return nil
+// waitingSince is when the item the band's next turn serves was
+// enqueued; the band must not be empty.
+func (b *schedBand) waitingSince() time.Time {
+	return b.rotation.peek().items.peek().enqueued
 }
 
-// next serves one item from the band in round-robin order: the client
-// at the front of the rotation dispatches one operation and goes to the
-// back.
-func (b *schedBand) next() *schedItem {
-	for len(b.active) > 0 {
-		cq := b.active[0]
-		b.active = b.active[1:]
-		if cq.empty() {
-			// Drained out of turn by the aging valve; retire the queue.
-			delete(b.clients, cq.key)
-			continue
-		}
-		it := cq.pop()
-		it.taken = true
-		b.n--
-		if cq.empty() {
-			delete(b.clients, cq.key)
-		} else {
-			b.active = append(b.active, cq)
-		}
-		return it
-	}
-	return nil
-}
-
-// takeHead dispatches the band's oldest pending item out of turn
-// — the aging valve's promotion — returning the item actually removed.
-// The item is necessarily its client's FIFO head: it is the oldest
-// pending item of the whole band, and client queues pop oldest-first.
-// An emptied queue stays in active/clients; next retires it
-// lazily when its turn comes, and re-adds land in the same queue.
-func (b *schedBand) takeHead(it *schedItem) *schedItem {
-	popped := b.clients[it.op.Client].pop()
-	popped.taken = true
+// next serves the band's next turn: the client at the head of the
+// rotation dispatches its oldest operation and goes to the back, or
+// leaves the band if that was its last. The band must not be empty.
+func (b *schedBand) next() *core.Operation {
+	cq := b.rotation.pop()
+	it := cq.items.pop()
 	b.n--
-	return popped
+	if cq.items.n > 0 {
+		b.rotation.push(cq)
+	} else {
+		delete(b.clients, cq.key)
+	}
+	return it.op
 }
 
 // schedQueue is the engine's dispatch queue and the single owner of
@@ -248,23 +229,16 @@ func (s *schedQueue) reserve(k int) error {
 // section, and wakes one worker per item. now is sampled by the caller
 // (the engine clock is a function value, not callable under the lock).
 func (s *schedQueue) commit(ops []*core.Operation, now time.Time) {
-	// One allocation per batch; the items are pointed into, never copied.
-	items := make([]schedItem, len(ops))
-	for i, op := range ops {
-		items[i] = schedItem{op: op, enqueued: now}
-	}
 	s.mu.Lock()
-	for i, op := range ops {
-		it := &items[i]
+	for _, op := range ops {
 		b := &s.bands[bandIndex(op.Priority)]
 		cq := b.clients[op.Client]
 		if cq == nil {
 			cq = &clientQueue{key: op.Client}
 			b.clients[op.Client] = cq
-			b.active = append(b.active, cq)
+			b.rotation.push(cq)
 		}
-		cq.items = append(cq.items, it)
-		b.arrival = append(b.arrival, it)
+		cq.items.push(schedItem{op: op, enqueued: now})
 		b.n++
 	}
 	s.held -= len(ops)
@@ -293,15 +267,11 @@ func (s *schedQueue) take(now time.Time) (op *core.Operation, done bool) {
 		return nil, false
 	}
 	s.sinceAged++
-	it := s.takeAged(now)
-	if it == nil {
-		it = s.takeStrict()
-	}
-	s.compact()
+	op = s.band(now).next()
 	if s.closed && s.held == 0 && s.scheduled() == 0 {
 		s.wake.Broadcast()
 	}
-	return it.op, false
+	return op, false
 }
 
 // close stops admission and reports whether this call was the one that
@@ -317,58 +287,36 @@ func (s *schedQueue) close() bool {
 	return true
 }
 
-// compact advances every band's arrival list past already-dispatched
-// items. Each dispatch marks its item taken but leaves it in arrival;
-// without this sweep the busiest band (which the aging valve never
-// inspects — it only looks at bands below the first non-empty one)
-// would pin every dispatched item forever, a leak proportional to
-// total operations ever enqueued. Each arrival slot is advanced past
-// exactly once, so the sweep is amortized O(1) per dispatch and keeps
-// arrival bounded by the band's pending items.
-func (s *schedQueue) compact() {
-	for i := range s.bands {
-		s.bands[i].head()
-	}
-}
-
-// takeAged is the starvation escape valve: among bands below the first
-// non-empty one (those strict band order is starving), serve
-// the oldest waiter whose age crossed promoteAfter. Capped at one aged
-// dispatch per agedEvery takes.
-func (s *schedQueue) takeAged(now time.Time) *schedItem {
-	if s.sinceAged < agedEvery {
-		return nil
-	}
+// band chooses the band whose next turn dispatches: the highest
+// non-empty one, unless the aging valve is due. It is due once agedEvery
+// takes have passed since its last use, and then a band below the
+// highest non-empty one is starved if its next turn has waited
+// promoteAfter or longer; the starved band whose next turn has waited
+// longest is served instead. Callers hold s.mu and something is
+// scheduled.
+func (s *schedQueue) band(now time.Time) *schedBand {
 	first := 0
-	for first < numBands && s.bands[first].n == 0 {
+	for s.bands[first].n == 0 {
 		first++
 	}
-	var oldest *schedItem
-	oldestBand := -1
+	if s.sinceAged < agedEvery {
+		return &s.bands[first]
+	}
+	var aged *schedBand
 	for i := first + 1; i < numBands; i++ {
-		h := s.bands[i].head()
-		if h == nil || now.Sub(h.enqueued) < promoteAfter {
+		b := &s.bands[i]
+		if b.n == 0 || now.Sub(b.waitingSince()) < promoteAfter {
 			continue
 		}
-		if oldest == nil || h.enqueued.Before(oldest.enqueued) {
-			oldest, oldestBand = h, i
+		if aged == nil || b.waitingSince().Before(aged.waitingSince()) {
+			aged = b
 		}
 	}
-	if oldest == nil {
-		return nil
+	if aged == nil {
+		return &s.bands[first]
 	}
 	s.sinceAged = 0
-	return s.bands[oldestBand].takeHead(oldest)
-}
-
-// takeStrict serves the highest non-empty band.
-func (s *schedQueue) takeStrict() *schedItem {
-	for i := range s.bands {
-		if s.bands[i].n > 0 {
-			return s.bands[i].next()
-		}
-	}
-	return nil
+	return aged
 }
 
 // depths reports the queue depth (scheduled plus held) and the per-band
@@ -383,9 +331,7 @@ func (s *schedQueue) depths() (depth int, bands map[string]int, clients map[stri
 		b := &s.bands[i]
 		bands[string(bandPriority(i))] = b.n
 		for key, cq := range b.clients {
-			if p := cq.pending(); p > 0 {
-				clients[key] += p
-			}
+			clients[key] += cq.items.n
 		}
 	}
 	return s.scheduled() + s.held, bands, clients

@@ -282,14 +282,13 @@ func TestAgingPromotesStarvedLow(t *testing.T) {
 	}
 }
 
-// TestSchedArrivalStaysCompacted guards against the dispatch-path
-// leak: arrival was only compacted by head(), which the aging valve
-// calls solely for bands *below* the first non-empty one — so the
-// busiest band pinned each dispatched item forever. take() now compacts
-// every band, keeping arrival bounded by pending items.
+// TestSchedArrivalStaysCompacted guards against a dispatch-path leak:
+// after a steady state of commit/take rounds the band must hold nothing
+// of the operations it dispatched — no client queue, an empty rotation
+// and a zero count — so neither client keys nor queue storage outlive
+// the work they held.
 func TestSchedArrivalStaysCompacted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	// One band only: the valve never looks at it.
 	s := newSchedQueue(1024)
 	ops := []*core.Operation{{ID: "op", Client: "client", Priority: core.PriorityNormal}}
 	for i := 0; i < 1000; i++ {
@@ -302,10 +301,48 @@ func TestSchedArrivalStaysCompacted(t *testing.T) {
 		}
 	}
 	b := &s.bands[1]
-	if len(b.arrival) != 0 || b.astart != 0 {
-		t.Errorf("arrival not compacted after steady-state drain: len=%d astart=%d, want 0/0",
-			len(b.arrival), b.astart)
+	if len(b.clients) != 0 || b.rotation.n != 0 || b.n != 0 {
+		t.Errorf("band after steady-state drain: %d client queues, rotation %d, n %d, want 0/0/0",
+			len(b.clients), b.rotation.n, b.n)
 	}
+}
+
+// TestSchedSteadyStateAllocs pins the scheduler's share of the
+// per-operation garbage: a batch-10 commit and the ten takes that
+// dispatch it allocate nothing while the client stays queued, because
+// the client's ring and the band's rotation reuse their storage. A
+// client whose queue drains every round is logged, not pinned: its
+// queue is rebuilt each round so that client keys cannot leak.
+func TestSchedSteadyStateAllocs(t *testing.T) {
+	skipIfRace(t)
+	now := time.Unix(1_700_000_000, 0)
+	batch := make([]*core.Operation, 10)
+	for i := range batch {
+		batch[i] = &core.Operation{ID: "op", Client: "client", Priority: core.PriorityNormal}
+	}
+	round := func(s *schedQueue) func() {
+		return func() {
+			if err := s.reserve(len(batch)); err != nil {
+				t.Fatal(err)
+			}
+			s.commit(batch, now)
+			for range batch {
+				if op, _ := s.take(now); op == nil {
+					t.Fatal("take on a non-empty queue dispatched nothing")
+				}
+			}
+		}
+	}
+	queued := newSchedQueue(1024)
+	if err := queued.reserve(1); err != nil {
+		t.Fatal(err)
+	}
+	queued.commit(batch[:1], now) // one item always left: the client stays queued
+	if allocs := testing.AllocsPerRun(1000, round(queued)); allocs != 0 {
+		t.Errorf("batch-10 commit plus ten takes allocates %.1f objects, want 0", allocs)
+	}
+	t.Logf("batch-10 round whose client drains: %.1f objects",
+		testing.AllocsPerRun(1000, round(newSchedQueue(1024))))
 }
 
 // TestShedDisabledByDefault pins that no configuration sheds below
@@ -353,15 +390,24 @@ func TestSchedDepthsPerClient(t *testing.T) {
 }
 
 // TestDrainMeterRate pins the drain-rate arithmetic RetryAfter builds
-// on: N records in the current second average to N/window.
+// on: the records are averaged over the span from the oldest second that
+// drained to now, capped at the window, so N records in the current
+// second after no history are a rate of N.
 func TestDrainMeterRate(t *testing.T) {
 	var m drainMeter
 	now := time.Unix(1_700_000_000, 0)
 	for i := 0; i < 20; i++ {
 		m.record(now)
 	}
-	if got, want := m.rate(now), 2.0; got != want {
-		t.Errorf("rate after 20 records = %g, want %g (20/%d)", got, want, meterWindow)
+	if got, want := m.rate(now), 20.0; got != want {
+		t.Errorf("rate after 20 records in one second = %g, want %g", got, want)
+	}
+	// Records three seconds later span four seconds.
+	for i := 0; i < 12; i++ {
+		m.record(now.Add(3 * time.Second))
+	}
+	if got, want := m.rate(now.Add(3*time.Second)), 8.0; got != want {
+		t.Errorf("rate over a four-second span = %g, want %g (32/4)", got, want)
 	}
 	// A query far in the future sees only stale buckets.
 	if got := m.rate(now.Add(time.Hour)); got != 0 {
