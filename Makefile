@@ -45,9 +45,11 @@ test:
 # recovery's fanned-out decode and its earliest-failure cut run ten
 # more times under -race, and so do the no-lost-wakeup races of
 # AwaitChange and AwaitNotices (200 iterations each, ~1 s), which pin
-# the in-flight table's one-lock publish against the long-polls it wakes.
+# the in-flight table's one-lock publish against the long-polls it wakes,
+# and TestShutdownWaitsForJanitor (~0.1 s), which pins that Shutdown
+# returns only after a janitor sweep in progress has ended.
 models:
-	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$|^TestAwait(Change|Notices)NoLostWakeups$$' -count=10 ./internal/engine/
+	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$|^TestAwait(Change|Notices)NoLostWakeups$$|^TestShutdownWaitsForJanitor$$' -count=10 ./internal/engine/
 
 # The allocation pins (AllocsPerRun tests, the accept→terminal budget in
 # internal/api) skip themselves under the race detector, whose

@@ -98,6 +98,12 @@ func run(cfg daemonConfig) error {
 		if cfg.walDir != "" {
 			return fmt.Errorf("-wal-dir needs -store=wal: -store=memory writes nothing to %s", cfg.walDir)
 		}
+		// -wal-sync means nothing to this store, but a typo in it is
+		// refused the way -store=wal refuses it.
+		if m := engine.WALSyncMode(cfg.walSync); m != "" && !m.Valid() {
+			return fmt.Errorf("wal: unknown sync mode %q (want %s, %s, or %s)",
+				m, engine.WALSyncAlways, engine.WALSyncGroup, engine.WALSyncNone)
+		}
 		store = engine.NewShardedStore(0)
 	case "wal":
 		if cfg.walDir == "" {

@@ -48,6 +48,7 @@ func TestRunRefusesBadConfig(t *testing.T) {
 		{[]string{"-store", "wal"}, "-store=wal requires -wal-dir"},
 		{[]string{"-store", "bogus"}, `unknown -store "bogus" (want memory or wal)`},
 		{[]string{"-store", "wal", "-wal-dir", t.TempDir(), "-wal-sync", "bogus"}, `wal: unknown sync mode "bogus"`},
+		{[]string{"-store", "memory", "-wal-sync", "bogus"}, `wal: unknown sync mode "bogus"`},
 		{[]string{"-workers", "0"}, "-workers must be positive, got 0"},
 		{[]string{"-queue-depth", "-1"}, "-queue-depth must be positive, got -1"},
 		{[]string{"-op-ttl", "-1s"}, "-op-ttl must not be negative, got -1s"},

@@ -52,10 +52,10 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 
 	gauge("opdaemon_durable", "1 when the store persists state across restarts (WAL backend).", boolMetric(st.Durable))
 	if st.Durable {
-		gauge("opdaemon_wal_segments", "Live WAL segment files.", float64(st.WALSegments))
-		gauge("opdaemon_wal_batch_p50", "Median records per WAL group commit (fsync amortisation factor).", st.WALBatchP50)
+		gauge("opdaemon_wal_segments", "Live WAL segment files.", float64(st.Segments))
+		gauge("opdaemon_wal_batch_p50", "Median records per WAL group commit (fsync amortisation factor).", st.BatchP50)
 		gauge("opdaemon_wal_fsyncs_per_sec", "Observed WAL fsync rate over the trailing window.", st.FsyncsPerSec)
-		metric("counter", "opdaemon_wal_commit_failures_total", "WAL batches whose write or fsync failed since start; acknowledged state in them may not survive a restart.", float64(st.WALCommitFailures))
+		metric("counter", "opdaemon_wal_commit_failures_total", "WAL batches whose write or fsync failed since start; acknowledged state in them may not survive a restart.", float64(st.CommitFailures))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -90,12 +90,10 @@ type Engine struct {
 	gcInterval time.Duration
 	// sched holds accepted-but-undispatched operations in priority
 	// bands of per-client round-robin queues, and owns admission: the
-	// depth bound, shutdown's closed flag and the wake-up of idle
-	// workers all live behind its one mutex (see schedQueue).
-	sched *schedQueue
-	// meter tracks the observed drain rate; RetryAfter divides queue
-	// depth by it to tell refused clients when to come back.
-	meter       drainMeter
+	// depth bound, shutdown's closed flag, the drain rate and the
+	// wake-up of idle workers all live behind its one mutex (see
+	// schedQueue).
+	sched       *schedQueue
 	drained     chan struct{}
 	janitorStop chan struct{}
 	wg          sync.WaitGroup
@@ -163,6 +161,7 @@ func New(cfg Config) *Engine {
 		go e.worker()
 	}
 	if e.opTTL > 0 {
+		e.wg.Add(1)
 		go e.janitor()
 	}
 	return e
@@ -231,22 +230,10 @@ type Stats struct {
 	// DrainPerSec is the observed dequeue rate over the trailing
 	// window, the denominator of Retry-After.
 	DrainPerSec float64 `json:"drain_per_sec"`
-	// Durable reports whether the store persists state across
-	// restarts (a WAL backend). The WAL fields below are zero when it
-	// is false.
+	// Durable reports whether the store persists state across restarts
+	// (a WAL backend); the embedded WAL counters are zero when it is false.
 	Durable bool `json:"durable"`
-	// WALSegments is the number of live log segment files.
-	WALSegments int `json:"wal_segments"`
-	// WALBatchP50 is the median records per group commit over recent
-	// commits — how much work each fsync amortises.
-	WALBatchP50 float64 `json:"wal_batch_p50"`
-	// FsyncsPerSec is the WAL's observed fsync rate over the trailing
-	// window.
-	FsyncsPerSec float64 `json:"fsyncs_per_sec"`
-	// WALCommitFailures is the lifetime count of WAL batches whose
-	// write or fsync failed; non-zero means acknowledged state may not
-	// survive a restart.
-	WALCommitFailures uint64 `json:"wal_commit_failures"`
+	WALStats
 }
 
 // durableStore is the optional extension a persistent Store
@@ -260,7 +247,7 @@ type durableStore interface {
 // of the scheduler; QueueDepth also counts operations admitted but not
 // yet scheduled, which QueueBands and QueueClients cannot attribute yet.
 func (e *Engine) Stats() Stats {
-	depth, bands, clients := e.sched.depths()
+	depth, rate, bands, clients := e.sched.depths(e.clock())
 	waiters, last := e.inflight.counts()
 	st := Stats{
 		Workers:       e.workers,
@@ -271,15 +258,10 @@ func (e *Engine) Stats() Stats {
 		LastNotice:    last,
 		QueueBands:    bands,
 		QueueClients:  clients,
-		DrainPerSec:   e.meter.rate(e.clock()),
+		DrainPerSec:   rate,
 	}
 	if ds, ok := e.store.(durableStore); ok {
-		ws := ds.WALStats()
-		st.Durable = true
-		st.WALSegments = ws.Segments
-		st.WALBatchP50 = ws.BatchP50
-		st.FsyncsPerSec = ws.FsyncsPerSec
-		st.WALCommitFailures = ws.CommitFailures
+		st.Durable, st.WALStats = true, ds.WALStats()
 	}
 	return st
 }
@@ -293,11 +275,11 @@ const retryCeiling = 30 * time.Second
 // clamped to [1s, 30s]. With no observed drain (cold start, wedged
 // handlers) it returns the ceiling — the honest answer is "a while".
 func (e *Engine) RetryAfter() time.Duration {
-	rate := e.meter.rate(e.clock())
+	depth, rate := e.sched.depth(e.clock())
 	if rate <= 0 {
 		return retryCeiling
 	}
-	d := time.Duration(math.Ceil(float64(e.sched.depth())/rate)) * time.Second
+	d := time.Duration(math.Ceil(float64(depth)/rate)) * time.Second
 	if d < time.Second {
 		return time.Second
 	}
@@ -536,12 +518,13 @@ func (e *Engine) Cancel(id string) (*core.Operation, error) {
 
 // Shutdown stops accepting submissions, drains queued operations —
 // including any batch admitted before the call and still being stored —
-// and waits for in-flight handlers to finish. If ctx expires first, the
-// handlers' run context is cancelled — and with it every in-flight
-// operation's context, the same path Cancel uses — and Shutdown
-// returns ctx.Err() immediately; a handler that ignores its context
-// may still be running, so the caller decides whether to wait longer
-// or exit. Concurrent and repeated calls all observe the same drain.
+// and waits for in-flight handlers and any janitor sweep to finish. If
+// ctx expires first, the handlers' run context is cancelled — and with
+// it every in-flight operation's context, the same path Cancel uses —
+// and Shutdown returns ctx.Err() immediately; a handler that ignores
+// its context may still be running, so the caller decides whether to
+// wait longer or exit. Concurrent and repeated calls all observe the
+// same drain.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	if e.sched.close() {
 		close(e.janitorStop)
@@ -630,8 +613,9 @@ func (e *Engine) Recover(ctx context.Context) (requeued, interrupted int, err er
 }
 
 // janitor periodically evicts expired terminal operations until
-// Shutdown stops it.
+// Shutdown stops it; Shutdown's drain waits for a sweep in progress.
 func (e *Engine) janitor() {
+	defer e.wg.Done()
 	t := time.NewTicker(e.gcInterval)
 	defer t.Stop()
 	for {
@@ -677,7 +661,6 @@ func (e *Engine) worker() {
 			return
 		}
 		if op != nil {
-			e.meter.record(now)
 			e.run(tr, op)
 		}
 	}

@@ -928,6 +928,51 @@ func TestJanitorBoundsStoreUnderLoad(t *testing.T) {
 	}
 }
 
+// blockingSweepStore parks every SweepTerminalBefore until release
+// closes, announcing each call on entered.
+type blockingSweepStore struct {
+	Store
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *blockingSweepStore) SweepTerminalBefore(cutoff time.Time) int {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.Store.SweepTerminalBefore(cutoff)
+}
+
+// TestShutdownWaitsForJanitor checks that Shutdown's drain waits out a
+// janitor sweep in progress, so a caller that closes the store after
+// Shutdown never races a sweep still writing to it.
+func TestShutdownWaitsForJanitor(t *testing.T) {
+	s := &blockingSweepStore{
+		Store:   NewShardedStore(0),
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	e := New(Config{Workers: 1, Store: s, OpTTL: time.Minute, GCInterval: time.Millisecond})
+	<-s.entered
+
+	shut := make(chan error, 1)
+	go func() { shut <- e.Shutdown(context.Background()) }()
+	select {
+	case err := <-shut:
+		close(s.release)
+		t.Fatalf("Shutdown returned (%v) while a janitor sweep was still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(s.release)
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatalf("Shutdown after the sweep ended = %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown never returned after the sweep ended")
+	}
+}
+
 func TestStatsReportSaturation(t *testing.T) {
 	e := New(Config{Workers: 3, QueueDepth: 7})
 	defer e.Shutdown(context.Background())

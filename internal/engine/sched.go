@@ -22,15 +22,18 @@ package engine
 // generic ring that reuses its storage, so a steady state allocates
 // nothing.
 //
+// The scheduler counts its own dispatches in the drain meter it holds,
+// and reads the drain rate with the depth, both from one moment.
+//
 // Concurrency contract: schedQueue.mu guards a few map/ring
-// operations, the admission arithmetic and the workers' park, and
-// nothing else. Its name places its critical sections under the
-// lockscope analyzer — no channel operations, callbacks, Store calls,
-// or re-entrant shard locking while it is held; the one wait is
-// sync.Cond.Wait on this very mutex, which releases it. Time is
-// sampled by callers and passed in, because the engine's clock is a
-// function value the analyzer (rightly) refuses to see invoked under
-// the lock.
+// operations, the admission arithmetic, the drain meter and the
+// workers' park, and nothing else. Its name places its critical
+// sections under the lockscope analyzer — no channel operations,
+// callbacks, Store calls, or re-entrant shard locking while it is held;
+// the one wait is sync.Cond.Wait on this very mutex, which releases it.
+// Time is sampled by callers and passed in, because the engine's clock
+// is a function value the analyzer (rightly) refuses to see invoked
+// under the lock.
 
 import (
 	"sync"
@@ -158,9 +161,10 @@ func (b *schedBand) next() *core.Operation {
 
 // schedQueue is the engine's dispatch queue and the single owner of
 // admission: priority bands over per-client round-robin queues, the
-// depth bounds, the closed flag and the condition idle workers park on,
-// under one short-critical-section mutex whose type name places it
-// under the lockscope analyzer's no-blocking-under-lock contract.
+// depth bounds, the closed flag, the drain meter and the condition idle
+// workers park on, under one short-critical-section mutex whose type
+// name places it under the lockscope analyzer's no-blocking-under-lock
+// contract.
 //
 // Queue depth is what is scheduled (the bands' counts) plus what is
 // held; nothing else counts operations. A submission is reserve, the
@@ -184,6 +188,9 @@ type schedQueue struct {
 	// sinceAged counts takes since the last aged dispatch, for the
 	// 1-in-agedEvery cap.
 	sinceAged int
+	// drain counts dispatches per second, the denominator of
+	// Retry-After.
+	drain drainMeter
 }
 
 // newSchedQueue builds a scheduler admitting up to capacity operations.
@@ -249,11 +256,12 @@ func (s *schedQueue) commit(ops []*core.Operation, now time.Time) {
 }
 
 // take dispatches the next operation, returning the queued snapshot it
-// was committed with. With nothing scheduled it parks the calling
-// worker until a commit or close wakes it and returns nil without
-// dispatching: now predates the park, and the aging valve must not judge
-// waiting times by a reading from before an idle wait, so the worker
-// samples its clock again and calls back. done is reported only once
+// was committed with, and counts the dispatch in the drain meter at now.
+// With nothing scheduled it parks the calling worker until a commit or
+// close wakes it and returns nil without dispatching: now predates the
+// park, and the aging valve must not judge waiting times by a reading
+// from before an idle wait, so the worker samples its clock again and
+// calls back. done is reported only once
 // the queue is closed, empty and owes no reservation — a batch admitted
 // before close is still waited for and dispatched.
 func (s *schedQueue) take(now time.Time) (op *core.Operation, done bool) {
@@ -268,6 +276,7 @@ func (s *schedQueue) take(now time.Time) (op *core.Operation, done bool) {
 	}
 	s.sinceAged++
 	op = s.band(now).next()
+	s.drain.record(now)
 	if s.closed && s.held == 0 && s.scheduled() == 0 {
 		s.wake.Broadcast()
 	}
@@ -319,10 +328,11 @@ func (s *schedQueue) band(now time.Time) *schedBand {
 	return aged
 }
 
-// depths reports the queue depth (scheduled plus held) and the per-band
-// and per-client scheduled counts, read in one critical section, for
-// Stats and /v1/health. The per-client map aggregates across bands.
-func (s *schedQueue) depths() (depth int, bands map[string]int, clients map[string]int) {
+// depths reports the queue depth (scheduled plus held), the drain rate
+// at now and the per-band and per-client scheduled counts, read in one
+// critical section, for Stats and /v1/health. The per-client map
+// aggregates across bands.
+func (s *schedQueue) depths(now time.Time) (depth int, rate float64, bands, clients map[string]int) {
 	bands = make(map[string]int, numBands)
 	clients = make(map[string]int)
 	s.mu.Lock()
@@ -334,12 +344,12 @@ func (s *schedQueue) depths() (depth int, bands map[string]int, clients map[stri
 			clients[key] += cq.items.n
 		}
 	}
-	return s.scheduled() + s.held, bands, clients
+	return s.scheduled() + s.held, s.drain.rate(now), bands, clients
 }
 
 // depth is depths without the maps, for RetryAfter.
-func (s *schedQueue) depth() int {
+func (s *schedQueue) depth(now time.Time) (int, float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.scheduled() + s.held
+	return s.scheduled() + s.held, s.drain.rate(now)
 }

@@ -17,6 +17,8 @@ package engine
 //   - depth is scheduled plus held, never above capacity, and the
 //     per-band and per-client counts match; each band's rotation holds
 //     exactly its clients with pending items;
+//   - the drain rate read with the depth is what the model's log of
+//     dispatch times gives;
 //   - take reports done only once the queue is closed, empty and holds
 //     no reservation; before that it dispatches or parks.
 //
@@ -55,8 +57,10 @@ type schedModelRun struct {
 	bands    [numBands]schedModelBand
 	// sinceAged counts dispatching takes since the last aged dispatch.
 	sinceAged int
-	ids       int
-	trace     []string
+	// dispatched logs the clock reading of every dispatch.
+	dispatched []time.Time
+	ids        int
+	trace      []string
 }
 
 func (mr *schedModelRun) fatalf(format string, args ...any) {
@@ -84,6 +88,20 @@ func (mr *schedModelRun) heldTotal() int {
 		n += k
 	}
 	return n
+}
+
+// drainRate is the drain rate at now by the log of dispatch times: the
+// dispatches of the trailing meterWindow seconds over the seconds from
+// the oldest of them to now, at least one.
+func (mr *schedModelRun) drainRate() float64 {
+	total, span := 0, int64(1)
+	for _, at := range mr.dispatched {
+		if age := mr.now.Unix() - at.Unix(); age < meterWindow {
+			total++
+			span = max(span, age+1)
+		}
+	}
+	return float64(total) / float64(span)
 }
 
 // first is the highest non-empty band, numBands when all are empty.
@@ -209,6 +227,7 @@ func (mr *schedModelRun) checkTake(op *core.Operation) {
 		mr.fatalf("band %d served %s, but it is %s's turn (turn order %v)", band, c, b.turns[0], b.turns)
 	}
 
+	mr.dispatched = append(mr.dispatched, mr.now)
 	delete(b.enqueued, op)
 	b.turns = b.turns[1:]
 	if b.queues[c] = b.queues[c][1:]; len(b.queues[c]) == 0 {
@@ -291,12 +310,17 @@ func (mr *schedModelRun) close() {
 	mr.closed = true
 }
 
-// check compares the queue's depth and counts with the model.
+// check compares the queue's depth, drain rate and counts with the
+// model.
 func (mr *schedModelRun) check() {
-	depth, bands, clients := mr.s.depths()
+	depth, rate, bands, clients := mr.s.depths(mr.now)
+	depth1, rate1 := mr.s.depth(mr.now)
 	want := mr.scheduled() + mr.heldTotal()
-	if depth != want || mr.s.depth() != want {
-		mr.fatalf("depth %d (depths) / %d (depth), want %d scheduled + %d held", depth, mr.s.depth(), mr.scheduled(), mr.heldTotal())
+	if depth != want || depth1 != want {
+		mr.fatalf("depth %d (depths) / %d (depth), want %d scheduled + %d held", depth, depth1, mr.scheduled(), mr.heldTotal())
+	}
+	if wantRate := mr.drainRate(); rate != wantRate || rate1 != wantRate {
+		mr.fatalf("drain rate %v (depths) / %v (depth), want %v from %d dispatches", rate, rate1, wantRate, len(mr.dispatched))
 	}
 	if depth > mr.capacity {
 		mr.fatalf("depth %d exceeds capacity %d", depth, mr.capacity)

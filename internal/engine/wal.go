@@ -29,7 +29,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,71 +109,69 @@ type walPrep struct {
 	err  error
 }
 
-// walStatsCounters aggregates the observability counters the health
-// endpoint surfaces. Plain mutex over a tiny ring; not a policed type.
+// walStatsCounters holds the observability counters the health
+// endpoint surfaces, all under its one mutex, which the committer takes
+// once per commit. Plain mutex over a tiny ring; not a policed type.
 type walStatsCounters struct {
-	// fsyncs feeds the fsyncs-per-second rate; drainMeter already
-	// implements exactly the trailing-window counter needed.
-	fsyncs drainMeter
-	// commitFailures counts batches whose write or fsync failed, over
-	// the store's lifetime.
-	commitFailures atomic.Uint64
-
 	mu sync.Mutex
 	// sizes is a ring of recent commit batch sizes (records per
 	// commit) from which the p50 is computed on demand.
 	sizes [64]int
 	next  int
 	count int
+	// fsyncs feeds the fsyncs-per-second rate.
+	fsyncs drainMeter
+	// failures counts batches whose write or fsync failed, over the
+	// store's lifetime.
+	failures uint64
 }
 
-// recordBatch notes one committed batch of n records.
-func (c *walStatsCounters) recordBatch(n int) {
+// recordCommit notes one commit of n records at now: its size, its
+// fsync if it made one, and its failure if it failed.
+func (c *walStatsCounters) recordCommit(n int, fsynced, failed bool, now time.Time) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.sizes[c.next] = n
 	c.next = (c.next + 1) % len(c.sizes)
-	if c.count < len(c.sizes) {
-		c.count++
+	c.count = min(c.count+1, len(c.sizes))
+	if fsynced {
+		c.fsyncs.record(now)
 	}
-	c.mu.Unlock()
+	if failed {
+		c.failures++
+	}
 }
 
-// batchP50 returns the median records-per-commit over the retained
-// ring, 0 before the first commit.
-func (c *walStatsCounters) batchP50() float64 {
+// snapshot reads every counter in one critical section; BatchP50 is 0
+// before the first commit.
+func (c *walStatsCounters) snapshot(now time.Time) WALStats {
 	c.mu.Lock()
-	n := c.count
-	recent := make([]int, n)
-	for i := 0; i < n; i++ {
-		recent[i] = c.sizes[i]
-	}
+	recent := slices.Clone(c.sizes[:c.count])
+	st := WALStats{FsyncsPerSec: c.fsyncs.rate(now), CommitFailures: c.failures}
 	c.mu.Unlock()
-	if n == 0 {
-		return 0
+	if n := len(recent); n > 0 {
+		slices.Sort(recent)
+		st.BatchP50 = float64(recent[(n-1)/2]+recent[n/2]) / 2
 	}
-	sort.Ints(recent)
-	if n%2 == 1 {
-		return float64(recent[n/2])
-	}
-	return float64(recent[n/2-1]+recent[n/2]) / 2
+	return st
 }
 
 // WALStats is the point-in-time WAL snapshot surfaced through
-// Engine.Stats and /v1/health.
+// Engine.Stats, which embeds it, and so through /v1/health.
 type WALStats struct {
 	// Segments is the number of live log segment files (closed plus
 	// the one being appended to).
-	Segments int
+	Segments int `json:"wal_segments"`
 	// BatchP50 is the median records per commit over recent commits —
 	// the direct measure of how much work each fsync amortises.
-	BatchP50 float64
+	BatchP50 float64 `json:"wal_batch_p50"`
 	// FsyncsPerSec is the observed fsync rate over the trailing
 	// window.
-	FsyncsPerSec float64
+	FsyncsPerSec float64 `json:"fsyncs_per_sec"`
 	// CommitFailures is the lifetime count of batches whose write or
 	// fsync failed: each one is acknowledged state that may not survive
 	// a restart.
-	CommitFailures uint64
+	CommitFailures uint64 `json:"wal_commit_failures"`
 }
 
 // The log's size bounds: the committer rotates before a batch that would
@@ -539,12 +537,13 @@ func (w *wal) commit() {
 	w.spare = buf[:0]
 	// Account for the batch before resolving its ticket: a writer that
 	// has just been acknowledged must find its own commit in WALStats.
-	w.stats.recordBatch(n)
+	// Its fsync counts when the batch succeeded under a syncing mode.
+	w.stats.recordCommit(n, err == nil && w.mode != WALSyncNone, err != nil, time.Now())
 	if err != nil {
-		// The Store interface has no write-error channel, so this
-		// counter and log line are the operator's signal that durability
-		// is degraded; the in-memory state remains correct until restart.
-		w.stats.commitFailures.Add(1)
+		// The Store interface has no write-error channel, so the failure
+		// counter and this log line are the operator's signal that
+		// durability is degraded; the in-memory state remains correct
+		// until restart.
 		log.Printf("engine: wal commit of %d records failed: %v", n, err)
 		if w.commitErr == nil {
 			w.commitErr = err
@@ -571,7 +570,6 @@ func (w *wal) writeAndSync(buf []byte) error {
 		if err := w.sync(w.f); err != nil {
 			return fmt.Errorf("wal: fsync segment %d: %w", w.segIndex, err)
 		}
-		w.stats.fsyncs.record(time.Now())
 	}
 	if w.segSize > max(w.segBytes/2, w.prepAfter) {
 		w.prepareNext()
@@ -779,13 +777,9 @@ func (w *wal) finalize() error {
 
 // snapshotStats assembles the health-endpoint counters.
 func (w *wal) snapshotStats() WALStats {
+	st := w.stats.snapshot(time.Now())
 	w.segMu.Lock()
-	segs := len(w.segs)
+	st.Segments = len(w.segs)
 	w.segMu.Unlock()
-	return WALStats{
-		Segments:       segs,
-		BatchP50:       w.stats.batchP50(),
-		FsyncsPerSec:   w.stats.fsyncs.rate(time.Now()),
-		CommitFailures: w.stats.commitFailures.Load(),
-	}
+	return st
 }

@@ -679,8 +679,8 @@ func TestWALCommitFailureCounted(t *testing.T) {
 		t.Errorf("CommitFailures = %d after one failed fsync, want 1", got)
 	}
 	e := New(Config{Workers: 1, Store: s})
-	if got := e.Stats().WALCommitFailures; got != 1 {
-		t.Errorf("Engine.Stats().WALCommitFailures = %d, want 1", got)
+	if got := e.Stats().CommitFailures; got != 1 {
+		t.Errorf("Engine.Stats().CommitFailures = %d, want 1", got)
 	}
 	e.Shutdown(context.Background())
 	if err := s.Close(); !errors.Is(err, injected) {

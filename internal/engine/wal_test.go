@@ -561,8 +561,8 @@ func TestWALStoreStats(t *testing.T) {
 	if !st.Durable {
 		t.Error("Engine.Stats().Durable = false with a WAL store")
 	}
-	if st.WALSegments != ws.Segments {
-		t.Errorf("Engine.Stats().WALSegments = %d, want %d", st.WALSegments, ws.Segments)
+	if st.Segments != ws.Segments {
+		t.Errorf("Engine.Stats().Segments = %d, want %d", st.Segments, ws.Segments)
 	}
 	if err := e.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
