@@ -133,7 +133,8 @@ func run(cfg daemonConfig) error {
 	if walStore != nil {
 		requeued, interrupted, err := eng.Recover(context.Background())
 		if err != nil {
-			return fmt.Errorf("recovering operations from wal: %w", err)
+			return errors.Join(fmt.Errorf("recovering operations from wal: %w", err),
+				drain(eng, walStore, cfg.drainTimeout))
 		}
 		if requeued > 0 || interrupted > 0 {
 			log.Printf("daemon: wal recovery requeued %d operations, failed %d interrupted ones", requeued, interrupted)
@@ -195,9 +196,12 @@ func run(cfg daemonConfig) error {
 		errc <- nil
 	}()
 
+	var serveErr error
 	select {
 	case err := <-errc:
-		return fmt.Errorf("serving: %w", err)
+		// Nothing was served, but recovery may have requeued work: it
+		// drains and the log closes as on a signal.
+		serveErr = fmt.Errorf("serving: %w", err)
 	case <-ctx.Done():
 		// Restore default signal disposition so a second SIGINT or
 		// SIGTERM during the drain kills the process immediately.
@@ -217,20 +221,29 @@ func run(cfg daemonConfig) error {
 	if err := srv.Shutdown(httpCtx); err != nil {
 		log.Printf("daemon: http shutdown: %v", err)
 	}
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancelDrain()
-	drainErr := eng.Shutdown(drainCtx)
-	// Close the log even after a failed drain: whatever terminal states
-	// the drain did record should survive the restart.
-	if walStore != nil {
-		if err := walStore.Close(); err != nil {
-			log.Printf("daemon: closing wal store: %v", err)
-		}
-	}
-	if drainErr != nil {
-		return fmt.Errorf("draining engine: %w", drainErr)
+	if err := drain(eng, walStore, cfg.drainTimeout); err != nil || serveErr != nil {
+		return errors.Join(serveErr, err)
 	}
 	log.Print("daemon: drained cleanly")
+	return nil
+}
+
+// drain shuts eng down within timeout, then closes the WAL store if
+// there is one, which also releases its directory lock. The log closes
+// even after a failed drain: whatever terminal states the drain did
+// record should survive the restart.
+func drain(eng *engine.Engine, walStore *engine.WALStore, timeout time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	err := eng.Shutdown(ctx)
+	if walStore != nil {
+		if cerr := walStore.Close(); cerr != nil {
+			log.Printf("daemon: closing wal store: %v", cerr)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("draining engine: %w", err)
+	}
 	return nil
 }
 

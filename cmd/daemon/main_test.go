@@ -3,12 +3,16 @@ package main
 import (
 	"flag"
 	"io"
+	"net"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"opdaemon/internal/engine"
 )
 
 // parseFlags builds a daemonConfig from args with main's flag set,
@@ -74,6 +78,30 @@ func TestRunRefusesBadConfig(t *testing.T) {
 	}
 }
 
+// TestRunClosesWALOnServeError checks that a daemon whose listener
+// fails closes its WAL store on the way out, so its directory lock does
+// not outlive run.
+func TestRunClosesWALOnServeError(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	dir := t.TempDir()
+	cfg, err := parseFlags("-addr", taken.Addr().String(), "-store", "wal", "-wal-dir", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "serving: ") {
+		t.Fatalf("run on a taken address = %v, want a serving error", err)
+	}
+	ws, err := engine.OpenWALStore(engine.WALConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopening the WAL directory after run returned: %v", err)
+	}
+	ws.Close()
+}
+
 // tuningRow matches a row of the Tuning table in docs/architecture.md
 // and captures the flag it documents.
 var tuningRow = regexp.MustCompile("^\\| `-([a-z-]+)` \\|")
@@ -114,5 +142,34 @@ func TestTuningTableMatchesFlags(t *testing.T) {
 	sort.Strings(stale)
 	if len(stale) > 0 {
 		t.Errorf("Tuning table rows naming no daemon flag: %v", stale)
+	}
+}
+
+// docLink matches a markdown link's target.
+var docLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
+
+// TestDocLinksResolve checks that every relative link in the README,
+// docs/ and the verify skill names a file that exists, so a deleted or
+// renamed document leaves no dangling pointer behind.
+func TestDocLinksResolve(t *testing.T) {
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "../../README.md", "../../.claude/skills/verify/SKILL.md")
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docLink.FindAllStringSubmatch(string(text), -1) {
+			target, _, _ := strings.Cut(m[1], "#")
+			if target == "" || strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
+				continue
+			}
+			if _, err := os.Stat(filepath.Join(filepath.Dir(doc), target)); err != nil {
+				t.Errorf("%s links to %s, which does not exist", strings.TrimPrefix(doc, "../../"), m[1])
+			}
+		}
 	}
 }

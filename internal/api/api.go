@@ -64,7 +64,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
-	// Saturation numbers ride along with the liveness bit so loadgen
+	// Saturation numbers ride along with the liveness bit so clients
 	// and operators can see queue pressure without a metrics stack.
 	// Stats is embedded, so every field it has (or gains) is reported
 	// under its own JSON tag.

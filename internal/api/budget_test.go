@@ -3,8 +3,11 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -26,6 +29,14 @@ type discardWriter struct {
 func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardWriter) WriteHeader(code int)        { d.code = code }
+
+// The accept→terminal budget's thresholds, per operation: the measured
+// values plus 15 %. docs/performance.md quotes both, and
+// TestPerformanceDocQuotesAllocGate holds the quote to them.
+const (
+	maxObjectsPerOp = 12.4
+	maxBytesPerOp   = 1613
+)
 
 // TestSubmitAllocBudget is the accept→terminal allocation budget as a
 // regression gate: batch-10 noop bodies (the opbench generator's shape)
@@ -55,10 +66,8 @@ func TestSubmitAllocBudget(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; alloc pinning runs in non-race builds")
 	}
 	const (
-		batch           = 10
-		calls           = 300
-		maxObjectsPerOp = 12.4
-		maxBytesPerOp   = 1613
+		batch = 10
+		calls = 300
 	)
 	e := engine.New(engine.Config{Workers: 8, QueueDepth: 1024})
 	defer e.Shutdown(context.Background())
@@ -112,5 +121,27 @@ func TestSubmitAllocBudget(t *testing.T) {
 	}
 	if bytes > maxBytesPerOp {
 		t.Errorf("%.0f bytes allocated per operation, budget %d", bytes, maxBytesPerOp)
+	}
+}
+
+// gateQuote matches docs/performance.md's statement of the budget's
+// thresholds.
+var gateQuote = regexp.MustCompile(`fails above ([0-9.]+) objects or ([0-9]+) B`)
+
+// TestPerformanceDocQuotesAllocGate checks that the thresholds
+// docs/performance.md quotes for TestSubmitAllocBudget are the ones the
+// test enforces.
+func TestPerformanceDocQuotesAllocGate(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/performance.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := gateQuote.FindStringSubmatch(strings.Join(strings.Fields(string(doc)), " "))
+	if m == nil {
+		t.Fatalf("docs/performance.md has no %q", gateQuote)
+	}
+	want := fmt.Sprintf("%.1f objects or %d B", maxObjectsPerOp, maxBytesPerOp)
+	if got := fmt.Sprintf("%s objects or %s B", m[1], m[2]); got != want {
+		t.Errorf("docs/performance.md says the budget fails above %s; TestSubmitAllocBudget fails above %s", got, want)
 	}
 }

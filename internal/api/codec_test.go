@@ -71,14 +71,14 @@ func FuzzDecodeSubmit(f *testing.F) {
 // TestDecodeSubmitFastPathAcceptsKnownTraffic: the fast decoder may
 // decline anything, so nothing but this test stops it from silently
 // declining the traffic it exists for — every request body the API
-// document shows, what cmd/loadgen marshals, and what the opbench
-// generator writes.
+// document shows, what a json.Marshal client sends, and what the
+// opbench generator writes.
 func TestDecodeSubmitFastPathAcceptsKnownTraffic(t *testing.T) {
 	bodies := map[string]string{
-		// cmd/loadgen: json.Marshal of {Kind, Params omitempty}, alone or in an array.
-		"loadgen single":       `{"kind":"noop"}`,
-		"loadgen sleep params": `{"kind":"sleep","params":{"ms":5}}`,
-		"loadgen batch":        `[{"kind":"noop"},{"kind":"echo","params":{"ms":5}},{"kind":"sleep","params":{"ms":5}}]`,
+		// A Go client: json.Marshal of {Kind, Params omitempty}, alone or in an array.
+		"marshal single":       `{"kind":"noop"}`,
+		"marshal sleep params": `{"kind":"sleep","params":{"ms":5}}`,
+		"marshal batch":        `[{"kind":"noop"},{"kind":"echo","params":{"ms":5}},{"kind":"sleep","params":{"ms":5}}]`,
 		// bench/cmd/opbench: submitBodies and the lifecycle actions.
 		"opbench batch":  `[` + strings.Repeat(`{"kind":"noop","params":{"n":123456}},`, 9) + `{"kind":"noop","params":{"n":999999}}]`,
 		"opbench echo":   `{"kind":"echo","params":{"c":1,"n":123456}}`,

@@ -190,6 +190,9 @@ type wal struct {
 	mode     WALSyncMode
 	segBytes int64
 	maxSegs  int
+	// lock holds dir's flock (lockWALDir) from before recovery until
+	// close or abort has stopped every goroutine that writes in dir.
+	lock *os.File
 	// sync is every fsync the log issues, segment files and the
 	// directory alike. Always (*os.File).Sync outside tests, which
 	// substitute it to count fsyncs or hold one open.
@@ -474,11 +477,13 @@ func (w *wal) flush() error {
 
 // close flushes staged records, stops the committer, waits for any
 // in-flight compaction and segment preparation, trims and closes the
-// segment file, and removes a prepared segment that was never used.
+// segment file, removes a prepared segment that was never used, and
+// releases the directory lock.
 func (w *wal) close() error {
 	w.stopOnce.Do(func() { close(w.stop) })
 	<-w.done
 	w.compactWG.Wait()
+	w.lock.Close()
 	return w.closeErr
 }
 
@@ -486,11 +491,13 @@ func (w *wal) close() error {
 // dropping whatever is staged but not yet committed, and the segment
 // file is left un-flushed — the closest a live process gets to
 // kill -9. A segment preparation in flight is waited for and its file
-// left on disk. Tests only.
+// left on disk. The directory lock is released, as the kernel releases
+// a killed process's. Tests only.
 func (w *wal) abort() {
 	w.dieOnce.Do(func() { close(w.die) })
 	<-w.done
 	w.compactWG.Wait()
+	w.lock.Close()
 }
 
 // committer is the single goroutine that turns staged batches into

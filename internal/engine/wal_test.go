@@ -10,11 +10,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -586,6 +588,58 @@ func TestOpenWALStoreValidates(t *testing.T) {
 	}
 	if _, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: "sometimes"}); err == nil {
 		t.Error("OpenWALStore with bad sync mode succeeded, want error")
+	}
+}
+
+// TestWALDirLockRefusesSecondOpen: while a store holds a directory, a
+// second OpenWALStore of it fails before recovery reads, truncates or
+// creates a file, so the live log stays byte for byte as it was. A
+// crash and a Close each release the directory for the next opener.
+func TestWALDirLockRefusesSecondOpen(t *testing.T) {
+	dir := t.TempDir()
+	t0 := time.Unix(1000, 0)
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+	s.Put(mkOp("before", t0))
+	files := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]string{}
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[e.Name()] = string(raw)
+		}
+		return m
+	}
+	live := files()
+	second, err := OpenWALStore(WALConfig{Dir: dir, Sync: WALSyncAlways})
+	if err == nil {
+		second.Close()
+		t.Fatal("a second OpenWALStore of a live directory succeeded")
+	}
+	if want := "wal: " + dir + " is in use by another process"; err.Error() != want {
+		t.Errorf("second open: %v, want %q", err, want)
+	}
+	if got := files(); !maps.Equal(got, live) {
+		t.Errorf("the refused open changed the directory: files %v, want %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(live)))
+	}
+
+	s.Put(mkOp("after", t0.Add(time.Second)))
+	s.closeAbrupt()
+	r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+	if r.Len() != 2 {
+		t.Errorf("reopen after a crash holds %d operations, want 2", r.Len())
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	again := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+	if err := again.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

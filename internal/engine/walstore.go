@@ -9,8 +9,11 @@ package engine
 // the durable extras Close, Flush and WALStats.
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"syscall"
 
 	"opdaemon/internal/core"
 )
@@ -73,11 +76,12 @@ var (
 	_ durableStore = (*WALStore)(nil)
 )
 
-// OpenWALStore opens (or creates) the log directory, replays snapshot
-// plus segment suffix straight into a fresh sharded store — repairing a
-// torn tail on the way — then attaches the log to it and starts the
-// group-commit loop. The returned store is ready for traffic; the caller
-// owns Close.
+// OpenWALStore opens (or creates) the log directory, locks it against
+// every other opener, replays snapshot plus segment suffix straight into
+// a fresh sharded store — repairing a torn tail on the way — then
+// attaches the log to it and starts the group-commit loop. The returned
+// store is ready for traffic; the caller owns Close, which releases the
+// lock.
 func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -90,14 +94,21 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: creating %s: %w", cfg.Dir, err)
 	}
+	lock, err := lockWALDir(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
 	s, layout, err := recoverWALState(cfg.Dir, cfg.shards)
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
 	w, err := newWAL(cfg, layout)
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
+	w.lock = lock
 	s.log = w
 	// The compactor's full-state snapshot source is the unbounded
 	// listing, which snapshots each shard under its own lock and merges
@@ -108,6 +119,31 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	}
 	w.start()
 	return &WALStore{s}, nil
+}
+
+// walLockName is the lock file in the log directory. Recovery ignores
+// it: it matches no segment or snapshot name.
+const walLockName = "LOCK"
+
+// lockWALDir takes an exclusive flock on dir's lock file, or refuses at
+// once if another open file holds it. Two openers of one directory
+// would each replay, truncate and append to the same log, so a second
+// one must not get as far as recovery. The lock lasts while the
+// returned file is open, and the kernel drops it when the process
+// dies, so a crash leaves nothing stale behind.
+func lockWALDir(dir string) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, walLockName), os.O_RDONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: opening lock file: %w", err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("wal: %s is in use by another process", dir)
+		}
+		return nil, fmt.Errorf("wal: locking %s: %w", dir, err)
+	}
+	return f, nil
 }
 
 // Close flushes staged records, stops the committer, and closes the
