@@ -18,7 +18,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # campaigns (e.g. make fuzz-smoke FUZZTIME=5m).
 FUZZTIME ?= 10s
 
-.PHONY: all check build test models test-allocs lint vet fmt-check fmt bench mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke
+.PHONY: all check build test models test-allocs lint vet fmt-check fmt bench mutex-profile test-bench opbench-smoke staticcheck opdaemonlint vuln fuzz-smoke loc
 
 # check is the offline gate. It leaves four targets to CI: fuzz-smoke (a
 # minute of coverage-guided search) and bench (the Go benchmarks, which
@@ -138,6 +138,16 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzOpIndexSearch$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/engine/
 	$(GO) test -fuzz '^FuzzDecodeSubmit$$' -fuzztime=$(FUZZTIME) -run '^Fuzz' ./internal/api/
 	$(GO) test -fuzz '^FuzzOperationAppendJSON$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run '^Fuzz' ./internal/core/
+
+# The line counts ROADMAP and CHANGES.md quote, counted one way: every
+# non-test .go file of each package tree (analyzer fixtures under
+# testdata/ are test input, not counted), then README.md plus docs/*.md.
+# It prints numbers and gates nothing, so it is not in `make check`.
+loc:
+	@for d in internal/engine internal/core internal/api internal/analysis cmd; do \
+		printf '%-20s %6d\n' $$d "$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)"; \
+	done
+	@printf '%-20s %6d\n' 'README.md+docs' "$$(cat README.md docs/*.md | wc -l)"
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \

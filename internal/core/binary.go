@@ -12,10 +12,11 @@ package core
 //     field, self-contained, replayable with no prior state;
 //   - the delta record (AppendBinaryDelta / DecodeBinaryDelta): the ID
 //     plus only the fields a lifecycle transition may change — status,
-//     timestamps, error, result. A delta always carries the complete
-//     mutable set, so applying the newest delta for an ID onto any full
-//     base yields the final mutable state regardless of the
-//     intermediate deltas.
+//     timestamps, error, result. It decodes to an Operation holding
+//     just those fields, which ApplyDelta folds onto a full base. A
+//     delta always carries the complete mutable set, so applying the
+//     newest delta for an ID onto any full base yields the final
+//     mutable state regardless of the intermediate deltas.
 //
 // Layout conventions: strings and byte blobs are uvarint length +
 // bytes; times are zigzag-varint unix seconds + uvarint nanoseconds,
@@ -383,18 +384,6 @@ func DecodeBinaryOperation(data []byte) (*Operation, error) {
 	return op, nil
 }
 
-// BinaryDelta is a decoded delta record: the complete mutable field
-// set a lifecycle transition may change. Apply folds it onto a full
-// base snapshot.
-type BinaryDelta struct {
-	ID          string
-	Status      Status
-	UpdatedAt   time.Time
-	CancelledAt time.Time
-	Error       string
-	Result      json.RawMessage
-}
-
 // AppendBinaryDelta appends the operation's delta record body — ID
 // plus the full mutable field set — to dst. Deltas carry no Params, so
 // encoding cannot fail.
@@ -433,28 +422,13 @@ func (op *Operation) AppendBinaryDelta(dst []byte) []byte {
 	return dst
 }
 
-// AppendBinary re-encodes a decoded delta, mirroring
-// Operation.AppendBinaryDelta. Round-tripping through decode and back
-// reaches a fixed point after one pass, which is what the codec fuzz
-// target checks.
-func (d *BinaryDelta) AppendBinary(dst []byte) []byte {
-	op := Operation{
-		ID:          d.ID,
-		Status:      d.Status,
-		UpdatedAt:   d.UpdatedAt,
-		CancelledAt: d.CancelledAt,
-		Error:       d.Error,
-		Result:      d.Result,
-	}
-	return op.AppendBinaryDelta(dst)
-}
-
-// DecodeBinaryDelta decodes a delta record body. The returned delta
-// owns its memory.
-func DecodeBinaryDelta(data []byte) (*BinaryDelta, error) {
+// DecodeBinaryDelta decodes a delta record body into an operation that
+// holds only the ID and the mutable field set; ApplyDelta folds it onto
+// a full base. The returned operation owns its memory.
+func DecodeBinaryDelta(data []byte) (*Operation, error) {
 	r := &binReader{data: data}
 	flags := r.uvarint("flags")
-	d := &BinaryDelta{ID: r.string("id")}
+	d := &Operation{ID: r.string("id")}
 	sb := r.byte("status")
 	if flags&deltaHasResult != 0 {
 		if blob := r.blob("result"); r.err == nil {
@@ -486,17 +460,18 @@ func DecodeBinaryDelta(data []byte) (*BinaryDelta, error) {
 	return d, nil
 }
 
-// Apply folds the delta onto a full base snapshot, returning a fresh
-// operation (the base is never mutated — it may be a published
-// snapshot). Every mutable field is overwritten from the delta, so the
-// newest delta alone determines the final mutable state.
-func (d *BinaryDelta) Apply(base *Operation) *Operation {
+// ApplyDelta folds a decoded delta (DecodeBinaryDelta) onto a full base
+// snapshot, returning a fresh operation (the base is never mutated — it
+// may be a published snapshot). Every mutable field is overwritten from
+// the delta, so the newest delta alone determines the final mutable
+// state.
+func ApplyDelta(base, delta *Operation) *Operation {
 	c := base.Clone()
-	c.Status = d.Status
-	c.UpdatedAt = d.UpdatedAt
-	c.CancelledAt = d.CancelledAt
-	c.Error = d.Error
-	c.Result = d.Result
+	c.Status = delta.Status
+	c.UpdatedAt = delta.UpdatedAt
+	c.CancelledAt = delta.CancelledAt
+	c.Error = delta.Error
+	c.Result = delta.Result
 	return c
 }
 

@@ -192,7 +192,7 @@ func TestBinaryDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeBinaryDelta: %v", err)
 	}
-	got := d.Apply(base)
+	got := ApplyDelta(base, d)
 	opsEquivalent(t, next, got)
 
 	// The delta must be dramatically smaller than the full record.
@@ -221,7 +221,7 @@ func TestBinaryDeltaOverwritesAllMutableFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := d.Apply(base)
+	got := ApplyDelta(base, d)
 	if got.Error != "" || got.Result != nil || !got.CancelledAt.IsZero() {
 		t.Fatalf("delta apply inherited stale mutable fields: %+v", got)
 	}
@@ -229,7 +229,7 @@ func TestBinaryDeltaOverwritesAllMutableFields(t *testing.T) {
 		t.Fatalf("delta apply lost its own fields: %+v", got)
 	}
 	if base.Status != StatusCancelled {
-		t.Fatal("Apply mutated the base snapshot")
+		t.Fatal("ApplyDelta mutated the base snapshot")
 	}
 }
 

@@ -445,8 +445,9 @@ func (e *Engine) Get(id string) (*core.Operation, error) {
 }
 
 // List returns the page of published snapshots selected by q, newest
-// first (ties broken by ascending ID). Pages cost O(limit), not
-// O(store size); see ListQuery for cursor and filter semantics.
+// first (ties broken by ascending ID). An unfiltered page costs
+// O(limit), not O(store size); a status-filtered one copies every
+// retained entry. See ListQuery for cursor and filter semantics.
 func (e *Engine) List(q ListQuery) ([]*core.Operation, error) {
 	return e.store.List(q)
 }

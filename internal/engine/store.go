@@ -55,10 +55,12 @@ type Store interface {
 	// Get returns the published snapshot, or core.ErrNotFound.
 	Get(id string) (*core.Operation, error)
 	// List returns the page of published snapshots selected by q, in
-	// newest-first order (ties broken by ascending ID). The page costs
-	// O(limit), not O(store size); an unknown cursor yields an empty
-	// page (see ListQuery.Cursor). The error is reserved for fallible
-	// backends; the in-memory index always returns nil.
+	// newest-first order (ties broken by ascending ID). An unfiltered
+	// page costs O(limit), not O(store size); a status-filtered one
+	// copies every retained entry past the cursor. An unknown cursor
+	// yields an empty page (see ListQuery.Cursor). The error is
+	// reserved for fallible backends; the in-memory index always
+	// returns nil.
 	List(q ListQuery) ([]*core.Operation, error)
 	// Update applies fn to a clone of the stored operation and
 	// atomically publishes the clone, making read-modify-write

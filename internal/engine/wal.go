@@ -191,7 +191,7 @@ type wal struct {
 	segBytes int64
 	maxSegs  int
 	// lock holds dir's flock (lockWALDir) from before recovery until
-	// close or abort has stopped every goroutine that writes in dir.
+	// close has stopped every goroutine that writes in dir.
 	lock *os.File
 	// sync is every fsync the log issues, segment files and the
 	// directory alike. Always (*os.File).Sync outside tests, which
@@ -208,14 +208,11 @@ type wal struct {
 	// many).
 	kick chan struct{}
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	// die is the crash-simulation hook: closing it makes the committer
-	// return without the final flush, exactly as if the process had
-	// been killed. Tests only.
-	die     chan struct{}
-	dieOnce sync.Once
-	done    chan struct{}
+	// quit carries close's one crash flag to the committer; buffered
+	// so the send never blocks.
+	quit     chan bool
+	quitOnce sync.Once
+	done     chan struct{}
 	// closeErr is the final-flush outcome, written by the committer
 	// before done closes.
 	closeErr error
@@ -278,8 +275,7 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 		sync:     cfg.syncHook,
 		fill:     cfg.fillHook,
 		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		die:      make(chan struct{}),
+		quit:     make(chan bool, 1),
 		done:     make(chan struct{}),
 		segIndex: layout.maxSeg + 1,
 		segs:     append(layout.segs, layout.maxSeg+1),
@@ -475,29 +471,22 @@ func (w *wal) flush() error {
 	return g.err
 }
 
-// close flushes staged records, stops the committer, waits for any
-// in-flight compaction and segment preparation, trims and closes the
-// segment file, removes a prepared segment that was never used, and
-// releases the directory lock.
-func (w *wal) close() error {
-	w.stopOnce.Do(func() { close(w.stop) })
+// close stops the log; only the first call does, and its crash decides
+// how. false flushes staged records, trims and closes the segment file,
+// removes a prepared segment that was never used, and returns the
+// flush's error. true (tests only) is the crash simulation: the
+// committer exits at once, dropping whatever is staged but not yet
+// committed, and the segment file is left un-flushed — the closest a
+// live process gets to kill -9 — with a prepared segment's file left on
+// disk. Either way close waits for any in-flight compaction and
+// segment preparation, then releases the directory lock, as the
+// kernel releases a killed process's.
+func (w *wal) close(crash bool) error {
+	w.quitOnce.Do(func() { w.quit <- crash })
 	<-w.done
 	w.compactWG.Wait()
 	w.lock.Close()
 	return w.closeErr
-}
-
-// abort is the crash-simulation close: the committer exits immediately,
-// dropping whatever is staged but not yet committed, and the segment
-// file is left un-flushed — the closest a live process gets to
-// kill -9. A segment preparation in flight is waited for and its file
-// left on disk. The directory lock is released, as the kernel releases
-// a killed process's. Tests only.
-func (w *wal) abort() {
-	w.dieOnce.Do(func() { close(w.die) })
-	<-w.done
-	w.compactWG.Wait()
-	w.lock.Close()
 }
 
 // committer is the single goroutine that turns staged batches into
@@ -510,11 +499,12 @@ func (w *wal) committer() {
 	defer close(w.done)
 	for {
 		select {
-		case <-w.die:
-			w.dropPrep(false)
-			return
-		case <-w.stop:
-			w.closeErr = w.finalize()
+		case crash := <-w.quit:
+			if crash {
+				w.dropPrep(false)
+			} else {
+				w.closeErr = w.finalize()
+			}
 			return
 		case <-w.kick:
 		}

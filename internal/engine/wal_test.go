@@ -8,6 +8,7 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -222,6 +223,17 @@ func TestWALStoreRecoversCorruptMiddle(t *testing.T) {
 // checksum, leaving a structurally valid frame of another type.
 func retypeFrame(frame []byte, typ byte) {
 	frame[walFrameHeader] = typ
+	finishWALFrame(frame, 0)
+}
+
+// zeroDeltaStatus zeroes the status byte of the delta record framed in
+// frame and recomputes its checksum: the frame stays well formed, and
+// only core.DecodeBinaryDelta rejects it (status code 0 is unused).
+func zeroDeltaStatus(frame []byte) {
+	body := frame[walFrameHeader+1:]
+	_, n := binary.Uvarint(body) // flags
+	idLen, m := binary.Uvarint(body[n:])
+	body[n+m+int(idLen)] = 0
 	finishWALFrame(frame, 0)
 }
 
@@ -903,6 +915,17 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 	const bad, worse = records/4 + 100, 3*records/4 + 100
 	retypeFrame(retyped[offs[bad]:offs[bad+1]], 9)
 	retypeFrame(retyped[offs[worse]:offs[worse+1]], 9)
+	// A known type whose body will not decode: the first delta inside
+	// the third chunk, with the fourth chunk's unknown type after it.
+	// Only the record codec rejects it, and its chunk is the earliest
+	// failing one, so it sets the cut.
+	undecodable := append([]byte(nil), clean...)
+	baddelta := records/2 + 100
+	for clean[offs[baddelta]+walFrameHeader] != walRecDeltaV2 {
+		baddelta++
+	}
+	zeroDeltaStatus(undecodable[offs[baddelta]:offs[baddelta+1]])
+	retypeFrame(undecodable[offs[worse]:offs[worse+1]], 9)
 
 	for _, tc := range []struct {
 		name    string
@@ -914,6 +937,7 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 		{"TornTail", clean[:len(clean)-3], records - 1, errWALTorn},
 		{"ZeroTail", append(append([]byte(nil), clean...), make([]byte, 100_000)...), records, nil},
 		{"UnknownTypeMidFile", retyped, bad, errWALCorrupt},
+		{"UndecodableDeltaMidFile", undecodable, baddelta, errWALCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, applied, _, err := referenceReplay(tc.data); applied != tc.applied || !errors.Is(err, tc.wantErr) {

@@ -21,8 +21,10 @@ package engine
 // compaction, and by Update in older daemons) is the operation's compact
 // binary encoding (core.AppendBinary); a delta (type 5, every Update)
 // carries only the mutable field set (core.AppendBinaryDelta); a delete
-// (type 3) is the raw ID. A delta replays by folding onto the
-// ID's current replay state; a delta whose base is absent is skipped —
+// (type 3) is the raw ID. Every record decodes in place into the walRef
+// the frame scan filled (decodeWALRecord). A delta replays by folding
+// onto the ID's current replay state (core.ApplyDelta); a delta whose
+// base is absent is skipped —
 // the snapshot-overlap window makes that shape legitimate (the op was
 // deleted before the snapshot was cut, but its delta records live in
 // retained segments).
@@ -185,95 +187,47 @@ func walFrameCRCOK(frame, payload []byte) bool {
 	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(frame[4:8])
 }
 
-// walReplay is sequential replay, the reference recovery's parallel
-// pipeline is held to: it scans the frames in data (walScanFrames) and
-// invokes apply for each valid record in order, returning the byte
-// length of the valid prefix. Replay stops at the first torn or corrupt
-// frame, or at a record apply refuses; everything before it has been
-// applied, everything from it on is untrusted. A clean walk to the end
-// returns (len(data), nil).
-func walReplay(data []byte, apply func(typ byte, body []byte) error) (int, error) {
-	refs, valid, scanErr := walScanFrames(data, nil)
-	for _, ref := range refs {
-		if err := apply(ref.typ, ref.body); err != nil {
-			return ref.off, err
-		}
-	}
-	return valid, scanErr
-}
-
-// walDecoded is one record decoded off the log, ready to fold into
-// replay state. Exactly one of op / delta / del describes the record.
-type walDecoded struct {
-	op    *core.Operation   // full snapshot
-	delta *core.BinaryDelta // mutable-field delta
-	del   string            // deletion target ID
-}
-
-// id returns the operation ID the record concerns — the shard key
-// replay applies it under.
-func (d *walDecoded) id() string {
-	switch {
-	case d.op != nil:
-		return d.op.ID
-	case d.delta != nil:
-		return d.delta.ID
-	}
-	return d.del
-}
-
-// decodeWALRecord decodes one record body without touching replay
-// state — the pure half that parallel recovery fans out. The returned
-// record owns its memory; body may be reused.
-func decodeWALRecord(typ byte, body []byte) (walDecoded, error) {
-	switch typ {
+// decodeWALRecord completes a scanned record in place: it sets r.id and
+// r.op from r.typ and r.body without touching replay state — the pure
+// half that parallel recovery fans out. A full record decodes to the
+// whole operation, a delta to one holding only the ID and the mutable
+// field set (core.DecodeBinaryDelta), a delete to its ID alone. The
+// decoded operation owns its memory; body may be reused.
+func decodeWALRecord(r *walRef) error {
+	var err error
+	switch r.typ {
 	case walRecOpV2:
-		op, err := core.DecodeBinaryOperation(body)
-		if err != nil {
-			return walDecoded{}, fmt.Errorf("%w: %v", errWALCorrupt, err)
-		}
-		return walDecoded{op: op}, nil
+		r.op, err = core.DecodeBinaryOperation(r.body)
 	case walRecDeltaV2:
-		d, err := core.DecodeBinaryDelta(body)
-		if err != nil {
-			return walDecoded{}, fmt.Errorf("%w: %v", errWALCorrupt, err)
-		}
-		return walDecoded{delta: d}, nil
+		r.op, err = core.DecodeBinaryDelta(r.body)
 	case walRecDelete:
-		return walDecoded{del: string(body)}, nil
+		r.id = string(r.body)
+		return nil
 	default:
-		return walDecoded{}, fmt.Errorf("%w: unknown record type %d", errWALCorrupt, typ)
+		return fmt.Errorf("%w: unknown record type %d", errWALCorrupt, r.typ)
 	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", errWALCorrupt, err)
+	}
+	r.id = r.op.ID
+	return nil
 }
 
 // applyDecoded folds one decoded record into the replay state map:
 // full records upsert, deltas fold onto the ID's current state (a
 // delta with no base is skipped — see the package comment), deletes
-// remove. The sequential reference and recovery's replay into the
-// store's shard maps share this one definition of "apply", so their
-// semantics cannot drift.
-func applyDecoded(state map[string]*core.Operation, d walDecoded) {
-	switch {
-	case d.op != nil:
-		state[d.op.ID] = d.op
-	case d.delta != nil:
-		if base, ok := state[d.delta.ID]; ok {
-			state[d.delta.ID] = d.delta.Apply(base)
+// remove. The sequential reference the tests hold recovery to and
+// recovery's replay into the store's shard maps share this one
+// definition of "apply", so their semantics cannot drift.
+func applyDecoded(state map[string]*core.Operation, r *walRef) {
+	switch r.typ {
+	case walRecOpV2:
+		state[r.id] = r.op
+	case walRecDeltaV2:
+		if base, ok := state[r.id]; ok {
+			state[r.id] = core.ApplyDelta(base, r.op)
 		}
-	default:
-		delete(state, d.del)
+	case walRecDelete:
+		delete(state, r.id)
 	}
-}
-
-// applyWALRecord decodes and folds one record into the replay state
-// map. It rejects records that decode but make no sense (unknown type,
-// empty ID) so replay treats them as the end of the valid prefix. The
-// sequential-replay composition the fuzz target pins.
-func applyWALRecord(state map[string]*core.Operation, typ byte, body []byte) error {
-	d, err := decodeWALRecord(typ, body)
-	if err != nil {
-		return err
-	}
-	applyDecoded(state, d)
-	return nil
 }

@@ -160,12 +160,12 @@ func FuzzWALCodecBinary(f *testing.F) {
 			if err != nil {
 				return
 			}
-			enc1 := dec.AppendBinary(nil)
+			enc1 := dec.AppendBinaryDelta(nil)
 			dec2, err := core.DecodeBinaryDelta(enc1)
 			if err != nil {
 				t.Fatalf("re-encoded delta body does not decode: %v", err)
 			}
-			if string(dec2.AppendBinary(nil)) != string(enc1) {
+			if string(dec2.AppendBinaryDelta(nil)) != string(enc1) {
 				t.Fatalf("delta codec has no fixed point for %x", data)
 			}
 		}

@@ -12,14 +12,15 @@ package engine
 //     is only header reads plus a CRC per frame;
 //  2. parallel decode — the expensive half, the binary record codec,
 //     runs over contiguous chunks of the scanned frames, one worker per
-//     chunk, as many as GOMAXPROCS and the record count allow;
+//     chunk, as many as GOMAXPROCS and the record count allow, each
+//     record completed in place in its walRef;
 //  3. apply in log order, each record straight into its shard's map,
 //     which is all last-writer-wins needs.
 //
 // The shard indexes are left empty while the maps fill and are sorted
 // once, in parallel, after the last file. The contract is the
-// sequential reference's the tests pin (walReplay + applyWALRecord):
-// same valid-prefix semantics, same final state.
+// sequential reference's the tests pin: same valid-prefix semantics,
+// same final state. Progress is one log line per file replayed.
 
 import (
 	"fmt"
@@ -30,28 +31,29 @@ import (
 	"slices"
 	"sort"
 	"sync"
-)
 
-// walReplayLogEvery is the record-count granularity of replay progress
-// logging: a large-log boot prints a line at least this often instead
-// of hanging silently.
-const walReplayLogEvery = 50_000
+	"opdaemon/internal/core"
+)
 
 // walDecodeChunk is the fewest records a decode worker is handed:
 // below it, starting another goroutine costs more than it saves.
 const walDecodeChunk = 1024
 
-// walRef locates one validated frame's payload inside a mapped file:
-// the scan stage's output, the decode stage's input.
+// walRef is one replayed record. The frame scan fills typ, body and
+// off; the decode stage completes id and op in place (decodeWALRecord).
 type walRef struct {
 	typ  byte
 	body []byte
 	off  int // frame's byte offset in the file, for truncation reports
+
+	id string          // the operation the record concerns: its shard key
+	op *core.Operation // full record, or a delta's ID and mutable set; nil for a delete
 }
 
 // walScanFrames walks the frames in data, validating framing and
 // checksums and collecting payload refs (appended to refs, reused
-// across files). It returns the refs, the byte length of the
+// across files, each written whole so nothing decoded from an earlier
+// file survives). It returns the refs, the byte length of the
 // well-framed prefix, and the torn/corrupt error that ended the walk,
 // if any. No record is decoded here.
 //
@@ -102,7 +104,6 @@ func (s *shardedStore) replay(data []byte, refs *[]walRef) (applied, valid int, 
 	// whatever later chunks decoded past it is never applied.
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(scanned)/walDecodeChunk))
 	chunk := (len(scanned) + workers - 1) / workers
-	decoded := make([]walDecoded, len(scanned))
 	cuts := make([]int, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -111,7 +112,7 @@ func (s *shardedStore) replay(data []byte, refs *[]walRef) (applied, valid int, 
 		go func() {
 			defer wg.Done()
 			for i := w * chunk; i < min((w+1)*chunk, len(scanned)); i++ {
-				if decoded[i], errs[w] = decodeWALRecord(scanned[i].typ, scanned[i].body); errs[w] != nil {
+				if errs[w] = decodeWALRecord(&scanned[i]); errs[w] != nil {
 					cuts[w] = i
 					return
 				}
@@ -127,8 +128,8 @@ func (s *shardedStore) replay(data []byte, refs *[]walRef) (applied, valid int, 
 			break
 		}
 	}
-	for _, d := range decoded[:applied] {
-		applyDecoded(s.shard(d.id()).ops, d)
+	for i := range applied {
+		applyDecoded(s.shard(scanned[i].id).ops, &scanned[i])
 	}
 	return applied, valid, err
 }
@@ -181,7 +182,6 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 	sort.Ints(snaps)
 
 	state := newShardedStore(shards)
-	replayed := 0 // cumulative applied records, for progress logging
 	var refs []walRef
 
 	// Try snapshots newest-first, each into a fresh store that is
@@ -205,7 +205,6 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 		}
 		state = trial
 		layout.snapSeg = snaps[i]
-		replayed = n
 		log.Printf("engine: wal replayed snapshot %s: %d records, %d operations live", path, n, state.Len())
 		break
 	}
@@ -251,12 +250,7 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 		}
 		n, valid, rerr := state.replay(data, &refs)
 		layout.segs = append(layout.segs, seg)
-		before := replayed
-		replayed += n
 		log.Printf("engine: wal replayed segment %s: %d records, %d operations live", path, n, state.Len())
-		if before/walReplayLogEvery != replayed/walReplayLogEvery {
-			log.Printf("engine: wal replay progress: %d records applied", replayed)
-		}
 		if rerr != nil {
 			log.Printf("engine: wal segment %s: %v at offset %d; truncating to valid prefix", path, rerr, valid)
 			if err := os.Truncate(path, int64(valid)); err != nil {

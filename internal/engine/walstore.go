@@ -34,7 +34,7 @@ type WALConfig struct {
 	// only, like syncHook.
 	shards int
 	// syncHook replaces (*os.File).Sync for every fsync the log
-	// issues. Tests only, like wal.die.
+	// issues. Tests only, like closeAbrupt.
 	syncHook func(*os.File) error
 	// fillHook replaces (*os.File).WriteAt for the writes that zero-fill
 	// a segment being prepared. Tests only, like syncHook.
@@ -151,7 +151,7 @@ func lockWALDir(dir string) (*os.File, error) {
 // did, even when the final fsync succeeds. The store must not be used
 // afterwards.
 func (s *WALStore) Close() error {
-	return s.log.close()
+	return s.log.close(false)
 }
 
 // Flush forces a commit of everything staged so far and waits for it —
@@ -171,5 +171,5 @@ func (s *WALStore) WALStats() WALStats {
 // committer exits without the final flush, dropping staged records the
 // way a killed process would.
 func (s *WALStore) closeAbrupt() {
-	s.log.abort()
+	s.log.close(true)
 }
