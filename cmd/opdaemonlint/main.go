@@ -9,10 +9,11 @@
 //
 // Usage:
 //
-//	opdaemonlint [-tests=false] [-only=name,name] [packages]
+//	opdaemonlint [packages]
 //
-// Packages default to ./... relative to the working directory. Exits 1
-// when any diagnostic is reported, 2 on usage or load errors.
+// Packages default to ./... relative to the working directory; test
+// files are analyzed too. Exits 1 when any diagnostic is reported, 2 on
+// load errors.
 // Intentional violations are suppressed in-source with
 // `//lint:allow opdaemon/<name> <justification>` on or immediately
 // above the offending line; a bare directive with no justification is
@@ -20,10 +21,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"opdaemon/internal/analysis/ctxdiscipline"
 	"opdaemon/internal/analysis/lintkit"
@@ -45,36 +44,18 @@ func main() {
 }
 
 func run() int {
-	tests := flag.Bool("tests", true, "also analyze test files and test packages")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
-	flag.Parse()
-
-	if *list {
-		for _, a := range suite {
-			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "opdaemonlint:", err)
-		return 2
-	}
-
-	patterns := flag.Args()
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := lintkit.Load(lintkit.LoadConfig{Tests: *tests}, patterns...)
+	pkgs, err := lintkit.Load(lintkit.LoadConfig{}, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "opdaemonlint:", err)
 		return 2
 	}
 
-	diags, err := lintkit.Run(pkgs, analyzers)
+	diags, err := lintkit.Run(pkgs, suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "opdaemonlint:", err)
 		return 2
@@ -86,31 +67,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers resolves the -only flag against the suite.
-func selectAnalyzers(only string) ([]*lintkit.Analyzer, error) {
-	if only == "" {
-		return suite, nil
-	}
-	byName := make(map[string]*lintkit.Analyzer, len(suite))
-	for _, a := range suite {
-		byName[a.Name] = a
-	}
-	var picked []*lintkit.Analyzer
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (use -list to see the suite)", name)
-		}
-		picked = append(picked, a)
-	}
-	if len(picked) == 0 {
-		return nil, fmt.Errorf("-only selected no analyzers")
-	}
-	return picked, nil
 }

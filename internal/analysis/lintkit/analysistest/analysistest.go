@@ -58,7 +58,6 @@ func Run(t *testing.T, testdata string, a *lintkit.Analyzer, patterns ...string)
 			"GOWORK=off",
 			"GOPROXY=off",
 		},
-		Tests: true,
 	}, patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)

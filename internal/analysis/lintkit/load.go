@@ -44,9 +44,6 @@ type LoadConfig struct {
 	// Env entries are appended to the current environment (so fixture
 	// loads can force GOPATH mode).
 	Env []string
-	// Tests loads each matched package's test variant as well, so
-	// _test.go files are analyzed too.
-	Tests bool
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -62,9 +59,10 @@ type listPackage struct {
 	Standard   bool
 }
 
-// Load resolves patterns to packages and type-checks each from source.
+// Load resolves patterns to packages, test variants included, and
+// type-checks each from source.
 //
-// It shells out to `go list -export -deps`, which compiles export data
+// It shells out to `go list -export -deps -test`, which compiles export data
 // for every dependency, then parses and type-checks only the matched
 // packages using the gc importer over that export data — the same
 // split a `go vet` unitchecker uses, with `go list` standing in for
@@ -74,10 +72,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 	args := []string{
 		"list",
 		"-json=Dir,ImportPath,ForTest,Export,GoFiles,CgoFiles,ImportMap,DepOnly,Standard",
-		"-export", "-deps",
-	}
-	if cfg.Tests {
-		args = append(args, "-test")
+		"-export", "-deps", "-test",
 	}
 	args = append(args, "--")
 	args = append(args, patterns...)

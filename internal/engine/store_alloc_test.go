@@ -8,6 +8,7 @@ package engine
 // moment a change sneaks a clone or a sort back into the hot path.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -127,6 +128,49 @@ func TestListPagedWalkMatchesUnbounded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestJournaledWriteAllocsMatchMemory: a journal encodes into pooled
+// buffers, so under WALSyncNone (no ticket wait) a journaled re-put of a
+// batch and a journaled Update allocate exactly what the memory store
+// does on the same operations. The batch's own count (its bucket table)
+// depends on how the shard seed spreads the IDs, so the two stores are
+// compared with each other rather than with a constant.
+func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
+	skipIfRace(t)
+	t0 := time.Unix(1000, 0)
+	ops := make([]*core.Operation, 10)
+	for i := range ops {
+		ops[i] = mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second))
+	}
+	wal, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: WALSyncNone, shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	stores := []struct {
+		name string
+		s    Store
+	}{{"memory", NewShardedStore(2)}, {"journal", wal}}
+
+	var batch, update [2]float64
+	for i, st := range stores {
+		st.s.PutBatch(ops)
+		batch[i] = testing.AllocsPerRun(100, func() { st.s.PutBatch(ops) })
+		update[i] = testing.AllocsPerRun(100, func() {
+			if err := st.s.Update(ops[0].ID, func(op *core.Operation) {
+				op.UpdatedAt = op.UpdatedAt.Add(time.Nanosecond)
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if batch[1] != batch[0] {
+		t.Errorf("PutBatch of %d: journal allocates %.1f objects, memory %.1f", len(ops), batch[1], batch[0])
+	}
+	if update[1] != update[0] {
+		t.Errorf("Update: journal allocates %.1f objects, memory %.1f", update[1], update[0])
 	}
 }
 

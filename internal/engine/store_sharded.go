@@ -36,7 +36,10 @@ func DefaultShardCount() int {
 //  1. Encode the record with no lock held, and only when journaled
 //     (lockscope's codec rule machine-enforces the "no lock" half), so a
 //     critical section is a few pointer writes and a memcpy, never a
-//     marshal.
+//     marshal. Writers encode, not the committer: a writer's encode
+//     overlaps the fsync in flight, while on the committer it lengthened
+//     every acknowledgement (scratch, 2 vCPU: submit_wal lost 10 of 14
+//     pairs, ops_per_s -4 to -5 %, op_p50_ms +5 to +7 %).
 //  2. Apply to memory and stage the prepared bytes under the shard's
 //     write lock. The journal must record mutations in the same per-ID
 //     order the index publishes them, or replay could resurrect a stale
@@ -45,7 +48,8 @@ func DefaultShardCount() int {
 //     lock nesting, policed by lockscope — and it is why writers never
 //     touch the file themselves: file I/O under a shard lock would stall
 //     every operation on the shard for an fsync.
-//  3. Wake the committer and wait out the sync policy after the unlock.
+//  3. After the unlock, admitWait or transitionWait wakes the committer
+//     and waits out the sync policy.
 //
 // Without a journal steps 1 and 3 vanish: log is nil and every *wal
 // method the store calls is a no-op on a nil receiver.
@@ -120,9 +124,8 @@ func (s *shardedStore) Put(op *core.Operation) {
 	s.PutBatch(ops[:])
 }
 
-// PutBatch inserts or replaces every operation, taking each shard's
-// lock at most once, then wakes the committer once and waits for
-// durability once for the whole batch.
+// PutBatch inserts or replaces every operation, taking each shard's lock
+// at most once, and wakes the committer and waits once for the batch.
 func (s *shardedStore) PutBatch(ops []*core.Operation) {
 	if len(ops) == 0 {
 		return
@@ -146,12 +149,6 @@ func (s *shardedStore) PutBatch(ops []*core.Operation) {
 		}
 	}
 	putEncBuf(buf)
-	// One wake after the last bucket: the committer commits the moment
-	// it is woken, so waking per bucket would split this batch over two
-	// generations and make it wait out two fsyncs. Another writer's wake
-	// can still split it; waiting on the newest ticket covers every
-	// staged record regardless, because generations commit in order.
-	s.log.wake()
 	s.log.admitWait(last)
 }
 
@@ -291,28 +288,30 @@ func (s *shardedStore) List(q ListQuery) ([]*core.Operation, error) {
 // field outside the mutable set.
 var errImmutableUpdate = errors.New("update may change only status, updated_at, cancelled_at, error and result")
 
-// Update applies fn to a private clone of a lock-free snapshot read,
-// encodes the result (when journaled) with no lock held, then publishes
-// clone and staged record atomically under the shard's write lock — but
-// only if the shard still maps id to the pointer read at the start.
-// Published snapshots are immutable, so the same pointer proves nothing
-// intervened and the publish is ordered correctly; otherwise the whole
-// read-mutate-encode round retries against the fresh snapshot (so fn may
-// run more than once — see Store.Update's contract). Contention on one
-// ID is engine-rare (a transition race with Cancel), so retries are too.
+// Update applies fn to a private clone of a snapshot read, encodes the
+// result (when journaled, into the one buffer the call holds) with no
+// lock held, then publishes clone and staged record atomically under the
+// shard's write lock — but only if the shard still maps id to the
+// pointer read at the start. Published snapshots are immutable, so the
+// same pointer proves nothing intervened and the publish is ordered
+// correctly; otherwise the whole read-mutate-encode round retries against
+// the fresh snapshot (so fn may run more than once — see Store.Update's
+// contract). Contention on one ID is engine-rare (a transition race with
+// Cancel), so retries are too. A clone fn left unchanged passes the same
+// check and then publishes and stages nothing.
 //
 // Only the mutable set may change (core.DeltaEligible), so the index key
-// never moves and every update journals one delta record. Under
+// never moves and every change journals one delta record. Under
 // WALSyncAlways the caller waits for the fsync; group mode logs
 // transitions asynchronously (see WALSyncMode).
 func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 	sh := s.shard(id)
+	buf := s.encBuf()
+	defer putEncBuf(buf)
 	for {
-		sh.mu.RLock()
-		old, ok := sh.ops[id]
-		sh.mu.RUnlock()
-		if !ok {
-			return core.ErrNotFound
+		old, err := sh.get(id)
+		if err != nil {
+			return err
 		}
 
 		c := old.Clone()
@@ -320,22 +319,10 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 		if !core.DeltaEligible(old, c) {
 			return fmt.Errorf("engine: %s: %w", id, errImmutableUpdate)
 		}
-		if sameMutable(old, c) {
-			// fn changed nothing: there is nothing to publish or journal,
-			// provided what fn decided against is still the published
-			// snapshot.
-			sh.mu.RLock()
-			current := sh.ops[id] == old
-			sh.mu.RUnlock()
-			if current {
-				return nil
-			}
-			continue
-		}
-		buf := s.encBuf()
+		changed := !sameMutable(old, c)
 		var rec []byte
-		if buf != nil {
-			rec = encodeDeltaRecordV2(*buf, c)
+		if changed && buf != nil {
+			rec = encodeDeltaRecordV2((*buf)[:0], c)
 			*buf = rec
 		}
 
@@ -345,15 +332,15 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 			// landed between snapshot and lock: the clone and record
 			// describe a stale base. Drop both and retry.
 			sh.mu.Unlock()
-			putEncBuf(buf)
 			continue
 		}
-		sh.ops[id] = c
-		sh.ix.replace(c)
-		g := s.log.stage(rec, 1)
+		var g *walGen
+		if changed {
+			sh.ops[id] = c
+			sh.ix.replace(c)
+			g = s.log.stage(rec, 1)
+		}
 		sh.mu.Unlock()
-		s.log.wake()
-		putEncBuf(buf)
 		s.log.transitionWait(g)
 		return nil
 	}
@@ -401,9 +388,6 @@ func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
 		evicted += n
 	}
 	putEncBuf(buf)
-	if last != nil {
-		s.log.wake()
-	}
 	s.log.transitionWait(last)
 	return evicted
 }

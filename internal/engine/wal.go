@@ -256,8 +256,11 @@ type wal struct {
 	stats walStatsCounters
 }
 
-func walSegName(i int) string  { return fmt.Sprintf("wal-%08d.log", i) }
-func walSnapName(i int) string { return fmt.Sprintf("snap-%08d.wal", i) }
+// Segment and snapshot file names; parseWALName reads them back.
+const walSegPattern, walSnapPattern = "wal-%08d.log", "snap-%08d.wal"
+
+func walSegName(i int) string  { return fmt.Sprintf(walSegPattern, i) }
+func walSnapName(i int) string { return fmt.Sprintf(walSnapPattern, i) }
 
 // walSnapTmp is where a snapshot is written before its atomic rename.
 const walSnapTmp = "snap.tmp"
@@ -382,17 +385,16 @@ func (w *wal) dropPrep(remove bool) {
 
 // stage boards one or more already-framed records (recs counts them)
 // onto the current batch, returning the generation ticket the caller
-// may wait on. Callers may hold a storeShard lock: stage only appends
-// to the staging buffer; all file I/O happens on the committer and the
-// goroutines it starts. Nothing commits until wake is called — staging
-// and waking are separate so a caller with records for several shards
-// stages them all and wakes once, boarding one generation instead of
-// straddling two.
+// waits on. Callers may hold a storeShard lock: stage only appends to
+// the staging buffer; all file I/O happens on the committer and the
+// goroutines it starts. Nothing commits until the caller's wait wakes the
+// committer, so a caller with records for several shards stages them all
+// and wakes once (see admitWait).
 //
-// stage, wake and the two waits are everything a store's mutations call
-// on the log, and each is a no-op on a nil *wal (no ticket is ever
-// issued, so the waits return at their nil check): that is how a store
-// without a journal runs the same mutation code.
+// stage and the two waits are everything a store's mutations call on
+// the log, and each is a no-op on a nil *wal (no ticket is ever issued,
+// so the waits return at their nil check): that is how a store without
+// a journal runs the same mutation code.
 func (w *wal) stage(frames []byte, recs int) *walGen {
 	if w == nil || len(frames) == 0 {
 		return nil
@@ -421,34 +423,38 @@ func (w *wal) wake() {
 	}
 }
 
-// admitWait parks the caller until its admission record is durable —
-// the group-commit ticket wait — under the modes that promise durable
-// admission. Under WALSyncNone nobody waits.
+// admitWait wakes the committer and, under the modes that promise durable
+// admission, parks the caller until its admission records are durable.
+// A batch calls it once, after its last bucket: the committer commits the
+// moment it is woken, so a wake per bucket would split the batch over two
+// generations and two fsyncs. Another writer's wake can still split it;
+// waiting on the newest ticket covers every staged record regardless,
+// because generations commit in order.
 func (w *wal) admitWait(g *walGen) {
-	if g == nil || w.mode == WALSyncNone {
+	if g == nil {
 		return
 	}
-	w.waitCommit(g)
+	w.wake()
+	if w.mode != WALSyncNone {
+		<-g.done
+	}
 }
 
-// transitionWait parks the caller for a transition record only under
-// WALSyncAlways; group mode logs transitions asynchronously (recovery
-// resubmits or fails what the loss window eats — see
-// docs/persistence.md).
+// transitionWait wakes the committer and parks the caller only under
+// WALSyncAlways; group mode logs transitions and evictions asynchronously
+// (recovery resubmits or fails what the loss window eats — see
+// docs/persistence.md). Commit errors are logged once by the committer;
+// both waits proceed past them — the Store interface has no error
+// channel for writes, and the in-memory state (the API's source of truth
+// until restart) already holds the mutation.
 func (w *wal) transitionWait(g *walGen) {
-	if g == nil || w.mode != WALSyncAlways {
+	if g == nil {
 		return
 	}
-	w.waitCommit(g)
-}
-
-// waitCommit blocks until the generation's commit completes. Commit
-// errors are logged once by the committer; waiters just proceed — the
-// Store interface has no error channel for writes, and the in-memory
-// state (the API's source of truth until restart) already holds the
-// mutation.
-func (w *wal) waitCommit(g *walGen) {
-	<-g.done
+	w.wake()
+	if w.mode == WALSyncAlways {
+		<-g.done
+	}
 }
 
 // flush forces a commit of everything staged so far and waits for it,
@@ -677,7 +683,7 @@ func (w *wal) compact(through int) {
 	}
 	for _, e := range entries {
 		var i int
-		if !parseWALName(e.Name(), "snap-%08d.wal", &i) || i >= through {
+		if !parseWALName(e.Name(), walSnapPattern, &i) || i >= through {
 			continue
 		}
 		if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {

@@ -953,3 +953,33 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 		})
 	}
 }
+
+// TestWALPutBatchSkipsUnencodableRecord: an operation whose Params the
+// journal cannot encode still applies to memory, and the records around
+// it in the same bucket are still staged. One shard puts all three in one
+// bucket, so a bucket that dropped its frames on one encode error would
+// lose a and c across the reopen.
+func TestWALPutBatchSkipsUnencodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openWAL(t, dir, WALConfig{Sync: WALSyncGroup, shards: 1})
+	t0 := time.Unix(1000, 0)
+	bad := mkOp("bad", t0.Add(time.Second))
+	bad.Params = map[string]any{"c": make(chan int)}
+	s.PutBatch([]*core.Operation{mkOp("a", t0), bad, mkOp("c", t0.Add(2*time.Second))})
+	if _, err := s.Get("bad"); err != nil {
+		t.Fatalf("Get(bad) after PutBatch: %v; an unencodable record must still apply to memory", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	r := openWAL(t, dir, WALConfig{Sync: WALSyncGroup, shards: 1})
+	defer r.Close()
+	got, err := r.List(ListQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := listIDs(got); !slices.Equal(ids, []string{"c", "a"}) {
+		t.Errorf("after reopen List = %v, want [c a]", ids)
+	}
+}

@@ -172,9 +172,9 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 	for _, e := range entries {
 		var i int
 		switch {
-		case parseWALName(e.Name(), "wal-%08d.log", &i):
+		case parseWALName(e.Name(), walSegPattern, &i):
 			segs = append(segs, i)
-		case parseWALName(e.Name(), "snap-%08d.wal", &i):
+		case parseWALName(e.Name(), walSnapPattern, &i):
 			snaps = append(snaps, i)
 		}
 	}
