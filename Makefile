@@ -47,9 +47,12 @@ test:
 # AwaitChange and AwaitNotices (200 iterations each, ~1 s), which pin
 # the in-flight table's one-lock publish against the long-polls it wakes,
 # and TestShutdownWaitsForJanitor (~0.1 s), which pins that Shutdown
-# returns only after a janitor sweep in progress has ended.
+# returns only after a janitor sweep in progress has ended, and
+# TestWALCompactionEndsWithClose (~0.2 s), which pins that the log's
+# Close and crash simulation return only after a compaction in progress
+# has ended.
 models:
-	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$|^TestAwait(Change|Notices)NoLostWakeups$$|^TestShutdownWaitsForJanitor$$' -count=10 ./internal/engine/
+	$(GO) test -race -run 'Model$$|^TestReplayParallelMatchesSequential$$|^TestAwait(Change|Notices)NoLostWakeups$$|^TestShutdownWaitsForJanitor$$|^TestWALCompactionEndsWithClose$$' -count=10 ./internal/engine/
 
 # The allocation pins (AllocsPerRun tests, the accept→terminal budget in
 # internal/api) skip themselves under the race detector, whose

@@ -127,7 +127,7 @@ func firstBlockingOp(pass *lintkit.Pass, body *ast.BlockStmt) string {
 		case *ast.FuncLit:
 			return false
 		case *ast.SelectStmt:
-			if selectHasDefault(n) {
+			if lintkit.SelectHasDefault(n) {
 				// Try-send/try-receive: the comm clauses cannot block.
 				// Still walk the clause bodies.
 				for _, clause := range n.Body.List {
@@ -166,15 +166,6 @@ func firstBlockingOp(pass *lintkit.Pass, body *ast.BlockStmt) string {
 	}
 	ast.Inspect(body, visit)
 	return found
-}
-
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, clause := range sel.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // blockingCall recognises the standard library's well-known blockers.

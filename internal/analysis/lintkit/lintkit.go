@@ -212,3 +212,20 @@ func TypePkgPath(t types.Type) string {
 	}
 	return ""
 }
+
+// SelectHasDefault reports whether sel has a default clause, which
+// makes it a poll rather than a block.
+func SelectHasDefault(sel *ast.SelectStmt) bool {
+	for _, clause := range sel.Body.List {
+		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// IsCorePackage reports whether path is the core domain package (or a
+// fixture standing in for it).
+func IsCorePackage(path string) bool {
+	return path == "core" || strings.HasSuffix(path, "internal/core")
+}

@@ -269,7 +269,7 @@ func (s *scanner) scan(root ast.Node) {
 			s.scanLoopBody(n.Body)
 			return false
 		case *ast.SelectStmt:
-			if !selectHasDefault(n) {
+			if !lintkit.SelectHasDefault(n) {
 				// One report for the select itself; the comm clauses
 				// are part of that single blocking point.
 				s.reportHeld(n.Pos(), "select with no default")
@@ -458,15 +458,6 @@ func (s *scanner) reportHeld(pos token.Pos, what string) {
 func isFuncValue(v *types.Var) bool {
 	_, ok := v.Type().Underlying().(*types.Signature)
 	return ok
-}
-
-func selectHasDefault(sel *ast.SelectStmt) bool {
-	for _, clause := range sel.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // acqFlags describes what calling a function does, transitively

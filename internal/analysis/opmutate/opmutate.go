@@ -34,7 +34,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"opdaemon/internal/analysis/lintkit"
 )
@@ -55,7 +54,7 @@ var publishFuncs = map[string]bool{
 }
 
 func run(pass *lintkit.Pass) error {
-	if isCorePackage(pass.Pkg.Path()) {
+	if lintkit.IsCorePackage(pass.Pkg.Path()) {
 		return nil
 	}
 	a := &analysis{
@@ -82,14 +81,10 @@ func run(pass *lintkit.Pass) error {
 	return nil
 }
 
-func isCorePackage(path string) bool {
-	return path == "core" || strings.HasSuffix(path, "internal/core")
-}
-
 // Type predicates for the values the dataflow tracks.
 
 func isOperation(t types.Type) bool {
-	return lintkit.TypeName(t) == "Operation" && isCorePackage(lintkit.TypePkgPath(t))
+	return lintkit.TypeName(t) == "Operation" && lintkit.IsCorePackage(lintkit.TypePkgPath(t))
 }
 
 func tracked(t types.Type) bool {

@@ -27,7 +27,7 @@ var Analyzer = &lintkit.Analyzer{
 }
 
 func run(pass *lintkit.Pass) error {
-	if isCorePackage(pass.Pkg.Path()) {
+	if lintkit.IsCorePackage(pass.Pkg.Path()) {
 		return nil
 	}
 	for _, file := range pass.Files {
@@ -57,12 +57,6 @@ func run(pass *lintkit.Pass) error {
 	return nil
 }
 
-// isCorePackage reports whether path is the core domain package (or a
-// fixture standing in for it).
-func isCorePackage(path string) bool {
-	return path == "core" || strings.HasSuffix(path, "internal/core")
-}
-
 // statusSelector returns the selector expression if expr selects the
 // Status field of a core.Operation, unwrapping parens and derefs.
 func statusSelector(pass *lintkit.Pass, expr ast.Expr) *ast.SelectorExpr {
@@ -85,7 +79,7 @@ func statusSelector(pass *lintkit.Pass, expr ast.Expr) *ast.SelectorExpr {
 	if base == nil {
 		return nil
 	}
-	if lintkit.TypeName(base) != "Operation" || !isCorePackage(lintkit.TypePkgPath(base)) {
+	if lintkit.TypeName(base) != "Operation" || !lintkit.IsCorePackage(lintkit.TypePkgPath(base)) {
 		return nil
 	}
 	return sel

@@ -44,14 +44,14 @@ type registration struct {
 	deadline time.Duration
 }
 
-// RegisterOption tunes one kind's registration.
-type RegisterOption func(*registration)
+// RegisterOption tunes one kind's registration; WithDeadline makes one.
+type RegisterOption struct{ deadline time.Duration }
 
 // WithDeadline bounds each execution of the kind: the operation's
 // context is cancelled after d and the operation is recorded as failed
 // with a deadline error. d <= 0 means no per-kind bound.
 func WithDeadline(d time.Duration) RegisterOption {
-	return func(r *registration) { r.deadline = max(d, 0) }
+	return RegisterOption{deadline: max(d, 0)}
 }
 
 // Config tunes an Engine. Zero values pick the defaults documented per
@@ -173,7 +173,7 @@ func New(cfg Config) *Engine {
 func (e *Engine) Register(kind string, h Handler, opts ...RegisterOption) {
 	reg := registration{h: h}
 	for _, opt := range opts {
-		opt(&reg)
+		reg.deadline = opt.deadline
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -294,20 +294,15 @@ func (e *Engine) RetryAfter() time.Duration {
 // engine's input directly.
 type BatchItem = core.SubmitItem
 
-// submitOptions collects the per-submission scheduling attributes.
-type submitOptions struct {
-	client string
-}
-
-// SubmitOption tunes one Submit or SubmitBatch call.
-type SubmitOption func(*submitOptions)
+// SubmitOption tunes one Submit or SubmitBatch call; AsClient makes one.
+type SubmitOption struct{ client string }
 
 // AsClient attributes the submission to a client key; the scheduler's
 // fair queueing guarantees each key its share of dispatches, so one
 // hot tenant cannot starve the rest. Empty (the default) pools the
 // submission with all other anonymous work.
 func AsClient(key string) SubmitOption {
-	return func(o *submitOptions) { o.client = key }
+	return SubmitOption{client: key}
 }
 
 // Submit validates and enqueues an operation of the given kind,
@@ -352,9 +347,9 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 			Reason: fmt.Sprintf("size %d exceeds queue capacity %d", len(items), e.sched.capacity),
 		}
 	}
-	var sub submitOptions
+	var client string
 	for _, opt := range opts {
-		opt(&sub)
+		client = opt.client
 	}
 
 	// Validate every item before touching the queue or store, so a
@@ -373,7 +368,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 			Params:   it.Params,
 			Status:   core.StatusQueued,
 			Priority: cmp.Or(it.Priority, core.PriorityNormal),
-			Client:   sub.client,
+			Client:   client,
 		}
 	}
 	e.mu.RLock()

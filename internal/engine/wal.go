@@ -97,13 +97,14 @@ type walBatch struct {
 	last *walGen
 }
 
-// walPrep is one segment prepared off the committer: created,
-// zero-filled to the segment size, and fsynced, file first and directory
-// entry second, before the committer may write a record into it.
-type walPrep struct {
+// walJob is one background job of the log: preparing segment index
+// (prepareNext) or compacting the segments up to index (compact). Its
+// goroutine touches files only; the committer starts it and applies its
+// outcome once done has closed.
+type walJob struct {
 	index int
-	// done closes when preparation has ended; f (nil on failure) and err
-	// are written before it closes and read only after.
+	// done closes when the job has ended; f (a prepared segment, else nil)
+	// and err are written before it closes and read only after.
 	done chan struct{}
 	f    *os.File
 	err  error
@@ -114,6 +115,8 @@ type walPrep struct {
 // once per commit. Plain mutex over a tiny ring; not a policed type.
 type walStatsCounters struct {
 	mu sync.Mutex
+	// segments mirrors len(wal.segs), set by the committer on change.
+	segments int
 	// sizes is a ring of recent commit batch sizes (records per
 	// commit) from which the p50 is computed on demand.
 	sizes [64]int
@@ -142,12 +145,19 @@ func (c *walStatsCounters) recordCommit(n int, fsynced, failed bool, now time.Ti
 	}
 }
 
+// setSegments records the live segment count.
+func (c *walStatsCounters) setSegments(n int) {
+	c.mu.Lock()
+	c.segments = n
+	c.mu.Unlock()
+}
+
 // snapshot reads every counter in one critical section; BatchP50 is 0
 // before the first commit.
 func (c *walStatsCounters) snapshot(now time.Time) WALStats {
 	c.mu.Lock()
 	recent := slices.Clone(c.sizes[:c.count])
-	st := WALStats{FsyncsPerSec: c.fsyncs.rate(now), CommitFailures: c.failures}
+	st := WALStats{Segments: c.segments, FsyncsPerSec: c.fsyncs.rate(now), CommitFailures: c.failures}
 	c.mu.Unlock()
 	if n := len(recent); n > 0 {
 		slices.Sort(recent)
@@ -217,38 +227,32 @@ type wal struct {
 	// before done closes.
 	closeErr error
 
-	// Committer-goroutine-owned; no locks. segSize is where the next
-	// batch is written in f. After a failed preparation, the next one
-	// waits until segSize passes prepAfter. compactAt is the open
-	// segment when the last compaction started: a failed one is retried
-	// once another segment has closed, not on every commit.
+	// Down to compaction, only the committer (and newWAL before it)
+	// touches these, so they take no lock. segSize is where the next batch
+	// is written in f. After a failed preparation, the next one waits
+	// until segSize passes prepAfter. compactAt is the open segment when
+	// the last compaction started: a failed one is retried once another
+	// segment has closed, not on every commit.
 	f         *os.File
 	segIndex  int
 	segSize   int64
 	prepAfter int64
 	compactAt int
-	// prep is the next segment, in preparation or prepared and not yet
-	// in use; nil when none is. Only the committer starts, swaps in or
-	// drops one; the pointer is atomic so that tests can wait for it.
-	prep atomic.Pointer[walPrep]
+	segs      []int // sorted live segment indexes, including the open one
+	// snapSeg is the highest segment index covered by the newest
+	// snapshot; -1 before any snapshot exists.
+	snapSeg int
 	// commitErr is the first failed commit's error. finalize reports it:
 	// a later fsync that succeeds does not make that batch durable.
 	commitErr error
 	// spare recycles the detached batch buffer across commits.
 	spare []byte
+	// prep is the next segment, in preparation or prepared and not yet
+	// in use, and compaction the one in flight or not yet reaped; nil
+	// when none is. prep is atomic only so that tests can wait for it.
+	prep       atomic.Pointer[walJob]
+	compaction *walJob
 
-	// segMu guards the segment bookkeeping shared between the
-	// committer (rotation appends) and the compactor (pruning
-	// removes).
-	segMu sync.Mutex
-	segs  []int // sorted live segment indexes, including the open one
-	// snapSeg is the highest segment index covered by the newest
-	// snapshot; -1 before any snapshot exists.
-	snapSeg int
-
-	// compacting serialises snapshot compactions.
-	compacting atomic.Bool
-	compactWG  sync.WaitGroup
 	// snapshotFn dumps the full store state for compaction; installed
 	// by OpenWALStore before the committer starts.
 	snapshotFn func() []*core.Operation
@@ -289,6 +293,7 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 		return nil, err
 	}
 	w.f = f
+	w.stats.setSegments(len(w.segs))
 	return w, nil
 }
 
@@ -346,20 +351,28 @@ func (w *wal) initSegment(f *os.File, fill bool) error {
 	return nil
 }
 
-// prepareNext starts preparing the segment after the open one on a
-// goroutine of its own, unless one is already in preparation or
-// waiting. The committer waits for that goroutine before it exits
-// (dropPrep). Committer goroutine only.
+// startJob runs fn as a job for segment index on a goroutine whose last
+// act, after done has closed, wakes the committer, so an outcome is
+// reaped even when no write follows. Committer goroutine only.
+func (w *wal) startJob(index int, fn func(*walJob)) *walJob {
+	j := &walJob{index: index, done: make(chan struct{})}
+	go func() {
+		fn(j)
+		close(j.done)
+		w.wake()
+	}()
+	return j
+}
+
+// prepareNext starts preparing the segment after the open one, unless
+// one is already in preparation or waiting. Committer goroutine only.
 func (w *wal) prepareNext() {
 	if w.prep.Load() != nil {
 		return
 	}
-	p := &walPrep{index: w.segIndex + 1, done: make(chan struct{})}
-	w.prep.Store(p)
-	go func() {
-		defer close(p.done)
-		p.f, p.err = w.createSegment(p.index, true)
-	}()
+	w.prep.Store(w.startJob(w.segIndex+1, func(j *walJob) {
+		j.f, j.err = w.createSegment(j.index, true)
+	}))
 }
 
 // dropPrep waits for a preparation in flight and closes the prepared
@@ -484,13 +497,13 @@ func (w *wal) flush() error {
 // committer exits at once, dropping whatever is staged but not yet
 // committed, and the segment file is left un-flushed — the closest a
 // live process gets to kill -9 — with a prepared segment's file left on
-// disk. Either way close waits for any in-flight compaction and
-// segment preparation, then releases the directory lock, as the
-// kernel releases a killed process's.
+// disk. Either way the committer waits for its background jobs (a
+// segment preparation, a compaction) before it exits, and close then
+// releases the directory lock, as the kernel releases a killed
+// process's.
 func (w *wal) close(crash bool) error {
 	w.quitOnce.Do(func() { w.quit <- crash })
 	<-w.done
-	w.compactWG.Wait()
 	w.lock.Close()
 	return w.closeErr
 }
@@ -510,6 +523,9 @@ func (w *wal) committer() {
 				w.dropPrep(false)
 			} else {
 				w.closeErr = w.finalize()
+			}
+			if w.compaction != nil {
+				<-w.compaction.done
 			}
 			return
 		case <-w.kick:
@@ -605,91 +621,84 @@ func (w *wal) rotate() {
 	}
 	old, i := w.f, w.segIndex
 	w.f, w.segIndex, w.segSize, w.prepAfter = p.f, p.index, 0, 0
-	w.segMu.Lock()
 	w.segs = append(w.segs, p.index)
-	w.segMu.Unlock()
+	w.stats.setSegments(len(w.segs))
 	if err := old.Close(); err != nil {
 		log.Printf("engine: wal closing segment %d: %v", i, err)
 	}
 }
 
-// maybeCompact folds the closed segments into a snapshot, after a
-// commit, once maxSegs of them have accumulated since the last one. It
-// is the log's only compaction trigger, and it is what bounds replay and
-// disk: about maxSegs+1 segments plus one snapshot. One compaction runs
-// at a time, on its own goroutine so the committer keeps absorbing
-// writes while the snapshot is dumped; the committer is the only
-// goroutine that starts one.
+// maybeCompact reaps a finished compaction, applying a successful one to
+// segs, snapSeg and the segment count, then folds the closed segments
+// into a snapshot once maxSegs of them have accumulated since the last
+// one. It is the log's only compaction trigger, and it is what bounds
+// replay and disk: about maxSegs+1 segments plus one snapshot. One
+// compaction runs at a time, as a job, so the committer keeps absorbing
+// writes while the snapshot is dumped. Committer goroutine only.
 func (w *wal) maybeCompact() {
-	if w.compacting.Load() || w.compactAt == w.segIndex {
+	if j := w.compaction; j != nil {
+		select {
+		case <-j.done:
+		default:
+			return
+		}
+		w.compaction = nil
+		if j.err == nil {
+			w.snapSeg = j.index
+			w.segs = slices.DeleteFunc(w.segs, func(s int) bool { return s <= j.index })
+			w.stats.setSegments(len(w.segs))
+		}
+	}
+	if w.compactAt == w.segIndex {
 		return
 	}
-	w.segMu.Lock()
 	closed := 0
 	for _, s := range w.segs {
 		if s != w.segIndex && s > w.snapSeg {
 			closed++
 		}
 	}
-	w.segMu.Unlock()
 	if closed < w.maxSegs {
 		return
 	}
-	w.compacting.Store(true)
 	w.compactAt = w.segIndex
-	w.compactWG.Add(1)
-	go w.compact(w.segIndex - 1)
+	w.compaction = w.startJob(w.segIndex-1, w.compact)
 }
 
-// compact dumps the full store state to a snapshot covering every
-// segment up to and including through, then prunes the segments and
-// snapshots it obsoletes. The memory state is always ahead of the log,
-// so a snapshot taken after the covered segments closed is a superset
-// of them; replay idempotency makes the overlap with newer segments
-// harmless.
-func (w *wal) compact(through int) {
-	defer w.compactWG.Done()
-	defer w.compacting.Store(false)
-	ops := w.snapshotFn()
-	if err := w.writeSnapshot(through, ops); err != nil {
+// compact is a compaction job: it dumps the full store state to a
+// snapshot covering every segment up to and including j.index, then
+// prunes the segments and snapshots it obsoletes. The memory state is
+// always ahead of the log, so a snapshot taken after the covered segments
+// closed is a superset of them; replay idempotency makes the overlap with
+// newer segments harmless.
+func (w *wal) compact(j *walJob) {
+	through := j.index
+	if j.err = w.writeSnapshot(through, w.snapshotFn()); j.err != nil {
 		os.Remove(filepath.Join(w.dir, walSnapTmp)) // a half-written one, if any
-		log.Printf("engine: wal snapshot through segment %d failed: %v", through, err)
+		log.Printf("engine: wal snapshot through segment %d failed: %v", through, j.err)
 		return
 	}
-	w.segMu.Lock()
-	w.snapSeg = through
-	kept := w.segs[:0]
-	var drop []int
-	for _, s := range w.segs {
-		if s <= through {
-			drop = append(drop, s)
-			continue
-		}
-		kept = append(kept, s)
-	}
-	w.segs = kept
-	w.segMu.Unlock()
-	for _, s := range drop {
-		if err := os.Remove(filepath.Join(w.dir, walSegName(s))); err != nil {
-			log.Printf("engine: wal pruning segment %d: %v", s, err)
-		}
-	}
-	// Every older snapshot is obsolete, not only the one the log booted
-	// from: recovery may have passed over unusable ones, which nothing
-	// else would ever remove.
+	// One listing serves both prunes, covered segments first. Every older
+	// snapshot is obsolete, not only the one the log booted from:
+	// recovery may have passed over unusable ones, which nothing else
+	// would ever remove.
 	entries, err := os.ReadDir(w.dir)
 	if err != nil {
-		log.Printf("engine: wal listing snapshots to prune: %v", err)
+		log.Printf("engine: wal listing files to prune: %v", err)
 	}
-	for _, e := range entries {
-		var i int
-		if !parseWALName(e.Name(), walSnapPattern, &i) || i >= through {
-			continue
-		}
-		if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
-			log.Printf("engine: wal pruning snapshot %d: %v", i, err)
+	prune := func(pattern string, below int) {
+		for _, e := range entries {
+			var i int
+			if !parseWALName(e.Name(), pattern, &i) || i >= below {
+				continue
+			}
+			if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
+				log.Printf("engine: wal pruning %s: %v", e.Name(), err)
+			}
 		}
 	}
+	prune(walSegPattern, through+1)
+	prune(walSnapPattern, through)
 }
 
 // writeSnapshot atomically installs a snapshot of ops covering
@@ -776,13 +785,4 @@ func (w *wal) finalize() error {
 		}
 	}
 	return err
-}
-
-// snapshotStats assembles the health-endpoint counters.
-func (w *wal) snapshotStats() WALStats {
-	st := w.stats.snapshot(time.Now())
-	w.segMu.Lock()
-	st.Segments = len(w.segs)
-	w.segMu.Unlock()
-	return st
 }

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -423,6 +424,121 @@ func TestWALFailedCompactionWaitsForRotation(t *testing.T) {
 	}
 	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap*")); len(snaps) != 0 {
 		t.Errorf("failed compactions left %v", snaps)
+	}
+}
+
+// heldCompaction opens a log over dir whose first compaction blocks in
+// the fsync of snap.tmp: three Puts into 1-byte segments close segments 0
+// and 1, and with maxSegs 2 the third Put's commit starts a compaction
+// through segment 1. It returns once that fsync has been entered;
+// release lets it land.
+func heldCompaction(t *testing.T, dir string) (s *WALStore, release func()) {
+	t.Helper()
+	entered, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(f *os.File) error {
+		if filepath.Base(f.Name()) == walSnapTmp {
+			once.Do(func() {
+				close(entered)
+				<-hold
+			})
+		}
+		return f.Sync()
+	}
+	s = openWAL(t, dir, WALConfig{Sync: WALSyncAlways, segBytes: 1, maxSegs: 2, syncHook: hook})
+	for i := range 3 {
+		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000+int64(i), 0)))
+		awaitPrep(s)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no compaction started after two segments closed")
+	}
+	return s, func() { close(hold) }
+}
+
+// TestWALCompactionEndsWithClose: Close, and abort (the crash
+// simulation), return only after a compaction in flight has ended — its
+// snapshot installed and the segments it covers pruned — so its
+// goroutine never outlives the log or its directory lock.
+func TestWALCompactionEndsWithClose(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		t.Run(map[bool]string{false: "Close", true: "abort"}[crash], func(t *testing.T) {
+			dir := t.TempDir()
+			s, release := heldCompaction(t, dir)
+
+			closed := make(chan struct{})
+			go func() {
+				defer close(closed)
+				if crash {
+					s.closeAbrupt()
+				} else if err := s.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}()
+			select {
+			case <-closed:
+				release()
+				t.Fatal("the log closed while its compaction was still running")
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			<-closed
+
+			if _, err := os.Stat(filepath.Join(dir, walSnapName(1))); err != nil {
+				t.Errorf("no snapshot through segment 1 after the close: %v", err)
+			}
+			for _, seg := range liveSegmentFiles(t, dir) {
+				if seg == walSegName(0) || seg == walSegName(1) {
+					t.Errorf("covered segment %s still on disk after the close", seg)
+				}
+			}
+			r := openWAL(t, dir, WALConfig{Sync: WALSyncAlways})
+			defer r.Close()
+			if got := r.Len(); got != 3 {
+				t.Errorf("reopened store holds %d of 3 acknowledged operations", got)
+			}
+		})
+	}
+}
+
+// TestWALIdleCompactionUpdatesSegments: the committer applies a
+// compaction's outcome when it reaps the job, and a compaction that ends
+// with no write after it still gets reaped, because its goroutine wakes
+// the committer. WALStats().Segments then counts the segment files on
+// disk, less a prepared one the log has not rotated into.
+func TestWALIdleCompactionUpdatesSegments(t *testing.T) {
+	dir := t.TempDir()
+	s, release := heldCompaction(t, dir)
+	defer s.Close()
+	// Let the committer take any kick still pending from the segment
+	// preparation, so only the compaction's own wake can reap it.
+	time.Sleep(50 * time.Millisecond)
+	release()
+
+	deadline := time.Now().Add(10 * time.Second)
+	pruned := func() bool {
+		_, err := os.Stat(filepath.Join(dir, walSegName(1)))
+		return errors.Is(err, os.ErrNotExist)
+	}
+	for !pruned() {
+		if time.Now().After(deadline) {
+			t.Fatal("the compaction never pruned segment 1")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	want := len(liveSegmentFiles(t, dir))
+	if p := s.log.prep.Load(); p != nil {
+		if <-p.done; p.f != nil {
+			want--
+		}
+	}
+	for got := s.WALStats().Segments; got != want; got = s.WALStats().Segments {
+		if time.Now().After(deadline) {
+			t.Fatalf("WALStats().Segments = %d after an idle compaction, want %d: the committer never reaped it", got, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
+	"time"
 
 	"opdaemon/internal/core"
 )
@@ -110,7 +111,7 @@ func OpenWALStore(cfg WALConfig) (*WALStore, error) {
 	}
 	w.lock = lock
 	s.log = w
-	// The compactor's full-state snapshot source is the unbounded
+	// Compaction's full-state snapshot source is the unbounded
 	// listing, which snapshots each shard under its own lock and merges
 	// lock-free.
 	w.snapshotFn = func() []*core.Operation {
@@ -164,7 +165,7 @@ func (s *WALStore) Flush() error {
 // WALStats reports the log's observability counters; Engine.Stats
 // surfaces them when the engine's store is durable.
 func (s *WALStore) WALStats() WALStats {
-	return s.log.snapshotStats()
+	return s.log.stats.snapshot(time.Now())
 }
 
 // closeAbrupt is the crash-simulation hook for the recovery tests: the
