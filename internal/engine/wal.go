@@ -497,10 +497,10 @@ func (w *wal) flush() error {
 // committer exits at once, dropping whatever is staged but not yet
 // committed, and the segment file is left un-flushed — the closest a
 // live process gets to kill -9 — with a prepared segment's file left on
-// disk. Either way the committer waits for its background jobs (a
-// segment preparation, a compaction) before it exits, and close then
-// releases the directory lock, as the kernel releases a killed
-// process's.
+// disk. Either way the committer waits for the file work of its
+// background jobs (a segment preparation, a compaction) to end before it
+// exits, and close then releases the directory lock, as the kernel
+// releases a killed process's.
 func (w *wal) close(crash bool) error {
 	w.quitOnce.Do(func() { w.quit <- crash })
 	<-w.done
@@ -662,43 +662,46 @@ func (w *wal) maybeCompact() {
 		return
 	}
 	w.compactAt = w.segIndex
-	w.compaction = w.startJob(w.segIndex-1, w.compact)
+	through := w.segIndex - 1
+	covered := slices.DeleteFunc(slices.Clone(w.segs), func(s int) bool { return s > through })
+	w.compaction = w.startJob(through, func(j *walJob) { w.compact(j, covered) })
 }
 
 // compact is a compaction job: it dumps the full store state to a
 // snapshot covering every segment up to and including j.index, then
-// prunes the segments and snapshots it obsoletes. The memory state is
-// always ahead of the log, so a snapshot taken after the covered segments
-// closed is a superset of them; replay idempotency makes the overlap with
-// newer segments harmless.
-func (w *wal) compact(j *walJob) {
+// prunes the covered segments, by the indexes the committer copied out
+// of segs when it started the job, and the snapshots it obsoletes. The
+// memory state is always ahead of the log, so a snapshot taken after the
+// covered segments closed is a superset of them; replay idempotency
+// makes the overlap with newer segments harmless.
+func (w *wal) compact(j *walJob, covered []int) {
 	through := j.index
 	if j.err = w.writeSnapshot(through, w.snapshotFn()); j.err != nil {
 		os.Remove(filepath.Join(w.dir, walSnapTmp)) // a half-written one, if any
 		log.Printf("engine: wal snapshot through segment %d failed: %v", through, j.err)
 		return
 	}
-	// One listing serves both prunes, covered segments first. Every older
-	// snapshot is obsolete, not only the one the log booted from:
-	// recovery may have passed over unusable ones, which nothing else
-	// would ever remove.
-	entries, err := os.ReadDir(w.dir)
-	if err != nil {
-		log.Printf("engine: wal listing files to prune: %v", err)
-	}
-	prune := func(pattern string, below int) {
-		for _, e := range entries {
-			var i int
-			if !parseWALName(e.Name(), pattern, &i) || i >= below {
-				continue
-			}
-			if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
-				log.Printf("engine: wal pruning %s: %v", e.Name(), err)
-			}
+	for _, s := range covered {
+		if err := os.Remove(filepath.Join(w.dir, walSegName(s))); err != nil {
+			log.Printf("engine: wal pruning segment %d: %v", s, err)
 		}
 	}
-	prune(walSegPattern, through+1)
-	prune(walSnapPattern, through)
+	// Every older snapshot is obsolete, not only the one the log booted
+	// from: recovery may have passed over unusable ones, which nothing
+	// else would ever remove.
+	entries, err := os.ReadDir(w.dir)
+	if err != nil {
+		log.Printf("engine: wal listing snapshots to prune: %v", err)
+	}
+	for _, e := range entries {
+		var i int
+		if !parseWALName(e.Name(), walSnapPattern, &i) || i >= through {
+			continue
+		}
+		if err := os.Remove(filepath.Join(w.dir, e.Name())); err != nil {
+			log.Printf("engine: wal pruning snapshot %d: %v", i, err)
+		}
+	}
 }
 
 // writeSnapshot atomically installs a snapshot of ops covering

@@ -459,9 +459,9 @@ func heldCompaction(t *testing.T, dir string) (s *WALStore, release func()) {
 }
 
 // TestWALCompactionEndsWithClose: Close, and abort (the crash
-// simulation), return only after a compaction in flight has ended — its
-// snapshot installed and the segments it covers pruned — so its
-// goroutine never outlives the log or its directory lock.
+// simulation), return only after a compaction in flight has ended its
+// file work — its snapshot installed and the segments it covers pruned —
+// so no file of the log changes after the directory lock is released.
 func TestWALCompactionEndsWithClose(t *testing.T) {
 	for _, crash := range []bool{false, true} {
 		t.Run(map[bool]string{false: "Close", true: "abort"}[crash], func(t *testing.T) {
@@ -512,12 +512,18 @@ func TestWALIdleCompactionUpdatesSegments(t *testing.T) {
 	dir := t.TempDir()
 	s, release := heldCompaction(t, dir)
 	defer s.Close()
-	// Let the committer take any kick still pending from the segment
-	// preparation, so only the compaction's own wake can reap it.
-	time.Sleep(50 * time.Millisecond)
+	// Let the committer take the kick the segment preparation sends when
+	// it ends, so only the compaction's own wake can reap it.
+	awaitPrep(s)
+	deadline := time.Now().Add(10 * time.Second)
+	for len(s.log.kick) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never took the preparation's kick")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	release()
 
-	deadline := time.Now().Add(10 * time.Second)
 	pruned := func() bool {
 		_, err := os.Stat(filepath.Join(dir, walSegName(1)))
 		return errors.Is(err, os.ErrNotExist)
