@@ -38,9 +38,11 @@ build:
 test:
 	$(GO) test -race -shuffle=on ./...
 
-# The three generated-history tests (TestStoreModel, TestAdmissionModel,
-# TestSchedModel) draw one fresh seed per run beside their fixed ones;
-# ten runs give ten more histories each (~25 s). A failure prints its seed, and
+# The four generated-history tests (TestStoreModel, TestAdmissionModel,
+# TestSchedModel, and TestWALWaitModel, which races the log's stage, its
+# waits and flush against held and failed fsyncs) draw one fresh seed per
+# run beside their fixed ones; ten runs give ten more histories each
+# (~30 s). A failure prints its seed, and
 # `-modelseed N` replays it. The replay test rides along (~1 s), so
 # recovery's fanned-out decode and its earliest-failure cut run ten
 # more times under -race, and so do the no-lost-wakeup races of

@@ -619,6 +619,13 @@ func (e *Engine) janitor() {
 		case <-e.janitorStop:
 			return
 		case <-t.C:
+			// select picks at random when a tick and the stop are both
+			// ready: once Shutdown has begun, start no new sweep.
+			select {
+			case <-e.janitorStop:
+				return
+			default:
+			}
 			if n := e.GC(); n > 0 {
 				log.Printf("engine: janitor evicted %d terminal operations older than %s", n, e.opTTL)
 			}

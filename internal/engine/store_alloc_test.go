@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -132,13 +133,15 @@ func TestListPagedWalkMatchesUnbounded(t *testing.T) {
 }
 
 // TestJournaledWriteAllocsMatchMemory: a journal encodes into pooled
-// buffers, so under WALSyncNone (no ticket wait) a journaled re-put of a
-// batch and a journaled Update allocate exactly what the memory store
-// does on the same operations. The batch's own count (its bucket table)
-// depends on how the shard seed spreads the IDs, so the two stores are
-// compared with each other rather than with a constant. A commit
-// generation's ticket is not counted: with nobody waiting, one
-// generation stays open across the runs.
+// buffers and a commit generation is a number, not an object, so a
+// journaled re-put of a batch and a journaled Update followed by Flush
+// allocate exactly what the memory store does on the same operations.
+// The journal runs under WALSyncGroup with a no-op fsync, and every
+// call waits for its commit (PutBatch as admission, Update through
+// Flush), so each run detaches and ends a generation of its own. The
+// batch's own count (its bucket table) depends on how the shard seed
+// spreads the IDs, so the two stores are compared with each other
+// rather than with a constant.
 func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
 	skipIfRace(t)
 	t0 := time.Unix(1000, 0)
@@ -146,15 +149,17 @@ func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
 	for i := range ops {
 		ops[i] = mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second))
 	}
-	wal, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: WALSyncNone, shards: 2})
+	wal, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: WALSyncGroup, shards: 2,
+		syncHook: func(*os.File) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
 	stores := []struct {
-		name string
-		s    Store
-	}{{"memory", NewShardedStore(2)}, {"journal", wal}}
+		name  string
+		s     Store
+		flush func() error
+	}{{"memory", NewShardedStore(2), func() error { return nil }}, {"journal", wal, wal.Flush}}
 
 	var batch, update [2]float64
 	for i, st := range stores {
@@ -166,13 +171,16 @@ func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			if err := st.flush(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 	if batch[1] != batch[0] {
 		t.Errorf("PutBatch of %d: journal allocates %.1f objects, memory %.1f", len(ops), batch[1], batch[0])
 	}
 	if update[1] != update[0] {
-		t.Errorf("Update: journal allocates %.1f objects, memory %.1f", update[1], update[0])
+		t.Errorf("Update+Flush: journal allocates %.1f objects, memory %.1f", update[1], update[0])
 	}
 }
 

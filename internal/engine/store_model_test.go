@@ -32,7 +32,7 @@ import (
 	"opdaemon/internal/core"
 )
 
-var modelSeed = flag.Int64("modelseed", 0, "run the model tests (TestStoreModel, TestAdmissionModel, TestSchedModel) with this seed only (0: the fixed seeds plus a fresh one)")
+var modelSeed = flag.Int64("modelseed", 0, "run the model tests (TestStoreModel, TestAdmissionModel, TestSchedModel, TestWALWaitModel) with this seed only (0: the fixed seeds plus a fresh one)")
 
 // storeModel is the oracle: the latest value put or published per ID.
 type storeModel map[string]core.Operation

@@ -49,7 +49,7 @@ func DefaultShardCount() int {
 //     touch the file themselves: file I/O under a shard lock would stall
 //     every operation on the shard for an fsync.
 //  3. After the unlock, admitWait or transitionWait wakes the committer
-//     and waits out the sync policy.
+//     and waits out the sync policy for the newest generation staged.
 //
 // Without a journal steps 1 and 3 vanish: log is nil and every *wal
 // method the store calls is a no-op on a nil receiver.
@@ -131,7 +131,7 @@ func (s *shardedStore) PutBatch(ops []*core.Operation) {
 		return
 	}
 	buf := s.encBuf()
-	var last *walGen
+	var last uint64
 	if len(ops) == 1 || len(s.shards) == 1 {
 		// One bucket by construction. Single-op batches (every Submit
 		// routes through here) must skip the bucket table — its
@@ -143,9 +143,7 @@ func (s *shardedStore) PutBatch(ops []*core.Operation) {
 			if len(bucket) == 0 {
 				continue
 			}
-			if g := s.putBucket(s.shards[i], bucket, buf); g != nil {
-				last = g
-			}
+			last = max(last, s.putBucket(s.shards[i], bucket, buf))
 		}
 	}
 	putEncBuf(buf)
@@ -153,11 +151,11 @@ func (s *shardedStore) PutBatch(ops []*core.Operation) {
 }
 
 // putBucket publishes ops, all of which hash to sh, in one critical
-// section and returns the ticket of the generation their records
-// boarded. The records are encoded before the lock — they capture the
+// section and returns the generation number their records boarded.
+// The records are encoded before the lock — they capture the
 // operations as handed over, which ownership transfer makes stable —
 // and staged inside it, keeping log order equal to publish order.
-func (s *shardedStore) putBucket(sh *storeShard, ops []*core.Operation, buf *[]byte) *walGen {
+func (s *shardedStore) putBucket(sh *storeShard, ops []*core.Operation, buf *[]byte) uint64 {
 	var frames []byte
 	recs := 0
 	if buf != nil {
@@ -334,7 +332,7 @@ func (s *shardedStore) Update(id string, fn func(op *core.Operation)) error {
 			sh.mu.Unlock()
 			continue
 		}
-		var g *walGen
+		var g uint64
 		if changed {
 			sh.ops[id] = c
 			sh.ix.replace(c)
@@ -363,7 +361,7 @@ func sameMutable(a, b *core.Operation) bool {
 // the candidates still published and stages exactly their frames.
 func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
 	evicted := 0
-	var last *walGen
+	var last uint64
 	buf := s.encBuf()
 	var cands []*core.Operation
 	for _, sh := range s.shards {
@@ -381,9 +379,7 @@ func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
 		}
 		sh.mu.Lock()
 		n, staged := sh.evictLocked(cands, tombs)
-		if g := s.log.stage(staged, n); g != nil {
-			last = g
-		}
+		last = max(last, s.log.stage(staged, n))
 		sh.mu.Unlock()
 		evicted += n
 	}

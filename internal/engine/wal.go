@@ -18,10 +18,10 @@ package engine
 // under its mutex — never touching the file — and a single committer
 // goroutine detaches the buffer under that mutex, then performs the
 // one write+fsync for the whole batch strictly after the lock is
-// released. Writers that need durability park on the batch's commit
-// ticket (walGen), which the committer resolves once the fsync lands;
-// one disk flush is amortised across every writer that boarded the
-// batch.
+// released. Writers that need durability wait for the number of the
+// batch's commit generation, which stage hands out, until the committer
+// reports it ended; one disk flush is amortised across every writer
+// that boarded the batch.
 
 import (
 	"bufio"
@@ -43,7 +43,7 @@ type WALSyncMode string
 
 const (
 	// WALSyncAlways fsyncs every batch and makes every mutation —
-	// puts, updates, sweeps — wait for its commit ticket. Maximum
+	// puts, updates, sweeps — wait for its commit generation. Maximum
 	// durability, one fsync round-trip on every write path.
 	WALSyncAlways WALSyncMode = "always"
 	// WALSyncGroup (the default) commits the moment anything is staged;
@@ -68,33 +68,26 @@ func (m WALSyncMode) Valid() bool {
 	return false
 }
 
-// walGen is one commit generation's ticket: every writer that appended
-// into the generation's batch shares it. done closes after the batch's
-// write+fsync completes; err is written before the close and read only
-// after it.
-type walGen struct {
-	done chan struct{}
-	err  error
-}
-
 // walBatch is the group-commit staging buffer. Its mutex is policed by
 // lockscope as a nested-acquisition lock: writers may take it while
 // holding a storeShard lock (that nesting is what keeps log order equal
 // to publish order), but nothing may block or perform file I/O while
-// holding it — the committer detaches buf and gen under the lock and
-// does the write+fsync after releasing it.
+// holding it — the committer detaches buf under the lock and does the
+// write+fsync after releasing it.
 type walBatch struct {
 	mu sync.Mutex
 	// buf accumulates encoded frames; n counts the records in them.
 	buf []byte
 	n   int
-	// gen is the current generation's ticket, created lazily by the
-	// first writer to board the batch.
-	gen *walGen
-	// last is the most recently detached generation — in flight or
-	// already resolved — so flush can wait out a commit it did not
-	// board.
-	last *walGen
+	// next is the boarding generation (the first is 1), ended the newest
+	// one whose write+fsync has ended, and err the first commit error.
+	// Only the committer changes them.
+	next, ended uint64
+	err         error
+	// Generation g's waiters park in slots[g&1], whose Wait releases mu.
+	// At most two generations are live, one in its write+fsync and one
+	// boarding, so a commit wakes only its own waiters.
+	slots [2]sync.Cond
 }
 
 // walJob is one background job of the log: preparing segment index
@@ -242,9 +235,6 @@ type wal struct {
 	// snapSeg is the highest segment index covered by the newest
 	// snapshot; -1 before any snapshot exists.
 	snapSeg int
-	// commitErr is the first failed commit's error. finalize reports it:
-	// a later fsync that succeeds does not make that batch durable.
-	commitErr error
 	// spare recycles the detached batch buffer across commits.
 	spare []byte
 	// prep is the next segment, in preparation or prepared and not yet
@@ -293,6 +283,8 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 		return nil, err
 	}
 	w.f = f
+	w.batch.next = 1
+	w.batch.slots = [2]sync.Cond{{L: &w.batch.mu}, {L: &w.batch.mu}}
 	w.stats.setSegments(len(w.segs))
 	return w, nil
 }
@@ -397,7 +389,7 @@ func (w *wal) dropPrep(remove bool) {
 }
 
 // stage boards one or more already-framed records (recs counts them)
-// onto the current batch, returning the generation ticket the caller
+// onto the current batch, returning the generation number the caller
 // waits on. Callers may hold a storeShard lock: stage only appends to
 // the staging buffer; all file I/O happens on the committer and the
 // goroutines it starts. Nothing commits until the caller's wait wakes the
@@ -405,19 +397,16 @@ func (w *wal) dropPrep(remove bool) {
 // and wakes once (see admitWait).
 //
 // stage and the two waits are everything a store's mutations call on
-// the log, and each is a no-op on a nil *wal (no ticket is ever issued,
-// so the waits return at their nil check): that is how a store without
-// a journal runs the same mutation code.
-func (w *wal) stage(frames []byte, recs int) *walGen {
+// the log, and each is a no-op on a nil *wal (stage returns 0, and the
+// waits return on 0): that is how a store without a journal runs the
+// same mutation code.
+func (w *wal) stage(frames []byte, recs int) uint64 {
 	if w == nil || len(frames) == 0 {
-		return nil
+		return 0
 	}
 	b := &w.batch
 	b.mu.Lock()
-	if b.gen == nil {
-		b.gen = &walGen{done: make(chan struct{})}
-	}
-	g := b.gen
+	g := b.next
 	b.buf = append(b.buf, frames...)
 	b.n += recs
 	b.mu.Unlock()
@@ -441,15 +430,15 @@ func (w *wal) wake() {
 // A batch calls it once, after its last bucket: the committer commits the
 // moment it is woken, so a wake per bucket would split the batch over two
 // generations and two fsyncs. Another writer's wake can still split it;
-// waiting on the newest ticket covers every staged record regardless,
-// because generations commit in order.
-func (w *wal) admitWait(g *walGen) {
-	if g == nil {
+// waiting for the newest generation the batch boarded covers every
+// staged record regardless, because generations commit in order.
+func (w *wal) admitWait(g uint64) {
+	if g == 0 {
 		return
 	}
 	w.wake()
 	if w.mode != WALSyncNone {
-		<-g.done
+		w.await(g)
 	}
 }
 
@@ -460,34 +449,42 @@ func (w *wal) admitWait(g *walGen) {
 // both waits proceed past them — the Store interface has no error
 // channel for writes, and the in-memory state (the API's source of truth
 // until restart) already holds the mutation.
-func (w *wal) transitionWait(g *walGen) {
-	if g == nil {
+func (w *wal) transitionWait(g uint64) {
+	if g == 0 {
 		return
 	}
 	w.wake()
 	if w.mode == WALSyncAlways {
-		<-g.done
+		w.await(g)
 	}
 }
 
-// flush forces a commit of everything staged so far and waits for it,
-// returning the commit's write/fsync outcome. With nothing staged it
-// waits on the newest detached generation instead: records the
-// committer took a moment ago are durable only once that fsync lands.
+// flush forces a commit of everything staged so far and waits for the
+// newest staged generation (with nothing staged, the last one detached:
+// its records are durable only once its fsync lands). Like close, it
+// returns the first commit error the log ever saw.
 func (w *wal) flush() error {
 	b := &w.batch
 	b.mu.Lock()
-	g := b.gen
-	if g == nil {
-		g = b.last
+	g := b.next
+	if b.n == 0 {
+		g--
 	}
 	b.mu.Unlock()
-	if g == nil {
-		return nil
-	}
 	w.wake()
-	<-g.done
-	return g.err
+	return w.await(g)
+}
+
+// await parks the caller until generation g has ended and returns the
+// first commit error.
+func (w *wal) await(g uint64) error {
+	b := &w.batch
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.ended < g {
+		b.slots[g&1].Wait()
+	}
+	return b.err
 }
 
 // close stops the log; only the first call does, and its crash decides
@@ -535,9 +532,11 @@ func (w *wal) committer() {
 	}
 }
 
-// commit detaches the staged batch and performs its write+fsync. The
-// detach happens under the batch lock; the file I/O strictly after its
-// release — the invariant lockscope's file-I/O rule enforces.
+// commit detaches the boarding generation's batch, performs its
+// write+fsync, then marks the generation ended and wakes its waiters.
+// Detach and mark happen under the batch lock, the file I/O between
+// them with the lock released — the invariant lockscope's file-I/O rule
+// enforces.
 func (w *wal) commit() {
 	b := &w.batch
 	b.mu.Lock()
@@ -545,17 +544,16 @@ func (w *wal) commit() {
 		b.mu.Unlock()
 		return
 	}
-	buf, gen, n := b.buf, b.gen, b.n
+	buf, g, n := b.buf, b.next, b.n
 	b.buf = w.spare[:0]
-	b.gen = nil
-	b.last = gen
+	b.next++
 	b.n = 0
 	b.mu.Unlock()
 
 	err := w.writeAndSync(buf)
 	w.spare = buf[:0]
-	// Account for the batch before resolving its ticket: a writer that
-	// has just been acknowledged must find its own commit in WALStats.
+	// Account for the batch before it ends: a writer that has just been
+	// acknowledged must find its own commit in WALStats.
 	// Its fsync counts when the batch succeeded under a syncing mode.
 	w.stats.recordCommit(n, err == nil && w.mode != WALSyncNone, err != nil, time.Now())
 	if err != nil {
@@ -564,12 +562,14 @@ func (w *wal) commit() {
 		// durability is degraded; the in-memory state remains correct
 		// until restart.
 		log.Printf("engine: wal commit of %d records failed: %v", n, err)
-		if w.commitErr == nil {
-			w.commitErr = err
-		}
 	}
-	gen.err = err
-	close(gen.done)
+	b.mu.Lock()
+	b.ended = g
+	if b.err == nil {
+		b.err = err
+	}
+	b.mu.Unlock()
+	b.slots[g&1].Broadcast()
 }
 
 // writeAndSync writes one batch at the open segment's end, fsyncing per
@@ -771,8 +771,8 @@ func (w *wal) finalize() error {
 	w.commit()
 	w.dropPrep(true)
 	var err error
-	if w.commitErr != nil {
-		err = fmt.Errorf("records may not be durable: %w", w.commitErr)
+	if w.batch.err != nil { // the committer is its only writer
+		err = fmt.Errorf("records may not be durable: %w", w.batch.err)
 	}
 	if w.f != nil {
 		// A zero tail left in place is still a clean end, so a failed

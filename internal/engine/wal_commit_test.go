@@ -241,8 +241,7 @@ func TestWALGroupLonePutOneFsync(t *testing.T) {
 // TestWALGroupBatchesDuringFsync is the self-clocking claim: every
 // writer that boards while a write+fsync is in flight shares the next
 // one. One fsync is held open, K goroutines Put behind it, and all K
-// tickets must resolve from exactly one further fsync carrying all K
-// records.
+// must return from exactly one further fsync carrying all K records.
 func TestWALGroupBatchesDuringFsync(t *testing.T) {
 	p := newSyncProbe()
 	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, syncHook: p.sync})
@@ -657,8 +656,8 @@ func TestWALPreparationEndsWithClose(t *testing.T) {
 // TestWALCommitFailureCounted: a failed fsync still releases its
 // waiters (the Store interface has no write-error channel) but is
 // counted, and Engine.Stats carries the count to /v1/health and
-// /v1/metrics. Close reports it too: the clean final fsync does not make
-// the failed batch durable.
+// /v1/metrics. Flush and Close report it too, after a clean commit and
+// the clean final fsync: neither makes the failed batch durable.
 func TestWALCommitFailureCounted(t *testing.T) {
 	p := newSyncProbe()
 	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, syncHook: p.sync})
@@ -674,6 +673,10 @@ func TestWALCommitFailureCounted(t *testing.T) {
 	p.failWith(injected)
 	s.Put(mkOp("lost", t0))
 	p.failWith(nil)
+	s.Put(mkOp("after", t0))
+	if err := s.Flush(); !errors.Is(err, injected) {
+		t.Errorf("Flush = %v after a failed commit and a clean one, want the injected error", err)
+	}
 
 	if got := s.WALStats().CommitFailures; got != 1 {
 		t.Errorf("CommitFailures = %d after one failed fsync, want 1", got)

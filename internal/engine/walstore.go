@@ -157,7 +157,9 @@ func (s *WALStore) Close() error {
 
 // Flush forces a commit of everything staged so far and waits for it —
 // a durability barrier for callers (and tests) that need one outside
-// the per-mutation policy.
+// the per-mutation policy. Like Close's, its error is the first commit
+// that ever failed, if one did: a later commit that succeeds does not
+// make the failed batch durable.
 func (s *WALStore) Flush() error {
 	return s.log.flush()
 }
