@@ -96,8 +96,9 @@ vuln:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 # The Go benchmarks opbench does not supersede: store and WAL contention
-# (*Parallel), cold recovery, the in-process API paths. -benchmem because
-# allocs/op is what the collector is billed for. They print numbers and
+# (*Parallel), a batch's shape across shard counts, cold recovery, the
+# in-process API paths. -benchmem because allocs/op is what the collector
+# is billed for. They print numbers and
 # gate nothing; numbers worth quoting come from opbench (bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) -run '^$$' ./internal/engine/ ./internal/api/

@@ -133,54 +133,58 @@ func TestListPagedWalkMatchesUnbounded(t *testing.T) {
 }
 
 // TestJournaledWriteAllocsMatchMemory: a journal encodes into pooled
-// buffers and a commit generation is a number, not an object, so a
-// journaled re-put of a batch and a journaled Update followed by Flush
-// allocate exactly what the memory store does on the same operations.
-// The journal runs under WALSyncGroup with a no-op fsync, and every
-// call waits for its commit (PutBatch as admission, Update through
-// Flush), so each run detaches and ends a generation of its own. The
-// batch's own count (its bucket table) depends on how the shard seed
-// spreads the IDs, so the two stores are compared with each other
-// rather than with a constant.
+// buffers, a commit generation is a number, not an object, and a batch
+// of up to 16 operations finds its shards on the stack, so a re-put of
+// a batch allocates nothing, on the memory store and on the journal,
+// whatever the shard count; and a journaled Update followed by Flush
+// allocates exactly what the memory store does. The journal runs under
+// WALSyncGroup with a no-op fsync, and every call waits for its commit
+// (PutBatch as admission, Update through Flush), so each run detaches
+// and ends a generation of its own.
 func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
 	skipIfRace(t)
 	t0 := time.Unix(1000, 0)
-	ops := make([]*core.Operation, 10)
+	ops := make([]*core.Operation, 16)
 	for i := range ops {
 		ops[i] = mkOp(fmt.Sprintf("op-%02d", i), t0.Add(time.Duration(i)*time.Second))
 	}
-	wal, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: WALSyncGroup, shards: 2,
-		syncHook: func(*os.File) error { return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	stores := []struct {
-		name  string
-		s     Store
-		flush func() error
-	}{{"memory", NewShardedStore(2), func() error { return nil }}, {"journal", wal, wal.Flush}}
+	for _, shards := range []int{1, 2, 16} {
+		wal, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: WALSyncGroup, shards: shards,
+			syncHook: func(*os.File) error { return nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wal.Close()
+		stores := []struct {
+			name  string
+			s     Store
+			flush func() error
+		}{{"memory", NewShardedStore(shards), func() error { return nil }}, {"journal", wal, wal.Flush}}
 
-	var batch, update [2]float64
-	for i, st := range stores {
-		st.s.PutBatch(ops)
-		batch[i] = testing.AllocsPerRun(100, func() { st.s.PutBatch(ops) })
-		update[i] = testing.AllocsPerRun(100, func() {
-			if err := st.s.Update(ops[0].ID, func(op *core.Operation) {
-				op.UpdatedAt = op.UpdatedAt.Add(time.Nanosecond)
-			}); err != nil {
-				t.Fatal(err)
+		var update [2]float64
+		for i, st := range stores {
+			for _, n := range []int{1, 10, 16} {
+				batch := ops[:n]
+				st.s.PutBatch(batch)
+				if allocs := testing.AllocsPerRun(100, func() { st.s.PutBatch(batch) }); allocs != 0 {
+					t.Errorf("%s, %d shards: re-put of a batch of %d allocates %.1f objects, want 0",
+						st.name, shards, n, allocs)
+				}
 			}
-			if err := st.flush(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if batch[1] != batch[0] {
-		t.Errorf("PutBatch of %d: journal allocates %.1f objects, memory %.1f", len(ops), batch[1], batch[0])
-	}
-	if update[1] != update[0] {
-		t.Errorf("Update+Flush: journal allocates %.1f objects, memory %.1f", update[1], update[0])
+			update[i] = testing.AllocsPerRun(100, func() {
+				if err := st.s.Update(ops[0].ID, func(op *core.Operation) {
+					op.UpdatedAt = op.UpdatedAt.Add(time.Nanosecond)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.flush(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if update[1] != update[0] {
+			t.Errorf("Update+Flush, %d shards: journal allocates %.1f objects, memory %.1f", shards, update[1], update[0])
+		}
 	}
 }
 

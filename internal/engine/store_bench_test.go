@@ -2,11 +2,11 @@ package engine
 
 // The store benchmarks opbench cannot replace: contended variants at one
 // shard (a single lock) against the shard count the store ships with,
-// the WAL under each sync policy, cold recovery, and the unbounded
-// listing. What one uncontended Get, Put, PutBatch, Update or List page
-// costs is opbench's store.* and wal.* rows (bench/README.md); at
-// -cpu 1 a *Parallel benchmark here is its own serial baseline. Run via
-// `make bench` or:
+// the WAL under each sync policy, cold recovery, a batch's shape across
+// shard counts, and the unbounded listing. What one uncontended Get,
+// Put, batch-10 PutBatch, Update or List page costs is opbench's store.*
+// and wal.* rows (bench/README.md); at -cpu 1 a *Parallel benchmark here
+// is its own serial baseline. Run via `make bench` or:
 //
 //	go test -bench=. -benchmem -benchtime=100x -run '^$' ./internal/engine/
 
@@ -212,6 +212,27 @@ func BenchmarkWALRecovery(b *testing.B) {
 		}
 		if err := r.Close(); err != nil {
 			b.Fatalf("Close: %v", err)
+		}
+	}
+}
+
+// BenchmarkStorePutBatch re-puts one batch of memory-store operations:
+// a batch's shape cost (hashing each ID, grouping the batch by shard, one
+// lock per shard met) plus each re-put's index remove and insert, which
+// grow with the shard. Two shards is what every gated opbench run uses;
+// 16 is a wide host's default.
+func BenchmarkStorePutBatch(b *testing.B) {
+	for _, shards := range []int{2, 16} {
+		for _, n := range []int{10, 1024} {
+			b.Run(fmt.Sprintf("sharded-%d/batch-%d", shards, n), func(b *testing.B) {
+				s := NewShardedStore(shards)
+				ops := prepopulate(s, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.PutBatch(ops)
+				}
+			})
 		}
 	}
 }

@@ -126,42 +126,52 @@ func (s *shardedStore) Put(op *core.Operation) {
 
 // PutBatch inserts or replaces every operation, taking each shard's lock
 // at most once, and wakes the committer and waits once for the batch.
+// Each operation's shard is hashed once; the shards are visited in the
+// order the batch first meets them, each with the positions of its
+// operations in batch order.
 func (s *shardedStore) PutBatch(ops []*core.Operation) {
-	if len(ops) == 0 {
-		return
+	// Shard indexes, then one shard's positions: on the stack for up
+	// to 16 operations, one allocation beyond.
+	var small [32]int
+	scratch := small[:]
+	if len(ops) > len(small)/2 {
+		scratch = make([]int, 2*len(ops))
+	}
+	idx, pos := scratch[:len(ops)], scratch[len(ops):len(ops)]
+	for i, op := range ops {
+		idx[i] = s.shardIndex(op.ID)
 	}
 	buf := s.encBuf()
 	var last uint64
-	if len(ops) == 1 || len(s.shards) == 1 {
-		// One bucket by construction. Single-op batches (every Submit
-		// routes through here) must skip the bucket table — its
-		// O(shard-count) allocation would dominate the hot path it
-		// exists to amortise.
-		last = s.putBucket(s.shard(ops[0].ID), ops, buf)
-	} else {
-		for i, bucket := range s.bucket(ops) {
-			if len(bucket) == 0 {
-				continue
-			}
-			last = max(last, s.putBucket(s.shards[i], bucket, buf))
+	for i, k := range idx {
+		if k < 0 {
+			continue // already put with its shard
 		}
+		pos = pos[:0]
+		for j := i; j < len(idx); j++ {
+			if idx[j] == k {
+				pos = append(pos, j)
+				idx[j] = -1
+			}
+		}
+		last = max(last, s.putShard(s.shards[k], ops, pos, buf))
 	}
 	putEncBuf(buf)
 	s.log.admitWait(last)
 }
 
-// putBucket publishes ops, all of which hash to sh, in one critical
-// section and returns the generation number their records boarded.
-// The records are encoded before the lock — they capture the
+// putShard publishes the operations at pos, all of which hash to sh, in
+// one critical section and returns the generation number their records
+// boarded. The records are encoded before the lock — they capture the
 // operations as handed over, which ownership transfer makes stable —
 // and staged inside it, keeping log order equal to publish order.
-func (s *shardedStore) putBucket(sh *storeShard, ops []*core.Operation, buf *[]byte) uint64 {
+func (s *shardedStore) putShard(sh *storeShard, ops []*core.Operation, pos []int, buf *[]byte) uint64 {
 	var frames []byte
 	recs := 0
 	if buf != nil {
 		frames = (*buf)[:0]
-		for _, op := range ops {
-			next, err := encodeOpRecordV2(frames, op)
+		for _, j := range pos {
+			next, err := encodeOpRecordV2(frames, ops[j])
 			frames = next // on error the encoder rewound to the frame mark
 			if err != nil {
 				// Memory-only fallback: the mutation still applies but
@@ -174,22 +184,12 @@ func (s *shardedStore) putBucket(sh *storeShard, ops []*core.Operation, buf *[]b
 		*buf = frames
 	}
 	sh.mu.Lock()
-	for _, op := range ops {
-		sh.putLocked(op)
+	for _, j := range pos {
+		sh.putLocked(ops[j])
 	}
 	g := s.log.stage(frames, recs)
 	sh.mu.Unlock()
 	return g
-}
-
-// bucket groups ops by shard index, outside any lock.
-func (s *shardedStore) bucket(ops []*core.Operation) [][]*core.Operation {
-	buckets := make([][]*core.Operation, len(s.shards))
-	for _, op := range ops {
-		i := s.shardIndex(op.ID)
-		buckets[i] = append(buckets[i], op)
-	}
-	return buckets
 }
 
 // indexAll builds every shard's index from its map, for a store whose

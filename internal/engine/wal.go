@@ -427,8 +427,8 @@ func (w *wal) wake() {
 
 // admitWait wakes the committer and, under the modes that promise durable
 // admission, parks the caller until its admission records are durable.
-// A batch calls it once, after its last bucket: the committer commits the
-// moment it is woken, so a wake per bucket would split the batch over two
+// A batch calls it once, after its last shard: the committer commits the
+// moment it is woken, so a wake per shard would split the batch over two
 // generations and two fsyncs. Another writer's wake can still split it;
 // waiting for the newest generation the batch boarded covers every
 // staged record regardless, because generations commit in order.

@@ -279,17 +279,17 @@ func TestWALGroupBatchesDuringFsync(t *testing.T) {
 }
 
 // TestWALPutBatchOneWake: a PutBatch whose operations span several
-// shards stages every bucket and only then wakes the committer, so on
-// an idle log the whole batch is one generation: one commit, one fsync.
-// Waking per bucket would let the committer detach the first bucket
-// while the rest were still being staged.
+// shards stages every shard's records and only then wakes the committer,
+// so on an idle log the whole batch is one generation: one commit, one
+// fsync. Waking per shard would let the committer detach the first
+// shard's records while the rest were still being staged.
 func TestWALPutBatchOneWake(t *testing.T) {
 	p := newSyncProbe()
 	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, shards: 8, syncHook: p.sync})
 	defer s.Close()
 
-	// Enough operations that encoding the later buckets takes far
-	// longer than a woken committer needs to detach the earlier ones.
+	// Enough operations that encoding the later shards' records takes
+	// far longer than a woken committer needs to detach the earlier ones.
 	const n = 4096
 	ops := make([]*core.Operation, n)
 	shards := make(map[int]bool)

@@ -1078,9 +1078,9 @@ func TestReplayParallelMatchesSequential(t *testing.T) {
 
 // TestWALPutBatchSkipsUnencodableRecord: an operation whose Params the
 // journal cannot encode still applies to memory, and the records around
-// it in the same bucket are still staged. One shard puts all three in one
-// bucket, so a bucket that dropped its frames on one encode error would
-// lose a and c across the reopen.
+// it on the same shard are still staged. One shard puts all three in one
+// critical section, so a shard that dropped its frames on one encode
+// error would lose a and c across the reopen.
 func TestWALPutBatchSkipsUnencodableRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := openWAL(t, dir, WALConfig{Sync: WALSyncGroup, shards: 1})
