@@ -128,8 +128,8 @@ type Operation struct {
 	Deadline  time.Duration `json:"deadline_ns,omitempty"`
 	CreatedAt time.Time     `json:"created_at"`
 	UpdatedAt time.Time     `json:"updated_at"`
-	// CancelledAt is when cancellation was requested, set only on
-	// operations that end up cancelled.
+	// CancelledAt is when cancellation was requested, kept whatever the
+	// operation ends as: done too, when its handler completes regardless.
 	CancelledAt time.Time `json:"cancelled_at,omitzero"`
 }
 

@@ -16,9 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"opdaemon/internal/core"
@@ -99,9 +101,9 @@ type Engine struct {
 	wg          sync.WaitGroup
 	runCtx      context.Context
 	runStop     context.CancelFunc
-	// mu guards the handler table and nothing else.
-	mu       sync.RWMutex
-	handlers map[string]registration
+	// handlers is the published handler table, immutable once stored:
+	// Register swaps in a copy, so readers load it and take no lock.
+	handlers atomic.Pointer[map[string]registration]
 
 	// inflight is the side table beside the store (see watch.go): the
 	// running handlers' cancel functions, which Cancel looks up, the
@@ -153,9 +155,9 @@ func New(cfg Config) *Engine {
 		janitorStop: make(chan struct{}),
 		runCtx:      ctx,
 		runStop:     stop,
-		handlers:    make(map[string]registration),
 		inflight:    newInflight(cfg.noticeRing),
 	}
+	e.handlers.Store(&map[string]registration{})
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -175,29 +177,20 @@ func (e *Engine) Register(kind string, h Handler, opts ...RegisterOption) {
 	for _, opt := range opts {
 		reg.deadline = opt.deadline
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[kind] = reg
+	for {
+		old := e.handlers.Load()
+		next := maps.Clone(*old)
+		next[kind] = reg
+		if e.handlers.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // Kinds returns the registered operation kinds in sorted order, for
 // diagnostics.
 func (e *Engine) Kinds() []string {
-	e.mu.RLock()
-	out := make([]string, 0, len(e.handlers))
-	for k := range e.handlers {
-		out = append(out, k)
-	}
-	e.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-func (e *Engine) registration(kind string) (registration, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	reg, ok := e.handlers[kind]
-	return reg, ok
+	return slices.Sorted(maps.Keys(*e.handlers.Load()))
 }
 
 // Stats is a point-in-time saturation snapshot, cheap enough to serve
@@ -354,9 +347,9 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 
 	// Validate every item before touching the queue or store, so a
 	// rejected batch leaves no trace and the client learns about all
-	// bad items in one round trip. One read-lock covers the whole
-	// loop — per-item locking would re-serialize submitters on the
-	// engine mutex. The kind's deadline and the item's priority go
+	// bad items in one round trip. One load of the handler table covers
+	// the whole loop, so every item is checked against the same
+	// registrations. The kind's deadline and the item's priority go
 	// straight into the operation record here, so it carries the
 	// attributes it was accepted under even if the kind is re-registered
 	// before a worker picks it up.
@@ -371,7 +364,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 			Client:   client,
 		}
 	}
-	e.mu.RLock()
+	handlers := *e.handlers.Load()
 	for i, it := range items {
 		var err error
 		switch {
@@ -383,7 +376,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 				Reason: fmt.Sprintf("must be low, normal, or high, got %q", it.Priority),
 			}
 		default:
-			reg, ok := e.handlers[it.Kind]
+			reg, ok := handlers[it.Kind]
 			if !ok {
 				err = fmt.Errorf("%w: %q", core.ErrUnknownKind, it.Kind)
 				break
@@ -397,7 +390,6 @@ func (e *Engine) SubmitBatch(ctx context.Context, items []BatchItem, opts ...Sub
 			berr.Items = append(berr.Items, core.BatchItemError{Index: i, Err: err})
 		}
 	}
-	e.mu.RUnlock()
 	if berr != nil {
 		return nil, berr
 	}
@@ -675,7 +667,7 @@ func (e *Engine) worker() {
 // running transition, not by re-reading the store.
 func (e *Engine) run(tr *transitioner, op *core.Operation) {
 	id := op.ID
-	reg, ok := e.registration(op.Kind)
+	reg, ok := (*e.handlers.Load())[op.Kind]
 	if !ok {
 		tr.do(id, core.StatusFailed, nil, fmt.Errorf("%w: %q", core.ErrUnknownKind, op.Kind))
 		return

@@ -757,6 +757,41 @@ func TestCancelRunningSignalsContext(t *testing.T) {
 	}
 }
 
+// TestCancelledAtKeptWhenHandlerCompletes: Cancel stamps a running
+// operation's request time at once, and a handler that ignores the
+// cancel and completes ends done with its result and that stamp.
+func TestCancelledAtKeptWhenHandlerCompletes(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer e.Shutdown(context.Background())
+
+	started, release := make(chan struct{}), make(chan struct{})
+	e.Register("stubborn", func(context.Context, *core.Operation) (any, error) {
+		close(started)
+		<-release
+		return "finished", nil
+	})
+	op, err := e.Submit(context.Background(), "stubborn", nil)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	snap, err := e.Cancel(op.ID)
+	if err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	if snap.Status != core.StatusRunning || snap.CancelledAt.IsZero() {
+		t.Fatalf("Cancel returned status %s, cancelled_at %v, want running with the request stamped", snap.Status, snap.CancelledAt)
+	}
+	close(release)
+	final := waitStatus(t, e, op.ID)
+	if final.Status != core.StatusDone || string(final.Result) != `"finished"` {
+		t.Fatalf("final status = %s, result %s, want done with the handler's result", final.Status, final.Result)
+	}
+	if !final.CancelledAt.Equal(snap.CancelledAt) {
+		t.Errorf("done operation's cancelled_at = %v, want the request time %v", final.CancelledAt, snap.CancelledAt)
+	}
+}
+
 func TestCancelErrors(t *testing.T) {
 	e := New(Config{Workers: 1})
 	defer e.Shutdown(context.Background())
@@ -970,6 +1005,61 @@ func TestShutdownWaitsForJanitor(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Shutdown never returned after the sweep ended")
+	}
+}
+
+// TestRegisterUnderTraffic: registering new kinds and re-registering a
+// live one while submitters and workers read the handler table is
+// race-free, and every submitted operation finds its kind.
+func TestRegisterUnderTraffic(t *testing.T) {
+	e := New(Config{Workers: 4, QueueDepth: 1 << 14})
+	defer e.Shutdown(context.Background())
+	noop := func(context.Context, *core.Operation) (any, error) { return nil, nil }
+	e.Register("live", noop)
+
+	const kinds, batches = 50, 100
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := range kinds {
+			e.Register(fmt.Sprintf("new-%d", i), noop)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := range kinds {
+			e.Register("live", noop, WithDeadline(time.Duration(i+1)*time.Minute))
+			e.Kinds()
+		}
+	}()
+	ids := make(chan string, 4*batches*4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			items := []BatchItem{{Kind: "live"}, {Kind: "live"}, {Kind: "live"}, {Kind: "live"}}
+			for range batches {
+				ops, err := e.SubmitBatch(context.Background(), items)
+				if err != nil {
+					t.Errorf("SubmitBatch: %v", err)
+					return
+				}
+				for _, op := range ops {
+					ids <- op.ID
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(ids)
+	for id := range ids {
+		if op := waitStatus(t, e, id); op.Status != core.StatusDone {
+			t.Fatalf("operation %s ended %s (%s), want done", id, op.Status, op.Error)
+		}
+	}
+	if got := len(e.Kinds()); got != kinds+1 {
+		t.Errorf("%d kinds registered, want %d", got, kinds+1)
 	}
 }
 

@@ -11,13 +11,14 @@ package engine
 // The ring lives in the in-flight table (watch.go), so a transition
 // appends its notice under the same lock that detaches its long-poll
 // waiters. Wakeups use a closed-channel broadcast, made only on demand:
-// a reader about to block asks for the table's "changed" channel, which
-// creates it, and the next notice takes it away and closes it, waking
-// every blocked reader at once. With nobody subscribed — the daemon's
-// normal state — a notice touches no channel at all. Readers fetch the
-// channel BEFORE scanning the ring (subscribe-then-check, same
-// discipline as AwaitChange) so a notice landing between the scan and
-// the block is never missed.
+// a reader whose scan finds nothing takes the table's "changed"
+// channel, creating it, in the same critical section as the scan, and
+// the next notice takes it away and closes it, waking every blocked
+// reader at once. With nobody blocked — the daemon's normal state — a
+// notice touches no channel at all. Scan and subscription sharing one
+// lock hold is the subscribe-then-check discipline of AwaitChange by
+// construction: a notice landing after the scan closes the channel the
+// reader is about to block on.
 
 import (
 	"context"
@@ -86,62 +87,45 @@ func (q NoticeQuery) match(n *Notice) bool {
 // resumes from the oldest retained notice.
 const noticeRingSize = 4096
 
-// waitChan returns the channel closed by the next notice, creating it
-// if this is the first reader since the last one. Readers must fetch it
-// before calling since — the subscribe-then-check order that makes the
-// blocked select race-free against concurrent notices.
-func (t *inflight) waitChan() <-chan struct{} {
-	t.mu.Lock()
-	if t.changed == nil {
-		t.changed = make(chan struct{})
-	}
-	ch := t.changed
-	t.mu.Unlock()
-	return ch
-}
-
 // since returns the retained notices selected by q, oldest first, and
 // the sequence it scanned through: after an empty page, a cursor there
 // selects what q.After does, without rescanning what did not match. A
-// cursor at or past the newest notice yields an empty page (the >=
-// comparison also guards the q.After+1 overflow at MaxUint64); a
-// cursor that has fallen off the ring resumes from the oldest retained
-// notice.
-func (t *inflight) since(q NoticeQuery) ([]Notice, uint64) {
+// cursor at or past the newest notice yields an empty page (comparing
+// before adding one also guards the overflow at MaxUint64); a cursor
+// that has fallen off the ring resumes from the oldest retained notice.
+// With wait set, an empty page also hands out the channel the next
+// notice closes, taken in the critical section that found the page
+// empty, so no notice can land between the scan and the subscription.
+func (t *inflight) since(q NoticeQuery, wait bool) ([]Notice, uint64, <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.seq == 0 || q.After >= t.seq {
-		return nil, q.After
-	}
-	n := uint64(len(t.ring))
-	oldest := uint64(1)
-	if t.seq > n {
-		oldest = t.seq - n + 1
-	}
-	start := q.After + 1
-	if start < oldest {
-		start = oldest
-	}
 	var out []Notice
-	for s := start; s <= t.seq; s++ {
-		t.scanned++
-		nt := &t.ring[(s-1)%n]
-		if !q.match(nt) {
-			continue
-		}
-		out = append(out, *nt)
-		if q.Limit > 0 && len(out) == q.Limit {
-			return out, s
+	through := q.After
+	if through < t.seq {
+		n := uint64(len(t.ring))
+		through = max(q.After, t.seq-min(t.seq, n))
+		for through < t.seq && (q.Limit <= 0 || len(out) < q.Limit) {
+			through++
+			t.scanned++
+			if nt := &t.ring[(through-1)%n]; q.match(nt) {
+				out = append(out, *nt)
+			}
 		}
 	}
-	return out, t.seq
+	if !wait || len(out) > 0 {
+		return out, through, nil
+	}
+	if t.changed == nil {
+		t.changed = make(chan struct{})
+	}
+	return nil, through, t.changed
 }
 
 // Notices returns the retained state-transition records selected by q,
 // oldest first, without blocking. An empty page means the cursor is
 // caught up (or nothing matched the filters).
 func (e *Engine) Notices(q NoticeQuery) []Notice {
-	ns, _ := e.inflight.since(q)
+	ns, _, _ := e.inflight.since(q, false)
 	return ns
 }
 
@@ -151,12 +135,12 @@ func (e *Engine) Notices(q NoticeQuery) []Notice {
 // received before the next call.
 func (e *Engine) AwaitNotices(ctx context.Context, q NoticeQuery) ([]Notice, error) {
 	for {
-		// Fetch the wake channel before scanning: a notice that lands
-		// after the scan closes this very channel, so the select below
-		// cannot sleep through it. A wake resumes the scan where the
-		// last one ended; what it skipped did not match.
-		ch := e.inflight.waitChan()
-		ns, through := e.inflight.since(q)
+		// An empty page comes with the wake channel from the same
+		// critical section: a notice that lands after the scan closes
+		// this very channel, so the select below cannot sleep through
+		// it. A wake resumes the scan where the last one ended; what it
+		// skipped did not match.
+		ns, through, ch := e.inflight.since(q, true)
 		if len(ns) > 0 {
 			return ns, nil
 		}

@@ -188,6 +188,27 @@ func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
 	}
 }
 
+// TestWALStatsAllocs: a health poll's WAL counters come from one
+// critical section and a copy of the commit-size ring on the stack, so
+// reading them allocates nothing, once commits have filled the ring
+// and before.
+func TestWALStatsAllocs(t *testing.T) {
+	skipIfRace(t)
+	s := openWAL(t, t.TempDir(), WALConfig{Sync: WALSyncGroup, syncHook: func(*os.File) error { return nil }})
+	defer s.Close()
+	for i := range 100 {
+		s.Put(mkOp(fmt.Sprintf("op-%d", i), time.Unix(1000, 0)))
+		if i == 0 || i == 99 {
+			if st := s.WALStats(); st.BatchP50 != 1 {
+				t.Fatalf("WALStats().BatchP50 = %v after %d puts, want 1", st.BatchP50, i+1)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { s.WALStats() }); allocs != 0 {
+				t.Errorf("WALStats after %d commits allocates %.1f objects, want 0", i+1, allocs)
+			}
+		}
+	}
+}
+
 // TestNoticeAppendAllocsOnlyForReaders: with no feed reader and no
 // long-poll waiter — the daemon's normal state — a transition's publish
 // and a batch's birth notices touch no channel and allocate nothing;
@@ -205,7 +226,7 @@ func TestNoticeAppendAllocsOnlyForReaders(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("publish with no reader allocates %.1f objects, want 0", allocs)
 	}
-	ch := r.waitChan()
+	_, _, ch := r.since(NoticeQuery{After: r.last()}, true)
 	r.publish(snap)
 	select {
 	case <-ch:

@@ -88,6 +88,19 @@ type walBatch struct {
 	// At most two generations are live, one in its write+fsync and one
 	// boarding, so a commit wakes only its own waiters.
 	slots [2]sync.Cond
+
+	// The counters WALStats reports, which the committer records in the
+	// critical section that ends a generation, so a writer that has just
+	// been acknowledged finds its own commit counted. segments mirrors
+	// len(wal.segs). sizes is a ring of the records per commit of the
+	// last commits, from which the p50 is computed on demand. fsyncs
+	// feeds the fsyncs-per-second rate, and failures counts the batches
+	// whose write or fsync failed, over the store's lifetime.
+	segments int
+	sizes    [64]int
+	commits  int
+	fsyncs   drainMeter
+	failures uint64
 }
 
 // walJob is one background job of the log: preparing segment index
@@ -103,56 +116,17 @@ type walJob struct {
 	err  error
 }
 
-// walStatsCounters holds the observability counters the health
-// endpoint surfaces, all under its one mutex, which the committer takes
-// once per commit. Plain mutex over a tiny ring; not a policed type.
-type walStatsCounters struct {
-	mu sync.Mutex
-	// segments mirrors len(wal.segs), set by the committer on change.
-	segments int
-	// sizes is a ring of recent commit batch sizes (records per
-	// commit) from which the p50 is computed on demand.
-	sizes [64]int
-	next  int
-	count int
-	// fsyncs feeds the fsyncs-per-second rate.
-	fsyncs drainMeter
-	// failures counts batches whose write or fsync failed, over the
-	// store's lifetime.
-	failures uint64
-}
-
-// recordCommit notes one commit of n records at now: its size, its
-// fsync if it made one, and its failure if it failed.
-func (c *walStatsCounters) recordCommit(n int, fsynced, failed bool, now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sizes[c.next] = n
-	c.next = (c.next + 1) % len(c.sizes)
-	c.count = min(c.count+1, len(c.sizes))
-	if fsynced {
-		c.fsyncs.record(now)
-	}
-	if failed {
-		c.failures++
-	}
-}
-
-// setSegments records the live segment count.
-func (c *walStatsCounters) setSegments(n int) {
-	c.mu.Lock()
-	c.segments = n
-	c.mu.Unlock()
-}
-
-// snapshot reads every counter in one critical section; BatchP50 is 0
-// before the first commit.
-func (c *walStatsCounters) snapshot(now time.Time) WALStats {
-	c.mu.Lock()
-	recent := slices.Clone(c.sizes[:c.count])
-	st := WALStats{Segments: c.segments, FsyncsPerSec: c.fsyncs.rate(now), CommitFailures: c.failures}
-	c.mu.Unlock()
-	if n := len(recent); n > 0 {
+// stats reads every counter in one critical section and takes the p50
+// from a copy of the ring, sorted after unlock; BatchP50 is 0 before
+// the first commit.
+func (w *wal) stats(now time.Time) WALStats {
+	b := &w.batch
+	b.mu.Lock()
+	sizes, n := b.sizes, min(b.commits, len(b.sizes))
+	st := WALStats{Segments: b.segments, FsyncsPerSec: b.fsyncs.rate(now), CommitFailures: b.failures}
+	b.mu.Unlock()
+	if n > 0 {
+		recent := sizes[:n]
 		slices.Sort(recent)
 		st.BatchP50 = float64(recent[(n-1)/2]+recent[n/2]) / 2
 	}
@@ -211,11 +185,11 @@ type wal struct {
 	// many).
 	kick chan struct{}
 
-	// quit carries close's one crash flag to the committer; buffered
-	// so the send never blocks.
-	quit     chan bool
-	quitOnce sync.Once
-	done     chan struct{}
+	// quit carries close's one crash flag to the committer: capacity
+	// one, and close sends without blocking, so the first call's flag
+	// is the one the committer takes.
+	quit chan bool
+	done chan struct{}
 	// closeErr is the final-flush outcome, written by the committer
 	// before done closes.
 	closeErr error
@@ -232,9 +206,6 @@ type wal struct {
 	prepAfter int64
 	compactAt int
 	segs      []int // sorted live segment indexes, including the open one
-	// snapSeg is the highest segment index covered by the newest
-	// snapshot; -1 before any snapshot exists.
-	snapSeg int
 	// spare recycles the detached batch buffer across commits.
 	spare []byte
 	// prep is the next segment, in preparation or prepared and not yet
@@ -246,8 +217,6 @@ type wal struct {
 	// snapshotFn dumps the full store state for compaction; installed
 	// by OpenWALStore before the committer starts.
 	snapshotFn func() []*core.Operation
-
-	stats walStatsCounters
 }
 
 // Segment and snapshot file names; parseWALName reads them back.
@@ -276,7 +245,6 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 		done:     make(chan struct{}),
 		segIndex: layout.maxSeg + 1,
 		segs:     append(layout.segs, layout.maxSeg+1),
-		snapSeg:  layout.snapSeg,
 	}
 	f, err := w.createSegment(w.segIndex, false)
 	if err != nil {
@@ -285,7 +253,7 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	w.f = f
 	w.batch.next = 1
 	w.batch.slots = [2]sync.Cond{{L: &w.batch.mu}, {L: &w.batch.mu}}
-	w.stats.setSegments(len(w.segs))
+	w.batch.segments = len(w.segs)
 	return w, nil
 }
 
@@ -499,7 +467,10 @@ func (w *wal) await(g uint64) error {
 // exits, and close then releases the directory lock, as the kernel
 // releases a killed process's.
 func (w *wal) close(crash bool) error {
-	w.quitOnce.Do(func() { w.quit <- crash })
+	select {
+	case w.quit <- crash:
+	default:
+	}
 	<-w.done
 	w.lock.Close()
 	return w.closeErr
@@ -552,10 +523,6 @@ func (w *wal) commit() {
 
 	err := w.writeAndSync(buf)
 	w.spare = buf[:0]
-	// Account for the batch before it ends: a writer that has just been
-	// acknowledged must find its own commit in WALStats.
-	// Its fsync counts when the batch succeeded under a syncing mode.
-	w.stats.recordCommit(n, err == nil && w.mode != WALSyncNone, err != nil, time.Now())
 	if err != nil {
 		// The Store interface has no write-error channel, so the failure
 		// counter and this log line are the operator's signal that
@@ -563,10 +530,22 @@ func (w *wal) commit() {
 		// until restart.
 		log.Printf("engine: wal commit of %d records failed: %v", n, err)
 	}
+	now := time.Now()
 	b.mu.Lock()
+	// The batch is counted in the critical section that ends it, its
+	// fsync when it succeeded under a syncing mode.
+	b.segments = len(w.segs)
+	b.sizes[b.commits%len(b.sizes)] = n
+	b.commits++
+	if err == nil && w.mode != WALSyncNone {
+		b.fsyncs.record(now)
+	}
 	b.ended = g
-	if b.err == nil {
-		b.err = err
+	if err != nil {
+		b.failures++
+		if b.err == nil {
+			b.err = err
+		}
 	}
 	b.mu.Unlock()
 	b.slots[g&1].Broadcast()
@@ -622,14 +601,13 @@ func (w *wal) rotate() {
 	old, i := w.f, w.segIndex
 	w.f, w.segIndex, w.segSize, w.prepAfter = p.f, p.index, 0, 0
 	w.segs = append(w.segs, p.index)
-	w.stats.setSegments(len(w.segs))
 	if err := old.Close(); err != nil {
 		log.Printf("engine: wal closing segment %d: %v", i, err)
 	}
 }
 
 // maybeCompact reaps a finished compaction, applying a successful one to
-// segs, snapSeg and the segment count, then folds the closed segments
+// segs and the segment count, then folds the closed segments
 // into a snapshot once maxSegs of them have accumulated since the last
 // one. It is the log's only compaction trigger, and it is what bounds
 // replay and disk: about maxSegs+1 segments plus one snapshot. One
@@ -644,21 +622,21 @@ func (w *wal) maybeCompact() {
 		}
 		w.compaction = nil
 		if j.err == nil {
-			w.snapSeg = j.index
 			w.segs = slices.DeleteFunc(w.segs, func(s int) bool { return s <= j.index })
-			w.stats.setSegments(len(w.segs))
+			// No commit may follow to record the new count.
+			w.batch.mu.Lock()
+			w.batch.segments = len(w.segs)
+			w.batch.mu.Unlock()
 		}
 	}
 	if w.compactAt == w.segIndex {
 		return
 	}
-	closed := 0
-	for _, s := range w.segs {
-		if s != w.segIndex && s > w.snapSeg {
-			closed++
-		}
-	}
-	if closed < w.maxSegs {
+	// Every live segment is newer than the newest snapshot, because
+	// recovery and the reap above drop each one a snapshot covers and an
+	// unreaped compaction has returned already, and the last one is
+	// open: all the others are closed and uncovered.
+	if len(w.segs)-1 < w.maxSegs {
 		return
 	}
 	w.compactAt = w.segIndex

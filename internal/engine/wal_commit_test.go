@@ -190,10 +190,10 @@ func (p *syncProbe) segSyncs() (started, landed int) {
 
 // lastBatch returns the record count of the most recent commit.
 func lastBatch(s *WALStore) int {
-	c := &s.log.stats
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sizes[(c.next+len(c.sizes)-1)%len(c.sizes)]
+	b := &s.log.batch
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sizes[(b.commits-1)%len(b.sizes)]
 }
 
 // awaitLen spins until the store holds n operations. An operation is

@@ -167,7 +167,7 @@ func (s *WALStore) Flush() error {
 // WALStats reports the log's observability counters; Engine.Stats
 // surfaces them when the engine's store is durable.
 func (s *WALStore) WALStats() WALStats {
-	return s.log.stats.snapshot(time.Now())
+	return s.log.stats(time.Now())
 }
 
 // closeAbrupt is the crash-simulation hook for the recovery tests: the

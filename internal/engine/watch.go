@@ -21,8 +21,8 @@ package engine
 //     subscribe, so it finds the waiter. Check-then-subscribe would
 //     leave a window where a transition slips between the check and
 //     the registration and the waiter sleeps forever. AwaitNotices
-//     fetches the broadcast channel before scanning the ring for the
-//     same reason.
+//     takes the broadcast channel in the critical section of the scan
+//     that found nothing, which closes the window the same way.
 //   - publish detaches the waiter list and the broadcast channel under
 //     the lock and closes and sends only after unlock (the lockscope
 //     analyzer forbids channel operations inside inflight critical

@@ -336,30 +336,30 @@ func TestNoticeRingCursorSemantics(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	r := newInflight(4)
 
-	if got, _ := r.since(NoticeQuery{}); got != nil {
+	if got, _, _ := r.since(NoticeQuery{}, false); got != nil {
 		t.Fatalf("empty ring since() = %v, want nil", got)
 	}
 
 	for i := 1; i <= 3; i++ {
 		r.append(fmt.Sprintf("op%d", i), "k", core.StatusQueued, t0)
 	}
-	ns, _ := r.since(NoticeQuery{})
+	ns, _, _ := r.since(NoticeQuery{}, false)
 	if len(ns) != 3 || ns[0].Seq != 1 || ns[2].Seq != 3 {
 		t.Fatalf("since(0) = %+v, want seqs 1..3", ns)
 	}
-	if ns, _ = r.since(NoticeQuery{After: 2}); len(ns) != 1 || ns[0].Seq != 3 {
+	if ns, _, _ = r.since(NoticeQuery{After: 2}, false); len(ns) != 1 || ns[0].Seq != 3 {
 		t.Fatalf("since(2) = %+v, want just seq 3", ns)
 	}
 	// Caught-up and past-the-end cursors yield empty pages.
-	if ns, _ = r.since(NoticeQuery{After: 3}); len(ns) != 0 {
+	if ns, _, _ = r.since(NoticeQuery{After: 3}, false); len(ns) != 0 {
 		t.Fatalf("since(3) = %+v, want empty", ns)
 	}
-	if ns, _ = r.since(NoticeQuery{After: 99}); len(ns) != 0 {
+	if ns, _, _ = r.since(NoticeQuery{After: 99}, false); len(ns) != 0 {
 		t.Fatalf("since(99) = %+v, want empty", ns)
 	}
 	// MaxUint64 must not wrap After+1 around to zero and replay the
 	// whole ring.
-	if ns, _ = r.since(NoticeQuery{After: math.MaxUint64}); len(ns) != 0 {
+	if ns, _, _ = r.since(NoticeQuery{After: math.MaxUint64}, false); len(ns) != 0 {
 		t.Fatalf("since(MaxUint64) = %+v, want empty", ns)
 	}
 
@@ -369,7 +369,7 @@ func TestNoticeRingCursorSemantics(t *testing.T) {
 	for i := 4; i <= 7; i++ {
 		r.append(fmt.Sprintf("op%d", i), "k", core.StatusRunning, t0)
 	}
-	ns, _ = r.since(NoticeQuery{After: 1})
+	ns, _, _ = r.since(NoticeQuery{After: 1}, false)
 	if len(ns) != 4 || ns[0].Seq != 4 || ns[3].Seq != 7 {
 		t.Fatalf("since(1) after wrap = %+v, want seqs 4..7", ns)
 	}
@@ -387,30 +387,30 @@ func TestNoticeRingFiltersAndLimit(t *testing.T) {
 	r.append("a", "build", core.StatusDone, t0)
 	r.append("b", "deploy", core.StatusFailed, t0)
 
-	ns, _ := r.since(NoticeQuery{Kinds: []string{"deploy"}})
+	ns, _, _ := r.since(NoticeQuery{Kinds: []string{"deploy"}}, false)
 	if len(ns) != 2 || ns[0].OpID != "b" || ns[1].Status != core.StatusFailed {
 		t.Fatalf("kind filter = %+v, want b's two notices", ns)
 	}
-	ns, _ = r.since(NoticeQuery{Statuses: []core.Status{core.StatusDone, core.StatusFailed}})
+	ns, _, _ = r.since(NoticeQuery{Statuses: []core.Status{core.StatusDone, core.StatusFailed}}, false)
 	if len(ns) != 2 || ns[0].Status != core.StatusDone || ns[1].Status != core.StatusFailed {
 		t.Fatalf("status filter = %+v, want done then failed", ns)
 	}
-	ns, _ = r.since(NoticeQuery{Limit: 2})
+	ns, _, _ = r.since(NoticeQuery{Limit: 2}, false)
 	if len(ns) != 2 || ns[0].Seq != 1 || ns[1].Seq != 2 {
 		t.Fatalf("limit page = %+v, want seqs 1,2", ns)
 	}
 	// Filters and limit compose: the limit counts matches, not scanned
 	// entries.
-	ns, through := r.since(NoticeQuery{Kinds: []string{"build"}, Limit: 2})
+	ns, through, _ := r.since(NoticeQuery{Kinds: []string{"build"}, Limit: 2}, false)
 	if len(ns) != 2 || ns[1].Status != core.StatusRunning || through != 2 {
 		t.Fatalf("filtered limit page = %+v through %d, want build queued,running through 2", ns, through)
 	}
 	// An empty page scanned through the newest notice, or stayed at a
 	// cursor already past it.
-	if ns, through = r.since(NoticeQuery{After: 1, Kinds: []string{"none"}}); len(ns) != 0 || through != 5 {
+	if ns, through, _ = r.since(NoticeQuery{After: 1, Kinds: []string{"none"}}, false); len(ns) != 0 || through != 5 {
 		t.Fatalf("unmatched filter = %+v through %d, want empty through 5", ns, through)
 	}
-	if ns, through = r.since(NoticeQuery{After: 9}); len(ns) != 0 || through != 9 {
+	if ns, through, _ = r.since(NoticeQuery{After: 9}, false); len(ns) != 0 || through != 9 {
 		t.Fatalf("since(9) = %+v through %d, want empty through 9", ns, through)
 	}
 }
@@ -442,10 +442,28 @@ func TestAwaitNoticesWakesOnAppend(t *testing.T) {
 	}
 }
 
+// TestAwaitNoticesPageLeavesNoChannel: a feed read that finds a page
+// returns it without creating the broadcast channel, which only a
+// reader about to block needs; the next notice then has nothing to
+// close.
+func TestAwaitNoticesPageLeavesNoChannel(t *testing.T) {
+	e := newWatchEngine(t)
+	after := e.inflight.last()
+	e.inflight.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
+	ns, err := e.AwaitNotices(context.Background(), NoticeQuery{After: after})
+	if err != nil || len(ns) != 1 {
+		t.Fatalf("AwaitNotices = %+v, %v, want the appended notice", ns, err)
+	}
+	if e.inflight.subscribed() {
+		t.Error("a feed read that returned a page left a wake channel behind")
+	}
+}
+
 func TestAwaitNoticesNoLostWakeups(t *testing.T) {
 	// Same hammer as the hub test: race the blocked reader against the
-	// append it waits for. The closed-channel protocol (fetch waitChan
-	// before since) must never sleep through an append.
+	// append it waits for. The closed-channel protocol (an empty scan
+	// takes the wake channel in its own critical section) must never
+	// sleep through an append.
 	e := newWatchEngine(t)
 	for i := 0; i < 200; i++ {
 		after := e.inflight.last()
