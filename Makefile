@@ -46,8 +46,10 @@ test:
 # `-modelseed N` replays it. The replay test rides along (~1 s), so
 # recovery's fanned-out decode and its earliest-failure cut run ten
 # more times under -race, and so do the no-lost-wakeup races of
-# AwaitChange and AwaitNotices (200 iterations each, ~1 s), which pin
-# the in-flight table's one-lock publish against the long-polls it wakes,
+# AwaitChange (200 iterations) and AwaitNotices (16 readers over 200
+# appends, each landing as the last readers finish a page), ~1 s, which
+# pin the in-flight table's one-lock publish against the long-polls it
+# wakes,
 # and TestShutdownWaitsForJanitor (~0.1 s), which pins that Shutdown
 # returns only after a janitor sweep in progress has ended, and
 # TestWALCompactionEndsWithClose (~0.2 s), which pins that the log's

@@ -68,11 +68,11 @@ func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
 	// and operators can see queue pressure without a metrics stack.
 	// Stats is embedded, so every field it has (or gains) is reported
 	// under its own JSON tag.
-	writeSync(w, http.StatusOK, struct {
+	reply(w, http.StatusOK, struct {
 		Healthy bool     `json:"healthy"`
 		Kinds   []string `json:"kinds"`
 		engine.Stats
-	}{true, s.engine.Kinds(), s.engine.Stats()})
+	}{true, s.engine.Kinds(), s.engine.Stats()}, "")
 }
 
 // Option tunes a Server.
@@ -220,10 +220,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if batch {
-		writeBatchAsync(w, ops)
+		reply(w, http.StatusAccepted, batchAccepted(ops), "")
 		return
 	}
-	writeAsync(w, resourcePath(ops[0]), ops[0])
+	reply(w, http.StatusAccepted, ops[0], resourcePath(ops[0]))
 }
 
 // readBody reads r to its end into buf, which it grows as needed — up
@@ -267,7 +267,7 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
-	writeSync(w, http.StatusOK, op)
+	reply(w, http.StatusOK, op, "")
 }
 
 // cancel aborts the operation: queued operations go straight to
@@ -280,7 +280,7 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
-	writeAsync(w, resourcePath(op), op)
+	reply(w, http.StatusAccepted, op, resourcePath(op))
 }
 
 func (s *Server) list(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +314,7 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 		s.writeEngineError(w, err)
 		return
 	}
-	writeSync(w, http.StatusOK, ops)
+	reply(w, http.StatusOK, ops, "")
 }
 
 // statusParam validates one status filter value; an unknown one is
@@ -385,10 +385,11 @@ func (s *Server) writeEngineError(w http.ResponseWriter, err error) {
 	case errors.Is(err, core.ErrQueueFull):
 		// "Come back later": Retry-After carries the engine's
 		// depth-over-drain-rate estimate of when the queue will have
-		// room, in whole seconds per RFC 9110.
-		retry := strconv.Itoa(int(s.engine.RetryAfter().Seconds()))
-		writeErrorHeaders(w, http.StatusTooManyRequests, err.Error(),
-			map[string]string{"Retry-After": retry})
+		// room, in whole seconds per RFC 9110. It is set before the
+		// envelope is encoded: an error envelope holds only strings, so
+		// its encode cannot fail over to a reply the header misdescribes.
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.engine.RetryAfter().Seconds())))
+		writeError(w, http.StatusTooManyRequests, err.Error())
 	default:
 		// A store failure, such as a WAL write error; the client gets
 		// an opaque 500, so the log is the only trace.

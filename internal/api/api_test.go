@@ -51,6 +51,16 @@ func withHeader(key, value string) func(*http.Request) {
 	return func(r *http.Request) { r.Header.Set(key, value) }
 }
 
+// Response is the documented JSON envelope of every reply: the struct
+// tests decode a reply into, and the one json.Marshal encodes to give
+// the bytes appendEnvelope must match.
+type Response struct {
+	Type       string `json:"type"`
+	Status     string `json:"status"`
+	StatusCode int    `json:"status_code"`
+	Result     any    `json:"result"`
+}
+
 func doJSON(t *testing.T, s *Server, method, path, body string, mods ...func(*http.Request)) (*httptest.ResponseRecorder, Response) {
 	t.Helper()
 	var r *http.Request

@@ -171,7 +171,7 @@ type batchItemReference struct {
 
 // TestEnvelopeMatchesMarshal: appendEnvelope is json.Marshal of the
 // envelope plus a newline, byte for byte, for every kind of result the
-// handlers pass it.
+// handlers pass it, under a sync, an async and an error code.
 func TestEnvelopeMatchesMarshal(t *testing.T) {
 	at := time.Date(2026, 8, 8, 12, 0, 0, 123456789, time.UTC)
 	queued := &core.Operation{
@@ -202,19 +202,19 @@ func TestEnvelopeMatchesMarshal(t *testing.T) {
 		"notices":         {[]engine.Notice{{Seq: 1, OpID: "x", Kind: "k", Status: core.StatusDone, Time: at}}, []engine.Notice{{Seq: 1, OpID: "x", Kind: "k", Status: core.StatusDone, Time: at}}},
 		"nothing":         {nil, nil},
 	} {
-		resp := Response{Type: typeAsync, Status: "I'm a teapot", StatusCode: 418, Result: tc.result}
-		got, err := appendEnvelope([]byte("kept"), &resp)
-		if err != nil {
-			t.Errorf("%s: appendEnvelope: %v", name, err)
-			continue
-		}
-		resp.Result = tc.reference
-		want, err := json.Marshal(resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "kept"+string(want)+"\n" {
-			t.Errorf("%s:\n got %s\nwant kept%s", name, got, want)
+		for code, typ := range map[int]string{http.StatusOK: typeSync, http.StatusAccepted: typeAsync, http.StatusTeapot: typeError} {
+			got, err := appendEnvelope([]byte("kept"), code, tc.result)
+			if err != nil {
+				t.Errorf("%s %d: appendEnvelope: %v", name, code, err)
+				continue
+			}
+			want, err := json.Marshal(Response{Type: typ, Status: http.StatusText(code), StatusCode: code, Result: tc.reference})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "kept"+string(want)+"\n" {
+				t.Errorf("%s %d:\n got %s\nwant kept%s", name, code, got, want)
+			}
 		}
 	}
 	// What json.Marshal refuses, appendEnvelope refuses.
@@ -224,7 +224,7 @@ func TestEnvelopeMatchesMarshal(t *testing.T) {
 		"bad batch member": batchAccepted{{Result: json.RawMessage(`{`)}},
 		"bad value":        map[string]any{"c": make(chan int)},
 	} {
-		if _, err := appendEnvelope(nil, &Response{Result: result}); err == nil {
+		if _, err := appendEnvelope(nil, http.StatusOK, result); err == nil {
 			t.Errorf("%s: appendEnvelope succeeded, want json.Marshal's error", name)
 		}
 	}

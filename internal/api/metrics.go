@@ -14,8 +14,9 @@ package api
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -44,7 +45,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	// Label values are the fixed band names, but escape anyway —
 	// rendering must never produce an unparseable exposition.
 	fmt.Fprintf(&b, "# HELP opdaemon_queue_band_depth Scheduled operations per priority band.\n# TYPE opdaemon_queue_band_depth gauge\n")
-	for _, band := range sortedKeys(st.QueueBands) {
+	for _, band := range slices.Sorted(maps.Keys(st.QueueBands)) {
 		fmt.Fprintf(&b, "opdaemon_queue_band_depth{band=%s} %d\n",
 			quoteLabelValue(band), st.QueueBands[band])
 	}
@@ -99,15 +100,4 @@ func quoteLabelValue(v string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
-}
-
-// sortedKeys returns the map's keys in sorted order so the exposition
-// is deterministic scrape to scrape.
-func sortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -10,23 +10,28 @@ import (
 	"opdaemon/internal/core"
 )
 
-// Response is the JSON envelope wrapping every API reply, following
-// the snapd REST convention: type is "sync" for immediate results,
-// "async" for accepted background operations, and "error" for
-// failures. Status is the HTTP status text and StatusCode mirrors the
-// HTTP code so clients can log the body alone.
-type Response struct {
-	Type       string `json:"type"`
-	Status     string `json:"status"`
-	StatusCode int    `json:"status_code"`
-	Result     any    `json:"result"`
-}
-
+// Every reply is a JSON envelope, following the snapd REST convention:
+// {"type", "status", "status_code", "result"}. All three leading fields
+// follow from the HTTP code: type is "sync" for an immediate result,
+// "async" for an accepted background operation (202) and "error" from
+// 400 up, status is the code's status text, and status_code mirrors the
+// code so clients can log the body alone.
 const (
 	typeSync  = "sync"
 	typeAsync = "async"
 	typeError = "error"
 )
+
+// envelopeType is the envelope type of a reply with this HTTP code.
+func envelopeType(code int) string {
+	switch {
+	case code == http.StatusAccepted:
+		return typeAsync
+	case code >= http.StatusBadRequest:
+		return typeError
+	}
+	return typeSync
+}
 
 // bufferPool holds the byte buffers request bodies are read into and
 // replies are built in. A buffer that grew past maxPooledBuffer (a long
@@ -52,46 +57,46 @@ func putBuffer(b *[]byte) {
 // reply; nothing writes through a header's value slice.
 var jsonContentType = []string{"application/json"}
 
-// writeJSON encodes the envelope into a pooled buffer and replies with
-// it, plus any extra headers, in one Write. Headers are only applied
-// after a successful encode so the fallback error response doesn't
-// carry headers describing the reply that failed (e.g. a Location for
-// an async result).
-func writeJSON(w http.ResponseWriter, code int, resp *Response, headers map[string]string) {
+// reply encodes the envelope of code around result into a pooled buffer
+// and sends it in one Write. A non-empty location is the Location header
+// of an async reply, set only after a successful encode so the fallback
+// error reply doesn't carry a poll URL for the reply that failed.
+func reply(w http.ResponseWriter, code int, result any, location string) {
 	buf := getBuffer()
 	defer putBuffer(buf)
-	body, err := appendEnvelope((*buf)[:0], resp)
+	body, err := appendEnvelope((*buf)[:0], code, result)
 	if err != nil {
 		// A handler produced a result json cannot represent; keep
 		// the envelope contract with a 500 error instead of sending
 		// a success header with an empty body. Error envelopes only
 		// contain strings, so this cannot recurse.
-		log.Printf("api: encoding %s response: %v", resp.Type, err)
+		log.Printf("api: encoding %s response: %v", envelopeType(code), err)
 		writeError(w, http.StatusInternalServerError, "response not serializable")
 		return
 	}
 	*buf = body
-	for k, v := range headers {
-		w.Header().Set(k, v)
+	h := w.Header()
+	if location != "" {
+		h.Set("Location", location)
 	}
-	w.Header()["Content-Type"] = jsonContentType
+	h["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	if _, err := w.Write(body); err != nil {
 		log.Printf("api: writing response: %v", err)
 	}
 }
 
-// appendEnvelope appends the reply body: byte for byte what
-// json.Marshal(resp) produces, plus the closing newline. The four
-// envelope fields are written by hand and operations go through
+// appendEnvelope appends the reply body of code around result: byte for
+// byte what json.Marshal of the envelope produces, plus the closing
+// newline. The four envelope fields are written by hand and operations go through
 // core's append codec — the replies on the accept→terminal path never
 // touch reflection. Every other result (health, notices, errors) is
 // marshalled on its own and spliced in.
-func appendEnvelope(dst []byte, resp *Response) ([]byte, error) {
-	dst = appendEnvelopeHead(dst, resp.Type, resp.Status, resp.StatusCode)
+func appendEnvelope(dst []byte, code int, result any) ([]byte, error) {
+	dst = appendEnvelopeHead(dst, code)
 	dst = append(dst, `,"result":`...)
 	var err error
-	switch result := resp.Result.(type) {
+	switch result := result.(type) {
 	case *core.Operation:
 		if dst, err = result.AppendJSON(dst); err != nil {
 			return nil, err
@@ -117,7 +122,7 @@ func appendEnvelope(dst []byte, resp *Response) ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendEnvelopeHead(dst, typeAsync, http.StatusText(http.StatusAccepted), http.StatusAccepted)
+			dst = appendEnvelopeHead(dst, http.StatusAccepted)
 			dst = append(dst, `,"location":`...)
 			if core.ValidID(op.ID) {
 				// Hex needs no escaping: spare the poll URL's string.
@@ -146,35 +151,14 @@ func appendEnvelope(dst []byte, resp *Response) ([]byte, error) {
 }
 
 // appendEnvelopeHead opens an envelope object with the three fields
-// every envelope starts with.
-func appendEnvelopeHead(dst []byte, typ, status string, code int) []byte {
+// every envelope starts with, all derived from code.
+func appendEnvelopeHead(dst []byte, code int) []byte {
 	dst = append(dst, `{"type":`...)
-	dst = core.AppendJSONString(dst, typ)
+	dst = core.AppendJSONString(dst, envelopeType(code))
 	dst = append(dst, `,"status":`...)
-	dst = core.AppendJSONString(dst, status)
+	dst = core.AppendJSONString(dst, http.StatusText(code))
 	dst = append(dst, `,"status_code":`...)
 	return strconv.AppendInt(dst, int64(code), 10)
-}
-
-// writeSync replies with a 200-style synchronous result envelope.
-func writeSync(w http.ResponseWriter, code int, result any) {
-	writeJSON(w, code, &Response{
-		Type:       typeSync,
-		Status:     http.StatusText(code),
-		StatusCode: code,
-		Result:     result,
-	}, nil)
-}
-
-// writeAsync replies 202 Accepted with the operation snapshot and sets
-// the Location header to the operation's poll URL.
-func writeAsync(w http.ResponseWriter, location string, result any) {
-	writeJSON(w, http.StatusAccepted, &Response{
-		Type:       typeAsync,
-		Status:     http.StatusText(http.StatusAccepted),
-		StatusCode: http.StatusAccepted,
-		Result:     result,
-	}, map[string]string{"Location": location})
 }
 
 // batchAccepted is the result of an accepted batch: encoded as one
@@ -182,18 +166,6 @@ func writeAsync(w http.ResponseWriter, location string, result any) {
 // and carrying its own "location", because a single Location header
 // cannot point at many operations.
 type batchAccepted []*core.Operation
-
-// writeBatchAsync replies 202 Accepted with one async envelope per
-// accepted operation, in batch order. No Location header is set; each
-// item embeds its own poll URL.
-func writeBatchAsync(w http.ResponseWriter, ops []*core.Operation) {
-	writeJSON(w, http.StatusAccepted, &Response{
-		Type:       typeAsync,
-		Status:     http.StatusText(http.StatusAccepted),
-		StatusCode: http.StatusAccepted,
-		Result:     batchAccepted(ops),
-	}, nil)
-}
 
 // errorResult is the result payload of an error envelope.
 type errorResult struct {
@@ -222,27 +194,11 @@ func writeBatchError(w http.ResponseWriter, berr *core.BatchError) {
 	for i, it := range berr.Items {
 		items[i] = batchItemError{Index: it.Index, Message: it.Err.Error()}
 	}
-	writeJSON(w, http.StatusBadRequest, &Response{
-		Type:       typeError,
-		Status:     http.StatusText(http.StatusBadRequest),
-		StatusCode: http.StatusBadRequest,
-		Result:     batchErrorResult{Message: berr.Error(), Items: items},
-	}, nil)
+	reply(w, http.StatusBadRequest, batchErrorResult{Message: berr.Error(), Items: items}, "")
 }
 
 // writeError replies with an error envelope carrying a client-safe
 // message.
 func writeError(w http.ResponseWriter, code int, message string) {
-	writeErrorHeaders(w, code, message, nil)
-}
-
-// writeErrorHeaders is writeError plus extra response headers, for
-// error replies that carry metadata (429's Retry-After).
-func writeErrorHeaders(w http.ResponseWriter, code int, message string, headers map[string]string) {
-	writeJSON(w, code, &Response{
-		Type:       typeError,
-		Status:     http.StatusText(code),
-		StatusCode: code,
-		Result:     errorResult{Message: message},
-	}, headers)
+	reply(w, code, errorResult{Message: message}, "")
 }

@@ -72,7 +72,7 @@ func (s *Server) getWait(w http.ResponseWriter, r *http.Request, id string, time
 	}
 	if op.Status.Terminal() {
 		// Terminal states never change; waiting would always time out.
-		writeSync(w, http.StatusOK, op)
+		reply(w, http.StatusOK, op, "")
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -94,13 +94,13 @@ func (s *Server) getWait(w http.ResponseWriter, r *http.Request, id string, time
 				s.writeEngineError(w, gerr)
 				return
 			}
-			writeSync(w, http.StatusOK, cur)
+			reply(w, http.StatusOK, cur, "")
 		default:
 			s.writeEngineError(w, err)
 		}
 		return
 	}
-	writeSync(w, http.StatusOK, next)
+	reply(w, http.StatusOK, next, "")
 }
 
 // notices serves GET /v1/notices: the retained state-transition feed
@@ -170,5 +170,5 @@ func writeNotices(w http.ResponseWriter, ns []engine.Notice) {
 	if ns == nil {
 		ns = []engine.Notice{}
 	}
-	writeSync(w, http.StatusOK, ns)
+	reply(w, http.StatusOK, ns, "")
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 )
 
@@ -58,69 +59,39 @@ const (
 	deltaHasCancelledAt
 )
 
-// statusToByte maps the closed Status set onto stable one-byte codes.
-// 0 is deliberately unused so an all-zeroes body can never decode as a
-// valid status.
+// statusCodes and priorityCodes are the records' one-byte enum codes,
+// one table each: a value's code is its index, the same index in both
+// directions. Append only; a written code is never reused. Status code 0
+// is deliberately unused so an all-zeroes body can never decode as a
+// valid status; priority code 0 is the unset (empty) priority, which
+// pre-publication operations may carry.
+var (
+	statusCodes   = [...]Status{1: StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled}
+	priorityCodes = [...]Priority{"", PriorityLow, PriorityNormal, PriorityHigh}
+)
+
 func statusToByte(s Status) (byte, bool) {
-	switch s {
-	case StatusQueued:
-		return 1, true
-	case StatusRunning:
-		return 2, true
-	case StatusDone:
-		return 3, true
-	case StatusFailed:
-		return 4, true
-	case StatusCancelled:
-		return 5, true
-	}
-	return 0, false
+	i := slices.Index(statusCodes[1:], s)
+	return byte(i + 1), i >= 0
 }
 
 func statusFromByte(b byte) (Status, bool) {
-	switch b {
-	case 1:
-		return StatusQueued, true
-	case 2:
-		return StatusRunning, true
-	case 3:
-		return StatusDone, true
-	case 4:
-		return StatusFailed, true
-	case 5:
-		return StatusCancelled, true
+	if b == 0 || int(b) >= len(statusCodes) {
+		return "", false
 	}
-	return "", false
+	return statusCodes[b], true
 }
 
-// priorityToByte maps Priority onto one-byte codes; 0 is the unset
-// (empty) priority, which pre-publication operations may carry.
 func priorityToByte(p Priority) (byte, bool) {
-	switch p {
-	case "":
-		return 0, true
-	case PriorityLow:
-		return 1, true
-	case PriorityNormal:
-		return 2, true
-	case PriorityHigh:
-		return 3, true
-	}
-	return 0, false
+	i := slices.Index(priorityCodes[:], p)
+	return byte(max(i, 0)), i >= 0
 }
 
 func priorityFromByte(b byte) (Priority, bool) {
-	switch b {
-	case 0:
-		return "", true
-	case 1:
-		return PriorityLow, true
-	case 2:
-		return PriorityNormal, true
-	case 3:
-		return PriorityHigh, true
+	if int(b) >= len(priorityCodes) {
+		return "", false
 	}
-	return "", false
+	return priorityCodes[b], true
 }
 
 func appendUvarint(dst []byte, v uint64) []byte {

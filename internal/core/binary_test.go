@@ -179,6 +179,49 @@ func TestBinaryDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBinaryEnumCodesGolden pins each status's and priority's one-byte
+// record code to its literal value, in both directions. A round trip
+// cannot see a consistent renumbering, but every log already written
+// would be misread by one.
+func TestBinaryEnumCodesGolden(t *testing.T) {
+	for s, code := range map[Status]byte{
+		StatusQueued: 1, StatusRunning: 2, StatusDone: 3, StatusFailed: 4, StatusCancelled: 5,
+	} {
+		if got, ok := statusToByte(s); !ok || got != code {
+			t.Errorf("statusToByte(%s) = %d, %v; want %d", s, got, ok, code)
+		}
+		if got, ok := statusFromByte(code); !ok || got != s {
+			t.Errorf("statusFromByte(%d) = %q, %v; want %s", code, got, ok, s)
+		}
+	}
+	for _, code := range []byte{0, 6, 0xff} {
+		if got, ok := statusFromByte(code); ok {
+			t.Errorf("statusFromByte(%d) = %q, want no status", code, got)
+		}
+	}
+	if got, ok := statusToByte(""); ok {
+		t.Errorf("statusToByte(\"\") = %d, want no code", got)
+	}
+	for p, code := range map[Priority]byte{
+		"": 0, PriorityLow: 1, PriorityNormal: 2, PriorityHigh: 3,
+	} {
+		if got, ok := priorityToByte(p); !ok || got != code {
+			t.Errorf("priorityToByte(%q) = %d, %v; want %d", p, got, ok, code)
+		}
+		if got, ok := priorityFromByte(code); !ok || got != p {
+			t.Errorf("priorityFromByte(%d) = %q, %v; want %q", code, got, ok, p)
+		}
+	}
+	for _, code := range []byte{4, 0xff} {
+		if got, ok := priorityFromByte(code); ok {
+			t.Errorf("priorityFromByte(%d) = %q, want no priority", code, got)
+		}
+	}
+	if got, ok := priorityToByte("urgent"); ok {
+		t.Errorf("priorityToByte(urgent) = %d, want no code", got)
+	}
+}
+
 func TestBinaryDeltaRoundTrip(t *testing.T) {
 	base := sampleOps()[1]
 	next := base.Clone()

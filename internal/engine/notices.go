@@ -22,6 +22,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"opdaemon/internal/core"
@@ -55,31 +56,8 @@ type NoticeQuery struct {
 }
 
 func (q NoticeQuery) match(n *Notice) bool {
-	if len(q.Kinds) > 0 {
-		ok := false
-		for _, k := range q.Kinds {
-			if n.Kind == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if len(q.Statuses) > 0 {
-		ok := false
-		for _, s := range q.Statuses {
-			if n.Status == s {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return (len(q.Kinds) == 0 || slices.Contains(q.Kinds, n.Kind)) &&
+		(len(q.Statuses) == 0 || slices.Contains(q.Statuses, n.Status))
 }
 
 // noticeRingSize is how many notices the feed retains. Once full, new

@@ -36,14 +36,20 @@ package engine
 // under the lock.
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
 	"opdaemon/internal/core"
 )
 
+// bandPriorities is the band order: a priority's band slot is its index,
+// and a lower index drains first.
+var bandPriorities = [...]core.Priority{core.PriorityHigh, core.PriorityNormal, core.PriorityLow}
+
 // numBands is the number of priority bands.
-const numBands = 3
+const numBands = len(bandPriorities)
 
 // agedEvery caps the aging escape valve: at most one aged dispatch per
 // this many takes, so aged low-band backlogs are drained without
@@ -55,29 +61,10 @@ const agedEvery = 4
 // long.
 const promoteAfter = 5 * time.Second
 
-// bandIndex maps a resolved priority onto its band slot; lower index
-// drains first.
+// bandIndex maps a valid or unset priority onto its band slot; an unset
+// one runs at normal.
 func bandIndex(p core.Priority) int {
-	switch p {
-	case core.PriorityHigh:
-		return 0
-	case core.PriorityLow:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// bandPriority is the inverse of bandIndex, for stats labels.
-func bandPriority(i int) core.Priority {
-	switch i {
-	case 0:
-		return core.PriorityHigh
-	case 2:
-		return core.PriorityLow
-	default:
-		return core.PriorityNormal
-	}
+	return slices.Index(bandPriorities[:], cmp.Or(p, core.PriorityNormal))
 }
 
 // schedItem is one accepted operation awaiting dispatch: the queued
@@ -339,7 +326,7 @@ func (s *schedQueue) depths(now time.Time) (depth int, rate float64, bands, clie
 	defer s.mu.Unlock()
 	for i := range s.bands {
 		b := &s.bands[i]
-		bands[string(bandPriority(i))] = b.n
+		bands[string(bandPriorities[i])] = b.n
 		for key, cq := range b.clients {
 			clients[key] += cq.items.n
 		}

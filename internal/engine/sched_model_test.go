@@ -163,7 +163,7 @@ func (mr *schedModelRun) commit(r *rand.Rand, j, nClients int) {
 		ops[i] = &core.Operation{
 			ID:       fmt.Sprintf("op-%d", mr.ids),
 			Client:   fmt.Sprintf("c%d", r.Intn(nClients)),
-			Priority: bandPriority(band),
+			Priority: bandPriorities[band],
 		}
 		desc += fmt.Sprintf(" %s/%s/%s", ops[i].ID, ops[i].Client, ops[i].Priority)
 		b := &mr.bands[band]
@@ -331,7 +331,7 @@ func (mr *schedModelRun) check() {
 		if got, want := mr.s.bands[i].rotation.n, len(mr.bands[i].turns); got != want {
 			mr.fatalf("band %d's rotation holds %d clients, want the %d with pending items %v", i, got, want, mr.bands[i].turns)
 		}
-		wantBands[string(bandPriority(i))] = len(mr.bands[i].enqueued)
+		wantBands[string(bandPriorities[i])] = len(mr.bands[i].enqueued)
 		for c, q := range mr.bands[i].queues {
 			wantClients[c] += len(q)
 		}

@@ -195,13 +195,13 @@ type wal struct {
 	closeErr error
 
 	// Down to compaction, only the committer (and newWAL before it)
-	// touches these, so they take no lock. segSize is where the next batch
-	// is written in f. After a failed preparation, the next one waits
-	// until segSize passes prepAfter. compactAt is the open segment when
-	// the last compaction started: a failed one is retried once another
-	// segment has closed, not on every commit.
+	// touches these, so they take no lock. f is the open segment, the
+	// last of segs, and segSize is where the next batch is written in it.
+	// After a failed preparation, the next one waits until segSize passes
+	// prepAfter. compactAt is the open segment when the last compaction
+	// started: a failed one is retried once another segment has closed,
+	// not on every commit.
 	f         *os.File
-	segIndex  int
 	segSize   int64
 	prepAfter int64
 	compactAt int
@@ -243,10 +243,9 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 		kick:     make(chan struct{}, 1),
 		quit:     make(chan bool, 1),
 		done:     make(chan struct{}),
-		segIndex: layout.maxSeg + 1,
 		segs:     append(layout.segs, layout.maxSeg+1),
 	}
-	f, err := w.createSegment(w.segIndex, false)
+	f, err := w.createSegment(w.openSeg(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -256,6 +255,11 @@ func newWAL(cfg WALConfig, layout walLayout) (*wal, error) {
 	w.batch.segments = len(w.segs)
 	return w, nil
 }
+
+// openSeg is the index of the open segment, the last of segs: rotation
+// appends the next, and a compaction's reap drops only closed segments.
+// Committer goroutine only (and newWAL before it).
+func (w *wal) openSeg() int { return w.segs[len(w.segs)-1] }
 
 // start launches the committer; the wal accepts staged records from this
 // point on.
@@ -330,7 +334,7 @@ func (w *wal) prepareNext() {
 	if w.prep.Load() != nil {
 		return
 	}
-	w.prep.Store(w.startJob(w.segIndex+1, func(j *walJob) {
+	w.prep.Store(w.startJob(w.openSeg()+1, func(j *walJob) {
 		j.f, j.err = w.createSegment(j.index, true)
 	}))
 }
@@ -561,12 +565,12 @@ func (w *wal) writeAndSync(buf []byte) error {
 		w.rotate()
 	}
 	if _, err := w.f.WriteAt(buf, w.segSize); err != nil {
-		return fmt.Errorf("wal: writing segment %d: %w", w.segIndex, err)
+		return fmt.Errorf("wal: writing segment %d: %w", w.openSeg(), err)
 	}
 	w.segSize += int64(len(buf))
 	if w.mode != WALSyncNone {
 		if err := w.sync(w.f); err != nil {
-			return fmt.Errorf("wal: fsync segment %d: %w", w.segIndex, err)
+			return fmt.Errorf("wal: fsync segment %d: %w", w.openSeg(), err)
 		}
 	}
 	if w.segSize > max(w.segBytes/2, w.prepAfter) {
@@ -594,12 +598,12 @@ func (w *wal) rotate() {
 	}
 	w.prep.Store(nil)
 	if p.err != nil {
-		log.Printf("engine: wal rotation failed, still appending to segment %d: %v", w.segIndex, p.err)
+		log.Printf("engine: wal rotation failed, still appending to segment %d: %v", w.openSeg(), p.err)
 		w.prepAfter = w.segSize + w.segBytes/2
 		return
 	}
-	old, i := w.f, w.segIndex
-	w.f, w.segIndex, w.segSize, w.prepAfter = p.f, p.index, 0, 0
+	old, i := w.f, w.openSeg()
+	w.f, w.segSize, w.prepAfter = p.f, 0, 0
 	w.segs = append(w.segs, p.index)
 	if err := old.Close(); err != nil {
 		log.Printf("engine: wal closing segment %d: %v", i, err)
@@ -629,7 +633,7 @@ func (w *wal) maybeCompact() {
 			w.batch.mu.Unlock()
 		}
 	}
-	if w.compactAt == w.segIndex {
+	if w.compactAt == w.openSeg() {
 		return
 	}
 	// Every live segment is newer than the newest snapshot, because
@@ -639,8 +643,8 @@ func (w *wal) maybeCompact() {
 	if len(w.segs)-1 < w.maxSegs {
 		return
 	}
-	w.compactAt = w.segIndex
-	through := w.segIndex - 1
+	w.compactAt = w.openSeg()
+	through := w.compactAt - 1
 	covered := slices.DeleteFunc(slices.Clone(w.segs), func(s int) bool { return s > through })
 	w.compaction = w.startJob(through, func(j *walJob) { w.compact(j, covered) })
 }
@@ -756,7 +760,7 @@ func (w *wal) finalize() error {
 		// A zero tail left in place is still a clean end, so a failed
 		// cut costs the next open a read, never a record.
 		if terr := w.f.Truncate(w.segSize); terr != nil {
-			log.Printf("engine: wal trimming segment %d: %v", w.segIndex, terr)
+			log.Printf("engine: wal trimming segment %d: %v", w.openSeg(), terr)
 		}
 		if serr := w.sync(w.f); err == nil {
 			err = serr

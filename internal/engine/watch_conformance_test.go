@@ -460,25 +460,43 @@ func TestAwaitNoticesPageLeavesNoChannel(t *testing.T) {
 }
 
 func TestAwaitNoticesNoLostWakeups(t *testing.T) {
-	// Same hammer as the hub test: race the blocked reader against the
-	// append it waits for. The closed-channel protocol (an empty scan
-	// takes the wake channel in its own critical section) must never
-	// sleep through an append.
+	// Race blocked readers against the appends they wait for. The
+	// closed-channel protocol (an empty scan takes the wake channel in
+	// its own critical section) must never sleep through an append.
+	// Many readers follow the feed at once, and each round appends one
+	// notice the moment every reader has returned the previous one, so
+	// it lands while the last readers are between their scan and their
+	// wait. Nothing is appended until every reader has reported, so no
+	// later notice can rescue one that slept through its wake: a lost
+	// wakeup surfaces as the context's timeout.
 	e := newWatchEngine(t)
-	for i := 0; i < 200; i++ {
-		after := e.inflight.last()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		done := make(chan error, 1)
+	const readers, rounds = 16, 200
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// One round's reports plus each reader's final error: no send blocks
+	// after a failure.
+	seen := make(chan error, 2*readers)
+	start := e.inflight.last()
+	for range readers {
 		go func() {
-			_, err := e.AwaitNotices(ctx, NoticeQuery{After: after})
-			done <- err
+			for after := start; after < start+rounds; {
+				ns, err := e.AwaitNotices(ctx, NoticeQuery{After: after})
+				if err != nil {
+					seen <- err
+					return
+				}
+				after = ns[len(ns)-1].Seq
+				seen <- nil
+			}
 		}()
+	}
+	for i := range rounds {
 		e.inflight.append("op", "k", core.StatusQueued, time.Unix(1000, 0))
-		if err := <-done; err != nil {
-			cancel()
-			t.Fatalf("iter %d: AwaitNotices: %v (lost wakeup?)", i, err)
+		for range readers {
+			if err := <-seen; err != nil {
+				t.Fatalf("round %d: AwaitNotices: %v (lost wakeup?)", i, err)
+			}
 		}
-		cancel()
 	}
 }
 
