@@ -85,8 +85,8 @@ vet:
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
-# The project's custom analyzers (opmutate, lockscope, ctxdiscipline,
-# statustransition). Built from this repo, so it runs offline; see
+# The project's custom analyzers (opmutate, lockscope, ctxdiscipline).
+# Built from this repo, so it runs offline; see
 # docs/static-analysis.md for what each analyzer enforces and how to
 # suppress an intentional violation.
 opdaemonlint:

@@ -2,10 +2,10 @@
 // over Go packages. It machine-enforces the engine's concurrency and
 // immutability contracts:
 //
-//	opmutate         no field writes to published *core.Operation snapshots
-//	lockscope        no blocking or re-entrant calls inside shard critical sections
-//	ctxdiscipline    no detached context roots; ctx-first blocking exports
-//	statustransition Status changes flow through core's guarded Transition
+//	opmutate      no field writes to published *core.Operation snapshots,
+//	              and Status changes flow through core's guarded Transition
+//	lockscope     no blocking or re-entrant calls inside shard critical sections
+//	ctxdiscipline no detached context roots; ctx-first blocking exports
 //
 // Usage:
 //
@@ -28,7 +28,6 @@ import (
 	"opdaemon/internal/analysis/lintkit"
 	"opdaemon/internal/analysis/lockscope"
 	"opdaemon/internal/analysis/opmutate"
-	"opdaemon/internal/analysis/statustransition"
 )
 
 // suite is every analyzer the project ships, in report order.
@@ -36,7 +35,6 @@ var suite = []*lintkit.Analyzer{
 	opmutate.Analyzer,
 	lockscope.Analyzer,
 	ctxdiscipline.Analyzer,
-	statustransition.Analyzer,
 }
 
 func main() {

@@ -11,9 +11,10 @@
 //     take a context.Context as its first parameter, so callers can
 //     always bound the wait.
 //
-// Blocking detection is deliberately syntactic and local: it inspects
-// the function's own body (not transitive callees, and not nested
-// function literals, which typically run on other goroutines).
+// Blocking detection is deliberately syntactic and local: it asks
+// lintkit.Blocking, the suite's one blocking classifier, about each
+// node of the function's own body (not transitive callees, and not
+// nested function literals, which typically run on other goroutines).
 // Operations that cannot block are exempt — a send or receive inside a
 // select that has a default case is a try-operation, and close(ch)
 // never blocks.
@@ -123,76 +124,22 @@ func firstBlockingOp(pass *lintkit.Pass, body *ast.BlockStmt) string {
 		if found != "" {
 			return false
 		}
+		if found = lintkit.Blocking(pass.TypesInfo, n); found != "" {
+			return false
+		}
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
-		case *ast.SelectStmt:
-			if lintkit.SelectHasDefault(n) {
-				// Try-send/try-receive: the comm clauses cannot block.
-				// Still walk the clause bodies.
-				for _, clause := range n.Body.List {
-					if cc, ok := clause.(*ast.CommClause); ok {
-						for _, s := range cc.Body {
-							ast.Inspect(s, visit)
-						}
-					}
-				}
-				return false
+		case *ast.CommClause:
+			// The comm operation is the select's; only the clause body
+			// is this function's own code.
+			for _, s := range n.Body {
+				ast.Inspect(s, visit)
 			}
-			found = "select with no default"
 			return false
-		case *ast.SendStmt:
-			found = "channel send"
-			return false
-		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
-				found = "channel receive"
-				return false
-			}
-		case *ast.RangeStmt:
-			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = "range over channel"
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			if why := blockingCall(pass, n); why != "" {
-				found = why
-				return false
-			}
 		}
 		return true
 	}
 	ast.Inspect(body, visit)
 	return found
-}
-
-// blockingCall recognises the standard library's well-known blockers.
-func blockingCall(pass *lintkit.Pass, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel]
-	if !ok || obj.Pkg() == nil {
-		return ""
-	}
-	switch obj.Pkg().Path() {
-	case "time":
-		if obj.Name() == "Sleep" {
-			return "time.Sleep"
-		}
-	case "sync":
-		if obj.Name() == "Wait" {
-			recv := pass.TypesInfo.TypeOf(sel.X)
-			switch lintkit.TypeName(recv) {
-			case "WaitGroup":
-				return "sync.WaitGroup.Wait"
-			case "Cond":
-				return "sync.Cond.Wait"
-			}
-		}
-	}
-	return ""
 }

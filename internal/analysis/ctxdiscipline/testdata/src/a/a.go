@@ -43,6 +43,13 @@ func WaitAll(wg *sync.WaitGroup) { // want `exported WaitAll blocks \(sync\.Wait
 	wg.Wait()
 }
 
+// Park blocks on a condition variable without taking a context.
+func Park(c *sync.Cond) { // want `exported Park blocks \(sync\.Cond\.Wait\)`
+	c.L.Lock()
+	c.Wait()
+	c.L.Unlock()
+}
+
 // Nap blocks in time.Sleep without taking a context.
 func Nap() { // want `exported Nap blocks \(time\.Sleep\)`
 	time.Sleep(time.Second)

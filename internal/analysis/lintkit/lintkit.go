@@ -17,6 +17,9 @@
 // The justification text is mandatory — a bare directive is itself
 // reported — because every exemption from a machine-checked invariant
 // must say why it is safe.
+//
+// It also holds what more than one analyzer must answer alike: Blocking,
+// the suite's one answer to "can this node block?".
 package lintkit
 
 import (
@@ -213,15 +216,61 @@ func TypePkgPath(t types.Type) string {
 	return ""
 }
 
-// SelectHasDefault reports whether sel has a default clause, which
-// makes it a poll rather than a block.
-func SelectHasDefault(sel *ast.SelectStmt) bool {
-	for _, clause := range sel.Body.List {
-		if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
+// CondWait is what Blocking returns for a sync.Cond.Wait call, the one
+// blocker that releases a lock while it waits.
+const CondWait = "sync.Cond.Wait"
+
+// Blocking answers the suite's one question about waiting: can n block
+// the goroutine that runs it? It returns what blocks — a channel send
+// or receive, a select with no default, a range over a channel,
+// time.Sleep, sync.WaitGroup.Wait or sync.Cond.Wait — or "" when n
+// cannot. It judges n alone, not its children or callees. A select's
+// comm clauses belong to the select: a walker asks about the select and
+// skips the clauses' Comm statements, so a select with a default (a
+// poll) blocks nowhere.
+func Blocking(info *types.Info, n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "channel receive"
+		}
+	case *ast.SelectStmt:
+		for _, clause := range n.Body.List {
+			if clause.(*ast.CommClause).Comm == nil {
+				return ""
+			}
+		}
+		return "select with no default"
+	case *ast.RangeStmt:
+		if t := info.TypeOf(n.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return "range over channel"
+			}
+		}
+	case *ast.CallExpr:
+		sel, ok := n.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return ""
+		}
+		obj := info.Uses[sel.Sel]
+		if obj == nil || obj.Pkg() == nil {
+			return ""
+		}
+		switch {
+		case obj.Pkg().Path() == "time" && obj.Name() == "Sleep":
+			return "time.Sleep"
+		case obj.Pkg().Path() == "sync" && obj.Name() == "Wait":
+			switch TypeName(info.TypeOf(sel.X)) {
+			case "WaitGroup":
+				return "sync.WaitGroup.Wait"
+			case "Cond":
+				return CondWait
+			}
 		}
 	}
-	return false
+	return ""
 }
 
 // IsCorePackage reports whether path is the core domain package (or a

@@ -9,8 +9,8 @@
 // would run arbitrary test clocks inside the dispatch hot path. That
 // mutex also delimits admission and the idle workers' park: the park is
 // a sync.Cond.Wait on the policed mutex itself, which releases it while
-// waiting and so is no finding (no rule names it; the fixture pins
-// that), whereas parking on a channel there would be.
+// waiting and so is no finding (the blocking rule skips it; the fixture
+// pins that), whereas parking on a channel there would be.
 // For the inflight table specifically, the rule forces the wake
 // protocol: publish must detach the waiter list and the notices
 // broadcast channel under the lock and perform the channel sends and
@@ -20,8 +20,12 @@
 // one up under the lock and invoke it after. Between a
 // `<shard>.mu.Lock` (or RLock) and its release the analyzer forbids:
 //
-//   - blocking channel operations (sends, receives, selects with no
-//     default, ranging over a channel);
+//   - anything lintkit.Blocking, the suite's one blocking classifier,
+//     calls blocking: channel sends and receives, selects with no
+//     default, ranging over a channel, time.Sleep and
+//     sync.WaitGroup.Wait — all but sync.Cond.Wait, which releases
+//     the mutex it waits on (the scheduler's park, the WAL's wait for
+//     its commit slot both wait on the policed mutex itself);
 //   - closing a channel — a close never blocks, but every reader it
 //     wakes goes straight for the lock the closer still holds;
 //   - calls through function values — handler or callback invocation
@@ -242,6 +246,11 @@ type scanner struct {
 
 func (s *scanner) scan(root ast.Node) {
 	ast.Inspect(root, func(n ast.Node) bool {
+		// Cond.Wait releases the lock it waits on, and the policed
+		// sections' conditions wait on their own mutex.
+		if what := lintkit.Blocking(s.pass.TypesInfo, n); what != "" && what != lintkit.CondWait {
+			s.reportHeld(n.Pos(), what)
+		}
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			// Runs on another goroutine; not under this section.
@@ -252,11 +261,6 @@ func (s *scanner) scan(root ast.Node) {
 			// after the body this scan models.
 			return false
 		case *ast.RangeStmt:
-			if t := s.pass.TypesInfo.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					s.reportHeld(n.Pos(), "range over a channel")
-				}
-			}
 			s.scan(n.X)
 			s.scanLoopBody(n.Body)
 			return false
@@ -268,37 +272,20 @@ func (s *scanner) scan(root ast.Node) {
 			}
 			s.scanLoopBody(n.Body)
 			return false
-		case *ast.SelectStmt:
-			if !lintkit.SelectHasDefault(n) {
-				// One report for the select itself; the comm clauses
-				// are part of that single blocking point.
-				s.reportHeld(n.Pos(), "select with no default")
-			}
-			// Either way the comm operations themselves are not
-			// separate blocking sites; scan only the clause bodies.
-			for _, clause := range n.Body.List {
-				if cc, ok := clause.(*ast.CommClause); ok {
-					for _, stmt := range cc.Body {
-						s.scan(stmt)
-					}
-				}
+		case *ast.CommClause:
+			// The comm operation is part of its select, which was
+			// judged as one blocking point (or, with a default, none);
+			// scan only the clause body.
+			for _, stmt := range n.Body {
+				s.scan(stmt)
 			}
 			return false
-		case *ast.SendStmt:
-			s.reportHeld(n.Pos(), "channel send")
-			return true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				s.reportHeld(n.Pos(), "channel receive")
-			}
-			return true
 		case *ast.CallExpr:
 			if op := classifyLockOp(s.pass, n); op != nil {
 				s.applyLockOp(n, op)
 				return false
 			}
 			s.checkCall(n)
-			return true
 		}
 		return true
 	})
@@ -392,22 +379,19 @@ func (s *scanner) checkCall(call *ast.CallExpr) {
 }
 
 // checkCallee applies the resolved-function rules at a call site under
-// a held lock: direct os writes, transitive lock re-acquisition, and
-// transitive file I/O.
+// a held lock (checkCall's guard): direct os writes and codec calls,
+// transitive lock re-acquisition, transitive file I/O and encoding.
 func (s *scanner) checkCallee(call *ast.CallExpr, fn *types.Func, name string) {
+	path := s.heldPath()
 	if isOSWrite(fn) {
-		for path := range s.held {
-			s.pass.Reportf(call.Pos(),
-				"%s inside the %s critical section: file I/O under a policed lock stalls every operation behind it; stage bytes under the lock, write after unlock", fn.FullName(), path)
-			return
-		}
+		s.pass.Reportf(call.Pos(),
+			"%s inside the %s critical section: file I/O under a policed lock stalls every operation behind it; stage bytes under the lock, write after unlock", fn.FullName(), path)
+		return
 	}
 	if isCodecCall(fn) {
-		for path := range s.held {
-			s.pass.Reportf(call.Pos(),
-				"%s inside the %s critical section encodes a record under a policed lock: encode into a buffer before acquiring the lock, stage the prepared bytes inside it", fn.FullName(), path)
-			return
-		}
+		s.pass.Reportf(call.Pos(),
+			"%s inside the %s critical section encodes a record under a policed lock: encode into a buffer before acquiring the lock, stage the prepared bytes inside it", fn.FullName(), path)
+		return
 	}
 	fl := s.acq.flags(fn)
 	switch {
@@ -419,18 +403,13 @@ func (s *scanner) checkCallee(call *ast.CallExpr, fn *types.Func, name string) {
 			"call to %s while the staging lock %s is held re-acquires it: self-deadlock", name, s.heldNestedPath())
 	}
 	if fl&acqIO != 0 {
-		for path := range s.held {
-			s.pass.Reportf(call.Pos(),
-				"call to %s inside the %s critical section performs file I/O: stage bytes under the lock, write after unlock", name, path)
-			return
-		}
+		s.pass.Reportf(call.Pos(),
+			"call to %s inside the %s critical section performs file I/O: stage bytes under the lock, write after unlock", name, path)
+		return
 	}
 	if fl&acqCodec != 0 {
-		for path := range s.held {
-			s.pass.Reportf(call.Pos(),
-				"call to %s inside the %s critical section encodes a record: encode into a buffer before acquiring the lock, stage the prepared bytes inside it", name, path)
-			return
-		}
+		s.pass.Reportf(call.Pos(),
+			"call to %s inside the %s critical section encodes a record: encode into a buffer before acquiring the lock, stage the prepared bytes inside it", name, path)
 	}
 }
 
@@ -444,11 +423,18 @@ func (s *scanner) heldNestedPath() string {
 	return ""
 }
 
+// heldPath returns the path of a held policed lock, or "" when none is.
+func (s *scanner) heldPath() string {
+	for path := range s.held {
+		return path
+	}
+	return ""
+}
+
 // reportHeld reports a blocking operation if any policed lock is held.
 func (s *scanner) reportHeld(pos token.Pos, what string) {
-	for path := range s.held {
+	if path := s.heldPath(); path != "" {
 		s.pass.Reportf(pos, "%s inside the %s critical section can stall every operation on the shard", what, path)
-		return
 	}
 }
 

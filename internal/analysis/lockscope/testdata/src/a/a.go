@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"sync"
+	"time"
 )
 
 // storeShard mirrors the engine's shard: its name is what makes the
@@ -327,8 +328,52 @@ func sampleThenCommit(q *schedQueue, id string) {
 // sanctioned nesting; blocking and file I/O under it are still flagged,
 // and it must be innermost.
 type walBatch struct {
-	mu  sync.Mutex
-	buf []byte
+	mu    sync.Mutex
+	slot  sync.Cond // L is &mu
+	ended bool
+	buf   []byte
+}
+
+// sleepUnderShardLock waits out a timer with the shard held: every
+// operation on the shard waits with it.
+func sleepUnderShardLock(sh *storeShard) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	time.Sleep(time.Millisecond) // want `time\.Sleep inside the sh\.mu critical section`
+}
+
+// joinUnderShardLock waits for goroutines that may need the shard it
+// holds — a deadlock if any of them does.
+func joinUnderShardLock(sh *storeShard, wg *sync.WaitGroup) {
+	sh.mu.Lock()
+	wg.Wait() // want `sync\.WaitGroup\.Wait inside the sh\.mu critical section`
+	sh.mu.Unlock()
+}
+
+// sleepUnderBatchLock keeps every writer from boarding the batch while
+// it sleeps.
+func sleepUnderBatchLock(b *walBatch) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	time.Sleep(time.Millisecond) // want `time\.Sleep inside the b\.mu critical section`
+}
+
+// joinUnderBatchLock waits for goroutines while holding the staging
+// lock they board through.
+func joinUnderBatchLock(b *walBatch, wg *sync.WaitGroup) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	wg.Wait() // want `sync\.WaitGroup\.Wait inside the b\.mu critical section`
+}
+
+// awaitCommit mirrors the WAL's wait for its commit: Cond.Wait on the
+// staging mutex itself releases it while waiting, so it is clean.
+func awaitCommit(b *walBatch) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for !b.ended {
+		b.slot.Wait()
+	}
 }
 
 // fsyncUnderShardLock performs the fsync inside the shard critical

@@ -1,9 +1,14 @@
-// Package opmutate enforces the copy-on-write immutability contract on
-// core.Operation: once a pointer is published — stored via Put, or
-// handed out by Get/List/Submit — the snapshot it refers to must never
-// be written again. A single stray field write after a Get is a silent
-// data race that -race only catches under the right interleaving; this
-// analyzer catches it at lint time.
+// Package opmutate polices every write to a core.Operation field —
+// an assignment, an increment or decrement, or taking the field's
+// address, which lets a write hide behind the pointer — and applies
+// two rules to each.
+//
+// The first is the copy-on-write immutability contract: once a pointer
+// is published — stored via Put, or handed out by Get/List/Submit —
+// the snapshot it refers to must never be written again. A single
+// stray field write after a Get is a silent data race that -race only
+// catches under the right interleaving; this analyzer catches it at
+// lint time.
 //
 // The analysis is a function-local ownership dataflow. A
 // *core.Operation value is "owned" (legal to mutate) only while it is
@@ -22,18 +27,26 @@
 // package-level state — is presumed published, and any write to a
 // field through it is flagged. Passing an owned value to Put or
 // PutBatch transfers ownership: writes after that call are flagged
-// too, even on a value the function built itself.
+// too, even on a value the function built itself. Test files are
+// policed too: tests were exactly where in-place mutation of fetched
+// snapshots used to hide.
 //
-// Package core is exempt (it owns the type and its guarded Transition
-// site); everything else, including test files, is policed — tests
-// were exactly where in-place mutation of fetched snapshots used to
-// hide.
+// The second rule keeps lifecycle state on the guarded path: Status is
+// written only by core's Operation.Transition, the single site that
+// checks core.CanTransition before every write. Anywhere else a direct
+// write, even to an owned clone, can skip the legality check and
+// resurrect a terminal operation. Test files are exempt from this rule
+// alone: they fabricate operations in specific lifecycle states.
+//
+// Package core is exempt from both: it owns the type and its guarded
+// Transition site.
 package opmutate
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"opdaemon/internal/analysis/lintkit"
 )
@@ -41,7 +54,7 @@ import (
 // Analyzer is the opmutate checker.
 var Analyzer = &lintkit.Analyzer{
 	Name: "opmutate",
-	Doc:  "no field writes to published *core.Operation snapshots",
+	Doc:  "no field writes to published *core.Operation snapshots; Status written only by core's Transition",
 	Run:  run,
 }
 
@@ -72,10 +85,9 @@ func run(pass *lintkit.Pass) error {
 		}
 	}
 	for _, file := range pass.Files {
+		testFile := strings.HasSuffix(pass.Fset.Position(file.FileStart).Filename, "_test.go")
 		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				a.checkFunc(fn)
-			}
+			a.checkDecl(decl, testFile)
 		}
 	}
 	return nil
@@ -117,7 +129,7 @@ type analysis struct {
 	owned map[*types.Func]ownedResult
 }
 
-// funcState is the ownership dataflow for one top-level function
+// funcState is the ownership dataflow for one top-level declaration
 // (including its nested literals — captured variables share objects).
 type funcState struct {
 	a *analysis
@@ -134,24 +146,31 @@ type funcState struct {
 	published map[types.Object]token.Pos
 }
 
-// checkFunc runs the dataflow over fn and reports illegal writes.
-func (a *analysis) checkFunc(fn *ast.FuncDecl) {
-	st := a.analyzeFunc(fn)
-	ast.Inspect(fn, func(n ast.Node) bool {
+// checkDecl runs the dataflow over one top-level declaration — a
+// function, or a variable whose function literal writes — and reports
+// illegal writes.
+func (a *analysis) checkDecl(decl ast.Decl, testFile bool) {
+	st := a.analyzeFunc(decl)
+	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				st.checkWrite(lhs)
+				st.checkWrite(lhs, false, testFile)
 			}
 		case *ast.IncDecStmt:
-			st.checkWrite(n.X)
+			st.checkWrite(n.X, false, testFile)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				st.checkWrite(n.X, true, testFile)
+			}
 		}
 		return true
 	})
 }
 
-// analyzeFunc builds the ownership state for fn and runs the fixpoint.
-func (a *analysis) analyzeFunc(fn *ast.FuncDecl) *funcState {
+// analyzeFunc builds the ownership state for decl and runs the
+// fixpoint.
+func (a *analysis) analyzeFunc(decl ast.Decl) *funcState {
 	st := &funcState{
 		a:         a,
 		fixed:     make(map[types.Object]bool),
@@ -186,9 +205,11 @@ func (a *analysis) analyzeFunc(fn *ast.FuncDecl) *funcState {
 			}
 		}
 	}
-	markParams(fn.Type, fn.Recv, false)
+	if fn, ok := decl.(*ast.FuncDecl); ok {
+		markParams(fn.Type, fn.Recv, false)
+	}
 
-	ast.Inspect(fn, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			markParams(n.Type, nil, false)
@@ -448,9 +469,7 @@ func (a *analysis) returnsOwned(fn *types.Func) bool {
 	verdict := owned
 	// Examine only returns belonging to the declaration itself, not to
 	// nested literals.
-	var depth int
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
@@ -472,38 +491,42 @@ func (a *analysis) returnsOwned(fn *types.Func) bool {
 			}
 		}
 		return true
-	}
-	_ = depth
-	ast.Inspect(decl.Body, visit)
+	})
 	a.owned[fn] = verdict
 	return verdict == owned
 }
 
-// checkWrite flags a field write through an unowned operation value.
-func (st *funcState) checkWrite(lhs ast.Expr) {
+// checkWrite applies both rules to one write of a field: an
+// assignment or inc/dec, or taking its address (addr).
+func (st *funcState) checkWrite(lhs ast.Expr, addr, testFile bool) {
 	info := st.a.pass.TypesInfo
-	sel, ok := lhs.(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	base := sel.X
-	for {
-		if p, ok := base.(*ast.ParenExpr); ok {
-			base = p.X
-			continue
-		}
-		if s, ok := base.(*ast.StarExpr); ok {
-			base = s.X
-			continue
-		}
-		break
+	base := ast.Unparen(sel.X)
+	if star, ok := base.(*ast.StarExpr); ok {
+		base = ast.Unparen(star.X)
 	}
 	if !isOperation(info.TypeOf(base)) {
 		return
 	}
+	if sel.Sel.Name == "Status" && !testFile {
+		if addr {
+			st.a.pass.Reportf(sel.Pos(),
+				"taking the address of Operation.Status outside core: an aliased write would bypass core.CanTransition")
+		} else {
+			st.a.pass.Reportf(sel.Pos(),
+				"direct write to Operation.Status outside core: route the transition through Operation.Transition so core.CanTransition guards it")
+		}
+	}
+	write := "write to"
+	if addr {
+		write = "taking the address of"
+	}
 	if !st.ownedExpr(base) {
 		st.a.pass.Reportf(sel.Pos(),
-			"write to field %s of a published *core.Operation: snapshots from Get/List/Submit are shared and immutable; mutate the clone inside Store.Update or an owned copy", sel.Sel.Name)
+			"%s field %s of a published *core.Operation: snapshots from Get/List/Submit are shared and immutable; mutate the clone inside Store.Update or an owned copy", write, sel.Sel.Name)
 		return
 	}
 	if id, ok := base.(*ast.Ident); ok {
@@ -514,7 +537,7 @@ func (st *funcState) checkWrite(lhs ast.Expr) {
 		if obj != nil {
 			if pos, ok := st.published[obj]; ok && pos < sel.Pos() {
 				st.a.pass.Reportf(sel.Pos(),
-					"write to field %s of %s after Put transferred ownership to the store: published snapshots are immutable", sel.Sel.Name, id.Name)
+					"%s field %s of %s after Put transferred ownership to the store: published snapshots are immutable", write, sel.Sel.Name, id.Name)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 // Package a exercises the opmutate ownership dataflow against a
-// miniature replica of the engine's store shapes.
+// miniature replica of the engine's store shapes. A Status write here
+// also breaks the Status rule (see package transition), so those lines
+// expect both diagnostics.
 package a
 
 import (
@@ -47,7 +49,7 @@ func mutateFetched(s *Store, id string) {
 	if !ok {
 		return
 	}
-	op.Status = core.StatusRunning // want `write to field Status of a published \*core\.Operation`
+	op.Status = core.StatusRunning // want `write to field Status of a published \*core\.Operation` `direct write to Operation\.Status outside core`
 }
 
 // mutateListed writes through a range element of a listed page.
@@ -77,7 +79,7 @@ func mutateAliased(s *Store, id string) {
 	fresh := &core.Operation{ID: id}
 	got, _ := s.Get(id)
 	fresh = got
-	fresh.Status = core.StatusDone // want `write to field Status of a published \*core\.Operation`
+	fresh.Status = core.StatusDone // want `write to field Status of a published \*core\.Operation` `direct write to Operation\.Status outside core`
 }
 
 // mutateAfterPut keeps writing after ownership transferred.
@@ -90,8 +92,8 @@ func mutateAfterPut(s *Store, id string, now time.Time) {
 // buildAndPublish is the sanctioned construction path: mutate freely
 // before Put, never after.
 func buildAndPublish(s *Store, id string, now time.Time) {
-	op := &core.Operation{ID: id}
-	op.Status = core.StatusQueued
+	op := &core.Operation{ID: id, Status: core.StatusQueued}
+	op.Kind = "noop"
 	op.CreatedAt = now
 	s.Put(op)
 }
@@ -100,7 +102,7 @@ func buildAndPublish(s *Store, id string, now time.Time) {
 // argument is a private clone.
 func updateViaCallback(s *Store, id string, now time.Time) {
 	s.Update(id, func(op *core.Operation) {
-		op.Status = core.StatusRunning
+		op.Error = "retrying"
 		op.UpdatedAt = now
 	})
 }

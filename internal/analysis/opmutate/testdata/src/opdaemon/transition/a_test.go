@@ -1,4 +1,4 @@
-package a
+package transition
 
 import "opdaemon/internal/core"
 

@@ -150,10 +150,10 @@ func (op *Operation) Clone() *Operation {
 // terminal states are never overwritten.
 //
 // This is the single sanctioned write-site for Status: callers outside
-// this package must route every status change through it (the
-// opdaemonlint statustransition analyzer enforces this), and must call
-// it only on a privately owned copy — a clone inside a store Update
-// callback, or an operation not yet published.
+// this package must route every status change through it (opdaemonlint's
+// opmutate analyzer enforces this), and must call it only on a
+// privately owned copy — a clone inside a store Update callback, or an
+// operation not yet published.
 func (op *Operation) Transition(next Status, now time.Time) bool {
 	if !op.Status.CanTransition(next) {
 		return false

@@ -10,6 +10,8 @@ package engine
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,6 +186,60 @@ func TestJournaledWriteAllocsMatchMemory(t *testing.T) {
 		}
 		if update[1] != update[0] {
 			t.Errorf("Update+Flush, %d shards: journal allocates %.1f objects, memory %.1f", shards, update[1], update[0])
+		}
+	}
+}
+
+// TestJournaledSweepAllocsMatchMemory: a sweep sizes each shard's
+// tombstone buffer once, to the exact frame bytes, so on the journal a
+// large sweep allocates a handful of objects more than on the memory
+// store, however many operations it evicts. Each store fills and sweeps
+// three times on 2 shards; the second and third sweeps are compared,
+// after pools and maps have warmed.
+func TestJournaledSweepAllocsMatchMemory(t *testing.T) {
+	skipIfRace(t)
+	const n, shards = 75_000, 2
+	wal, err := OpenWALStore(WALConfig{Dir: t.TempDir(), Sync: WALSyncGroup, shards: shards,
+		syncHook: func(*os.File) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	stores := []struct {
+		name string
+		s    Store
+	}{{"memory", NewShardedStore(shards)}, {"journal", wal}}
+	t0 := time.Unix(1000, 0)
+	ops := make([]*core.Operation, n)
+	var sweeps [2][2]uint64
+	for round := range 3 {
+		for i, st := range stores {
+			for j := range ops {
+				// IDs as long as core.NewID's, so each shard's
+				// tombstones outgrow the encode pool's cap as the
+				// daemon's do.
+				ops[j] = mkDone(fmt.Sprintf("%032d", round*n+j), t0)
+			}
+			for batch := range slices.Chunk(ops, 1000) {
+				st.s.PutBatch(batch)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			evicted := st.s.SweepTerminalBefore(t0.Add(time.Second))
+			runtime.ReadMemStats(&after)
+			if evicted != n {
+				t.Fatalf("%s: sweep %d evicted %d operations, want %d", st.name, round+1, evicted, n)
+			}
+			if round > 0 {
+				sweeps[round-1][i] = after.Mallocs - before.Mallocs
+			}
+		}
+	}
+	for round, got := range sweeps {
+		t.Logf("sweep %d: memory %d objects, journal %d", round+2, got[0], got[1])
+		if got[1] > got[0]+8 {
+			t.Errorf("sweep %d of %d operations: journal allocates %d objects, memory %d; want at most 8 more",
+				round+2, n, got[1], got[0])
 		}
 	}
 }

@@ -218,9 +218,9 @@ func BenchmarkWALRecovery(b *testing.B) {
 
 // BenchmarkStorePutBatch re-puts one batch of memory-store operations:
 // a batch's shape cost (hashing each ID, grouping the batch by shard, one
-// lock per shard met) plus each re-put's index remove and insert, which
-// grow with the shard. Two shards is what every gated opbench run uses;
-// 16 is a wide host's default.
+// lock per shard met) plus each re-put's in-place index replace, a
+// search from the newest end. Two shards is what every gated opbench
+// run uses; 16 is a wide host's default.
 func BenchmarkStorePutBatch(b *testing.B) {
 	for _, shards := range []int{2, 16} {
 		for _, n := range []int{10, 1024} {

@@ -192,6 +192,11 @@ func runStoreConformance(t *testing.T, mk func(t testing.TB) Store) {
 		if s.Len() != 1 {
 			t.Errorf("Len after replace = %d, want 1", s.Len())
 		}
+		// The listing order reads the index, not the map: it must hand
+		// out the replacement too.
+		if page := listAll(t, s); len(page) != 1 || page[0].Status != core.StatusRunning {
+			t.Errorf("List after replace does not hand out the replacement alone: %d operations %v", len(page), listIDs(page))
+		}
 	})
 
 	t.Run("PutReplaceWithNewCreatedAtReorders", func(t *testing.T) {
@@ -919,6 +924,7 @@ func TestListHoldsOneShardLock(t *testing.T) {
 		defer close(listed)
 		s.List(ListQuery{Limit: 10})
 	}()
+	//lint:allow opdaemon/lockscope the test holds shard 1 on purpose, so that the List parks there
 	time.Sleep(50 * time.Millisecond) // let the List park on shard 1
 	put := make(chan struct{})
 	go func() {

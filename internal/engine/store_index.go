@@ -25,16 +25,6 @@ func opBefore(a *core.Operation, createdAt time.Time, id string) bool {
 	return a.ID > id
 }
 
-// newerThan reports whether a sorts before b in the public newest-first
-// order: descending CreatedAt with ties broken by ascending ID. It is
-// the comparator the cross-shard merge uses.
-func newerThan(a, b *core.Operation) bool {
-	if !a.CreatedAt.Equal(b.CreatedAt) {
-		return a.CreatedAt.After(b.CreatedAt)
-	}
-	return a.ID < b.ID
-}
-
 // opIndex holds one shard's operations sorted in index order (see
 // opBefore). Almost every key a write looks up is near the newest
 // end: a transition's replace is for an operation submitted moments
@@ -115,14 +105,21 @@ type storeShard struct {
 }
 
 // putLocked installs op (taking ownership — the caller must not mutate
-// it afterwards), replacing any previous operation with the same ID.
-// Callers hold the write lock.
+// it afterwards), replacing any previous operation with the same ID: in
+// place when its index key, (CreatedAt, ID), is unchanged. Callers hold
+// the write lock.
 func (sh *storeShard) putLocked(op *core.Operation) {
-	if old, ok := sh.ops[op.ID]; ok {
-		sh.ix.remove(old.CreatedAt, old.ID)
-	}
+	old, ok := sh.ops[op.ID]
 	sh.ops[op.ID] = op
-	sh.ix.insert(op)
+	switch {
+	case !ok:
+		sh.ix.insert(op)
+	case old.CreatedAt.Equal(op.CreatedAt):
+		sh.ix.replace(op)
+	default:
+		sh.ix.remove(old.CreatedAt, old.ID)
+		sh.ix.insert(op)
+	}
 }
 
 // get returns the published snapshot — a shared immutable pointer, no
@@ -258,16 +255,15 @@ func collectNewest(cursors []listCursor, q ListQuery) []*core.Operation {
 }
 
 // siftDown restores the heap property at i for a heap ordered by
-// newest-first current operations.
+// newest-first current operations: a child is newer than its parent
+// when the parent sorts before it in index order (see opBefore).
 func siftDown(h []listCursor, i int) {
 	for {
-		left, right := 2*i+1, 2*i+2
 		top := i
-		if left < len(h) && newerThan(h[left].current(), h[top].current()) {
-			top = left
-		}
-		if right < len(h) && newerThan(h[right].current(), h[top].current()) {
-			top = right
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && opBefore(h[top].current(), h[c].current().CreatedAt, h[c].current().ID) {
+				top = c
+			}
 		}
 		if top == i {
 			return

@@ -7,6 +7,7 @@ import (
 	"hash/maphash"
 	"log"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -371,7 +372,13 @@ func (s *shardedStore) SweepTerminalBefore(cutoff time.Time) int {
 		}
 		var tombs []byte
 		if buf != nil {
-			tombs = (*buf)[:0]
+			// Sized once: grown by doubling, a large sweep's buffer
+			// would pass the pool's cap several times over.
+			need := 0
+			for _, op := range cands {
+				need += deleteRecordLen(op.ID)
+			}
+			tombs = slices.Grow((*buf)[:0], need)
 			for _, op := range cands {
 				tombs = appendDeleteRecord(tombs, op.ID)
 			}

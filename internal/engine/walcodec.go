@@ -128,6 +128,11 @@ func appendDeleteRecord(dst []byte, id string) []byte {
 	return finishWALFrame(dst, mark)
 }
 
+// deleteRecordLen is how many bytes appendDeleteRecord appends for id.
+func deleteRecordLen(id string) int {
+	return walFrameHeader + 1 + len(id)
+}
+
 // walEncPool recycles record-encode buffers so the hot mutation path
 // (which must encode before taking the shard lock, see lockscope's
 // codec rule) doesn't allocate a fresh buffer per record. Pooled as

@@ -141,9 +141,6 @@ type walLayout struct {
 	// live (and are replayed on the next open too) until compaction
 	// folds them into a snapshot.
 	segs []int
-	// snapSeg is the highest segment index the loaded snapshot covers,
-	// -1 when no snapshot was used.
-	snapSeg int
 	// maxSeg is the highest segment index ever observed (on disk or
 	// covered by a snapshot); the next segment opens at maxSeg+1 so
 	// indexes never repeat even across compactions.
@@ -163,7 +160,7 @@ type walLayout struct {
 // covered beyond the state fallen back to is still on disk: booting
 // without them would silently forget acknowledged operations.
 func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
-	layout := walLayout{snapSeg: -1}
+	var layout walLayout
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, layout, fmt.Errorf("wal: scanning %s: %w", dir, err)
@@ -188,8 +185,9 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 	// adopted only if it replays cleanly: a snapshot that does not
 	// (which the atomic rename install should make impossible) is
 	// skipped entirely rather than half-applied. skipped is the newest
-	// one passed over.
-	skipped := -1
+	// one passed over, snapSeg the highest segment index the loaded one
+	// covers (-1: none loaded).
+	skipped, snapSeg := -1, -1
 	for i := len(snaps) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, walSnapName(snaps[i]))
 		data, err := os.ReadFile(path)
@@ -204,16 +202,16 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 			continue
 		}
 		state = trial
-		layout.snapSeg = snaps[i]
+		snapSeg = snaps[i]
 		log.Printf("engine: wal replayed snapshot %s: %d records, %d operations live", path, n, state.Len())
 		break
 	}
-	layout.maxSeg = layout.snapSeg
+	layout.maxSeg = snapSeg
 	// Falling back is complete only in the crash window between a
 	// snapshot's install and the prune of what it covers: segment
 	// indexes are consecutive, so every one in (snapSeg, skipped] must
 	// still be there to replay.
-	for seg := layout.snapSeg + 1; seg <= skipped; seg++ {
+	for seg := snapSeg + 1; seg <= skipped; seg++ {
 		if _, ok := slices.BinarySearch(segs, seg); !ok {
 			return nil, layout, fmt.Errorf("wal: snapshot %s is unusable and segment %s, which it covered, is already pruned: refusing to start without the operations they held",
 				filepath.Join(dir, walSnapName(skipped)), walSegName(seg))
@@ -228,7 +226,7 @@ func recoverWALState(dir string, shards int) (*shardedStore, walLayout, error) {
 		if seg > layout.maxSeg {
 			layout.maxSeg = seg
 		}
-		if seg <= layout.snapSeg {
+		if seg <= snapSeg {
 			// Obsolete: its contents are inside the snapshot. Remove it now
 			// so the live set stays minimal.
 			if err := os.Remove(filepath.Join(dir, walSegName(seg))); err != nil {
